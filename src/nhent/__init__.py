@@ -15,7 +15,7 @@ from .errors import (BranchError, CollapseError, ConfigError, ConsistencyError,
                      UnsupportedError)
 from .models import (FAMILIES, KernelMatrix, ModelSpec, bloch_momenta,
                      bloch_reduce, build_chern_ribbon, build_eb_ssh,
-                     build_from_spec, build_guo_2d, build_guo_chain,
+                     build_guo_2d, build_guo_chain,
                      build_hatano_nelson, build_heff_from_jumps,
                      build_measurement_heff, build_nh_ssh_bloch,
                      build_nh_ssh_real, build_quasicrystal,
@@ -35,9 +35,10 @@ from .scaling import (FitResult, ScalingSeries, count_fermi_points,
 from .dynamics import (GaussianState, domain_wall_state, evolve_no_jump,
                        hermitian_ground_state, kernel_exponential,
                        staggered_state)
-from .oracle import (FockOperator, OracleReport, fock_correlation,
-                     fock_hamiltonian, manybody_biortho_ground, oracle_report,
-                     partial_trace, reorder_modes)
+from .oracle import (FockOperator, OracleReport, fock_block,
+                     fock_correlation, fock_hamiltonian,
+                     manybody_biortho_ground, oracle_report, partial_trace,
+                     reduced_density, reorder_modes, sector_states)
 from .pipeline import (TransitionScan, dual_momentum_partition,
                        entropy_series, ground_state_system,
                        momentum_space_view, report_for_partition,

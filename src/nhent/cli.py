@@ -296,7 +296,6 @@ def cmd_oracle(config: RunConfig, out_dir: str) -> int:
 
 def cmd_model_list() -> int:
     for family in sorted(FAMILIES):
-        params, _ = FAMILIES[family][0], FAMILIES[family][1]
         print(f"{family}: parameters {', '.join(FAMILIES[family][0])}")
     return EXIT_OK
 

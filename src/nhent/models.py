@@ -39,7 +39,6 @@ __all__ = [
     "build_measurement_heff",
     "build_heff_from_jumps",
     "build_uniform_chain",
-    "build_from_spec",
 ]
 
 
@@ -531,8 +530,3 @@ FAMILIES = {
         lambda s: build_measurement_heff(int(s.params["L"]), s.params["t"],
                                          s.params["Gamma"], s.bc)),
 }
-
-
-def build_from_spec(spec: ModelSpec) -> KernelMatrix:
-    """Construct the kernel for a validated model specification."""
-    return spec.build()

@@ -1,10 +1,18 @@
-"""Brute-force many-body verification in the full Fock space.
+"""Brute-force many-body verification in the Fock space.
 
-Everything here works on dense 2^N x 2^N matrices in the occupation basis
-and is deliberately independent of the correlation-matrix machinery: states
-are built by exact diagonalization of the many-body Hamiltonian, reduced
+Deliberately independent of the correlation-matrix machinery: states are
+built by exact diagonalization of the many-body Hamiltonian, reduced
 density matrices by an explicit partial trace, entropies from the spectrum
 of rho_A.  Disagreement with the fast path is a bug in the fast path.
+
+The Hamiltonian conserves particle number, so the ground states live in one
+n-particle sector of C(N, n) occupation states.  ``fock_block`` builds that
+sector's dense matrix and ``manybody_biortho_ground`` diagonalizes only it;
+the returned |G_R>, |G_L> are 2^N vectors, zero outside the sector.
+``reduced_density`` traces |G_R><G_L| down to the 2^keep x 2^keep rho_A
+without forming rho.  Built in full, 2^N x 2^N: ``fock_hamiltonian`` (the
+direct sum of all sector blocks) and any rho handed to ``partial_trace``
+as a ``FockOperator``.
 
 Mode ordering is fixed with the kept (A) modes first, occupying the low
 bits of the basis-state integer.  Jordan-Wigner strings then act entirely
@@ -25,9 +33,12 @@ from .models import KernelMatrix
 
 __all__ = [
     "FockOperator",
+    "fock_block",
     "fock_hamiltonian",
     "manybody_biortho_ground",
     "partial_trace",
+    "reduced_density",
+    "sector_states",
     "oracle_report",
     "OracleReport",
     "fock_correlation",
@@ -73,19 +84,25 @@ def reorder_modes(K: KernelMatrix, order) -> KernelMatrix:
                         [K.site_labels[i] for i in order])
 
 
-def fock_hamiltonian(K: KernelMatrix) -> FockOperator:
-    """Many-body matrix of sum_ij K_ij c+_i c_j in the occupation basis.
+def sector_states(n_modes: int, n_particles: int) -> np.ndarray:
+    """Occupation-basis states with ``n_particles`` set bits, ascending."""
+    states = np.arange(2 ** n_modes, dtype=np.int64)
+    return states[_popcount(states) == n_particles]
+
+
+def fock_block(K: KernelMatrix, n_particles: int):
+    """n-particle block of sum_ij K_ij c+_i c_j and its basis states.
 
     Basis state s has mode i occupied iff bit i of s is set (mode 0 in the
     lowest bit), with the Jordan-Wigner string of mode i covering modes
-    j < i.  Number conserving by construction.
+    j < i.  Rows and columns follow ``states`` (see ``sector_states``).
     """
     N = K.dim
     if N > MAX_MODES:
         raise SizeError(f"Fock space guard: N={N} exceeds {MAX_MODES}")
-    dim = 2 ** N
-    states = np.arange(dim, dtype=np.int64)
-    H = np.zeros((dim, dim), dtype=complex)
+    states = sector_states(N, n_particles)
+    H = np.zeros((len(states), len(states)), dtype=complex)
+    pos = np.arange(len(states))
     for i in range(N):
         for j in range(N):
             amp = K.entries[i, j]
@@ -93,7 +110,7 @@ def fock_hamiltonian(K: KernelMatrix) -> FockOperator:
                 continue
             if i == j:
                 nj = (states >> j) & 1
-                H[states, states] += amp * nj
+                H[pos, pos] += amp * nj
                 continue
             mask = (((states >> j) & 1) == 1) & (((states >> i) & 1) == 0)
             src = states[mask]
@@ -101,30 +118,40 @@ def fock_hamiltonian(K: KernelMatrix) -> FockOperator:
             dst = mid ^ (1 << i)
             sign = (-1.0) ** (_popcount(src & ((1 << j) - 1))
                               + _popcount(mid & ((1 << i) - 1)))
-            H[dst, src] += amp * sign
-    return FockOperator(N, H, list(range(N)))
+            H[np.searchsorted(states, dst), pos[mask]] += amp * sign
+    return H, states
 
 
-def _number_blocks(n_modes: int):
-    occ = _popcount(np.arange(2 ** n_modes, dtype=np.int64))
-    return [np.nonzero(occ == n)[0] for n in range(n_modes + 1)]
+def fock_hamiltonian(K: KernelMatrix) -> FockOperator:
+    """Many-body matrix of sum_ij K_ij c+_i c_j in the occupation basis.
+
+    The direct sum of ``fock_block`` over all particle numbers: the
+    Hamiltonian is number conserving by construction.
+    """
+    # blocks first, so that fock_block's size guard runs before the
+    # 2^N x 2^N allocation
+    blocks = [fock_block(K, n) for n in range(K.dim + 1)]
+    H = np.zeros((2 ** K.dim, 2 ** K.dim), dtype=complex)
+    for Hb, states in blocks:
+        H[np.ix_(states, states)] = Hb
+    return FockOperator(K.dim, H, list(range(K.dim)))
 
 
-def manybody_biortho_ground(Hmb: FockOperator, n_particles: int,
+def manybody_biortho_ground(K: KernelMatrix, n_particles: int,
                             policy: str = "real_part",
                             degeneracy_tol: float = 1e-9):
-    """Right and left ground vectors in the n-particle block.
+    """Right and left ground vectors of the kernel's n-particle block.
 
     The ground eigenvalue is the policy-minimal eigenvalue of the block
     (with the same tolerance-aware tie ordering as the single-particle
-    selection); vectors are normalized so <G_L|G_R> = 1.  If the ground
-    eigenvalue itself is degenerate within ``degeneracy_tol`` the oracle
-    declines (DegeneracyError) rather than guessing a state.
+    selection); vectors are normalized so <G_L|G_R> = 1 and returned in
+    the full 2^N occupation basis.  If the ground eigenvalue itself is
+    degenerate within ``degeneracy_tol`` the oracle declines
+    (DegeneracyError) rather than guessing a state.
     """
     from .spectra import policy_order
 
-    block_states = _number_blocks(Hmb.n_modes)[n_particles]
-    Hb = Hmb.matrix[np.ix_(block_states, block_states)]
+    Hb, block_states = fock_block(K, n_particles)
     w, V, Vinv, cond = balanced_eig(Hb)
     if Vinv is None:
         raise DefectiveError("many-body block numerically defective",
@@ -134,7 +161,7 @@ def manybody_biortho_ground(Hmb: FockOperator, n_particles: int,
     if len(order) > 1 and abs(w[order[0]] - w[order[1]]) < degeneracy_tol:
         raise DegeneracyError(
             f"many-body ground eigenvalue degenerate: {w[order[0]]} vs {w[order[1]]}")
-    dim = Hmb.dim
+    dim = 2 ** K.dim
     G_R = np.zeros(dim, dtype=complex)
     G_L = np.zeros(dim, dtype=complex)
     G_R[block_states] = V[:, idx]
@@ -158,6 +185,21 @@ def partial_trace(rho: FockOperator, keep: int) -> np.ndarray:
     na = 2 ** keep
     r4 = rho.matrix.reshape(nb, na, nb, na)
     return np.einsum("aiaj->ij", r4)
+
+
+def reduced_density(G_R: np.ndarray, G_L: np.ndarray, n_modes: int,
+                    keep: int) -> np.ndarray:
+    """rho_A = Tr_B |G_R><G_L| over the trailing modes, without forming rho.
+
+    With s = s_A + 2^keep * s_B, rho_A[sA, sA'] = sum_{sB} G_R[sB, sA]
+    conj(G_L[sB, sA']), one (2^keep x 2^(N-keep)) @ (2^(N-keep) x 2^keep)
+    product.
+    """
+    if not 0 < keep <= n_modes:
+        raise OrderingError(f"keep={keep} out of range for {n_modes} modes")
+    nb = 2 ** (n_modes - keep)
+    na = 2 ** keep
+    return G_R.reshape(nb, na).T @ G_L.reshape(nb, na).conj()
 
 
 @dataclass

@@ -173,9 +173,8 @@ def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
 
     from .entanglement import modified_entropy
     from .models import KernelMatrix, build_hatano_nelson, build_nh_ssh_real
-    from .oracle import (FockOperator, fock_hamiltonian,
-                         manybody_biortho_ground, oracle_report,
-                         partial_trace)
+    from .oracle import (manybody_biortho_ground, oracle_report,
+                         reduced_density, sector_states)
 
     # Random kernels carry a Hermitian base plus a moderate non-Hermitian
     # part.  At arbitrary non-Hermiticity strength the factorized entropy
@@ -205,11 +204,13 @@ def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
         eps = np.linalg.eigvals(C.entries)
         S_corr = vn_entropy(eps)
 
-        Hmb = fock_hamiltonian(K)
-        G_R, G_L, _ = manybody_biortho_ground(Hmb, n_part)
-        rho = np.outer(G_R, G_L.conj())
+        G_R, G_L, _ = manybody_biortho_ground(K, n_part)
+        # rho vanishes outside the n_part sector, so the sector block
+        # carries the whole of max|rho^2 - rho|
+        sector = sector_states(n, n_part)
+        rho = np.outer(G_R[sector], G_L[sector].conj())
         purity = float(np.abs(rho @ rho - rho).max())
-        rho_A = partial_trace(FockOperator(n, rho, list(range(n))), subsystem)
+        rho_A = reduced_density(G_R, G_L, n, subsystem)
         orep = oracle_report(rho_A)
 
         entropy_residual = abs(S_corr - orep.entropy_vn)
@@ -222,7 +223,7 @@ def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
         products = []
         for bits in itertools.product((0, 1), repeat=subsystem):
             val = 1.0 + 0.0j
-            for b, e in zip(bits, np.linalg.eigvals(C.entries)):
+            for b, e in zip(bits, eps):
                 val *= e if b else (1.0 - e)
             products.append(val)
         products = np.asarray(products)

@@ -23,17 +23,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nhent import (FockOperator, Partition, ScalingSeries, biorthogonal_eig,
-                   bloch_system, build_eb_ssh, build_hatano_nelson,
-                   build_measurement_heff, build_nh_ssh_bloch,
-                   build_nh_ssh_real, build_quasicrystal, build_uniform_chain,
-                   check_duality, correlation_matrix, count_fermi_points,
-                   domain_wall_state, dual_momentum_partition, entropy_series,
-                   evolve_no_jump, fit_central_charge, fock_hamiltonian,
-                   ground_state_system, lifshitz_scan, manybody_biortho_ground,
-                   modified_entropy, oracle_report, partial_trace,
-                   report_for_partition, select_occupied, self_dual_scan,
-                   staggered_state, vn_entropy)
+from nhent import (Partition, ScalingSeries, biorthogonal_eig, bloch_system,
+                   build_eb_ssh, build_hatano_nelson, build_measurement_heff,
+                   build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
+                   build_uniform_chain, check_duality, correlation_matrix,
+                   count_fermi_points, domain_wall_state,
+                   dual_momentum_partition, entropy_series, evolve_no_jump,
+                   fit_central_charge, ground_state_system, lifshitz_scan,
+                   manybody_biortho_ground, modified_entropy, oracle_report,
+                   reduced_density, report_for_partition, select_occupied,
+                   self_dual_scan, staggered_state, vn_entropy)
 from nhent.pipeline import oracle_equivalence_suite
 
 HALF = Fraction(1, 2)
@@ -87,12 +86,11 @@ def test_02_nh_ssh_negative_central_charge():
 
     # the free-fermion entropies against the exact rho_A on 12 modes
     K, sys_k, sel = ring(6)
-    G_R, G_L, _ = manybody_biortho_ground(fock_hamiltonian(K), 6)
-    rho = FockOperator(12, np.outer(G_R, G_L.conj()), list(range(12)))
+    G_R, G_L, _ = manybody_biortho_ground(K, 6)
     dev_o = 0.0
     for la in (4, 6):
         eps = cut_eigenvalues(sys_k, sel, la)
-        exact = oracle_report(partial_trace(rho, la))
+        exact = oracle_report(reduced_density(G_R, G_L, 12, la))
         dev_o = max(dev_o,
                     abs(modified_entropy(eps) - exact.entropy_modified),
                     abs(vn_entropy(eps) - exact.entropy_vn))
@@ -361,9 +359,8 @@ def test_11_modified_entropy_consistency():
         sys_k, sel = ground_state_system(K, HALF)
         C = correlation_matrix(sys_k, sel, Partition.contiguous(0, 4, 8))
         s_fast = modified_entropy(np.linalg.eigvals(C.entries))
-        G_R, G_L, _ = manybody_biortho_ground(fock_hamiltonian(K), 4)
-        rho = np.outer(G_R, G_L.conj())
-        rho_A = partial_trace(FockOperator(8, rho, list(range(8))), 4)
+        G_R, G_L, _ = manybody_biortho_ground(K, 4)
+        rho_A = reduced_density(G_R, G_L, 8, 4)
         dev_o = max(dev_o, abs(s_fast - oracle_report(rho_A).entropy_modified))
     ok_o = dev_o < 1e-8
 

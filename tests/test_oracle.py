@@ -9,17 +9,23 @@ from scipy.optimize import linear_sum_assignment
 from nhent import (FockOperator, KernelMatrix, OrderingError, Partition,
                    SizeError, biorthogonal_eig, build_hatano_nelson,
                    build_nh_ssh_real, build_uniform_chain, correlation_matrix,
-                   fock_correlation, fock_hamiltonian,
+                   fock_block, fock_correlation, fock_hamiltonian,
                    manybody_biortho_ground, modified_entropy, oracle_report,
-                   partial_trace, projector, reorder_modes, select_occupied,
-                   vn_entropy)
+                   partial_trace, projector, reduced_density, reorder_modes,
+                   sector_states, select_occupied, vn_entropy)
 from nhent.oracle import _popcount
 
 
-def rho_biortho(K, n_particles):
-    Hmb = fock_hamiltonian(K)
-    G_R, G_L, energy = manybody_biortho_ground(Hmb, n_particles)
-    return np.outer(G_R, G_L.conj()), energy
+def rho_A_biortho(K, n_particles, keep):
+    G_R, G_L, _ = manybody_biortho_ground(K, n_particles)
+    return reduced_density(G_R, G_L, K.dim, keep)
+
+
+def random_kernel(n_modes, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n_modes, n_modes)) \
+        + 1j * rng.normal(size=(n_modes, n_modes))
+    return KernelMatrix(n_modes, A, "open")
 
 
 class TestFockHamiltonian:
@@ -55,21 +61,47 @@ class TestFockHamiltonian:
     def test_size_guard(self):
         with pytest.raises(SizeError):
             fock_hamiltonian(build_uniform_chain(15, bc="open"))
+        with pytest.raises(SizeError):
+            fock_block(build_uniform_chain(15, bc="open"), 7)
+
+    def test_matches_jordan_wigner_operator_products(self):
+        # independent construction: c_i = I x ... x sigma^- x Z x ... x Z
+        # with the Z string on modes j < i (mode 0 is the last factor)
+        N = 5
+        K = random_kernel(N, 7)
+        lower, Z = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0])
+        c = []
+        for i in range(N):
+            op = np.eye(2 ** (N - 1 - i))
+            for factor in [lower] + [Z] * i:
+                op = np.kron(op, factor)
+            c.append(op)
+        H = np.zeros((2 ** N, 2 ** N), dtype=complex)
+        for i in range(N):
+            for j in range(N):
+                H += K.entries[i, j] * (c[i].T @ c[j])
+        assert np.array_equal(fock_hamiltonian(K).matrix, H)
+
+    def test_block_is_slice_of_full_matrix(self):
+        K = random_kernel(6, 11)
+        H = fock_hamiltonian(K).matrix
+        for n in range(7):
+            Hb, states = fock_block(K, n)
+            assert np.array_equal(states, sector_states(6, n))
+            assert np.array_equal(Hb, H[np.ix_(states, states)])
 
 
 class TestManybodyGround:
     def test_hermitian_chain_left_equals_right(self):
         K = build_uniform_chain(6, bc="open")
-        Hmb = fock_hamiltonian(K)
-        G_R, G_L, _ = manybody_biortho_ground(Hmb, 3)
+        G_R, G_L, _ = manybody_biortho_ground(K, 3)
         overlap = abs(np.vdot(G_L, G_R)) / (np.linalg.norm(G_L)
                                             * np.linalg.norm(G_R))
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_skin_effect_non_orthogonality(self):
         K = build_hatano_nelson(6, 1.0, 0.5, "open")
-        Hmb = fock_hamiltonian(K)
-        G_R, G_L, _ = manybody_biortho_ground(Hmb, 3)
+        G_R, G_L, _ = manybody_biortho_ground(K, 3)
         assert np.vdot(G_L, G_R) == pytest.approx(1.0, abs=1e-10)
         # normalization-invariant non-orthogonality measure
         assert np.linalg.norm(G_R) * np.linalg.norm(G_L) > 1.01
@@ -79,13 +111,29 @@ class TestManybodyGround:
         sys = biorthogonal_eig(K)
         sel = select_occupied(sys, Fraction(1, 2))
         expected = sys.eigenvalues[sel.occupied].sum()
-        _, _, energy = manybody_biortho_ground(fock_hamiltonian(K), 3)
+        _, _, energy = manybody_biortho_ground(K, 3)
         assert abs(energy - expected) < 1e-10
 
     def test_biorthogonal_rho_is_idempotent(self):
         K = build_hatano_nelson(6, 1.0, 0.4, "open")
-        rho, _ = rho_biortho(K, 3)
+        G_R, G_L, _ = manybody_biortho_ground(K, 3)
+        sector = sector_states(6, 3)
+        rho = np.outer(G_R[sector], G_L[sector].conj())
         assert np.abs(rho @ rho - rho).max() < 1e-10
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_sector_purity_equals_full_space_purity(self, scale):
+        # scale 1.5 breaks <G_L|G_R> = 1, so the residual is O(1) there
+        K = build_hatano_nelson(8, 1.0, 0.4, "open")
+        G_R, G_L, _ = manybody_biortho_ground(K, 4)
+        G_L = scale * G_L
+        sector = sector_states(8, 4)
+        rho = np.outer(G_R, G_L.conj())
+        full = np.abs(rho @ rho - rho).max()
+        rho_s = rho[np.ix_(sector, sector)]
+        block = np.abs(rho_s @ rho_s - rho_s).max()
+        assert np.count_nonzero(rho) == np.count_nonzero(rho_s)
+        assert block == pytest.approx(full, rel=1e-12, abs=1e-15)
 
 
 class TestPartialTrace:
@@ -108,9 +156,23 @@ class TestPartialTrace:
 
     def test_trace_preserved(self):
         K = build_nh_ssh_real(3, 1.0, 0.4, 0.3, "open")
-        rho, _ = rho_biortho(K, 3)
-        rho_A = partial_trace(FockOperator(6, rho, list(range(6))), 3)
-        assert np.trace(rho_A) == pytest.approx(np.trace(rho), abs=1e-12)
+        G_R, G_L, _ = manybody_biortho_ground(K, 3)
+        rho_A = reduced_density(G_R, G_L, 6, 3)
+        assert np.trace(rho_A) == pytest.approx(np.vdot(G_L, G_R), abs=1e-12)
+
+    @pytest.mark.parametrize("keep", range(1, 8))
+    def test_reduced_density_equals_partial_trace(self, keep):
+        K = build_nh_ssh_real(4, 1.0, 0.4, 0.3, "open")
+        G_R, G_L, _ = manybody_biortho_ground(K, 4)
+        rho = FockOperator(8, np.outer(G_R, G_L.conj()), list(range(8)))
+        assert np.abs(reduced_density(G_R, G_L, 8, keep)
+                      - partial_trace(rho, keep)).max() < 1e-13
+
+    def test_reduced_density_keep_out_of_range(self):
+        vec = np.zeros(8, dtype=complex)
+        for keep in (0, 4):
+            with pytest.raises(OrderingError):
+                reduced_density(vec, vec, 3, keep)
 
     def test_non_leading_keep_rejected(self):
         op = FockOperator(3, np.eye(8, dtype=complex), [1, 0, 2])
@@ -144,8 +206,7 @@ class TestPipelineCrossChecks:
         sys = biorthogonal_eig(K)
         sel = select_occupied(sys, Fraction(1, 2))
         P = projector(sys, sel)
-        Hmb = fock_hamiltonian(K)
-        G_R, G_L, _ = manybody_biortho_ground(Hmb, n_modes // 2)
+        G_R, G_L, _ = manybody_biortho_ground(K, n_modes // 2)
         C_fock = fock_correlation(G_R, G_L, n_modes)
         assert np.abs(C_fock - P).max() < 1e-10
 
@@ -156,8 +217,7 @@ class TestPipelineCrossChecks:
         n_A = 3
         C = correlation_matrix(sys, sel, Partition.contiguous(0, n_A, 6))
         eps = np.linalg.eigvals(C.entries)
-        rho, _ = rho_biortho(K, 3)
-        rho_A = partial_trace(FockOperator(6, rho, list(range(6))), n_A)
+        rho_A = rho_A_biortho(K, 3, n_A)
         lam = np.linalg.eigvals(rho_A)
         products = np.array([
             np.prod([e if b else 1 - e for b, e in zip(bits, eps)])
@@ -174,9 +234,7 @@ class TestPipelineCrossChecks:
         sel = select_occupied(sys, Fraction(1, 2))
         C = correlation_matrix(sys, sel, Partition.contiguous(0, 4, 8))
         eps = np.linalg.eigvals(C.entries)
-        rho, _ = rho_biortho(K, 4)
-        rho_A = partial_trace(FockOperator(8, rho, list(range(8))), 4)
-        rep = oracle_report(rho_A)
+        rep = oracle_report(rho_A_biortho(K, 4, 4))
         assert abs(vn_entropy(eps) - rep.entropy_vn) < 1e-10
         assert abs(modified_entropy(eps) - rep.entropy_modified) < 1e-10
 
@@ -188,9 +246,7 @@ class TestPipelineCrossChecks:
         sel = select_occupied(sys, Fraction(1, 2))
         C = correlation_matrix(sys, sel, Partition.contiguous(0, 4, 8))
         eps = np.linalg.eigvals(C.entries)
-        rho, _ = rho_biortho(K, 4)
-        rho_A = partial_trace(FockOperator(8, rho, list(range(8))), 4)
-        rep = oracle_report(rho_A)
+        rep = oracle_report(rho_A_biortho(K, 4, 4))
         assert abs(vn_entropy(eps) - rep.entropy_vn) < 1e-10
 
     def test_arbitrary_partition_via_relabeling(self):
@@ -204,8 +260,7 @@ class TestPipelineCrossChecks:
 
         order = [1, 3, 0, 2, 4]
         K2 = reorder_modes(K, order)
-        rho, _ = rho_biortho(K2, 2)
-        rho_A = partial_trace(FockOperator(5, rho, list(range(5))), 2)
+        rho_A = rho_A_biortho(K2, 2, 2)
         lam = np.linalg.eigvals(rho_A)
         products = np.array([
             np.prod([e if b else 1 - e for b, e in zip(bits, eps)])
