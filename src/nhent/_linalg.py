@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["balanced_eig", "eig_with_balanced_inverse"]
+__all__ = ["HERMITIAN_TOL", "is_hermitian", "balanced_eig",
+           "eig_with_balanced_inverse"]
+
+HERMITIAN_TOL = 1e-14
+
+
+def is_hermitian(A: np.ndarray) -> bool:
+    """max|A - A^dag| <= HERMITIAN_TOL * max(1, max|A|)."""
+    scale = max(1.0, float(np.abs(A).max()))
+    return bool(np.abs(A - A.conj().T).max() <= HERMITIAN_TOL * scale)
 
 
 def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0):
@@ -57,12 +66,14 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0):
 
 
 def eig_with_balanced_inverse(A: np.ndarray):
-    """(eigenvalues, V, V^-1) via ``balanced_eig``; Hermitian fast path."""
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.conj().T).max() <= 1e-14 * scale:
+    """(w, V, V^-1, cond): ``eigh`` if A is Hermitian, else ``balanced_eig``.
+
+    The Hermitian path returns the eigh eigenvalues as complex, V, V^dag and
+    a condition of 1.0.  Never raises on a singular eigenvector matrix:
+    V^-1 is None then, and the caller decides.
+    """
+    if is_hermitian(A):
         w, V = np.linalg.eigh(A)
-        return w.astype(complex), V.astype(complex), V.conj().T.astype(complex)
-    w, V, Vinv, cond = balanced_eig(A)
-    if Vinv is None:
-        raise np.linalg.LinAlgError("eigenvector matrix numerically singular")
-    return w, V, Vinv
+        V = V.astype(complex)
+        return w.astype(complex), V, V.conj().T, 1.0
+    return balanced_eig(A)

@@ -104,10 +104,7 @@ def _entanglement_point(payload):
     Module-level so process pools can pickle it.  Returns (rows, reports,
     status, warnings); rows are already formatted strings.
     """
-    from .config import parse_config
-
-    doc, value = payload
-    config = parse_config(doc)
+    config, value = payload
     params = dict(config.model.params)
     if value is not None:
         params[config.sweep["parameter"]] = value
@@ -163,7 +160,7 @@ def cmd_entanglement(config: RunConfig, out_dir: str, workers: int) -> int:
         raise ConfigError("entanglement command requires partitions",
                           "config.partitions")
     values = config.sweep["values"] if config.sweep else [None]
-    payloads = [(config.raw, v) for v in values]
+    payloads = [(config, v) for v in values]
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_entanglement_point, payloads))
@@ -236,7 +233,8 @@ def cmd_dynamics(config: RunConfig, out_dir: str) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         records = evolve_no_jump(K, psi0, t_grid, part,
-                                 renyi_orders=config.renyi)
+                                 renyi_orders=config.renyi,
+                                 clamp_tol=config.tolerances.clamp)
     rows = []
     for t, C, report in records:
         s = complex(report.entropy_vn)

@@ -9,32 +9,33 @@ be written as strings like "1/2".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .correlations import Partition
+from .entanglement import CLAMP_TOL, MIDGAP_TOL
 from .errors import ConfigError
 from .models import FAMILIES, ModelSpec
-from .pipeline import dual_momentum_partition
-from .spectra import OCCUPATION_POLICIES
+from .pipeline import ORACLE_ENTROPY_TOL, dual_momentum_partition
+from .scaling import FIT_IMAG_TOL
+from .spectra import DEFECTIVE_COND, OCCUPATION_POLICIES
 
 __all__ = ["RunConfig", "Tolerances", "load_config", "parse_config"]
-
-_KNOWN_TOLERANCES = ("clamp", "midgap", "defective", "fit_imag", "oracle")
 
 
 @dataclass
 class Tolerances:
-    clamp: float = 1e-12
-    midgap: float = 0.05
-    defective: float = 1e12
-    fit_imag: float = 1e-6
-    oracle: float = 1e-8
+    clamp: float = CLAMP_TOL
+    midgap: float = MIDGAP_TOL
+    defective: float = DEFECTIVE_COND
+    fit_imag: float = FIT_IMAG_TOL
+    oracle: float = ORACLE_ENTROPY_TOL
 
     def override(self, name: str, value: float) -> None:
-        if name not in _KNOWN_TOLERANCES:
+        known = tuple(f.name for f in fields(self))
+        if name not in known:
             raise ConfigError(f"unknown tolerance {name!r}; "
-                              f"known: {_KNOWN_TOLERANCES}", "tolerances")
+                              f"known: {known}", "tolerances")
         setattr(self, name, float(value))
 
 

@@ -128,11 +128,8 @@ def momentum_transform(K: KernelMatrix) -> KernelMatrix:
     """
     if K.bc != "periodic":
         raise UnsupportedError("momentum transform requires periodic bc")
-    ns = K.n_sublattices
-    nc = K.n_cells
-    pos = np.empty((nc, ns), dtype=int)
-    for i, (c, s) in enumerate(K.site_labels):
-        pos[c, s] = i
+    pos = K.cell_sites
+    nc, ns = pos.shape
     F = scipy.linalg.dft(nc) / np.sqrt(nc)
     # permute to (cell, sub) blocks, transform cells, permute back
     perm = pos.reshape(-1)

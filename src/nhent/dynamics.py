@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import balanced_eig
+from ._linalg import eig_with_balanced_inverse
 from .errors import CollapseError, SizeError
 from .correlations import CorrelationMatrix, Partition
-from .entanglement import EntanglementReport, build_report
+from .entanglement import CLAMP_TOL, EntanglementReport, build_report
 from .models import KernelMatrix
 
 __all__ = [
@@ -92,26 +92,16 @@ def hermitian_ground_state(K: KernelMatrix, n_particles: int) -> GaussianState:
 def kernel_exponential(K: KernelMatrix, t: float):
     """Propagator exp(-i K t).
 
-    Uses the eigendecomposition when the (rebalanced) eigenvector matrix is
-    well conditioned, otherwise falls back to the dense scaling-and-squaring
-    exponential.  Returns the matrix; ``_propagator`` exposes which path was
-    taken.
+    Uses the eigendecomposition (unitary for Hermitian kernels) when the
+    (rebalanced) eigenvector matrix is well conditioned, otherwise falls
+    back to the dense scaling-and-squaring exponential.
     """
-    U, _ = _propagator(K.entries, t)
-    return U
-
-
-def _propagator(A: np.ndarray, t: float):
     if t == 0.0:
-        return np.eye(A.shape[0], dtype=complex), "identity"
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.conj().T).max() <= 1e-14 * scale:
-        w, V = np.linalg.eigh(A)
-        return (V * np.exp(-1j * w * t)) @ V.conj().T, "hermitian"
-    w, V, Vinv, cond = balanced_eig(A)
+        return np.eye(K.dim, dtype=complex)
+    w, V, Vinv, cond = eig_with_balanced_inverse(K.entries)
     if Vinv is not None and cond < 1e8:
-        return (V * np.exp(-1j * w * t)) @ Vinv, "eig"
-    return scipy.linalg.expm(-1j * t * A), "expm"
+        return (V * np.exp(-1j * w * t)) @ Vinv
+    return scipy.linalg.expm(-1j * t * K.entries)
 
 
 def _orthonormalize(M: np.ndarray, time: float) -> np.ndarray:
@@ -128,14 +118,16 @@ def _imag_spread(A: np.ndarray) -> float:
 
 
 def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
-                   partition: Partition, renyi_orders=(2,)):
+                   partition: Partition, renyi_orders=(2,),
+                   clamp_tol: float = CLAMP_TOL):
     """Evolve orbitals under exp(-i K_eff t) with renormalization.
 
     Orbitals are re-orthonormalized whenever non-Hermitian amplification
     could degrade their numerical rank (substeps keep the growth factor
     below 1e6) and at every output time.  Each output record carries the
     correlation matrix on the configured partition and its entanglement
-    report.
+    report, with correlation eigenvalues within ``clamp_tol`` of 0 or 1
+    counted as unentangled.
 
     Returns
     -------
@@ -162,7 +154,7 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
             h = dt / n_sub
             key = round(h, 15)
             if key not in prop_cache:
-                prop_cache[key], _ = _propagator(A, h)
+                prop_cache[key] = kernel_exponential(K_eff, h)
             U = prop_cache[key]
             for _ in range(n_sub):
                 M = _orthonormalize(U @ M, t_out)
@@ -173,7 +165,8 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
         idx = np.asarray(partition.indices)
         C = CorrelationMatrix(partition, C_full[np.ix_(idx, idx)],
                               source=("no_jump", t_out, trace_residual))
-        report = build_report(C, renyi_orders=renyi_orders)
+        report = build_report(C, renyi_orders=renyi_orders,
+                              clamp_tol=clamp_tol)
         records.append((t_out, C, report))
         M = Mn
     return records

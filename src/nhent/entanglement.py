@@ -132,7 +132,9 @@ def entanglement_hamiltonian(C: CorrelationMatrix,
     eigenbasis of C.  Raises PartialSpectrumError when clamped eigenvalues
     make part of the spectrum infinite.
     """
-    eps, V, Vinv = eig_with_balanced_inverse(np.asarray(C.entries, dtype=complex))
+    eps, V, Vinv, _ = eig_with_balanced_inverse(np.asarray(C.entries, dtype=complex))
+    if Vinv is None:
+        raise np.linalg.LinAlgError("eigenvector matrix numerically singular")
     mask = _clamped(eps, clamp_tol)
     if np.any(mask):
         raise PartialSpectrumError(

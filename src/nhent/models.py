@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._linalg import is_hermitian
 from .errors import NormalizationError, SingularPotentialError, SizeError
 
 __all__ = [
@@ -83,9 +84,25 @@ class KernelMatrix:
     def n_cells(self) -> int:
         return max(c for c, _ in self.site_labels) + 1
 
-    def is_hermitian(self, tol: float = 1e-14) -> bool:
-        scale = max(1.0, np.abs(self.entries).max())
-        return np.abs(self.entries - self.entries.conj().T).max() <= tol * scale
+    @property
+    def cell_sites(self) -> np.ndarray:
+        """(n_cells, n_sublattices) int array: the mode at each (cell, sublattice).
+
+        Raises SizeError unless the site labels fill every slot exactly once.
+        """
+        nc, ns = self.n_cells, self.n_sublattices
+        labels = np.asarray(self.site_labels, dtype=int)
+        slots = labels[:, 0] * ns + labels[:, 1]
+        if (labels.min() < 0 or nc * ns != self.dim
+                or np.unique(slots).size != self.dim):
+            raise SizeError(f"site labels do not tile {nc} cells x "
+                            f"{ns} sublattices once each")
+        pos = np.empty(self.dim, dtype=int)
+        pos[slots] = np.arange(self.dim)
+        return pos.reshape(nc, ns)
+
+    def is_hermitian(self) -> bool:
+        return is_hermitian(self.entries)
 
 
 def _empty(dim: int, bc: str, labels=None) -> KernelMatrix:
@@ -426,23 +443,13 @@ def bloch_reduce(km: KernelMatrix, k: float) -> np.ndarray:
 
     Exact on the discrete grid k = 2 pi m / N for any integer m.
     """
-    ns = km.n_sublattices
-    nc = km.n_cells
     if km.bc != "periodic":
         raise ValueError("Bloch reduction requires a periodic kernel")
-    # index lookup site -> (cell, sub)
-    pos = {}
-    for i, (c, s) in enumerate(km.site_labels):
-        pos[(c, s)] = i
-    h = np.zeros((ns, ns), dtype=complex)
-    for s in range(ns):
-        for sp in range(ns):
-            col = pos[(0, sp)]
-            acc = 0.0 + 0.0j
-            for x in range(nc):
-                acc += km.entries[pos[(x, s)], col] * np.exp(-1j * k * x)
-            h[s, sp] = acc
-    return h
+    pos = km.cell_sites
+    # blocks[x, s, s'] = K[(x, s), (0, s')]
+    blocks = km.entries[pos[:, :, None], pos[0]]
+    phase = np.exp(-1j * k * np.arange(len(pos)))
+    return (blocks * phase[:, None, None]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import Partition, correlation_matrix, momentum_transform
-from .entanglement import EntanglementReport, build_report, vn_entropy
+from .entanglement import (CLAMP_TOL, MIDGAP_TOL, EntanglementReport,
+                           build_report, vn_entropy)
 from .models import KernelMatrix
 from .scaling import ScalingSeries
 from .spectra import (BiorthogonalSystem, GroundStateSelection, bloch_system,
@@ -30,6 +31,8 @@ __all__ = [
     "oracle_equivalence_suite",
 ]
 
+ORACLE_ENTROPY_TOL = 1e-8
+
 
 def ground_state_system(K: KernelMatrix, filling, policy: str = "real_part",
                         momentum_resolved: bool = False,
@@ -43,8 +46,8 @@ def ground_state_system(K: KernelMatrix, filling, policy: str = "real_part",
 
 def report_for_partition(sys: BiorthogonalSystem, sel: GroundStateSelection,
                          part: Partition, renyi_orders=(2,),
-                         clamp_tol: float = 1e-12,
-                         midgap_tol: float = 0.05) -> EntanglementReport:
+                         clamp_tol: float = CLAMP_TOL,
+                         midgap_tol: float = MIDGAP_TOL) -> EntanglementReport:
     C = correlation_matrix(sys, sel, part)
     return build_report(C, renyi_orders=renyi_orders, clamp_tol=clamp_tol,
                         midgap_tol=midgap_tol)
@@ -155,7 +158,7 @@ def self_dual_scan(values, kernel_factory, filling, policy: str = "real_part",
 
 def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
                              subsystem: int = 4, seed: int = 20210715,
-                             entropy_tol: float = 1e-8,
+                             entropy_tol: float = ORACLE_ENTROPY_TOL,
                              spectrum_tol: float = 1e-9,
                              purity_tol: float = 1e-10):
     """Cross-check the correlation pathway against the Fock-space oracle.

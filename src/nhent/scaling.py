@@ -26,6 +26,8 @@ __all__ = [
     "lifshitz_scan",
 ]
 
+FIT_IMAG_TOL = 1e-6
+
 
 @dataclass
 class ScalingSeries:
@@ -57,7 +59,7 @@ class FitResult:
 
 
 def fit_central_charge(series: ScalingSeries, window=None,
-                       imag_tol: float = 1e-6) -> FitResult:
+                       imag_tol: float = FIT_IMAG_TOL) -> FitResult:
     """Least-squares fit of Re S against (c/3) x + b.
 
     Points outside the window or with |Im S| above ``imag_tol`` are dropped.

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import balanced_eig
+from ._linalg import eig_with_balanced_inverse
 from .errors import DefectiveError, DegeneracyWarning
 from .models import KernelMatrix, bloch_momenta, bloch_reduce
 
@@ -116,12 +116,9 @@ def biorthogonal_eig(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) ->
         the caller can retry with a parameter nudge.
     """
     A = K.entries
+    w, V, Vinv, cond = eig_with_balanced_inverse(A)
     if K.is_hermitian():
-        w, V = np.linalg.eigh(A)
-        return BiorthogonalSystem(w.astype(complex), V.astype(complex),
-                                  V.astype(complex), 1.0, hermitian=True)
-
-    w, V, Vinv, cond = balanced_eig(A)
+        return BiorthogonalSystem(w, V, V, cond, hermitian=True)
     if Vinv is None or cond > cond_threshold:
         raise DefectiveError(
             f"right-eigenvector matrix condition {cond:.3e} exceeds "
@@ -143,18 +140,16 @@ def bloch_system(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) -> Bio
     full-size eigenvectors R(x, s) = exp(i k x) u(s) / sqrt(N).  The returned
     system carries per-state momenta for Fermi-point counting.
     """
-    ns = K.n_sublattices
-    nc = K.n_cells
+    pos = K.cell_sites
+    nc, ns = pos.shape
+    pos = pos.ravel()
     ks = bloch_momenta(nc)
     dim = K.dim
-    pos = np.empty((nc, ns), dtype=int)
-    for i, (c, s) in enumerate(K.site_labels):
-        pos[c, s] = i
 
     eigenvalues = np.empty(dim, dtype=complex)
     right = np.zeros((dim, dim), dtype=complex)
     left = np.zeros((dim, dim), dtype=complex)
-    momenta = np.empty(dim, dtype=float)
+    momenta = np.repeat(ks, ns)
     worst = 1.0
     cells = np.arange(nc)
     for m, k in enumerate(ks):
@@ -168,18 +163,11 @@ def bloch_system(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) -> Bio
             sub = biorthogonal_eig(blk, cond_threshold)
             wb, ub, lb = sub.eigenvalues, sub.right, sub.left
             worst = max(worst, sub.condition_estimate)
-        phase = np.exp(1j * k * cells) / np.sqrt(nc)
-        for b in range(ns):
-            a = m * ns + b
-            eigenvalues[a] = wb[b]
-            momenta[a] = k
-            vec_r = np.zeros(dim, dtype=complex)
-            vec_l = np.zeros(dim, dtype=complex)
-            for s in range(ns):
-                vec_r[pos[:, s]] = phase * ub[s, b]
-                vec_l[pos[:, s]] = phase * lb[s, b]
-            right[:, a] = vec_r
-            left[:, a] = vec_l
+        phase = np.exp(1j * k * cells)[:, None, None] / np.sqrt(nc)
+        cols = slice(m * ns, (m + 1) * ns)
+        eigenvalues[cols] = wb
+        right[pos, cols] = (phase * ub).reshape(dim, ns)
+        left[pos, cols] = (phase * lb).reshape(dim, ns)
     return BiorthogonalSystem(eigenvalues, right, left, worst,
                               hermitian=K.is_hermitian(), momenta=momenta)
 

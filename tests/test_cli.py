@@ -128,6 +128,35 @@ class TestCommands:
         assert main(["entanglement", "--config", cfg, "--out", str(tmp_path),
                      "--tolerance", "bogus=1"]) == 1
 
+    def test_tolerance_override_reaches_entanglement(self, tmp_path):
+        # open uniform chain, cut of 3 sites: eps = {0.004, 0.5, 0.996}, so
+        # clamp = 0.3 leaves only the eps = 1/2 mode and S = ln 2
+        doc = {"model": {"family": "hatano_nelson",
+                         "params": {"L": 12, "t": 1.0, "alpha": 0.0},
+                         "bc": "open"},
+               "partitions": [{"type": "range", "start": 0, "stop": 3}],
+               "sweep": {"parameter": "alpha", "values": [0.0, 0.5]}}
+        json_cfg = write_config(tmp_path, {**doc, "tolerances": {"clamp": 0.3}},
+                                "json.json")
+        cli_cfg = write_config(tmp_path, doc, "cli.json")
+        runs = {
+            "json": (json_cfg, []),
+            "cli": (cli_cfg, ["--tolerance", "clamp=0.3"]),
+            "cli_w2": (cli_cfg, ["--tolerance", "clamp=0.3", "--workers", "2"]),
+        }
+        csv = {}
+        for name, (cfg, extra) in runs.items():
+            out = tmp_path / name
+            out.mkdir()
+            assert main(["entanglement", "--config", cfg, "--out", str(out),
+                         *extra]) == 0
+            csv[name] = (out / "entanglement.csv").read_text()
+        assert csv["cli"] == csv["json"] == csv["cli_w2"]
+        rows = csv["json"].splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row.split(",")[3]) == pytest.approx(np.log(2), abs=1e-10)
+
     def test_fit_command(self, tmp_path):
         rows = ["L_A,Re_S,Im_S"]
         for la in range(4, 61):
@@ -158,6 +187,27 @@ class TestCommands:
         assert lines[0] == "time,Re_S,Im_S,trace_residual"
         assert len(lines) == 6
         assert float(lines[-1].split(",")[3]) < 1e-9
+
+    def test_dynamics_applies_configured_clamp(self, tmp_path):
+        doc = {
+            "model": {"family": "measurement_chain",
+                      "params": {"L": 12, "t": 1.0, "Gamma": 0.5},
+                      "bc": "open"},
+            "dynamics": {"t_grid": [0.0, 1.0, 2.0],
+                         "initial_state": "staggered"},
+        }
+        cfg = write_config(tmp_path, doc)
+        entropies = {}
+        for name, extra in (("default", []),
+                            ("clamped", ["--tolerance", "clamp=0.45"])):
+            out = tmp_path / name
+            out.mkdir()
+            assert main(["dynamics", "--config", cfg, "--out", str(out),
+                         *extra]) == 0
+            lines = (out / "dynamics.csv").read_text().splitlines()[1:]
+            entropies[name] = [float(line.split(",")[1]) for line in lines]
+        assert entropies["default"][1] > 0.05
+        assert entropies["clamped"] == [0.0, 0.0, 0.0]
 
     def test_duality_command(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from nhent import (KernelMatrix, Partition, PartitionError, UnsupportedError,
-                   biorthogonal_eig, bloch_system, build_nh_ssh_bloch,
-                   build_nh_ssh_real, build_quasicrystal, build_uniform_chain,
-                   check_duality, correlation_matrix, momentum_transform,
-                   projector, select_occupied)
+                   biorthogonal_eig, bloch_momenta, bloch_reduce, bloch_system,
+                   build_eb_ssh, build_guo_chain, build_hatano_nelson,
+                   build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
+                   build_uniform_chain, check_duality, correlation_matrix,
+                   momentum_transform, projector, select_occupied)
 from nhent.correlations import sorted_by_re_im
 
 
@@ -162,6 +163,25 @@ class TestMomentumTransform:
             # the potential hops momenta one way only, mirroring J_L = 0
             assert kt.entries[m, (m + p) % L] == pytest.approx(V, abs=1e-12)
             assert abs(kt.entries[(m + p) % L, m]) < 1e-12
+
+    # 1-D periodic families; guo_2d is left out because its flattened 2-D
+    # cell index is not a 1-D translation
+    @pytest.mark.parametrize("km", [
+        build_guo_chain(12, 2, 1.0, 0.5, "periodic"),
+        build_guo_chain(12, 3, 1.0, 0.4, "periodic"),
+        build_eb_ssh(6, 1.0, 0.6, 0.5, "periodic"),
+        build_nh_ssh_real(5, 1.0, 0.3, 0.7, "periodic"),
+        build_hatano_nelson(9, 1.0, 0.3, "periodic"),
+        build_quasicrystal(8, 0.3, 1.0, 0.0, Fraction(3, 8)),
+    ], ids=["guo_chain_n2", "guo_chain_n3", "eb_ssh", "nh_ssh",
+            "hatano_nelson", "quasicrystal_V0"])
+    def test_blocks_are_bloch_matrices(self, km):
+        nc, ns = km.n_cells, km.n_sublattices
+        blocks = momentum_transform(km).entries.reshape(nc, ns, nc, ns)
+        for m, k in enumerate(bloch_momenta(nc)):
+            assert np.abs(blocks[m, :, m, :] - bloch_reduce(km, k)).max() < 1e-12
+            blocks[m, :, m, :] = 0.0
+        assert np.abs(blocks).max() < 1e-12
 
     def test_sublattice_structure_preserved(self):
         km = build_nh_ssh_real(4, 1.0, 0.5, 0.3, "periodic")

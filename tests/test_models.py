@@ -11,7 +11,8 @@ from nhent import (KernelMatrix, ModelSpec, NormalizationError, SizeError,
                    build_guo_chain, build_hatano_nelson,
                    build_heff_from_jumps, build_measurement_heff,
                    build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
-                   build_uniform_chain, fibonacci_approximant)
+                   build_uniform_chain, bloch_system, fibonacci_approximant,
+                   momentum_transform)
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -383,3 +384,15 @@ class TestModelSpec:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             KernelMatrix(3, bad, "open")
+
+
+@pytest.mark.parametrize("last_label", [(1, 1), (3, 1)],
+                         ids=["repeated_slot", "missing_slot"])
+def test_labels_that_do_not_tile_the_cell_grid_raise(last_label):
+    km = build_nh_ssh_real(3, 1.0, 0.4, 0.3, "periodic")
+    assert np.array_equal(km.cell_sites, np.arange(6).reshape(3, 2))
+    km.site_labels[-1] = last_label
+    for call in (lambda: bloch_reduce(km, 0.0), lambda: bloch_system(km),
+                 lambda: momentum_transform(km)):
+        with pytest.raises(SizeError, match="do not tile"):
+            call()

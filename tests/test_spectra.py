@@ -10,6 +10,7 @@ from nhent import (BiorthogonalSystem, DefectiveError, DegeneracyWarning,
                    build_measurement_heff, build_nh_ssh_real,
                    build_quasicrystal, build_uniform_chain, petermann_factor,
                    select_occupied)
+from nhent._linalg import HERMITIAN_TOL, is_hermitian
 from nhent.spectra import policy_order
 
 
@@ -26,6 +27,22 @@ class TestBiorthogonalEig:
         assert sys.hermitian
         assert np.abs(sys.eigenvalues.imag).max() < 1e-12
         assert np.abs(sys.left - sys.right).max() < 1e-10
+
+    @pytest.mark.parametrize("factor, hermitian", [(0.5, True), (2.0, False)])
+    def test_hermitian_test_boundary(self, factor, hermitian):
+        # anti-Hermitian perturbation i*d on a zero diagonal entry, so that
+        # max|A - A^dag| = 2 d = factor * HERMITIAN_TOL * scale exactly
+        A = build_nh_ssh_real(4, 1.0, 0.5, 0.0, "open").entries
+        scale = max(1.0, np.abs(A).max())
+        A[0, 0] = 0.5j * factor * HERMITIAN_TOL * scale
+        assert np.abs(A - A.conj().T).max() == factor * HERMITIAN_TOL * scale
+        km = KernelMatrix(8, A, "open")
+        assert km.is_hermitian() is is_hermitian(A) is hermitian
+        sys = biorthogonal_eig(km)
+        assert sys.hermitian is hermitian
+        assert (sys.left is sys.right) is hermitian
+        gram = sys.left.conj().T @ sys.right
+        assert np.abs(gram - np.eye(8)).max() < 1e-12
 
     def test_two_level_closed_form(self):
         u, v = 0.3, 0.8
