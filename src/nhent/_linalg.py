@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HERMITIAN_TOL", "is_hermitian", "balanced_eig",
+__all__ = ["HERMITIAN_TOL", "is_hermitian", "eigenvalues", "balanced_eig",
            "eig_with_balanced_inverse"]
 
 HERMITIAN_TOL = 1e-14
@@ -14,6 +14,16 @@ def is_hermitian(A: np.ndarray) -> bool:
     """max|A - A^dag| <= HERMITIAN_TOL * max(1, max|A|)."""
     scale = max(1.0, float(np.abs(A).max()))
     return bool(np.abs(A - A.conj().T).max() <= HERMITIAN_TOL * scale)
+
+
+def eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Spectrum of A as complex: ``eigvalsh`` if Hermitian, else ``eigvals``.
+
+    A Hermitian spectrum comes back real and in ascending order.
+    """
+    if is_hermitian(A):
+        return np.linalg.eigvalsh(A).astype(complex)
+    return np.linalg.eigvals(A)
 
 
 def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0):

@@ -195,7 +195,10 @@ def cmd_fit(config: RunConfig, out_dir: str, series_path: str) -> int:
             s = complex(float(row["Re_S"]), float(row.get("Im_S", 0) or 0))
             points.append((la, s))
     points.sort(key=lambda p: p[0])
-    series = ScalingSeries(length, points, geometry)
+    try:
+        series = ScalingSeries(length, points, geometry)
+    except ValueError as exc:
+        raise ConfigError(str(exc), series_path) from exc
     fit = fit_central_charge(series, window=window,
                              imag_tol=config.tolerances.fit_imag)
     _write_json(f"{out_dir}/fit.json", {

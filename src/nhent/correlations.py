@@ -69,7 +69,8 @@ class Partition:
                               n_total, space)
 
     def complement(self) -> "Partition":
-        rest = tuple(i for i in range(self.n_total) if i not in set(self.indices))
+        inside = set(self.indices)
+        rest = tuple(i for i in range(self.n_total) if i not in inside)
         return Partition(self.space, rest, self.n_total)
 
     @property

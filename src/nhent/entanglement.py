@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (BranchError, ConsistencyError, PartialSpectrumError,
                      PartitionError)
 from .correlations import CorrelationMatrix
-from ._linalg import eig_with_balanced_inverse
+from ._linalg import eig_with_balanced_inverse, eigenvalues
 
 __all__ = [
     "EntanglementReport",
@@ -57,13 +57,13 @@ def entanglement_spectrum(C: CorrelationMatrix, clamp_tol: float = CLAMP_TOL):
     Returns
     -------
     eps : np.ndarray
-        All eigenvalues of C.
+        All eigenvalues of C (complex; ascending when C is Hermitian).
     xi : np.ndarray
         Entanglement energies of the unclamped eigenvalues.
     clamped : np.ndarray
         Indices (into eps) of the clamped eigenvalues.
     """
-    eps = np.linalg.eigvals(np.asarray(C.entries, dtype=complex))
+    eps = eigenvalues(np.asarray(C.entries, dtype=complex))
     mask = _clamped(eps, clamp_tol)
     xi = np.log(1.0 / eps[~mask] - 1.0)
     return eps, xi, np.nonzero(mask)[0]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import eigenvalues
 from .correlations import Partition, correlation_matrix, momentum_transform
 from .entanglement import (CLAMP_TOL, MIDGAP_TOL, EntanglementReport,
                            build_report, vn_entropy)
@@ -56,16 +57,25 @@ def report_for_partition(sys: BiorthogonalSystem, sel: GroundStateSelection,
 def entropy_series(sys: BiorthogonalSystem, sel: GroundStateSelection,
                    sizes=None, geometry: str = "chord",
                    space: str = "position") -> ScalingSeries:
-    """Entropy S(L_A) over leading contiguous partitions of growing size."""
+    """Entropy S(L_A) over leading contiguous partitions of growing size.
+
+    Each cut is diagonalized on its smaller side: for n/2 < L_A < n the
+    spectrum comes from the complement [L_A, n).  The selected state is a
+    pure Gaussian state, so P^2 = P and the nontrivial spectrum of C_B is
+    1 - spec(C_A); the von Neumann kernel is symmetric under eps -> 1 - eps,
+    also on the principal branch, so S_A = S_B.  Where P is not a projector
+    to working precision (near an exceptional point) the two sides differ.
+    """
     n = sys.dim
     if sizes is None:
         sizes = range(1, n)
     points = []
     for la in sizes:
-        part = Partition.contiguous(0, int(la), n, space)
-        C = correlation_matrix(sys, sel, part)
-        eps = np.linalg.eigvals(C.entries)
-        points.append((int(la), vn_entropy(eps)))
+        la = int(la)
+        cut = (la, n) if n / 2 < la < n else (0, la)
+        part = Partition.contiguous(*cut, n, space)
+        eps = eigenvalues(correlation_matrix(sys, sel, part).entries)
+        points.append((la, vn_entropy(eps)))
     return ScalingSeries(n, points, geometry)
 
 

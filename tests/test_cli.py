@@ -172,6 +172,19 @@ class TestCommands:
         assert abs(fit["c"] - 1.0) < 1e-9
         assert abs(fit["intercept"] - 1.5) < 1e-9
 
+    def test_fit_rejects_repeated_sizes(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("L_A,Re_S,Im_S\n4,0.5,0\n4,0.5,0\n8,0.7,0\n",
+                          encoding="utf-8")
+        cfg = write_config(tmp_path, {"fit": {"geometry": "chord",
+                                              "length": 64}})
+        assert main(["fit", "--config", cfg, "--series", str(series),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert str(series) in err and "strictly increasing" in err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_dynamics_command(self, tmp_path):
         doc = {
             "model": {"family": "measurement_chain",

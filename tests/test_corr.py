@@ -29,6 +29,10 @@ class TestPartition:
         part = Partition.contiguous(1, 3, 5)
         assert part.complement().indices == (0, 3, 4)
 
+    def test_complement_of_large_half(self):
+        assert Partition.half(4096).complement() == \
+            Partition.contiguous(2048, 4096, 4096)
+
     def test_full_set_allowed_for_trace_checks(self):
         part = Partition("position", tuple(range(4)), 4)
         assert part.size == 4

@@ -1,0 +1,105 @@
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from nhent import (KernelMatrix, Partition, PartitionError, bloch_system,
+                   build_eb_ssh, build_guo_chain, build_hatano_nelson,
+                   build_uniform_chain, correlation_matrix, entropy_series,
+                   ground_state_system, select_occupied, vn_entropy)
+from nhent._linalg import eigenvalues
+
+HALF = Fraction(1, 2)
+
+
+def _uniform_ring():
+    return ground_state_system(build_uniform_chain(128, 1.0, "periodic"), HALF)
+
+
+def _guo_bloch():
+    sys = bloch_system(build_guo_chain(256, 2, 1.0, 3.5, "periodic"))
+    return sys, select_occupied(sys, HALF)
+
+
+def _hatano_nelson(n):
+    return lambda: ground_state_system(build_hatano_nelson(n, 1.0, 0.5, "open"),
+                                       HALF)
+
+
+def _eb_ssh():
+    return ground_state_system(build_eb_ssh(24, 1.0, 0.5, 1e-3, "open"), HALF)
+
+
+def _random_kernel():
+    # no reflection symmetry, so S(L_A) != S(n - L_A) on the leading blocks
+    rng = np.random.default_rng(11)
+    H0 = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+    G = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+    A = 0.5 * (H0 + H0.conj().T) + 0.35 * G
+    return ground_state_system(KernelMatrix(25, A, "open"), HALF)
+
+
+SYSTEMS = {
+    "uniform-ring-128": _uniform_ring,
+    "hatano-nelson-open-64": _hatano_nelson(64),
+    "hatano-nelson-open-63": _hatano_nelson(63),
+    "eb-ssh-open-48": _eb_ssh,
+    "random-nonhermitian-25": _random_kernel,
+}
+
+
+def _leading_block_entropy(sys, sel, la):
+    part = Partition.contiguous(0, la, sys.dim)
+    return vn_entropy(np.linalg.eigvals(correlation_matrix(sys, sel, part).entries))
+
+
+class TestEntropySeries:
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_every_cut_matches_leading_block(self, name):
+        sys, sel = SYSTEMS[name]()
+        n = sys.dim
+        series = entropy_series(sys, sel)
+        sizes = [la for la, _ in series.points]
+        assert sizes == list(range(1, n))
+        for la, s in series.points:
+            assert abs(s - _leading_block_entropy(sys, sel, la)) < 1e-10, la
+
+    def test_bloch_guo_chain_cuts_match_leading_block(self):
+        # the A05 cuts and the two middle ones; on a few other cuts past
+        # n/2 the 200+ site leading block itself loses ~1e-10: eigenvalues
+        # near 0 or 1 (~1e-11, just above the clamp) carry absolute errors
+        # of that size there, and eps ln eps amplifies them by ~25
+        sys, sel = _guo_bloch()
+        sizes = sorted({*range(4, 253, 4), 128, 129})
+        series = entropy_series(sys, sel, sizes=sizes)
+        for la, s in series.points:
+            assert abs(s - _leading_block_entropy(sys, sel, la)) < 1e-10, la
+
+    def test_size_zero_raises_partition_error(self):
+        sys, sel = _hatano_nelson(64)()
+        with pytest.raises(PartitionError):
+            entropy_series(sys, sel, sizes=[0, 4])
+
+    def test_size_n_raises_value_error(self):
+        sys, sel = _hatano_nelson(64)()
+        with pytest.raises(ValueError) as info:
+            entropy_series(sys, sel, sizes=[4, 64])
+        assert not isinstance(info.value, PartitionError)
+
+
+class TestEigenvalues:
+    def test_hermitian_input_gives_real_sorted_spectrum(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        H = X + X.conj().T
+        w = eigenvalues(H)
+        assert w.dtype == complex
+        assert np.all(w.imag == 0.0)
+        assert np.all(np.diff(w.real) >= 0)
+        ref = np.sort(np.linalg.eigvals(H).real)
+        assert np.abs(w.real - ref).max() < 1e-12
+
+    def test_non_hermitian_input_equals_eigvals(self):
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        assert np.array_equal(eigenvalues(A), np.linalg.eigvals(A))
