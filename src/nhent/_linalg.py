@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HERMITIAN_TOL", "is_hermitian", "eigenvalues", "balanced_eig",
-           "eig_with_balanced_inverse"]
+__all__ = ["HERMITIAN_TOL", "is_hermitian", "eigenvalues",
+           "symmetrizing_diagonal", "balanced_eig", "eig_with_balanced_inverse"]
 
 HERMITIAN_TOL = 1e-14
 
@@ -26,18 +26,56 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(A)
 
 
+def symmetrizing_diagonal(A: np.ndarray) -> np.ndarray:
+    """Positive diagonal d that equalises |A_ij| d_j / d_i and |A_ji| d_i / d_j.
+
+    x = ln d solves x_i - x_j = (1/2) ln(|A_ij| / |A_ji|) in the least-squares
+    sense over the pairs i != j where both entries are nonzero; a pair with
+    only one nonzero entry carries no ratio and is skipped.  The normal
+    equations are a graph-Laplacian system.  A weak tie of every x_i to 0
+    makes it nonsingular and centres each connected component, and one
+    step of iterative refinement removes the tie's bias, so the ratio
+    equations hold to rounding.  d has geometric mean 1, and is exactly
+    ``np.ones`` when all ratios cancel, e.g. on magnitude-symmetric
+    kernels.  |x| is clipped to a quarter of the float64 exponent range, so
+    every ratio d_j / d_i stays below sqrt(float max) and the rescaled
+    kernel stays finite even where the grading itself is not representable.
+    """
+    n = A.shape[0]
+    mag = np.abs(A)
+    edge = (mag > 0) & (mag.T > 0)
+    np.fill_diagonal(edge, False)
+    log_mag = np.log(np.where(edge, mag, 1.0))
+    rhs = 0.5 * (log_mag - log_mag.T).sum(axis=1)
+    if not rhs.any():
+        return np.ones(n)
+    lap = np.diag(edge.sum(axis=1)) - edge
+    # tie weight: sqrt(eps)/4 of 4/n^2, a lower bound on the smallest
+    # nonzero Laplacian eigenvalue of any component (Mohar 1991); one
+    # refinement step squares the tie's relative bias to below eps
+    tied = lap + np.sqrt(np.finfo(float).eps) / n**2 * np.eye(n)
+    x = np.linalg.solve(tied, rhs)
+    x += np.linalg.solve(tied, rhs - lap @ x)
+    x -= x.mean()
+    lim = 0.25 * np.log(np.finfo(float).max)
+    return np.exp(np.clip(x, -lim, lim))
+
+
 def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0):
-    """General eigendecomposition with diagonal-grading discovery.
+    """General eigendecomposition in a diagonally rebalanced frame.
 
     Skin-effect-style matrices are diagonal similarity transforms of
-    well-conditioned ones, but the grading is invisible to standard
-    row/column-norm balancing (the matrix entries are uniform; the grading
-    lives in the eigenvectors).  This routine discovers it iteratively: the
-    row norms of a computed eigenvector matrix estimate the hidden diagonal,
-    the kernel is rebalanced by that estimate, and the decomposition is
-    repeated until the eigenvector rows are flat.  Two to three iterations
-    Hermitize an open nonreciprocal chain to machine precision; kernels
-    without grading exit after the first pass.
+    well-conditioned ones; the grading lives in the eigenvectors and is
+    invisible to row/column-norm balancing of the entries.  The frame
+    starts from ``symmetrizing_diagonal(A)``, read off the entry ratios
+    |A_ij| / |A_ji|: it makes an open nonreciprocal chain
+    magnitude-symmetric to rounding, so one pass suffices there, and it is the identity
+    on magnitude-symmetric kernels.  Grading the seed misses is then found
+    iteratively: the row norms of the computed eigenvector matrix estimate
+    the remaining diagonal, the kernel is rebalanced by it, and the
+    decomposition is repeated (at most ``max_iter`` passes) until the
+    eigenvector rows are flat within ``spread_tol``.  A real A is
+    diagonalized in real arithmetic; the outputs are complex either way.
 
     Returns
     -------
@@ -46,16 +84,17 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0):
         accurate).
     V : np.ndarray
         Right eigenvectors as columns, in the original frame (balanced-frame
-        vectors scaled back exactly by the discovered diagonal).
+        vectors scaled back exactly by the diagonal).
     Vinv : np.ndarray
         Inverse of V, or None if the balanced factor is numerically
         singular.
     cond : float
-        Condition number of the balanced-frame eigenvector matrix; measures
-        genuine (near-)defectiveness rather than grading.
+        2-norm condition number of the balanced-frame eigenvector matrix;
+        measures genuine (near-)defectiveness rather than grading.
     """
-    n = A.shape[0]
-    d = np.ones(n)
+    if not np.isrealobj(A) and not A.imag.any():
+        A = A.real
+    d = symmetrizing_diagonal(A)
     w = Vb = None
     for _ in range(max_iter):
         B = (A / d[:, None]) * d[None, :]
@@ -67,12 +106,15 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0):
         d = d * (r / np.exp(np.mean(np.log(r))))
         d = d / np.exp(np.mean(np.log(d)))
     cond = float(np.linalg.cond(Vb))
-    V = Vb * d[:, None]
+    w = w.astype(complex, copy=False)
+    V = (Vb * d[:, None]).astype(complex, copy=False)
     if not np.isfinite(cond):
         return w, V, None, cond
-    Vb_inv = np.linalg.inv(Vb)
-    Vinv = Vb_inv / d[None, :]
-    return w, V, Vinv, cond
+    try:
+        Vb_inv = np.linalg.inv(Vb)
+    except np.linalg.LinAlgError:  # an exactly singular pivot at finite cond
+        return w, V, None, cond
+    return w, V, (Vb_inv / d[None, :]).astype(complex, copy=False), cond
 
 
 def eig_with_balanced_inverse(A: np.ndarray):

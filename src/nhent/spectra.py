@@ -5,10 +5,14 @@ with <L_a|R_b> = delta_ab.  Left vectors are always obtained from the inverse
 of the right-eigenvector matrix, never by eigenvalue matching, so the pairing
 is structural.  Skin-effect kernels produce right-eigenvector matrices whose
 raw condition number is inflated by a benign diagonal grading (they are
-diagonal similarity transforms of well-behaved matrices); the decomposition
-therefore rebalances rows before inverting, and the reported condition
-estimate refers to the rebalanced matrix, which measures genuine
-(near-)defectiveness rather than grading.
+diagonal similarity transforms of well-behaved matrices).  The decomposition
+therefore works in a rebalanced frame: a diagonal read off the entry ratios
+|K_ij| / |K_ji| makes an open nonreciprocal chain magnitude-symmetric before
+the first solve, and eigenvector row norms pick up any grading left over.
+Real kernels are solved in real arithmetic.  The reported condition
+estimate refers to the rebalanced eigenvector matrix, which measures genuine
+(near-)defectiveness rather than grading; a grading too steep for float64
+raises like a defective kernel.
 """
 
 from __future__ import annotations
@@ -113,7 +117,8 @@ def biorthogonal_eig(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) ->
     DefectiveError
         If the rebalanced right-eigenvector matrix condition exceeds
         ``cond_threshold``; the error carries the clustered eigenvalues so
-        the caller can retry with a parameter nudge.
+        the caller can retry with a parameter nudge.  Also raised when the
+        unit-normalized right or left vectors are not finite in float64.
     """
     A = K.entries
     w, V, Vinv, cond = eig_with_balanced_inverse(A)
@@ -127,9 +132,14 @@ def biorthogonal_eig(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) ->
             clusters=_eigenvalue_clusters(w, float(np.abs(A).max())))
     # right columns to unit norm; left rows absorb the rescaling so that
     # <L_a|R_b> = delta_ab stays exact up to inversion error
-    vnorm = np.linalg.norm(V, axis=0)
-    right = V / vnorm[None, :]
-    left = (Vinv * vnorm[:, None]).conj().T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vnorm = np.linalg.norm(V, axis=0)
+        right = V / vnorm[None, :]
+        left = (Vinv * vnorm[:, None]).conj().T
+    if not (np.isfinite(right).all() and np.isfinite(left).all()):
+        raise DefectiveError(
+            "normalized eigenvectors overflow float64: the kernel's diagonal "
+            "grading exceeds the representable range", condition_estimate=cond)
     return BiorthogonalSystem(w, right, left, cond, hermitian=False)
 
 

@@ -8,9 +8,11 @@ from nhent import (BiorthogonalSystem, DefectiveError, DegeneracyWarning,
                    KernelMatrix, biorthogonal_eig, bloch_system,
                    build_eb_ssh, build_guo_chain, build_hatano_nelson,
                    build_measurement_heff, build_nh_ssh_real,
-                   build_quasicrystal, build_uniform_chain, petermann_factor,
+                   build_quasicrystal, build_uniform_chain, ground_state_system,
+                   Partition, petermann_factor, report_for_partition,
                    select_occupied)
-from nhent._linalg import HERMITIAN_TOL, is_hermitian
+from nhent._linalg import (HERMITIAN_TOL, balanced_eig, is_hermitian,
+                           symmetrizing_diagonal)
 from nhent.spectra import policy_order
 
 
@@ -88,6 +90,7 @@ class TestBiorthogonalEig:
         # [[0, 1], [eps, 0]] is diagonally similar to a symmetric matrix;
         # the grading discovery must recognize it as benign
         km = KernelMatrix(2, np.array([[0.0, 1.0], [1e-30, 0.0]]), "open")
+        assert np.isfinite(symmetrizing_diagonal(km.entries)).all()
         sys = biorthogonal_eig(km)
         assert sys.condition_estimate < 10
 
@@ -97,6 +100,85 @@ class TestBiorthogonalEig:
         km = build_hatano_nelson(60, 1.0, 0.8, "open")
         sys = biorthogonal_eig(km)
         assert sys.condition_estimate < 100
+
+
+def _counting_eig(monkeypatch):
+    """Record the dtype of every array handed to np.linalg.eig."""
+    seen = []
+    eig = np.linalg.eig
+
+    def counted(B):
+        seen.append(B.dtype)
+        return eig(B)
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return seen
+
+
+class TestBalancing:
+    def test_open_chain_takes_one_real_pass(self, monkeypatch):
+        # the entry ratios symmetrize open Hatano-Nelson to rounding, so a
+        # single solve leaves flat eigenvector rows (four row-norm passes
+        # from d = 1 stopped at condition 1.3e11)
+        seen = _counting_eig(monkeypatch)
+        sys = biorthogonal_eig(build_hatano_nelson(384, 1.0, 0.5, "open"))
+        assert seen == [np.dtype(float)]
+        assert sys.condition_estimate < 10
+
+    @pytest.mark.parametrize("n, alpha", [(384, 0.5), (200, 2.5), (100, 4.0)])
+    def test_graded_chain_entropy_matches_hermitian_chain(self, n, alpha):
+        # the half-chain correlation block of the open chain is a diagonal
+        # similarity transform of the alpha = 0 one: same spectrum, same S
+        def half_entropy(a):
+            sys, sel = ground_state_system(
+                build_hatano_nelson(n, 1.0, a, "open"), Fraction(1, 2))
+            return report_for_partition(sys, sel, Partition.half(n)).entropy_vn
+        assert abs(half_entropy(alpha) - half_entropy(0.0)) < 1e-10
+
+    def test_seed_is_identity_on_magnitude_symmetric_kernels(self):
+        rng = np.random.default_rng(7)
+        G = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        gain_loss = G + G.conj().T + 1j * np.diag(rng.normal(size=16))
+        # the A02 ring point, and a Hermitian matrix plus i*gamma on-site
+        for A in (build_nh_ssh_real(32, 1.0, 0.3, 0.7, "periodic").entries,
+                  gain_loss):
+            assert np.array_equal(symmetrizing_diagonal(A), np.ones(len(A)))
+
+    def test_seed_skips_one_way_bonds(self):
+        # at Gamma = t every bond hops one way only: no ratio, no grading
+        km = build_measurement_heff(16, 1.0, 1.0, "open")
+        assert np.array_equal(symmetrizing_diagonal(km.entries), np.ones(16))
+
+    def test_seed_symmetrizes_entry_magnitudes(self):
+        km = build_hatano_nelson(12, 1.0, 0.7, "open")
+        d = symmetrizing_diagonal(km.entries)
+        B = np.abs(km.entries) * d[None, :] / d[:, None]
+        assert np.abs(B - B.T).max() < 1e-12
+        assert abs(np.log(d).mean()) < 1e-12
+
+    def test_real_kernel_runs_on_the_real_solver(self, monkeypatch):
+        km = build_eb_ssh(8, 1.0, 0.5, 0.0, "open")
+        assert not km.entries.imag.any() and not is_hermitian(km.entries)
+        seen = _counting_eig(monkeypatch)
+        w, V, Vinv, _ = balanced_eig(km.entries)
+        assert seen and all(dt == np.dtype(float) for dt in seen)
+        assert w.dtype == V.dtype == Vinv.dtype == np.dtype(complex)
+        assert np.abs((V * w) @ Vinv - km.entries).max() < 1e-10
+
+    @pytest.mark.parametrize("name, km", [
+        ("nilpotent", KernelMatrix(2, np.array([[0.7j, -0.7], [-0.7, -0.7j]]),
+                                   "open")),
+        ("graded_nilpotent", KernelMatrix(
+            2, np.array([[0.7j, -700.0], [-7e-4, -0.7j]]), "open")),
+        ("jordan", KernelMatrix(2, np.array([[0.0, 1.0], [0.0, 0.0]]), "open")),
+        ("one_way_measurement", build_measurement_heff(16, 1.0, 1.0, "open")),
+        # gradings e^(alpha (n - 1)) beyond the float64 range
+        ("hatano_nelson_n64_a12", build_hatano_nelson(64, 1.0, 12.0, "open")),
+        ("hatano_nelson_n160_a5", build_hatano_nelson(160, 1.0, 5.0, "open")),
+        ("hatano_nelson_n200_a4", build_hatano_nelson(200, 1.0, 4.0, "open")),
+    ])
+    def test_defective_kernels_still_raise(self, name, km):
+        with pytest.raises(DefectiveError):
+            biorthogonal_eig(km)
 
 
 MODERATE_KERNELS = {
