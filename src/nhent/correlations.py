@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._linalg import match_spectra
 from .errors import PartitionError, UnsupportedError
 from .models import KernelMatrix
 from .spectra import BiorthogonalSystem, GroundStateSelection
@@ -182,7 +183,5 @@ def check_duality(sys: BiorthogonalSystem, sel: GroundStateSelection,
     pad_prp = np.concatenate([ev_prp, np.zeros(n - len(ev_prp), dtype=complex)])
     a = sorted_by_re_im(pad_rpr)
     b = sorted_by_re_im(pad_prp)
-    from scipy.optimize import linear_sum_assignment
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return DualityReport(a, b[cols], float(cost[rows, cols].max()))
+    perm, residual = match_spectra(a, b)
+    return DualityReport(a, b[perm], residual)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eigenvalues
+from ._linalg import eigenvalues, match_spectra
 from .correlations import Partition, correlation_matrix, momentum_transform
 from .entanglement import (CLAMP_TOL, MIDGAP_TOL, EntanglementReport,
                            build_report, vn_entropy)
@@ -183,8 +183,6 @@ def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
     """
     import itertools
 
-    from scipy.optimize import linear_sum_assignment
-
     from .entanglement import modified_entropy
     from .models import KernelMatrix, build_hatano_nelson, build_nh_ssh_real
     from .oracle import (manybody_biortho_ground, oracle_report,
@@ -243,10 +241,7 @@ def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
                 val *= e if b else (1.0 - e)
             products.append(val)
         products = np.asarray(products)
-        lam = orep.spectrum
-        cost = np.abs(lam[:, None] - products[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        spectrum_residual = float(cost[rows, cols].max())
+        _, spectrum_residual = match_spectra(orep.spectrum, products)
 
         results.append({
             "case": name,

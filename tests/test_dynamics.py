@@ -8,6 +8,24 @@ from nhent import (CollapseError, GaussianState, KernelMatrix, Partition,
                    kernel_exponential, staggered_state)
 
 
+def _expm_qr_entropies(K, M0, t_grid, n_A, substeps=10):
+    """Entropies of the first ``n_A`` sites by expm with a QR after each of
+    ``substeps`` equal substeps per interval, independent of nhent."""
+    M, _ = np.linalg.qr(M0)
+    out = []
+    for i, t in enumerate(t_grid):
+        if i:
+            h = (t - t_grid[i - 1]) / substeps
+            U = scipy.linalg.expm(-1j * h * K)
+            for _ in range(substeps):
+                M, _ = np.linalg.qr(U @ M)
+        A = M[:n_A]
+        e = np.linalg.eigvalsh(A @ A.conj().T)
+        e = e[(e > 1e-12) & (e < 1 - 1e-12)]
+        out.append(-np.sum(e * np.log(e) + (1 - e) * np.log(1 - e)))
+    return np.array(out)
+
+
 class TestKernelExponential:
     def test_zero_time_is_identity(self):
         K = build_uniform_chain(6, bc="open")
@@ -24,13 +42,6 @@ class TestKernelExponential:
         t = 0.9
         expected = np.eye(2) - 1j * t * K.entries
         assert np.allclose(kernel_exponential(K, t), expected, atol=1e-12)
-
-    def test_eig_and_expm_paths_agree(self):
-        from nhent import build_nh_ssh_real
-        K = build_nh_ssh_real(6, 1.0, 0.4, 0.3, "open")
-        U_eig = kernel_exponential(K, 0.8)
-        U_expm = scipy.linalg.expm(-1j * 0.8 * K.entries)
-        assert np.abs(U_eig - U_expm).max() < 1e-9
 
 
 class TestStates:
@@ -104,6 +115,43 @@ class TestEvolveNoJump:
             evolve_no_jump(K, psi, [0.0, 0.0], Partition.half(6))
         with pytest.raises(ValueError):
             evolve_no_jump(K, psi, [-1.0, 1.0], Partition.half(6))
+
+    def test_time_grid_starts_at_state_time(self):
+        K = build_measurement_heff(8, 1.0, 0.5, "open")
+        psi = staggered_state(8)
+        later = GaussianState(psi.orbitals, time=5.0)
+        part = Partition.half(8)
+        # earlier labels would name un-evolved states
+        with pytest.raises(ValueError):
+            evolve_no_jump(K, later, [0.0, 1.0], part)
+        a = evolve_no_jump(K, psi, [0.0, 1.0], part)
+        b = evolve_no_jump(K, later, [5.0, 6.0], part)
+        assert [t for t, _, _ in b] == [5.0, 6.0]
+        for (_, Ca, _), (_, Cb, _) in zip(a, b):
+            assert np.abs(Ca.entries - Cb.entries).max() < 1e-12
+
+    def test_monitored_chain_matches_expm_qr_reference(self):
+        # graded open chain: an eigenvector propagator V e^{-iwt} V^-1
+        # loses the small entries here
+        L = 64
+        K = build_measurement_heff(L, 1.0, 0.5, "open")
+        psi0 = staggered_state(L)
+        t_grid = np.linspace(0.0, 20.0, 81)
+        records = evolve_no_jump(K, psi0, t_grid, Partition.half(L))
+        S = np.array([rep.entropy_vn.real for _, _, rep in records])
+        S_ref = _expm_qr_entropies(K.entries, psi0.orbitals, t_grid, L // 2)
+        assert np.abs(S - S_ref).max() < 1e-8
+
+    def test_one_long_step_matches_fine_grid(self):
+        # the substep count must follow the log-norm spread (0.5 here), not
+        # the much smaller spread of Im spec K, or the orbitals collapse
+        L = 32
+        K = build_measurement_heff(L, 1.0, 0.5, "open")
+        psi0 = staggered_state(L)
+        part = Partition.half(L)
+        last = evolve_no_jump(K, psi0, [0.0, 400.0], part)[-1][2]
+        fine = evolve_no_jump(K, psi0, np.linspace(0.0, 400.0, 41), part)
+        assert abs(last.entropy_vn - fine[-1][2].entropy_vn) < 1e-6
 
     def test_skin_effect_suppresses_growth(self):
         # small version of the monitored-chain comparison

@@ -12,7 +12,7 @@ from nhent import (BiorthogonalSystem, DefectiveError, DegeneracyWarning,
                    Partition, petermann_factor, report_for_partition,
                    select_occupied)
 from nhent._linalg import (HERMITIAN_TOL, balanced_eig, is_hermitian,
-                           symmetrizing_diagonal)
+                           match_spectra, symmetrizing_diagonal)
 from nhent.spectra import policy_order
 
 
@@ -216,6 +216,16 @@ def test_pt_symmetric_phase_real_spectrum():
     km = build_nh_ssh_real(24, 1.0, 0.4, 0.3, "periodic")
     w = biorthogonal_eig(km).eigenvalues
     assert np.abs(w.imag).max() < 1e-9
+
+
+def test_match_spectra_pairs_conjugate_cluster():
+    # equal real parts, opposite imaginary parts: sorted-order pairing
+    # would cross the pairs, the assignment does not
+    a = np.array([1 - 1e-3j, 1 + 1e-3j, 0.2])
+    b = np.array([0.2 + 1e-14, 1 + 1e-3j, 1 - 1e-3j])
+    perm, residual = match_spectra(a, b)
+    assert list(perm) == [2, 1, 0]
+    assert residual == pytest.approx(1e-14, abs=1e-16)
 
 
 class TestSelectOccupied:
