@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 __all__ = ["HERMITIAN_TOL", "is_hermitian", "eigenvalues", "match_spectra",
            "symmetrizing_diagonal", "balanced_eig", "eig_with_balanced_inverse"]
@@ -65,14 +66,19 @@ def symmetrizing_diagonal(A: np.ndarray) -> np.ndarray:
     # nonzero Laplacian eigenvalue of any component (Mohar 1991); one
     # refinement step squares the tie's relative bias to below eps
     tied = lap + np.sqrt(np.finfo(float).eps) / n**2 * np.eye(n)
-    x = np.linalg.solve(tied, rhs)
-    x += np.linalg.solve(tied, rhs - lap @ x)
+    # factored once for the solve and the refinement step; LAPACK is called
+    # directly because the lu_factor/lu_solve wrappers cost more than the
+    # solve itself on the 2 x 2 Bloch blocks
+    lu, piv, _ = dgetrf(tied)
+    x = dgetrs(lu, piv, rhs)[0]
+    x += dgetrs(lu, piv, rhs - lap @ x)[0]
     x -= x.mean()
     lim = 0.25 * np.log(np.finfo(float).max)
     return np.exp(np.clip(x, -lim, lim))
 
 
-def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0):
+def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
+                 mirrors=()):
     """General eigendecomposition in a diagonally rebalanced frame.
 
     Skin-effect-style matrices are diagonal similarity transforms of
@@ -85,8 +91,17 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0):
     iteratively: the row norms of the computed eigenvector matrix estimate
     the remaining diagonal, the kernel is rebalanced by it, and the
     decomposition is repeated (at most ``max_iter`` passes) until the
-    eigenvector rows are flat within ``spread_tol``.  A real A is
-    diagonalized in real arithmetic; the outputs are complex either way.
+    eigenvector rows are flat within ``spread_tol``.
+
+    A real A is diagonalized in real arithmetic, and so is a complex A that
+    is PT-symmetric: ``mirrors`` lists candidate involutive permutations p,
+    and the first with ``A.conj() == A[p][:, p]`` exactly is used.  The
+    diagonal is then kept mirror-symmetric (d <- sqrt(d d[p])), so the
+    balanced kernel B inherits the symmetry, and T = (I + iP) / sqrt(2)
+    is a unitary with T^dag B T = Re B - (Im B)[:, p] real.  That real
+    matrix is solved, and its eigenvectors V_r and their inverse map back
+    exactly: V_b = T V_r, V_b^-1 = V_r^-1 T^dag, cond(V_b) = cond(V_r).
+    The outputs are complex either way.
 
     Returns
     -------
@@ -105,31 +120,43 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0):
     """
     if not np.isrealobj(A) and not A.imag.any():
         A = A.real
+    p = None
+    if not np.isrealobj(A):
+        p = next((m for m in mirrors
+                  if np.array_equal(A.conj(), A[np.ix_(m, m)])), None)
     d = symmetrizing_diagonal(A)
-    w = Vb = None
-    for _ in range(max_iter):
+    if p is not None:
+        A = A.real - A.imag[:, p]
+    for it in range(max_iter):
+        if p is not None:
+            d = np.sqrt(d * d[p])
         B = (A / d[:, None]) * d[None, :]
-        w, Vb = np.linalg.eig(B)
+        w, Vr = np.linalg.eig(B)
+        Vb = Vr if p is None else (Vr + 1j * Vr[p]) / np.sqrt(2.0)
         r = np.linalg.norm(Vb, axis=1)
         r = np.where(r > 0, r, 1.0)
-        if r.max() / r.min() < spread_tol:
+        # the last pass keeps its d: V below is scaled by the one B used
+        if r.max() / r.min() < spread_tol or it == max_iter - 1:
             break
         d = d * (r / np.exp(np.mean(np.log(r))))
         d = d / np.exp(np.mean(np.log(d)))
-    cond = float(np.linalg.cond(Vb))
+    cond = float(np.linalg.cond(Vr))
     w = w.astype(complex, copy=False)
     V = (Vb * d[:, None]).astype(complex, copy=False)
     if not np.isfinite(cond):
         return w, V, None, cond
     try:
-        Vb_inv = np.linalg.inv(Vb)
+        Vb_inv = np.linalg.inv(Vr)
     except np.linalg.LinAlgError:  # an exactly singular pivot at finite cond
         return w, V, None, cond
+    if p is not None:
+        Vb_inv = (Vb_inv - 1j * Vb_inv[:, p]) / np.sqrt(2.0)
     return w, V, (Vb_inv / d[None, :]).astype(complex, copy=False), cond
 
 
-def eig_with_balanced_inverse(A: np.ndarray):
-    """(w, V, V^-1, cond): ``eigh`` if A is Hermitian, else ``balanced_eig``.
+def eig_with_balanced_inverse(A: np.ndarray, mirrors=()):
+    """(w, V, V^-1, cond): ``eigh`` if A is Hermitian, else ``balanced_eig``
+    with the candidate PT mirrors ``mirrors``.
 
     The Hermitian path returns the eigh eigenvalues as complex, V, V^dag and
     a condition of 1.0.  Never raises on a singular eigenvector matrix:
@@ -139,4 +166,4 @@ def eig_with_balanced_inverse(A: np.ndarray):
         w, V = np.linalg.eigh(A)
         V = V.astype(complex)
         return w.astype(complex), V, V.conj().T, 1.0
-    return balanced_eig(A)
+    return balanced_eig(A, mirrors=mirrors)

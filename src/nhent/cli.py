@@ -183,16 +183,25 @@ def cmd_fit(config: RunConfig, out_dir: str, series_path: str) -> int:
     if config.fit is None:
         raise ConfigError("fit command requires a 'fit' section", "config.fit")
     geometry = config.fit["geometry"]
-    length = int(config.fit["length"])
+    length = config.fit["length"]
     window = tuple(config.fit["window"]) if "window" in config.fit else None
     points = []
-    with open(series_path, encoding="utf-8") as fh:
+    try:
+        fh = open(series_path, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read series: {exc}", series_path) from exc
+    with fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "L_A" not in reader.fieldnames:
-            raise ConfigError("series CSV needs an L_A column", series_path)
+        if not {"L_A", "Re_S"} <= set(reader.fieldnames or ()):
+            raise ConfigError("series CSV needs L_A and Re_S columns",
+                              series_path)
         for row in reader:
-            la = int(row["L_A"])
-            s = complex(float(row["Re_S"]), float(row.get("Im_S", 0) or 0))
+            try:
+                la = int(row["L_A"])
+                s = complex(float(row["Re_S"]), float(row.get("Im_S", 0) or 0))
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"line {reader.line_num}: {exc}",
+                                  series_path) from exc
             points.append((la, s))
     points.sort(key=lambda p: p[0])
     try:
@@ -273,14 +282,8 @@ def cmd_duality(config: RunConfig, out_dir: str) -> int:
 
 
 def cmd_oracle(config: RunConfig, out_dir: str) -> int:
-    opts = config.oracle or {}
     results = oracle_equivalence_suite(
-        n_cases=int(opts.get("n_cases", 20)),
-        n_modes=int(opts.get("n_modes", 8)),
-        subsystem=int(opts.get("subsystem", 4)),
-        seed=int(opts.get("seed", 20210715)),
-        entropy_tol=config.tolerances.oracle,
-    )
+        **(config.oracle or {}), entropy_tol=config.tolerances.oracle)
     passed = all(r["passed"] for r in results)
     _write_json(f"{out_dir}/oracle.json", {
         "passed": passed,

@@ -61,6 +61,16 @@ def _parse_fraction(value, path: str) -> Fraction:
         raise ConfigError(f"not a valid fraction: {value!r} ({exc})", path)
 
 
+def _parse_int(value, path: str) -> int:
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"not an integer: {value!r}", path)
+    try:
+        return int(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"not an integer: {value!r} ({exc})", path)
+
+
 def _parse_model(d: dict, path: str) -> ModelSpec:
     _require_keys(d, ("family", "params"), ("bc",), path)
     family = d["family"]
@@ -185,6 +195,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("geometry must be 'chord' or 'open_log'",
                               "config.fit.geometry")
         fit = dict(doc["fit"])
+        fit["length"] = _parse_int(fit["length"], "config.fit.length")
 
     dynamics = None
     if "dynamics" in doc:
@@ -205,7 +216,14 @@ def parse_config(doc: dict) -> RunConfig:
         _require_keys(doc["oracle"], (),
                       ("n_modes", "n_cases", "subsystem", "seed"),
                       "config.oracle")
-        oracle = dict(doc["oracle"])
+        oracle = {"n_cases": 20, "n_modes": 8, "subsystem": 4,
+                  "seed": 20210715, **doc["oracle"]}
+        for key in oracle:
+            oracle[key] = _parse_int(oracle[key], f"config.oracle.{key}")
+        if not 1 <= oracle["subsystem"] < oracle["n_modes"]:
+            raise ConfigError(
+                f"subsystem must be in [1, n_modes = {oracle['n_modes']}), "
+                f"got {oracle['subsystem']}", "config.oracle.subsystem")
 
     partitions = []
     if "partitions" in doc:

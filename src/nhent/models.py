@@ -90,8 +90,8 @@ class KernelMatrix:
 
         Raises SizeError unless the site labels fill every slot exactly once.
         """
-        nc, ns = self.n_cells, self.n_sublattices
         labels = np.asarray(self.site_labels, dtype=int)
+        nc, ns = labels.max(axis=0) + 1
         slots = labels[:, 0] * ns + labels[:, 1]
         if (labels.min() < 0 or nc * ns != self.dim
                 or np.unique(slots).size != self.dim):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InsufficientDataError, UnsupportedError
 from .spectra import BiorthogonalSystem, GroundStateSelection
@@ -129,6 +128,9 @@ def count_fermi_points(sys: BiorthogonalSystem, sel: GroundStateSelection) -> in
     if sys.momenta is None:
         raise UnsupportedError(
             "Fermi-point counting needs a momentum-resolved system")
+    # imported on call, as in ``_linalg.match_spectra``: keeps
+    # scipy.optimize out of ``import nhent``
+    from scipy.optimize import linear_sum_assignment
     occ = np.zeros(sys.dim, dtype=bool)
     occ[sel.occupied] = True
     groups = _band_chains(sys)

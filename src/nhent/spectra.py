@@ -9,7 +9,14 @@ diagonal similarity transforms of well-behaved matrices).  The decomposition
 therefore works in a rebalanced frame: a diagonal read off the entry ratios
 |K_ij| / |K_ji| makes an open nonreciprocal chain magnitude-symmetric before
 the first solve, and eigenvector row norms pick up any grading left over.
-Real kernels are solved in real arithmetic.  The reported condition
+Real kernels are solved in real arithmetic, and so are PT-symmetric ones:
+a kernel with K* = P K P exactly, where P is the lattice mirror read off
+the site labels (cell x -> N - 1 - x, sublattice kept or reversed), is
+unitarily similar to the real matrix Re K - (Im K) P through
+T = (I + iP) / sqrt(2); that matrix is diagonalized and its eigenvectors
+are mapped back by T, which leaves the condition estimate unchanged.
+Kernels that are PT-symmetric only to rounding, or whose labels do not
+tile a lattice, take the complex solver.  The reported condition
 estimate refers to the rebalanced eigenvector matrix, which measures genuine
 (near-)defectiveness rather than grading; a grading too steep for float64
 raises like a defective kernel.
@@ -24,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._linalg import eig_with_balanced_inverse
-from .errors import DefectiveError, DegeneracyWarning
+from .errors import DefectiveError, DegeneracyWarning, SizeError
 from .models import KernelMatrix, bloch_momenta, bloch_reduce
 
 __all__ = [
@@ -105,6 +112,25 @@ def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
     return [g for g in groups.values() if len(g) > 1]
 
 
+def _mirrors(K: KernelMatrix) -> tuple:
+    """Candidate PT mirrors of a kernel's lattice, as index permutations.
+
+    Cell x maps to N - 1 - x with the sublattice kept, or reversed (the
+    whole chain reversed).  No candidates when the site labels do not tile.
+    """
+    try:
+        pos = K.cell_sites
+    except SizeError:
+        return ()
+    keep = np.empty(K.dim, dtype=int)
+    keep[pos] = pos[::-1]
+    if pos.shape[1] == 1:
+        return (keep,)
+    flip = np.empty(K.dim, dtype=int)
+    flip[pos] = pos[::-1, ::-1]
+    return keep, flip
+
+
 def biorthogonal_eig(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) -> BiorthogonalSystem:
     """Diagonalize a kernel into a biorthonormal right/left system.
 
@@ -121,7 +147,7 @@ def biorthogonal_eig(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) ->
         unit-normalized right or left vectors are not finite in float64.
     """
     A = K.entries
-    w, V, Vinv, cond = eig_with_balanced_inverse(A)
+    w, V, Vinv, cond = eig_with_balanced_inverse(A, _mirrors(K))
     if K.is_hermitian():
         return BiorthogonalSystem(w, V, V, cond, hermitian=True)
     if Vinv is None or cond > cond_threshold:

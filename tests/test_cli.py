@@ -185,6 +185,40 @@ class TestCommands:
         assert str(series) in err and "strictly increasing" in err
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("csv_text, message", [
+        ("L_A,S\n4,0.5\n8,0.7\n", "needs L_A and Re_S columns"),
+        ("L_A,Re_S,Im_S\n4,0.5,0\n8,abc,0\n", "line 3"),
+        (None, "cannot read series"),
+    ], ids=["no_Re_S_column", "non_numeric_Re_S", "missing_file"])
+    def test_fit_rejects_malformed_series(self, tmp_path, capsys, csv_text,
+                                          message):
+        series = tmp_path / "series.csv"
+        if csv_text is not None:
+            series.write_text(csv_text, encoding="utf-8")
+        cfg = write_config(tmp_path, {"fit": {"geometry": "chord",
+                                              "length": 64}})
+        assert main(["fit", "--config", cfg, "--series", str(series),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("command, doc, path", [
+        ("oracle", {"oracle": {"n_modes": "six"}}, "config.oracle.n_modes"),
+        ("fit", {"fit": {"geometry": "chord", "length": 64.5}},
+         "config.fit.length"),
+        ("oracle", {"oracle": {"n_modes": 6, "subsystem": 6}},
+         "config.oracle.subsystem"),
+    ], ids=["oracle_n_modes", "fit_length", "oracle_subsystem_range"])
+    def test_malformed_config_values_exit_1(self, tmp_path, capsys, command,
+                                            doc, path):
+        cfg = write_config(tmp_path, doc)
+        extra = ["--series", str(tmp_path / "none.csv")] * (command == "fit")
+        assert main([command, "--config", cfg, "--out", str(tmp_path),
+                     *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: ")
+
     def test_dynamics_command(self, tmp_path):
         doc = {
             "model": {"family": "measurement_chain",

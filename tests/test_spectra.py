@@ -164,6 +164,13 @@ class TestBalancing:
         assert w.dtype == V.dtype == Vinv.dtype == np.dtype(complex)
         assert np.abs((V * w) @ Vinv - km.entries).max() < 1e-10
 
+    def test_exhausted_passes_keep_the_frame_of_the_last_solve(self):
+        # spread_tol = 1 is never met, so all max_iter passes run; V and
+        # V^-1 must be scaled back by the diagonal the last solve used
+        A = np.random.default_rng(3).normal(size=(12, 12))
+        w, V, Vinv, _ = balanced_eig(A, max_iter=2, spread_tol=1.0)
+        assert np.abs((V * w) @ Vinv - A).max() < 1e-10
+
     @pytest.mark.parametrize("name, km", [
         ("nilpotent", KernelMatrix(2, np.array([[0.7j, -0.7], [-0.7, -0.7j]]),
                                    "open")),
@@ -179,6 +186,71 @@ class TestBalancing:
     def test_defective_kernels_still_raise(self, name, km):
         with pytest.raises(DefectiveError):
             biorthogonal_eig(km)
+
+
+def _pi_flux_ring(n_cells):
+    # the A02 ring with a pi flux on its wrap bond
+    km = build_nh_ssh_real(n_cells, 1.0, 0.3, 0.7, "periodic")
+    km.entries[[0, km.dim - 1], [km.dim - 1, 0]] *= -1
+    return km
+
+
+PT_KERNELS = {
+    "eb_ssh_g1e-3": lambda: build_eb_ssh(40, 1.0, 0.5, 1e-3, "open"),
+    "eb_ssh_g4": lambda: build_eb_ssh(40, 1.0, 0.5, 4.0, "open"),
+    # trivial phase (upsilon > omega): no zero-energy edge pair at the cut
+    "nh_ssh_open": lambda: build_nh_ssh_real(32, 0.4, 1.0, 0.3, "open"),
+    "nh_ssh_pi_flux_ring": lambda: _pi_flux_ring(32),
+}
+
+
+def _half_entropy(sys, dim):
+    sel = select_occupied(sys, Fraction(1, 2))
+    return report_for_partition(sys, sel, Partition.half(dim)).entropy_vn
+
+
+class TestPTSymmetricRealPath:
+    @pytest.mark.parametrize("name", sorted(PT_KERNELS))
+    def test_one_real_solve_same_entropy(self, monkeypatch, name):
+        km = PT_KERNELS[name]()
+        assert km.entries.imag.any()
+        # reference: the complex solve, without a mirror
+        w, V, Vinv, cond = balanced_eig(km.entries)
+        vnorm = np.linalg.norm(V, axis=0)
+        ref = BiorthogonalSystem(w, V / vnorm, (Vinv * vnorm[:, None]).conj().T,
+                                 cond)
+        seen = _counting_eig(monkeypatch)
+        sys = biorthogonal_eig(km)
+        assert seen == [np.dtype(float)]
+        gram = sys.left.conj().T @ sys.right
+        assert np.abs(gram - np.eye(km.dim)).max() <= 1e-10
+        assert abs(_half_entropy(sys, km.dim)
+                   - _half_entropy(ref, km.dim)) <= 1e-10
+
+    def test_broken_mirror_takes_the_complex_path(self, monkeypatch):
+        km = build_eb_ssh(40, 1.0, 0.5, 4.0, "open")
+        km.entries[0, 0] += 1e-3j
+        seen = _counting_eig(monkeypatch)
+        biorthogonal_eig(km)
+        assert seen == [np.dtype(complex)]
+
+    def test_non_tiling_labels_still_diagonalize(self, monkeypatch):
+        pt = build_eb_ssh(40, 1.0, 0.5, 4.0, "open")
+        # two modes per label: the labels name no lattice, so no mirror
+        km = KernelMatrix(pt.dim, pt.entries, "open",
+                          [(i // 2, 0) for i in range(pt.dim)])
+        seen = _counting_eig(monkeypatch)
+        sys = biorthogonal_eig(km)
+        assert seen == [np.dtype(complex)]
+        assert np.abs(sys.reconstruction() - km.entries).max() < 1e-10
+
+    def test_nilpotent_kernel_takes_the_real_path_and_raises(self, monkeypatch):
+        # [[iu, -u], [-u, -iu]] is PT-symmetric under the swap of its sites
+        km = KernelMatrix(2, np.array([[0.7j, -0.7], [-0.7, -0.7j]]), "open")
+        seen = _counting_eig(monkeypatch)
+        with pytest.raises(DefectiveError):
+            biorthogonal_eig(km)
+        assert seen == [np.dtype(float)]
 
 
 MODERATE_KERNELS = {
