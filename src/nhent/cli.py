@@ -226,10 +226,8 @@ def cmd_dynamics(config: RunConfig, out_dir: str) -> int:
         raise ConfigError("dynamics command requires model and dynamics sections")
     K = config.model.build()
     tg = config.dynamics["t_grid"]
-    if isinstance(tg, dict):
-        t_grid = np.linspace(tg["start"], tg["stop"], int(tg["num"]))
-    else:
-        t_grid = [float(t) for t in tg]
+    t_grid = np.linspace(tg["start"], tg["stop"], tg["num"]) \
+        if isinstance(tg, dict) else tg
     state_kind = config.dynamics.get("initial_state", "domain_wall")
     n_half = K.dim // 2
     psi0 = {"domain_wall": lambda: domain_wall_state(K.dim),
@@ -348,7 +346,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"expected NAME=VALUE, got {item!r}",
                                   "--tolerance")
             name, value = item.split("=", 1)
-            config.tolerances.override(name, float(value))
+            config.tolerances.override(name, value)
 
         if args.command == "entanglement":
             return cmd_entanglement(config, args.out, args.workers)

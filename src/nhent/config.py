@@ -8,6 +8,7 @@ be written as strings like "1/2".
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -16,7 +17,8 @@ from .correlations import Partition
 from .entanglement import CLAMP_TOL, MIDGAP_TOL
 from .errors import ConfigError
 from .models import FAMILIES, ModelSpec
-from .pipeline import ORACLE_ENTROPY_TOL, dual_momentum_partition
+from .pipeline import (ORACLE_ENTROPY_TOL, dual_momentum_partition,
+                       oracle_equivalence_suite)
 from .scaling import FIT_IMAG_TOL
 from .spectra import DEFECTIVE_COND, OCCUPATION_POLICIES
 
@@ -36,7 +38,7 @@ class Tolerances:
         if name not in known:
             raise ConfigError(f"unknown tolerance {name!r}; "
                               f"known: {known}", "tolerances")
-        setattr(self, name, float(value))
+        setattr(self, name, _parse_float(value, f"tolerances.{name}"))
 
 
 def _require_keys(d: dict, required, optional, path: str) -> None:
@@ -71,6 +73,15 @@ def _parse_int(value, path: str) -> int:
         raise ConfigError(f"not an integer: {value!r} ({exc})", path)
 
 
+def _parse_float(value, path: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"not a number: {value!r}", path)
+    try:
+        return float(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"not a number: {value!r} ({exc})", path)
+
+
 def _parse_model(d: dict, path: str) -> ModelSpec:
     _require_keys(d, ("family", "params"), ("bc",), path)
     family = d["family"]
@@ -96,23 +107,26 @@ def parse_partition(d: dict, n_total: int, path: str):
     if kind not in _PARTITION_TYPES:
         raise ConfigError(f"unknown partition type {kind!r}; "
                           f"known: {_PARTITION_TYPES}", f"{path}.type")
+
+    def num(key, default=None):
+        value = d[key] if default is None else d.get(key, default)
+        return _parse_int(value, f"{path}.{key}")
+
     try:
         if kind == "half":
             return Partition.half(n_total, space)
         if kind == "central_half":
             return Partition.central_half(n_total, space)
         if kind == "range":
-            return Partition.contiguous(int(d["start"]), int(d["stop"]),
-                                        n_total, space)
+            return Partition.contiguous(num("start"), num("stop"), n_total, space)
         if kind == "indices":
-            return Partition(space, tuple(int(i) for i in d["indices"]), n_total)
+            return Partition(space, tuple(_parse_int(i, f"{path}.indices")
+                                          for i in d["indices"]), n_total)
         if kind == "dual_half":
-            return dual_momentum_partition(n_total, int(d["p"]))
-        lo = int(d.get("min", 4))
-        hi = int(d.get("max", n_total - 4))
-        step = int(d.get("step", 1))
+            return dual_momentum_partition(n_total, num("p"))
         return [Partition.contiguous(0, la, n_total, space)
-                for la in range(lo, hi + 1, step)]
+                for la in range(num("min", 4), num("max", n_total - 4) + 1,
+                                num("step", 1))]
     except KeyError as exc:
         raise ConfigError(f"missing key {exc} for type {kind!r}", path)
 
@@ -155,7 +169,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"unknown policy {policy!r}; "
                           f"known: {OCCUPATION_POLICIES}", "config.policy")
 
-    renyi = tuple(int(n) for n in doc.get("renyi", [2]))
+    renyi = tuple(_parse_int(n, "config.renyi") for n in doc.get("renyi", [2]))
     for n in renyi:
         if n < 2:
             raise ConfigError(f"Renyi orders must be >= 2, got {n}",
@@ -202,22 +216,28 @@ def parse_config(doc: dict) -> RunConfig:
         _require_keys(doc["dynamics"], ("t_grid",),
                       ("initial_state", "partition"), "config.dynamics")
         tg = doc["dynamics"]["t_grid"]
+        path = "config.dynamics.t_grid"
         if isinstance(tg, dict):
-            _require_keys(tg, ("start", "stop", "num"), (),
-                          "config.dynamics.t_grid")
+            _require_keys(tg, ("start", "stop", "num"), (), path)
+            tg = {k: (_parse_int if k == "num" else _parse_float)(v, f"{path}.{k}")
+                  for k, v in tg.items()}
+        elif isinstance(tg, list):
+            tg = [_parse_float(t, f"{path}[{i}]") for i, t in enumerate(tg)]
+        else:
+            raise ConfigError("expected an object or a list", path)
         state = doc["dynamics"].get("initial_state", "domain_wall")
         if state not in ("domain_wall", "staggered", "hermitian_ground"):
             raise ConfigError(f"unknown initial state {state!r}",
                               "config.dynamics.initial_state")
-        dynamics = dict(doc["dynamics"])
+        dynamics = {**doc["dynamics"], "t_grid": tg}
 
     oracle = None
     if "oracle" in doc:
-        _require_keys(doc["oracle"], (),
-                      ("n_modes", "n_cases", "subsystem", "seed"),
-                      "config.oracle")
-        oracle = {"n_cases": 20, "n_modes": 8, "subsystem": 4,
-                  "seed": 20210715, **doc["oracle"]}
+        keys = ("n_cases", "n_modes", "subsystem", "seed")
+        _require_keys(doc["oracle"], (), keys, "config.oracle")
+        # the suite's own defaults fill the keys the config leaves out
+        suite = inspect.signature(oracle_equivalence_suite).parameters
+        oracle = {**{k: suite[k].default for k in keys}, **doc["oracle"]}
         for key in oracle:
             oracle[key] = _parse_int(oracle[key], f"config.oracle.{key}")
         if not 1 <= oracle["subsystem"] < oracle["n_modes"]:

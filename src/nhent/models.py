@@ -9,6 +9,13 @@ plus site metadata.  Momentum-space forms use the Fourier convention
 so a hopping from cell x to cell x+d contributes exp(-i k d) to the Bloch
 matrix H(k)_{ss'} = sum_d K_{ss'}(d) exp(-i k d), and momentum grids are
 k_m = 2 pi m / N with m = 0 .. N-1.
+
+Chain kernels are laid out cell-major: sublattice s of cell x is mode
+ns * x + s with site label (x, s).  Each chain is filled from per-cell
+onsite blocks and the nearest-cell hopping blocks K(d=+1), K(d=-1).  Open
+chains carry the N - 1 bulk bonds; periodic chains add the wrap bond from
+cell N - 1 to cell 0, which for N = 2 lands on the bulk bond's entries and
+adds to them (for N = 1, on the onsite block).
 """
 
 from __future__ import annotations
@@ -105,10 +112,6 @@ class KernelMatrix:
         return is_hermitian(self.entries)
 
 
-def _empty(dim: int, bc: str, labels=None) -> KernelMatrix:
-    return KernelMatrix(dim, np.zeros((dim, dim), dtype=complex), bc, labels or [])
-
-
 def fibonacci_approximant(L: int) -> Fraction:
     """Rational approximant p/q to the inverse golden mean with q = L.
 
@@ -127,6 +130,28 @@ def fibonacci_approximant(L: int) -> Fraction:
 # real-space builders
 # ---------------------------------------------------------------------------
 
+def _cell_chain(onsite, hop_plus, hop_minus, bc: str) -> KernelMatrix:
+    """Chain kernel in the cell-major layout; the only home of the wrap rule.
+
+    ``onsite`` is an (n_cells, ns, ns) stack of diagonal blocks,
+    ``hop_plus`` is K(d=+1) (hopping from cell x to x+1) and ``hop_minus``
+    is K(d=-1): independent (ns, ns) blocks for non-Hermitian models, or
+    scalars when ns = 1.
+    """
+    onsite = np.asarray(onsite, dtype=complex)
+    nc, ns, _ = onsite.shape
+    K = np.zeros((nc, ns, nc, ns), dtype=complex)
+    x = np.arange(nc)
+    K[x, :, x, :] = onsite
+    K[x[1:], :, x[:-1], :] += hop_plus
+    K[x[:-1], :, x[1:], :] += hop_minus
+    if bc == "periodic":
+        K[0, :, -1, :] += hop_plus
+        K[-1, :, 0, :] += hop_minus
+    labels = [(c, s) for c in range(nc) for s in range(ns)]
+    return KernelMatrix(nc * ns, K.reshape(nc * ns, nc * ns), bc, labels)
+
+
 def build_hatano_nelson(L: int, t: float, alpha: float, bc: str = "open") -> KernelMatrix:
     """Nonreciprocal chain H = -t sum_x (e^alpha c+_x c_{x+1} + e^-alpha c+_{x+1} c_x).
 
@@ -136,14 +161,8 @@ def build_hatano_nelson(L: int, t: float, alpha: float, bc: str = "open") -> Ker
     """
     if L < 2:
         raise SizeError(f"Hatano-Nelson chain needs L >= 2, got {L}")
-    km = _empty(L, bc)
-    K = km.entries
-    bonds = range(L) if bc == "periodic" else range(L - 1)
-    for x in bonds:
-        y = (x + 1) % L
-        K[x, y] += -t * math.exp(alpha)
-        K[y, x] += -t * math.exp(-alpha)
-    return km
+    return _cell_chain(np.zeros((L, 1, 1)), -t * math.exp(-alpha),
+                       -t * math.exp(alpha), bc)
 
 
 def build_uniform_chain(L: int, t: float = 1.0, bc: str = "periodic") -> KernelMatrix:
@@ -161,22 +180,9 @@ def build_nh_ssh_real(N_cells: int, omega: float, upsilon: float, u: float,
     """
     if N_cells < 2:
         raise SizeError(f"SSH chain needs >= 2 cells, got {N_cells}")
-    L = 2 * N_cells
-    labels = [(x // 2, x % 2) for x in range(L)]
-    km = _empty(L, bc, labels)
-    K = km.entries
-    for x in range(N_cells):
-        a, b = 2 * x, 2 * x + 1
-        K[a, a] = 1j * u
-        K[b, b] = -1j * u
-        K[a, b] += upsilon
-        K[b, a] += upsilon
-    inter = range(N_cells) if bc == "periodic" else range(N_cells - 1)
-    for x in inter:
-        b, a2 = 2 * x + 1, (2 * x + 2) % L
-        K[b, a2] += omega
-        K[a2, b] += omega
-    return km
+    onsite = np.array([[1j * u, upsilon], [upsilon, -1j * u]])
+    hop = np.array([[0, omega], [0, 0]], dtype=complex)
+    return _cell_chain(np.broadcast_to(onsite, (N_cells, 2, 2)), hop, hop.T, bc)
 
 
 def build_nh_ssh_bloch(k: float, omega: float, upsilon: float, u: float):
@@ -211,26 +217,19 @@ def build_quasicrystal(L: int, J_L: float, J_R: float, V: float, alpha,
         raise SizeError(
             f"periodic quasicrystal needs approximant denominator q == L, "
             f"got q={alpha.denominator}, L={L}")
-    km = _empty(L, bc)
-    K = km.entries
-    bonds = range(L) if bc == "periodic" else range(L - 1)
-    for n in bonds:
-        m = (n + 1) % L
-        K[m, n] += J_R
-        K[n, m] += J_L
-    phase = 2.0 * math.pi * float(alpha)
-    for n in range(L):
-        if variant == "exp_phase":
-            K[n, n] = V * np.exp(-1j * phase * n)
-        elif variant == "mobility_edge":
-            den = 1.0 - a * np.exp(1j * phase * n)
-            if abs(den) < 1e-12:
-                raise SingularPotentialError(
-                    f"potential denominator vanishes at site {n}")
-            K[n, n] = V / den
-        else:
-            raise ValueError(f"unknown quasicrystal variant {variant!r}")
-    return km
+    phase = 2.0 * math.pi * float(alpha) * np.arange(L)
+    if variant == "exp_phase":
+        potential = V * np.exp(-1j * phase)
+    elif variant == "mobility_edge":
+        den = 1.0 - a * np.exp(1j * phase)
+        singular = np.flatnonzero(np.abs(den) < 1e-12)
+        if singular.size:
+            raise SingularPotentialError(
+                f"potential denominator vanishes at site {singular[0]}")
+        potential = V / den
+    else:
+        raise ValueError(f"unknown quasicrystal variant {variant!r}")
+    return _cell_chain(potential[:, None, None], J_R, J_L, bc)
 
 
 def build_guo_chain(L: int, n: int, t: float = 1.0, gamma: float = 0.0,
@@ -245,19 +244,13 @@ def build_guo_chain(L: int, n: int, t: float = 1.0, gamma: float = 0.0,
         raise SizeError(f"cell size must be >= 2, got {n}")
     if L % n != 0:
         raise SizeError(f"L={L} not divisible by cell size n={n}")
-    labels = [(i // n, i % n) for i in range(L)]
-    km = _empty(L, bc, labels)
-    K = km.entries
-    bonds = range(L) if bc == "periodic" else range(L - 1)
-    for i in bonds:
-        j = (i + 1) % L
-        if i % n == 0:
-            K[i, j] += t + gamma / 2.0
-            K[j, i] += t - gamma / 2.0
-        else:
-            K[i, j] += t
-            K[j, i] += t
-    return km
+    cell = np.zeros((n, n), dtype=complex)
+    s = np.arange(n - 1)
+    cell[s, s + 1] = cell[s + 1, s] = t
+    cell[0, 1], cell[1, 0] = t + gamma / 2.0, t - gamma / 2.0
+    hop = np.zeros((n, n), dtype=complex)
+    hop[0, n - 1] = t
+    return _cell_chain(np.broadcast_to(cell, (L // n, n, n)), hop, hop.T, bc)
 
 
 def build_guo_2d(Lx: int, Ly: int, gamma: float, bc: str = "periodic") -> KernelMatrix:
@@ -269,31 +262,14 @@ def build_guo_2d(Lx: int, Ly: int, gamma: float, bc: str = "periodic") -> Kernel
     """
     if Lx % 2 or Ly % 2:
         raise SizeError(f"Guo 2D needs even sizes, got Lx={Lx}, Ly={Ly}")
-    dim = Lx * Ly
-    tl, tr = 1.0 + gamma / 2.0, 1.0 - gamma / 2.0
+    # kron(I_Ly, chain(Lx)) + kron(chain(Ly), I_Lx), added index-wise
+    K = np.zeros((Ly, Lx, Ly, Lx), dtype=complex)
+    iy, ix = np.arange(Ly), np.arange(Lx)
+    K[iy, :, iy, :] += build_guo_chain(Lx, 2, 1.0, gamma, bc).entries
+    K[:, ix, :, ix] += build_guo_chain(Ly, 2, 1.0, gamma, bc).entries
     labels = [((y // 2) * (Lx // 2) + x // 2, (x % 2) + 2 * (y % 2))
               for y in range(Ly) for x in range(Lx)]
-    km = _empty(dim, bc, labels)
-    K = km.entries
-
-    def idx(x, y):
-        return (y % Ly) * Lx + (x % Lx)
-
-    for y in range(Ly):
-        xb = range(Lx) if bc == "periodic" else range(Lx - 1)
-        for x in xb:
-            i, j = idx(x, y), idx(x + 1, y)
-            fwd, bwd = (tl, tr) if x % 2 == 0 else (1.0, 1.0)
-            K[i, j] += fwd
-            K[j, i] += bwd
-    for x in range(Lx):
-        yb = range(Ly) if bc == "periodic" else range(Ly - 1)
-        for y in yb:
-            i, j = idx(x, y), idx(x, y + 1)
-            fwd, bwd = (tl, tr) if y % 2 == 0 else (1.0, 1.0)
-            K[i, j] += fwd
-            K[j, i] += bwd
-    return km
+    return KernelMatrix(Lx * Ly, K.reshape(Lx * Ly, Lx * Ly), bc, labels)
 
 
 _PAULI = {
@@ -301,27 +277,6 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-def _two_band_chain(L: int, onsite: np.ndarray, hop_plus: np.ndarray,
-                    hop_minus: np.ndarray, bc: str) -> KernelMatrix:
-    """Assemble a two-orbital chain kernel from nearest-neighbor 2x2 blocks.
-
-    ``hop_plus`` is K(d=+1) (hopping from cell x to x+1), ``hop_minus`` is
-    K(d=-1); they are independent blocks for non-Hermitian models.
-    """
-    dim = 2 * L
-    labels = [(x, s) for x in range(L) for s in range(2)]
-    km = _empty(dim, bc, labels)
-    K = km.entries
-    for x in range(L):
-        K[2 * x:2 * x + 2, 2 * x:2 * x + 2] = onsite
-    cells = range(L) if bc == "periodic" else range(L - 1)
-    for x in cells:
-        y = (x + 1) % L
-        K[2 * y:2 * y + 2, 2 * x:2 * x + 2] += hop_plus
-        K[2 * x:2 * x + 2, 2 * y:2 * y + 2] += hop_minus
-    return km
 
 
 def build_chern_ribbon(L: int, k_perp: float, t: float, m: float, gamma: float,
@@ -350,7 +305,8 @@ def build_chern_ribbon(L: int, k_perp: float, t: float, m: float, gamma: float,
     # cos k -> K(+-1) += B/2 ; sin k -> K(+1) += (i/2) C, K(-1) -= (i/2) C
     hop_plus = cos_blk / 2.0 + 0.5j * sin_blk
     hop_minus = cos_blk / 2.0 - 0.5j * sin_blk
-    return _two_band_chain(L, onsite, hop_plus, hop_minus, "open")
+    return _cell_chain(np.broadcast_to(onsite, (L, 2, 2)), hop_plus, hop_minus,
+                       "open")
 
 
 def build_eb_ssh(L: int, nu: float, w: float, gamma0: float,
@@ -370,7 +326,8 @@ def build_eb_ssh(L: int, nu: float, w: float, gamma0: float,
     cos_blk, sin_blk = -w * sx, gamma0 * sz
     hop_plus = cos_blk / 2.0 + 0.5j * sin_blk
     hop_minus = cos_blk / 2.0 - 0.5j * sin_blk
-    return _two_band_chain(L, onsite, hop_plus, hop_minus, bc)
+    return _cell_chain(np.broadcast_to(onsite, (L, 2, 2)), hop_plus, hop_minus,
+                       bc)
 
 
 def build_measurement_heff(L: int, t: float, Gamma: float, bc: str = "open") -> KernelMatrix:
@@ -386,16 +343,10 @@ def build_measurement_heff(L: int, t: float, Gamma: float, bc: str = "open") -> 
         raise SizeError(f"measurement chain needs L >= 2, got {L}")
     if Gamma < 0:
         raise ValueError(f"Gamma must be >= 0, got {Gamma}")
-    km = _empty(L, bc)
-    K = km.entries
-    bonds = range(L) if bc == "periodic" else range(L - 1)
-    for i in bonds:
-        j = (i + 1) % L
-        K[i, j] += (-t + Gamma) / 4.0
-        K[j, i] += -(t + Gamma) / 4.0
-        K[i, i] += -0.25j * Gamma
-        K[j, j] += -0.25j * Gamma
-    return km
+    # the unit-hopping chain's row sums count each site's adjacent bonds
+    bonds = _cell_chain(np.zeros((L, 1, 1)), 1.0, 1.0, bc).entries.real.sum(axis=1)
+    return _cell_chain((-0.25j * Gamma * bonds)[:, None, None],
+                       -(t + Gamma) / 4.0, (-t + Gamma) / 4.0, bc)
 
 
 def build_heff_from_jumps(H: KernelMatrix, jumps, rates) -> KernelMatrix:
@@ -437,10 +388,12 @@ def bloch_momenta(n_cells: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_cells) / n_cells
 
 
-def bloch_reduce(km: KernelMatrix, k: float) -> np.ndarray:
+def bloch_reduce(km: KernelMatrix, k) -> np.ndarray:
     """Bloch matrix H(k)_{ss'} = sum_x K[(x,s),(0,s')] exp(-i k x) of a
     periodic, cell-translation-invariant kernel.
 
+    ``k`` is one momentum or an array of them; the result has shape
+    ``np.shape(k) + (ns, ns)``, and the blocks are gathered once for all k.
     Exact on the discrete grid k = 2 pi m / N for any integer m.
     """
     if km.bc != "periodic":
@@ -448,8 +401,8 @@ def bloch_reduce(km: KernelMatrix, k: float) -> np.ndarray:
     pos = km.cell_sites
     # blocks[x, s, s'] = K[(x, s), (0, s')]
     blocks = km.entries[pos[:, :, None], pos[0]]
-    phase = np.exp(-1j * k * np.arange(len(pos)))
-    return (blocks * phase[:, None, None]).sum(axis=0)
+    phase = np.exp((-1j * np.asarray(k))[..., None] * np.arange(len(pos)))
+    return (blocks * phase[..., None, None]).sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------

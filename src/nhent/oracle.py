@@ -30,6 +30,7 @@ import numpy as np
 from ._linalg import balanced_eig
 from .errors import DefectiveError, DegeneracyError, OrderingError, SizeError
 from .models import KernelMatrix
+from .spectra import policy_order
 
 __all__ = [
     "FockOperator",
@@ -149,8 +150,6 @@ def manybody_biortho_ground(K: KernelMatrix, n_particles: int,
     degenerate within ``degeneracy_tol`` the oracle declines
     (DegeneracyError) rather than guessing a state.
     """
-    from .spectra import policy_order
-
     Hb, block_states = fock_block(K, n_particles)
     w, V, Vinv, cond = balanced_eig(Hb)
     if Vinv is None:

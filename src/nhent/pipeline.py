@@ -8,6 +8,7 @@ transition scan used for self-dual models.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,11 @@ import numpy as np
 from ._linalg import eigenvalues, match_spectra
 from .correlations import Partition, correlation_matrix, momentum_transform
 from .entanglement import (CLAMP_TOL, MIDGAP_TOL, EntanglementReport,
-                           build_report, vn_entropy)
+                           build_report, modified_entropy, vn_entropy)
 from .errors import ConsistencyError
-from .models import KernelMatrix
+from .models import KernelMatrix, build_hatano_nelson, build_nh_ssh_real
+from .oracle import (manybody_biortho_ground, oracle_report, reduced_density,
+                     sector_states)
 from .scaling import ScalingSeries
 from .spectra import (BiorthogonalSystem, GroundStateSelection, bloch_system,
                       biorthogonal_eig, select_occupied, DEFECTIVE_COND)
@@ -99,15 +102,6 @@ class TransitionScan:
     entropy_momentum: np.ndarray
     crossing: float | None
 
-    def drop_ratio(self, pad: int = 1) -> float:
-        """S_real after the crossing over S_real before it (grid neighbors)."""
-        if self.crossing is None:
-            raise ValueError("no crossing located")
-        i = int(np.searchsorted(self.values, self.crossing))
-        lo = max(i - pad, 0)
-        hi = min(i + pad - 1, len(self.values) - 1)
-        return float(self.entropy_real[hi] / self.entropy_real[lo])
-
 
 def _interp_crossing(xs, f, g):
     d = np.asarray(f) - np.asarray(g)
@@ -181,13 +175,6 @@ def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
 
     Returns a list of per-case dicts with residuals and a 'passed' flag.
     """
-    import itertools
-
-    from .entanglement import modified_entropy
-    from .models import KernelMatrix, build_hatano_nelson, build_nh_ssh_real
-    from .oracle import (manybody_biortho_ground, oracle_report,
-                         reduced_density, sector_states)
-
     # Random kernels carry a Hermitian base plus a moderate non-Hermitian
     # part.  At arbitrary non-Hermiticity strength the factorized entropy
     # and the many-body entropy differ by 2*pi*i branch jumps of the

@@ -188,8 +188,7 @@ def bloch_system(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) -> Bio
     momenta = np.repeat(ks, ns)
     worst = 1.0
     cells = np.arange(nc)
-    for m, k in enumerate(ks):
-        h = bloch_reduce(K, k)
+    for m, (k, h) in enumerate(zip(ks, bloch_reduce(K, ks))):
         if ns == 1:
             wb = np.array([h[0, 0]])
             ub = np.array([[1.0 + 0j]])

@@ -23,6 +23,12 @@ BASE = {
 }
 
 
+DYNAMICS = {
+    "model": {"family": "measurement_chain",
+              "params": {"L": 8, "t": 1.0, "Gamma": 0.4}, "bc": "open"},
+}
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -209,7 +215,31 @@ class TestCommands:
          "config.fit.length"),
         ("oracle", {"oracle": {"n_modes": 6, "subsystem": 6}},
          "config.oracle.subsystem"),
-    ], ids=["oracle_n_modes", "fit_length", "oracle_subsystem_range"])
+        ("entanglement", {**BASE, "renyi": ["two"]}, "config.renyi"),
+        ("entanglement", {**BASE, "tolerances": {"clamp": "abc"}},
+         "tolerances.clamp"),
+        *[("entanglement", {**BASE, "partitions": [part]},
+           f"config.partitions[0].{key}") for key, part in [
+            ("start", {"type": "range", "start": "x", "stop": 4}),
+            ("stop", {"type": "range", "start": 0, "stop": 2.5}),
+            ("indices", {"type": "indices", "indices": [0, "a"]}),
+            ("p", {"type": "dual_half", "p": "x"}),
+            ("min", {"type": "size_scan", "min": "x"}),
+            ("max", {"type": "size_scan", "max": None}),
+            ("step", {"type": "size_scan", "step": True}),
+        ]],
+        *[("dynamics", {**DYNAMICS, "dynamics": {"t_grid": grid}},
+           f"config.dynamics.t_grid{key}") for key, grid in [
+            (".start", {"start": "x", "stop": 1.0, "num": 3}),
+            (".stop", {"start": 0.0, "stop": [1], "num": 3}),
+            (".num", {"start": 0.0, "stop": 1.0, "num": 2.5}),
+            ("[1]", [0.0, "one"]),
+        ]],
+    ], ids=["oracle_n_modes", "fit_length", "oracle_subsystem_range", "renyi",
+            "tolerance_json", "partition_start", "partition_stop",
+            "partition_indices", "partition_p", "partition_min",
+            "partition_max", "partition_step", "t_grid_start", "t_grid_stop",
+            "t_grid_num", "t_grid_list"])
     def test_malformed_config_values_exit_1(self, tmp_path, capsys, command,
                                             doc, path):
         cfg = write_config(tmp_path, doc)
@@ -218,6 +248,12 @@ class TestCommands:
                      *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {path}: ")
+
+    def test_malformed_tolerance_flag_exit_1(self, tmp_path, capsys):
+        assert main(["oracle", "--out", str(tmp_path),
+                     "--tolerance", "oracle=abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: tolerances.oracle: ")
 
     def test_dynamics_command(self, tmp_path):
         doc = {

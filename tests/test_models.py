@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from nhent import (KernelMatrix, ModelSpec, NormalizationError, SizeError,
+from nhent import (FAMILIES, KernelMatrix, ModelSpec, NormalizationError,
+                   SizeError,
                    SingularPotentialError, bloch_momenta, bloch_reduce,
                    build_chern_ribbon, build_eb_ssh, build_guo_2d,
                    build_guo_chain, build_hatano_nelson,
@@ -190,13 +191,14 @@ class TestChernRibbon:
     def test_bloch_blocks_reproduce_bulk_hamiltonian(self):
         # rebuild with periodic wrap along the open axis and check that its
         # Bloch reduction gives the quoted bulk H(k) at grid momenta
-        from nhent.models import _PAULI, _two_band_chain
+        from nhent.models import _PAULI, _cell_chain
         t, m, g = 1.0, -1.0, 0.5
         kx = 0.9
         onsite = (m + t * np.cos(kx)) * _PAULI["x"] + (1j * g + t * np.sin(kx)) * _PAULI["y"]
         hop_p = t * _PAULI["x"] / 2 + 0.5j * t * _PAULI["z"]
         hop_m = t * _PAULI["x"] / 2 - 0.5j * t * _PAULI["z"]
-        km = _two_band_chain(12, onsite, hop_p, hop_m, "periodic")
+        km = _cell_chain(np.broadcast_to(onsite, (12, 2, 2)), hop_p, hop_m,
+                         "periodic")
         for ky in bloch_momenta(12)[:4]:
             h = bloch_reduce(km, ky)
             expected = ((m + t * np.cos(kx) + t * np.cos(ky)) * PAULI["x"]
@@ -363,6 +365,78 @@ def test_bloch_real_space_spectral_consistency(name):
     assert cost[rows, cols].max() < tol
 
 
+# family -> (ModelSpec params, direct builder call for a boundary condition)
+SPEC_BUILDS = {
+    "hatano_nelson": ({"L": 6, "t": 1.0, "alpha": 0.3},
+                      lambda bc: build_hatano_nelson(6, 1.0, 0.3, bc)),
+    "uniform_chain": ({"L": 6, "t": 0.8},
+                      lambda bc: build_uniform_chain(6, 0.8, bc)),
+    "nh_ssh": ({"N_cells": 4, "omega": 1.0, "upsilon": 0.4, "u": 0.3},
+               lambda bc: build_nh_ssh_real(4, 1.0, 0.4, 0.3, bc)),
+    "quasicrystal_exp": (
+        {"L": 13, "J_L": 0.3, "J_R": 1.1, "V": 0.5, "alpha": "8/13"},
+        lambda bc: build_quasicrystal(13, 0.3, 1.1, 0.5, Fraction(8, 13),
+                                      "exp_phase", 0.0, bc)),
+    "quasicrystal_mobility": (
+        {"L": 13, "J_L": 1.0, "J_R": 0.6, "V": 0.5, "alpha": [8, 13], "a": 0.4},
+        lambda bc: build_quasicrystal(13, 1.0, 0.6, 0.5, Fraction(8, 13),
+                                      "mobility_edge", 0.4, bc)),
+    "guo_chain": ({"L": 12, "n": 3, "t": 1.0, "gamma": 0.4},
+                  lambda bc: build_guo_chain(12, 3, 1.0, 0.4, bc)),
+    "guo_2d": ({"Lx": 4, "Ly": 6, "gamma": 0.4},
+               lambda bc: build_guo_2d(4, 6, 0.4, bc)),
+    "chern_ribbon": (
+        {"L": 5, "k_perp": 0.7, "t": 1.0, "m": -1.0, "gamma": 0.5,
+         "cut_axis": "y"},
+        lambda bc: build_chern_ribbon(5, 0.7, 1.0, -1.0, 0.5, "y")),
+    "eb_ssh": ({"L": 6, "nu": 1.0, "w": 0.5, "gamma0": 0.7},
+               lambda bc: build_eb_ssh(6, 1.0, 0.5, 0.7, bc)),
+    "measurement_chain": ({"L": 6, "t": 1.0, "Gamma": 0.5},
+                          lambda bc: build_measurement_heff(6, 1.0, 0.5, bc)),
+}
+
+# two-cell chains of every family with a periodic form, by boundary condition
+TWO_CELLS = {
+    "hatano_nelson": lambda bc: build_hatano_nelson(2, 1.0, 0.7, bc),
+    "uniform_chain": lambda bc: build_uniform_chain(2, 0.9, bc),
+    "nh_ssh": lambda bc: build_nh_ssh_real(2, 1.0, 0.4, 0.3, bc),
+    "quasicrystal_exp": lambda bc: build_quasicrystal(
+        2, 0.3, 1.1, 0.5, Fraction(1, 2), "exp_phase", 0.0, bc),
+    "quasicrystal_mobility": lambda bc: build_quasicrystal(
+        2, 0.3, 1.1, 0.5, Fraction(1, 2), "mobility_edge", 0.4, bc),
+    "guo_chain": lambda bc: build_guo_chain(6, 3, 1.0, 0.4, bc),
+    "eb_ssh": lambda bc: build_eb_ssh(2, 1.0, 0.5, 0.7, bc),
+    "measurement_chain": lambda bc: build_measurement_heff(2, 1.0, 0.5, bc),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_CELLS))
+def test_two_cell_ring_adds_bulk_and_wrap_bonds(name):
+    # on two cells the wrap bond joins the same pair of cells as the bulk
+    # bond, in the opposite direction, so each inter-cell block of the ring
+    # is the sum of both inter-cell blocks of the open chain
+    ring, chain = TWO_CELLS[name]("periodic"), TWO_CELLS[name]("open")
+    ns = ring.n_sublattices
+    R = ring.entries.reshape(2, ns, 2, ns)
+    O = chain.entries.reshape(2, ns, 2, ns)
+    both = O[0, :, 1, :] + O[1, :, 0, :]
+    assert np.array_equal(R[0, :, 1, :], both)
+    assert np.array_equal(R[1, :, 0, :], both)
+    # the monitored chain's decay counts the bonds at each site: 1 -> 2
+    onsite = 2 if name == "measurement_chain" else 1
+    for x in range(2):
+        assert np.array_equal(R[x, :, x, :], onsite * O[x, :, x, :])
+
+
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+def test_guo_2d_is_kronecker_sum_of_chains(bc):
+    Lx, Ly, g = 4, 6, 3.0
+    chain_x = build_guo_chain(Lx, 2, 1.0, g, bc).entries
+    chain_y = build_guo_chain(Ly, 2, 1.0, g, bc).entries
+    expected = np.kron(np.eye(Ly), chain_x) + np.kron(chain_y, np.eye(Lx))
+    assert np.array_equal(build_guo_2d(Lx, Ly, g, bc).entries, expected)
+
+
 class TestModelSpec:
     def test_missing_parameter_rejected(self):
         with pytest.raises(ValueError, match="missing"):
@@ -378,6 +452,20 @@ class TestModelSpec:
                          bc="open")
         direct = build_hatano_nelson(6, 1.0, 0.3, "open")
         assert np.array_equal(spec.build().entries, direct.entries)
+
+    # the ribbon's open axis has no periodic form
+    @pytest.mark.parametrize("family, bc", [
+        (f, bc) for f in sorted(SPEC_BUILDS) for bc in ("open", "periodic")
+        if (f, bc) != ("chern_ribbon", "periodic")])
+    def test_build_matches_direct_builder(self, family, bc):
+        params, direct = SPEC_BUILDS[family]
+        built, expected = ModelSpec(family, params, bc).build(), direct(bc)
+        assert np.array_equal(built.entries, expected.entries)
+        assert built.site_labels == expected.site_labels
+        assert built.bc == expected.bc
+
+    def test_round_trip_covers_every_family(self):
+        assert set(SPEC_BUILDS) == set(FAMILIES)
 
     def test_kernel_rejects_nonfinite(self):
         bad = np.eye(3, dtype=complex)

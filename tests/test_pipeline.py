@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import nhent.entanglement
+import nhent.pipeline
 from nhent import (ConsistencyError, KernelMatrix, Partition, PartitionError,
                    bloch_system, build_eb_ssh, build_guo_chain,
                    build_hatano_nelson, build_uniform_chain,
@@ -112,7 +112,7 @@ class TestOracleSuite:
     def test_inconsistent_modified_entropy_gives_no_residual(self, monkeypatch):
         def not_conjugate_closed(eps):
             raise ConsistencyError("eigenvalues are not conjugate-closed")
-        monkeypatch.setattr(nhent.entanglement, "modified_entropy",
+        monkeypatch.setattr(nhent.pipeline, "modified_entropy",
                             not_conjugate_closed)
         results = oracle_equivalence_suite(n_cases=1, n_modes=4, subsystem=2)
         assert [r["modified_residual"] for r in results] == [None] * 3
@@ -121,6 +121,6 @@ class TestOracleSuite:
     def test_other_errors_propagate(self, monkeypatch):
         def broken(eps):
             raise RuntimeError("bug in modified_entropy")
-        monkeypatch.setattr(nhent.entanglement, "modified_entropy", broken)
+        monkeypatch.setattr(nhent.pipeline, "modified_entropy", broken)
         with pytest.raises(RuntimeError, match="bug in modified_entropy"):
             oracle_equivalence_suite(n_cases=1, n_modes=4, subsystem=2)
