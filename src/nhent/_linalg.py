@@ -1,14 +1,18 @@
-"""Shared dense linear-algebra helpers."""
+"""Shared dense linear-algebra helpers; the one home of the defectiveness rule."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-__all__ = ["HERMITIAN_TOL", "is_hermitian", "eigenvalues", "match_spectra",
-           "symmetrizing_diagonal", "balanced_eig", "eig_with_balanced_inverse"]
+from .errors import DefectiveError
+
+__all__ = ["HERMITIAN_TOL", "DEFECTIVE_COND", "is_hermitian", "eigenvalues",
+           "match_spectra", "symmetrizing_diagonal", "balanced_eig",
+           "eig_with_balanced_inverse"]
 
 HERMITIAN_TOL = 1e-14
+DEFECTIVE_COND = 1e12
 
 
 def is_hermitian(A: np.ndarray) -> bool:
@@ -77,8 +81,18 @@ def symmetrizing_diagonal(A: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(x, -lim, lim))
 
 
+def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
+    """Groups of eigenvalues chained by gaps below 1e-6 * scale, in index order."""
+    # imported on call, like match_spectra's solver: only raising paths use it
+    from scipy.sparse.csgraph import connected_components
+    gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
+    _, label = connected_components(gaps < 1e-6 * max(scale, 1e-300))
+    groups = [list(eigenvalues[label == c]) for c in range(label.max() + 1)]
+    return [g for g in groups if len(g) > 1]
+
+
 def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
-                 mirrors=()):
+                 mirrors=(), cond_threshold: float = DEFECTIVE_COND):
     """General eigendecomposition in a diagonally rebalanced frame.
 
     Skin-effect-style matrices are diagonal similarity transforms of
@@ -112,11 +126,16 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
         Right eigenvectors as columns, in the original frame (balanced-frame
         vectors scaled back exactly by the diagonal).
     Vinv : np.ndarray
-        Inverse of V, or None if the balanced factor is numerically
-        singular.
+        Inverse of V; never None.
     cond : float
         2-norm condition number of the balanced-frame eigenvector matrix;
         measures genuine (near-)defectiveness rather than grading.
+
+    Raises
+    ------
+    DefectiveError
+        If ``cond`` exceeds ``cond_threshold`` (or is NaN) or the balanced
+        factor is singular; carries ``cond`` and the eigenvalue clusters.
     """
     if not np.isrealobj(A) and not A.imag.any():
         A = A.real
@@ -125,12 +144,11 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
         p = next((m for m in mirrors
                   if np.array_equal(A.conj(), A[np.ix_(m, m)])), None)
     d = symmetrizing_diagonal(A)
-    if p is not None:
-        A = A.real - A.imag[:, p]
+    M = A if p is None else A.real - A.imag[:, p]
     for it in range(max_iter):
         if p is not None:
             d = np.sqrt(d * d[p])
-        B = (A / d[:, None]) * d[None, :]
+        B = (M / d[:, None]) * d[None, :]
         w, Vr = np.linalg.eig(B)
         Vb = Vr if p is None else (Vr + 1j * Vr[p]) / np.sqrt(2.0)
         r = np.linalg.norm(Vb, axis=1)
@@ -142,28 +160,36 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
         d = d / np.exp(np.mean(np.log(d)))
     cond = float(np.linalg.cond(Vr))
     w = w.astype(complex, copy=False)
+    over = not cond <= cond_threshold  # a NaN estimate is over too
+    try:  # an infinite estimate, like a pivot inv finds zero, is singular
+        Vb_inv = None if over or np.isinf(cond) else np.linalg.inv(Vr)
+    except np.linalg.LinAlgError:
+        Vb_inv = None
+    if Vb_inv is None:
+        reason = (f"exceeds {cond_threshold:.1e}" if over
+                  else "but the matrix is singular")
+        raise DefectiveError(
+            f"right-eigenvector matrix condition {cond:.3e} {reason}; "
+            "matrix is (near-)defective", condition_estimate=cond,
+            clusters=_eigenvalue_clusters(w, float(np.abs(A).max())))
     V = (Vb * d[:, None]).astype(complex, copy=False)
-    if not np.isfinite(cond):
-        return w, V, None, cond
-    try:
-        Vb_inv = np.linalg.inv(Vr)
-    except np.linalg.LinAlgError:  # an exactly singular pivot at finite cond
-        return w, V, None, cond
     if p is not None:
         Vb_inv = (Vb_inv - 1j * Vb_inv[:, p]) / np.sqrt(2.0)
     return w, V, (Vb_inv / d[None, :]).astype(complex, copy=False), cond
 
 
-def eig_with_balanced_inverse(A: np.ndarray, mirrors=()):
-    """(w, V, V^-1, cond): ``eigh`` if A is Hermitian, else ``balanced_eig``
-    with the candidate PT mirrors ``mirrors``.
+def eig_with_balanced_inverse(A: np.ndarray, mirrors=(),
+                              cond_threshold: float = DEFECTIVE_COND):
+    """(w, V, V^-1, cond, hermitian): ``eigh`` if A is Hermitian, else
+    ``balanced_eig`` with the candidate PT mirrors ``mirrors``.
 
     The Hermitian path returns the eigh eigenvalues as complex, V, V^dag and
-    a condition of 1.0.  Never raises on a singular eigenvector matrix:
-    V^-1 is None then, and the caller decides.
+    a condition of 1.0.  The general path raises ``DefectiveError`` above
+    ``cond_threshold`` or on a singular factor: V^-1 is never None.
     """
     if is_hermitian(A):
         w, V = np.linalg.eigh(A)
         V = V.astype(complex)
-        return w.astype(complex), V, V.conj().T, 1.0
-    return balanced_eig(A, mirrors=mirrors)
+        return w.astype(complex), V, V.conj().T, 1.0, True
+    return (*balanced_eig(A, mirrors=mirrors, cond_threshold=cond_threshold),
+            False)

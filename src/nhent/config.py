@@ -13,14 +13,15 @@ import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
+from ._linalg import DEFECTIVE_COND
 from .correlations import Partition
 from .entanglement import CLAMP_TOL, MIDGAP_TOL
-from .errors import ConfigError
+from .errors import ConfigError, UnsupportedError
 from .models import FAMILIES, ModelSpec
 from .pipeline import (ORACLE_ENTROPY_TOL, dual_momentum_partition,
                        oracle_equivalence_suite)
 from .scaling import FIT_IMAG_TOL
-from .spectra import DEFECTIVE_COND, OCCUPATION_POLICIES
+from .spectra import OCCUPATION_POLICIES
 
 __all__ = ["RunConfig", "Tolerances", "load_config", "parse_config"]
 
@@ -41,9 +42,16 @@ class Tolerances:
         setattr(self, name, _parse_float(value, f"tolerances.{name}"))
 
 
+def _expect(value, kind: type, path: str):
+    """``value`` if it is a ``kind`` (dict or list), else a ConfigError."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ConfigError(f"expected {name}, got {type(value).__name__}", path)
+    return value
+
+
 def _require_keys(d: dict, required, optional, path: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"expected an object, got {type(d).__name__}", path)
+    _expect(d, dict, path)
     for k in required:
         if k not in d:
             raise ConfigError(f"missing required key {k!r}", path)
@@ -85,11 +93,14 @@ def _parse_float(value, path: str) -> float:
 def _parse_model(d: dict, path: str) -> ModelSpec:
     _require_keys(d, ("family", "params"), ("bc",), path)
     family = d["family"]
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}",
                           f"{path}.family")
+    params = dict(_expect(d["params"], dict, f"{path}.params"))
     try:
-        return ModelSpec(family, dict(d["params"]), d.get("bc", "periodic"))
+        return ModelSpec(family, params, d.get("bc", "periodic"))
+    except UnsupportedError as exc:
+        raise ConfigError(str(exc), f"{path}.bc")
     except ValueError as exc:
         raise ConfigError(str(exc), f"{path}.params")
 
@@ -120,8 +131,9 @@ def parse_partition(d: dict, n_total: int, path: str):
         if kind == "range":
             return Partition.contiguous(num("start"), num("stop"), n_total, space)
         if kind == "indices":
+            indices = _expect(d["indices"], list, f"{path}.indices")
             return Partition(space, tuple(_parse_int(i, f"{path}.indices")
-                                          for i in d["indices"]), n_total)
+                                          for i in indices), n_total)
         if kind == "dual_half":
             return dual_momentum_partition(n_total, num("p"))
         return [Partition.contiguous(0, la, n_total, space)
@@ -169,7 +181,8 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"unknown policy {policy!r}; "
                           f"known: {OCCUPATION_POLICIES}", "config.policy")
 
-    renyi = tuple(_parse_int(n, "config.renyi") for n in doc.get("renyi", [2]))
+    renyi = tuple(_parse_int(n, "config.renyi")
+                  for n in _expect(doc.get("renyi", [2]), list, "config.renyi"))
     for n in renyi:
         if n < 2:
             raise ConfigError(f"Renyi orders must be >= 2, got {n}",
@@ -198,7 +211,8 @@ def parse_config(doc: dict) -> RunConfig:
         sweep = {"parameter": param, "values": dedup}
 
     tolerances = Tolerances()
-    for name, value in doc.get("tolerances", {}).items():
+    for name, value in _expect(doc.get("tolerances", {}), dict,
+                               "config.tolerances").items():
         tolerances.override(name, value)
 
     fit = None
@@ -250,7 +264,8 @@ def parse_config(doc: dict) -> RunConfig:
         if model is None:
             raise ConfigError("partitions require a model", "config.partitions")
         dim = model.build().dim
-        for i, p in enumerate(doc["partitions"]):
+        for i, p in enumerate(_expect(doc["partitions"], list,
+                                      "config.partitions")):
             got = parse_partition(p, dim, f"config.partitions[{i}]")
             partitions.extend(got if isinstance(got, list) else [got])
 

@@ -130,11 +130,10 @@ def entanglement_hamiltonian(C: CorrelationMatrix,
     Computed through the eigendecomposition of C (never by matrix
     inversion): each eigenvalue maps through xi = ln(1/eps - 1) in the
     eigenbasis of C.  Raises PartialSpectrumError when clamped eigenvalues
-    make part of the spectrum infinite.
+    make part of the spectrum infinite, and DefectiveError (from the
+    eigen-solve) when C is (near-)defective.
     """
-    eps, V, Vinv, _ = eig_with_balanced_inverse(np.asarray(C.entries, dtype=complex))
-    if Vinv is None:
-        raise np.linalg.LinAlgError("eigenvector matrix numerically singular")
+    eps, V, Vinv, _, _ = eig_with_balanced_inverse(np.asarray(C.entries, dtype=complex))
     mask = _clamped(eps, clamp_tol)
     if np.any(mask):
         raise PartialSpectrumError(

@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._linalg import is_hermitian
-from .errors import NormalizationError, SingularPotentialError, SizeError
+from .errors import (NormalizationError, SingularPotentialError, SizeError,
+                     UnsupportedError)
 
 __all__ = [
     "KernelMatrix",
@@ -430,6 +431,10 @@ class ModelSpec:
         if extra:
             raise ValueError(
                 f"family {self.family!r} got unknown parameters {extra}")
+        # the ribbon's open axis has no periodic form
+        if self.family == "chern_ribbon" and self.bc != "open":
+            raise UnsupportedError(
+                f"family 'chern_ribbon' takes only bc 'open', got {self.bc!r}")
 
     def build(self) -> KernelMatrix:
         return FAMILIES[self.family][1](self)

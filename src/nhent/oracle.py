@@ -14,6 +14,10 @@ without forming rho.  Built in full, 2^N x 2^N: ``fock_hamiltonian`` (the
 direct sum of all sector blocks) and any rho handed to ``partial_trace``
 as a ``FockOperator``.
 
+Sector blocks and rho_A go through the fast path's eigen-solve
+(``_linalg.eig_with_balanced_inverse``), so both refuse a (near-)defective
+matrix by one rule, raising ``DefectiveError``.
+
 Mode ordering is fixed with the kept (A) modes first, occupying the low
 bits of the basis-state integer.  Jordan-Wigner strings then act entirely
 inside A for A-mode operators, so tracing out B is a plain block trace with
@@ -27,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import balanced_eig
-from .errors import DefectiveError, DegeneracyError, OrderingError, SizeError
+from ._linalg import eig_with_balanced_inverse
+from .errors import DegeneracyError, OrderingError, SizeError
 from .models import KernelMatrix
 from .spectra import policy_order
 
@@ -148,13 +152,11 @@ def manybody_biortho_ground(K: KernelMatrix, n_particles: int,
     selection); vectors are normalized so <G_L|G_R> = 1 and returned in
     the full 2^N occupation basis.  If the ground eigenvalue itself is
     degenerate within ``degeneracy_tol`` the oracle declines
-    (DegeneracyError) rather than guessing a state.
+    (DegeneracyError) rather than guessing a state; a (near-)defective
+    block raises DefectiveError from the eigen-solve.
     """
     Hb, block_states = fock_block(K, n_particles)
-    w, V, Vinv, cond = balanced_eig(Hb)
-    if Vinv is None:
-        raise DefectiveError("many-body block numerically defective",
-                             condition_estimate=cond)
+    w, V, Vinv, _, _ = eig_with_balanced_inverse(Hb)
     order = policy_order(w, policy)
     idx = order[0]
     if len(order) > 1 and abs(w[order[0]] - w[order[1]]) < degeneracy_tol:
@@ -210,18 +212,15 @@ class OracleReport:
     entropy_modified: float
 
 
-def oracle_report(rho_A: np.ndarray, cond_threshold: float = 1e12,
-                  clamp_tol: float = 1e-12) -> OracleReport:
+def oracle_report(rho_A: np.ndarray, clamp_tol: float = 1e-12) -> OracleReport:
     """Spectrum of rho_A, S_vn = -Tr rho ln rho, S_mod = -Tr rho ln|rho|.
 
     ln|rho_A| replaces each eigenvalue logarithm by ln|lambda| in the same
     eigenbasis, so both entropies reduce to eigenvalue sums.  Eigenvalues
-    within ``clamp_tol`` of zero contribute nothing.
+    within ``clamp_tol`` of zero contribute nothing.  Raises DefectiveError
+    (from the eigen-solve) when rho_A is (near-)defective.
     """
-    lam, _, Vinv, cond = balanced_eig(np.asarray(rho_A, dtype=complex))
-    if Vinv is None or cond > cond_threshold:
-        raise DefectiveError("rho_A numerically defective",
-                             condition_estimate=cond)
+    lam = eig_with_balanced_inverse(np.asarray(rho_A, dtype=complex))[0]
     keep = np.abs(lam) > clamp_tol
     lk = lam[keep]
     s_vn = complex(-np.sum(lk * np.log(lk)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eigenvalues, match_spectra
+from ._linalg import DEFECTIVE_COND, eigenvalues, match_spectra
 from .correlations import Partition, correlation_matrix, momentum_transform
 from .entanglement import (CLAMP_TOL, MIDGAP_TOL, EntanglementReport,
                            build_report, modified_entropy, vn_entropy)
@@ -22,8 +22,8 @@ from .models import KernelMatrix, build_hatano_nelson, build_nh_ssh_real
 from .oracle import (manybody_biortho_ground, oracle_report, reduced_density,
                      sector_states)
 from .scaling import ScalingSeries
-from .spectra import (BiorthogonalSystem, GroundStateSelection, bloch_system,
-                      biorthogonal_eig, select_occupied, DEFECTIVE_COND)
+from .spectra import (BiorthogonalSystem, GroundStateSelection,
+                      biorthogonal_eig, select_occupied)
 
 __all__ = [
     "ground_state_system",
@@ -40,11 +40,9 @@ ORACLE_ENTROPY_TOL = 1e-8
 
 
 def ground_state_system(K: KernelMatrix, filling, policy: str = "real_part",
-                        momentum_resolved: bool = False,
                         cond_threshold: float = DEFECTIVE_COND):
     """Diagonalize a kernel and select the occupied set."""
-    sys = bloch_system(K, cond_threshold) if momentum_resolved \
-        else biorthogonal_eig(K, cond_threshold)
+    sys = biorthogonal_eig(K, cond_threshold)
     sel = select_occupied(sys, filling, policy)
     return sys, sel
 

@@ -18,8 +18,9 @@ are mapped back by T, which leaves the condition estimate unchanged.
 Kernels that are PT-symmetric only to rounding, or whose labels do not
 tile a lattice, take the complex solver.  The reported condition
 estimate refers to the rebalanced eigenvector matrix, which measures genuine
-(near-)defectiveness rather than grading; a grading too steep for float64
-raises like a defective kernel.
+(near-)defectiveness rather than grading; the solver in ``_linalg`` alone
+decides defectiveness and raises ``DefectiveError`` above ``cond_threshold``.
+A grading too steep for float64 raises like a defective kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import eig_with_balanced_inverse
+from ._linalg import DEFECTIVE_COND, eig_with_balanced_inverse
 from .errors import DefectiveError, DegeneracyWarning, SizeError
 from .models import KernelMatrix, bloch_momenta, bloch_reduce
 
@@ -43,9 +44,6 @@ __all__ = [
     "petermann_factor",
     "OCCUPATION_POLICIES",
 ]
-
-DEFECTIVE_COND = 1e12
-
 
 @dataclass
 class BiorthogonalSystem:
@@ -90,28 +88,6 @@ class GroundStateSelection:
         return len(self.occupied)
 
 
-def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
-    """Groups of eigenvalues closer than 1e-6 * scale (union-find)."""
-    n = len(eigenvalues)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    tol = 1e-6 * max(scale, 1e-300)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigenvalues[i] - eigenvalues[j]) < tol:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(eigenvalues[i])
-    return [g for g in groups.values() if len(g) > 1]
-
-
 def _mirrors(K: KernelMatrix) -> tuple:
     """Candidate PT mirrors of a kernel's lattice, as index permutations.
 
@@ -141,21 +117,16 @@ def biorthogonal_eig(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) ->
     Raises
     ------
     DefectiveError
-        If the rebalanced right-eigenvector matrix condition exceeds
-        ``cond_threshold``; the error carries the clustered eigenvalues so
-        the caller can retry with a parameter nudge.  Also raised when the
-        unit-normalized right or left vectors are not finite in float64.
+        From the solver (``_linalg.balanced_eig``) if the rebalanced
+        right-eigenvector matrix condition exceeds ``cond_threshold``; the
+        error carries the clustered eigenvalues so the caller can retry
+        with a parameter nudge.  Also raised when the unit-normalized right
+        or left vectors are not finite in float64.
     """
-    A = K.entries
-    w, V, Vinv, cond = eig_with_balanced_inverse(A, _mirrors(K))
-    if K.is_hermitian():
+    w, V, Vinv, cond, hermitian = eig_with_balanced_inverse(
+        K.entries, _mirrors(K), cond_threshold)
+    if hermitian:
         return BiorthogonalSystem(w, V, V, cond, hermitian=True)
-    if Vinv is None or cond > cond_threshold:
-        raise DefectiveError(
-            f"right-eigenvector matrix condition {cond:.3e} exceeds "
-            f"{cond_threshold:.1e}; kernel is (near-)defective",
-            condition_estimate=cond,
-            clusters=_eigenvalue_clusters(w, float(np.abs(A).max())))
     # right columns to unit norm; left rows absorb the rescaling so that
     # <L_a|R_b> = delta_ab stays exact up to inversion error
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

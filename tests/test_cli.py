@@ -216,6 +216,19 @@ class TestCommands:
         ("oracle", {"oracle": {"n_modes": 6, "subsystem": 6}},
          "config.oracle.subsystem"),
         ("entanglement", {**BASE, "renyi": ["two"]}, "config.renyi"),
+        ("entanglement", {**BASE, "renyi": 2}, "config.renyi"),
+        ("entanglement", {**BASE, "tolerances": [1]}, "config.tolerances"),
+        ("entanglement", {**BASE, "model": {"family": "hatano_nelson",
+                                            "params": [1]}},
+         "config.model.params"),
+        ("entanglement", {**BASE, "model": {"family": ["nh_ssh"],
+                                            "params": {}}},
+         "config.model.family"),
+        ("entanglement", {**BASE, "partitions": 3}, "config.partitions"),
+        ("entanglement", {**BASE, "model": {
+            "family": "chern_ribbon", "params": {
+                "L": 8, "k_perp": 0.7, "t": 1.0, "m": -1.0, "gamma": 0.5,
+                "cut_axis": "y"}, "bc": "periodic"}}, "config.model.bc"),
         ("entanglement", {**BASE, "tolerances": {"clamp": "abc"}},
          "tolerances.clamp"),
         *[("entanglement", {**BASE, "partitions": [part]},
@@ -223,6 +236,7 @@ class TestCommands:
             ("start", {"type": "range", "start": "x", "stop": 4}),
             ("stop", {"type": "range", "start": 0, "stop": 2.5}),
             ("indices", {"type": "indices", "indices": [0, "a"]}),
+            ("indices", {"type": "indices", "indices": 3}),
             ("p", {"type": "dual_half", "p": "x"}),
             ("min", {"type": "size_scan", "min": "x"}),
             ("max", {"type": "size_scan", "max": None}),
@@ -236,8 +250,11 @@ class TestCommands:
             ("[1]", [0.0, "one"]),
         ]],
     ], ids=["oracle_n_modes", "fit_length", "oracle_subsystem_range", "renyi",
+            "renyi_not_list", "tolerances_not_object", "params_not_object",
+            "family_not_string", "partitions_not_list", "chern_ribbon_periodic",
             "tolerance_json", "partition_start", "partition_stop",
-            "partition_indices", "partition_p", "partition_min",
+            "partition_indices", "partition_indices_not_list", "partition_p",
+            "partition_min",
             "partition_max", "partition_step", "t_grid_start", "t_grid_stop",
             "t_grid_num", "t_grid_list"])
     def test_malformed_config_values_exit_1(self, tmp_path, capsys, command,

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from nhent import (FAMILIES, KernelMatrix, ModelSpec, NormalizationError,
-                   SizeError,
+                   SizeError, UnsupportedError,
                    SingularPotentialError, bloch_momenta, bloch_reduce,
                    build_chern_ribbon, build_eb_ssh, build_guo_2d,
                    build_guo_chain, build_hatano_nelson,
@@ -463,6 +463,11 @@ class TestModelSpec:
         assert np.array_equal(built.entries, expected.entries)
         assert built.site_labels == expected.site_labels
         assert built.bc == expected.bc
+
+    def test_chern_ribbon_rejects_periodic_bc(self):
+        params, _ = SPEC_BUILDS["chern_ribbon"]
+        with pytest.raises(UnsupportedError, match="bc 'open'"):
+            ModelSpec("chern_ribbon", params, "periodic")
 
     def test_round_trip_covers_every_family(self):
         assert set(SPEC_BUILDS) == set(FAMILIES)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from nhent import (FockOperator, KernelMatrix, OrderingError, Partition,
-                   SizeError, biorthogonal_eig, build_hatano_nelson,
-                   build_nh_ssh_real, build_uniform_chain, correlation_matrix,
-                   fock_block, fock_correlation, fock_hamiltonian,
+from nhent import (DefectiveError, FockOperator, KernelMatrix,
+                   OrderingError, Partition, SizeError, biorthogonal_eig,
+                   build_hatano_nelson, build_nh_ssh_real,
+                   build_uniform_chain, correlation_matrix, fock_block,
+                   fock_correlation, fock_hamiltonian,
                    manybody_biortho_ground, modified_entropy, oracle_report,
                    partial_trace, projector, reduced_density, reorder_modes,
                    sector_states, select_occupied, vn_entropy)
@@ -134,6 +135,18 @@ class TestManybodyGround:
         block = np.abs(rho_s @ rho_s - rho_s).max()
         assert np.count_nonzero(rho) == np.count_nonzero(rho_s)
         assert block == pytest.approx(full, rel=1e-12, abs=1e-15)
+
+
+def test_fast_path_and_oracle_apply_one_defectiveness_rule():
+    # diag(-1) + the 2 x 2 Jordan block: its one-particle Fock block is K
+    # itself, so the referee must refuse it exactly as the fast path does
+    K = KernelMatrix(3, np.array([[-1.0, 0, 0], [0, 0, 1], [0, 0, 0]]), "open")
+    assert np.array_equal(fock_block(K, 1)[0], K.entries)
+    for solve in (lambda: biorthogonal_eig(K),
+                  lambda: manybody_biortho_ground(K, 1)):
+        with pytest.raises(DefectiveError) as err:
+            solve()
+        assert len(err.value.clusters) == 1
 
 
 class TestPartialTrace:
