@@ -35,10 +35,9 @@ from .scaling import (FitResult, ScalingSeries, count_fermi_points,
 from .dynamics import (GaussianState, domain_wall_state, evolve_no_jump,
                        hermitian_ground_state, kernel_exponential,
                        staggered_state)
-from .oracle import (FockOperator, OracleReport, fock_block,
-                     fock_correlation, fock_hamiltonian,
-                     manybody_biortho_ground, oracle_report, partial_trace,
-                     reduced_density, reorder_modes, sector_states)
+from .oracle import (OracleReport, fock_block, fock_correlation,
+                     manybody_biortho_ground, oracle_report, reduced_density,
+                     sector_states)
 from .pipeline import (TransitionScan, dual_momentum_partition,
                        entropy_series, ground_state_system,
                        momentum_space_view, report_for_partition,

@@ -39,8 +39,9 @@ from .dynamics import (domain_wall_state, evolve_no_jump,
                        hermitian_ground_state, staggered_state)
 from .errors import ConfigError, ToolkitError
 from .models import FAMILIES
+from .oracle import oracle_equivalence_suite
 from .pipeline import (ground_state_system, momentum_space_view,
-                       oracle_equivalence_suite, report_for_partition)
+                       report_for_partition)
 from .scaling import FitResult, ScalingSeries, fit_central_charge
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2

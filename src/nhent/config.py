@@ -16,10 +16,10 @@ from fractions import Fraction
 from ._linalg import DEFECTIVE_COND
 from .correlations import Partition
 from .entanglement import CLAMP_TOL, MIDGAP_TOL
-from .errors import ConfigError, UnsupportedError
+from .errors import ConfigError, ToolkitError, UnsupportedError
 from .models import FAMILIES, ModelSpec
-from .pipeline import (ORACLE_ENTROPY_TOL, dual_momentum_partition,
-                       oracle_equivalence_suite)
+from .oracle import ORACLE_ENTROPY_TOL, oracle_equivalence_suite
+from .pipeline import dual_momentum_partition
 from .scaling import FIT_IMAG_TOL
 from .spectra import OCCUPATION_POLICIES
 
@@ -90,18 +90,25 @@ def _parse_float(value, path: str) -> float:
         raise ConfigError(f"not a number: {value!r} ({exc})", path)
 
 
-def _parse_model(d: dict, path: str) -> ModelSpec:
+def _parse_model(d: dict, path: str) -> tuple[ModelSpec, int]:
+    """The model spec and the mode count of its kernel."""
     _require_keys(d, ("family", "params"), ("bc",), path)
     family = d["family"]
     if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}",
                           f"{path}.family")
     params = dict(_expect(d["params"], dict, f"{path}.params"))
+    # the kernel is built here, so that a parameter it cannot be built from
+    # (a plain ValueError or TypeError) is a configuration error; a
+    # numerical ToolkitError of the build passes through
     try:
-        return ModelSpec(family, params, d.get("bc", "periodic"))
+        spec = ModelSpec(family, params, d.get("bc", "periodic"))
+        return spec, spec.build().dim
     except UnsupportedError as exc:
         raise ConfigError(str(exc), f"{path}.bc")
-    except ValueError as exc:
+    except ToolkitError:
+        raise
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc), f"{path}.params")
 
 
@@ -169,7 +176,8 @@ _TOP_KEYS = ("model", "filling", "policy", "partitions", "renyi", "sweep",
 
 def parse_config(doc: dict) -> RunConfig:
     _require_keys(doc, (), _TOP_KEYS, "config")
-    model = _parse_model(doc["model"], "config.model") if "model" in doc else None
+    model, dim = (_parse_model(doc["model"], "config.model") if "model" in doc
+                  else (None, None))
 
     filling = _parse_fraction(doc.get("filling", "1/2"), "config.filling")
     if not 0 < filling <= 1:
@@ -263,7 +271,6 @@ def parse_config(doc: dict) -> RunConfig:
     if "partitions" in doc:
         if model is None:
             raise ConfigError("partitions require a model", "config.partitions")
-        dim = model.build().dim
         for i, p in enumerate(_expect(doc["partitions"], list,
                                       "config.partitions")):
             got = parse_partition(p, dim, f"config.partitions[{i}]")

@@ -48,6 +48,17 @@ def _clamped(eps: np.ndarray, tol: float) -> np.ndarray:
     return (np.abs(eps) <= tol) | (np.abs(eps - 1.0) <= tol)
 
 
+def _over_unclamped(eps, clamp_tol: float, entropy, empty=0.0 + 0.0j):
+    """``entropy(e)`` of the eigenvalues e not clamped at 0 or 1.
+
+    Clamped eigenvalues contribute exactly zero (the x ln x limit), so the
+    result is ``empty`` when none is left.
+    """
+    eps = np.asarray(eps, dtype=complex)
+    e = eps[~_clamped(eps, clamp_tol)]
+    return entropy(e) if len(e) else empty
+
+
 def entanglement_spectrum(C: CorrelationMatrix, clamp_tol: float = CLAMP_TOL):
     """Correlation eigenvalues {eps_n} and entanglement energies {xi_n}.
 
@@ -74,12 +85,8 @@ def vn_entropy(eps, clamp_tol: float = CLAMP_TOL) -> complex:
 
     Terms with eps within clamp tolerance of 0 or 1 contribute 0.
     """
-    eps = np.asarray(eps, dtype=complex)
-    keep = ~_clamped(eps, clamp_tol)
-    e = eps[keep]
-    if len(e) == 0:
-        return 0.0 + 0.0j
-    return complex(-np.sum(e * np.log(e) + (1.0 - e) * np.log(1.0 - e)))
+    return _over_unclamped(eps, clamp_tol, lambda e: complex(
+        -np.sum(e * np.log(e) + (1.0 - e) * np.log(1.0 - e))))
 
 
 def renyi_entropy(eps, n: int, clamp_tol: float = CLAMP_TOL) -> complex:
@@ -89,16 +96,15 @@ def renyi_entropy(eps, n: int, clamp_tol: float = CLAMP_TOL) -> complex:
     """
     if int(n) != n or n < 2:
         raise ValueError(f"Renyi order must be an integer >= 2, got {n}")
-    eps = np.asarray(eps, dtype=complex)
-    keep = ~_clamped(eps, clamp_tol)
-    e = eps[keep]
-    if len(e) == 0:
-        return 0.0 + 0.0j
-    factors = e ** n + (1.0 - e) ** n
-    if np.any(np.abs(factors) < 1e-14):
-        raise BranchError(
-            f"Tr rho_A^{n} factor vanished; logarithm singular")
-    return complex(np.sum(np.log(factors)) / (1.0 - n))
+
+    def renyi(e):
+        factors = e ** n + (1.0 - e) ** n
+        if np.any(np.abs(factors) < 1e-14):
+            raise BranchError(
+                f"Tr rho_A^{n} factor vanished; logarithm singular")
+        return complex(np.sum(np.log(factors)) / (1.0 - n))
+
+    return _over_unclamped(eps, clamp_tol, renyi)
 
 
 def modified_entropy(eps, clamp_tol: float = CLAMP_TOL,
@@ -110,17 +116,16 @@ def modified_entropy(eps, clamp_tol: float = CLAMP_TOL,
     above ``imag_tol`` means the input was not conjugate-closed and raises
     ConsistencyError; otherwise the real part is returned.
     """
-    eps = np.asarray(eps, dtype=complex)
-    keep = ~_clamped(eps, clamp_tol)
-    e = eps[keep]
-    if len(e) == 0:
-        return 0.0
-    s = -np.sum(e * np.log(np.abs(e)) + (1.0 - e) * np.log(np.abs(1.0 - e)))
-    if abs(s.imag) > imag_tol:
-        raise ConsistencyError(
-            f"modified entropy imaginary residual {s.imag:.3e}; "
-            "eigenvalues are not conjugate-closed")
-    return float(s.real)
+
+    def modified(e):
+        s = -np.sum(e * np.log(np.abs(e)) + (1.0 - e) * np.log(np.abs(1.0 - e)))
+        if abs(s.imag) > imag_tol:
+            raise ConsistencyError(
+                f"modified entropy imaginary residual {s.imag:.3e}; "
+                "eigenvalues are not conjugate-closed")
+        return float(s.real)
+
+    return _over_unclamped(eps, clamp_tol, modified, empty=0.0)
 
 
 def entanglement_hamiltonian(C: CorrelationMatrix,

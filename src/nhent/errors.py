@@ -81,7 +81,7 @@ class CollapseError(ToolkitError):
 
 
 class OrderingError(ToolkitError, ValueError):
-    """Mode ordering requirement violated (kept modes must lead)."""
+    """``oracle.reduced_density`` got a count of kept leading modes outside 1..N."""
 
 
 class ConfigError(ToolkitError, ValueError):

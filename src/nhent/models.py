@@ -85,14 +85,6 @@ class KernelMatrix:
             self.site_labels = [(i, 0) for i in range(self.dim)]
 
     @property
-    def n_sublattices(self) -> int:
-        return max(s for _, s in self.site_labels) + 1
-
-    @property
-    def n_cells(self) -> int:
-        return max(c for c, _ in self.site_labels) + 1
-
-    @property
     def cell_sites(self) -> np.ndarray:
         """(n_cells, n_sublattices) int array: the mode at each (cell, sublattice).
 
@@ -432,9 +424,10 @@ class ModelSpec:
             raise ValueError(
                 f"family {self.family!r} got unknown parameters {extra}")
         # the ribbon's open axis has no periodic form
-        if self.family == "chern_ribbon" and self.bc != "open":
-            raise UnsupportedError(
-                f"family 'chern_ribbon' takes only bc 'open', got {self.bc!r}")
+        bcs = ("open",) if self.family == "chern_ribbon" else ("open", "periodic")
+        if self.bc not in bcs:
+            raise UnsupportedError(f"family {self.family!r} takes only bc "
+                                   f"{' or '.join(map(repr, bcs))}, got {self.bc!r}")
 
     def build(self) -> KernelMatrix:
         return FAMILIES[self.family][1](self)

@@ -8,19 +8,15 @@ transition scan used for self-dual models.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFECTIVE_COND, eigenvalues, match_spectra
+from ._linalg import DEFECTIVE_COND, eigenvalues
 from .correlations import Partition, correlation_matrix, momentum_transform
 from .entanglement import (CLAMP_TOL, MIDGAP_TOL, EntanglementReport,
-                           build_report, modified_entropy, vn_entropy)
-from .errors import ConsistencyError
-from .models import KernelMatrix, build_hatano_nelson, build_nh_ssh_real
-from .oracle import (manybody_biortho_ground, oracle_report, reduced_density,
-                     sector_states)
+                           build_report, vn_entropy)
+from .models import KernelMatrix
 from .scaling import ScalingSeries
 from .spectra import (BiorthogonalSystem, GroundStateSelection,
                       biorthogonal_eig, select_occupied)
@@ -33,10 +29,7 @@ __all__ = [
     "TransitionScan",
     "self_dual_scan",
     "dual_momentum_partition",
-    "oracle_equivalence_suite",
 ]
-
-ORACLE_ENTROPY_TOL = 1e-8
 
 
 def ground_state_system(K: KernelMatrix, filling, policy: str = "real_part",
@@ -157,85 +150,3 @@ def self_dual_scan(values, kernel_factory, filling, policy: str = "real_part",
     crossing = _interp_crossing(vs, s_real, s_mom)
     return TransitionScan(np.asarray(vs), np.asarray(s_real),
                           np.asarray(s_mom), crossing)
-
-
-def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
-                             subsystem: int = 4, seed: int = 20210715,
-                             entropy_tol: float = ORACLE_ENTROPY_TOL,
-                             spectrum_tol: float = 1e-9,
-                             purity_tol: float = 1e-10):
-    """Cross-check the correlation pathway against the Fock-space oracle.
-
-    Runs randomized number-conserving non-Hermitian kernels plus fixed
-    lattice instances, comparing the correlation-matrix entropy with the
-    exact many-body entropy, the rho_A spectrum with the product multiset
-    of correlation eigenvalues, and checking rho^2 = rho.
-
-    Returns a list of per-case dicts with residuals and a 'passed' flag.
-    """
-    # Random kernels carry a Hermitian base plus a moderate non-Hermitian
-    # part.  At arbitrary non-Hermiticity strength the factorized entropy
-    # and the many-body entropy differ by 2*pi*i branch jumps of the
-    # complex logarithm (the rho_A spectra still agree); physical lattice
-    # models live in the moderate regime where the identity is exact.
-    rng = np.random.default_rng(seed)
-    cases = []
-    for i in range(n_cases):
-        H0 = rng.normal(size=(n_modes, n_modes)) \
-            + 1j * rng.normal(size=(n_modes, n_modes))
-        H0 = 0.5 * (H0 + H0.conj().T)
-        G = rng.normal(size=(n_modes, n_modes)) \
-            + 1j * rng.normal(size=(n_modes, n_modes))
-        A = H0 + 0.35 * G
-        cases.append((f"random-{i}", KernelMatrix(n_modes, A, "open")))
-    cases.append(("nh-ssh", build_nh_ssh_real(n_modes // 2, 1.0, 0.4, 0.3, "open")))
-    cases.append(("hatano-nelson", build_hatano_nelson(n_modes, 1.0, 0.5, "open")))
-
-    results = []
-    for name, K in cases:
-        n = K.dim
-        n_part = n // 2
-        sys, sel = ground_state_system(K, 0.5)
-        part = Partition.contiguous(0, subsystem, n)
-        C = correlation_matrix(sys, sel, part)
-        eps = np.linalg.eigvals(C.entries)
-        S_corr = vn_entropy(eps)
-
-        G_R, G_L, _ = manybody_biortho_ground(K, n_part)
-        # rho vanishes outside the n_part sector, so the sector block
-        # carries the whole of max|rho^2 - rho|
-        sector = sector_states(n, n_part)
-        rho = np.outer(G_R[sector], G_L[sector].conj())
-        purity = float(np.abs(rho @ rho - rho).max())
-        rho_A = reduced_density(G_R, G_L, n, subsystem)
-        orep = oracle_report(rho_A)
-
-        entropy_residual = abs(S_corr - orep.entropy_vn)
-        # modified entropy along the same two routes; None when the
-        # correlation spectrum is not conjugate-closed
-        try:
-            mod_residual = float(abs(modified_entropy(eps)
-                                     - orep.entropy_modified))
-        except ConsistencyError:
-            mod_residual = None
-
-        products = []
-        for bits in itertools.product((0, 1), repeat=subsystem):
-            val = 1.0 + 0.0j
-            for b, e in zip(bits, eps):
-                val *= e if b else (1.0 - e)
-            products.append(val)
-        products = np.asarray(products)
-        _, spectrum_residual = match_spectra(orep.spectrum, products)
-
-        results.append({
-            "case": name,
-            "entropy_residual": float(entropy_residual),
-            "modified_residual": mod_residual,
-            "spectrum_residual": spectrum_residual,
-            "purity_residual": purity,
-            "passed": bool(entropy_residual < entropy_tol
-                           and spectrum_residual < spectrum_tol
-                           and purity < purity_tol),
-        })
-    return results

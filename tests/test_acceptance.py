@@ -33,7 +33,7 @@ from nhent import (Partition, ScalingSeries, biorthogonal_eig, bloch_system,
                    manybody_biortho_ground, modified_entropy, oracle_report,
                    reduced_density, report_for_partition, select_occupied,
                    self_dual_scan, staggered_state, vn_entropy)
-from nhent.pipeline import oracle_equivalence_suite
+from nhent.oracle import oracle_equivalence_suite
 
 HALF = Fraction(1, 2)
 

@@ -231,6 +231,12 @@ class TestCommands:
                 "cut_axis": "y"}, "bc": "periodic"}}, "config.model.bc"),
         ("entanglement", {**BASE, "tolerances": {"clamp": "abc"}},
          "tolerances.clamp"),
+        ("entanglement", {**BASE, "model": {
+            "family": "hatano_nelson", "params": {"L": "x", "t": 1.0,
+                                                  "alpha": 0.3}}},
+         "config.model.params"),
+        ("dynamics", {"model": {**DYNAMICS["model"], "bc": "foo"},
+                      "dynamics": {"t_grid": [0.0, 1.0]}}, "config.model.bc"),
         *[("entanglement", {**BASE, "partitions": [part]},
            f"config.partitions[0].{key}") for key, part in [
             ("start", {"type": "range", "start": "x", "stop": 4}),
@@ -252,7 +258,8 @@ class TestCommands:
     ], ids=["oracle_n_modes", "fit_length", "oracle_subsystem_range", "renyi",
             "renyi_not_list", "tolerances_not_object", "params_not_object",
             "family_not_string", "partitions_not_list", "chern_ribbon_periodic",
-            "tolerance_json", "partition_start", "partition_stop",
+            "tolerance_json", "model_param_not_number", "model_bc_unknown",
+            "partition_start", "partition_stop",
             "partition_indices", "partition_indices_not_list", "partition_p",
             "partition_min",
             "partition_max", "partition_step", "t_grid_start", "t_grid_stop",

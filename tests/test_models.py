@@ -339,8 +339,7 @@ def test_hermitian_parameter_points(name):
 @pytest.mark.parametrize("name", sorted(PERIODIC_MODELS))
 def test_translation_covariance(name):
     km = PERIODIC_MODELS[name]()
-    ns = km.n_sublattices
-    nc = km.n_cells
+    nc, ns = km.cell_sites.shape
     rng = np.random.default_rng(11)
     for shift in rng.integers(1, nc, size=3):
         perm = np.array([((c + shift) % nc) * ns + s
@@ -356,7 +355,8 @@ def test_bloch_real_space_spectral_consistency(name):
     km = PERIODIC_MODELS[name]()
     direct = np.linalg.eigvals(km.entries)
     from_bloch = np.concatenate(
-        [np.linalg.eigvals(bloch_reduce(km, k)) for k in bloch_momenta(km.n_cells)])
+        [np.linalg.eigvals(bloch_reduce(km, k))
+         for k in bloch_momenta(km.cell_sites.shape[0])])
     cost = np.abs(direct[:, None] - from_bloch[None, :])
     rows, cols = linear_sum_assignment(cost)
     # the EB chain hosts an exact exceptional point at k=0, where dense
@@ -416,7 +416,7 @@ def test_two_cell_ring_adds_bulk_and_wrap_bonds(name):
     # bond, in the opposite direction, so each inter-cell block of the ring
     # is the sum of both inter-cell blocks of the open chain
     ring, chain = TWO_CELLS[name]("periodic"), TWO_CELLS[name]("open")
-    ns = ring.n_sublattices
+    ns = ring.cell_sites.shape[1]
     R = ring.entries.reshape(2, ns, 2, ns)
     O = chain.entries.reshape(2, ns, 2, ns)
     both = O[0, :, 1, :] + O[1, :, 0, :]
@@ -468,6 +468,12 @@ class TestModelSpec:
         params, _ = SPEC_BUILDS["chern_ribbon"]
         with pytest.raises(UnsupportedError, match="bc 'open'"):
             ModelSpec("chern_ribbon", params, "periodic")
+
+    @pytest.mark.parametrize("bc", ["foo", None])
+    def test_unknown_bc_rejected(self, bc):
+        params, _ = SPEC_BUILDS["hatano_nelson"]
+        with pytest.raises(UnsupportedError, match="bc 'open' or 'periodic'"):
+            ModelSpec("hatano_nelson", params, bc)
 
     def test_round_trip_covers_every_family(self):
         assert set(SPEC_BUILDS) == set(FAMILIES)

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from nhent import (DefectiveError, FockOperator, KernelMatrix,
+import nhent.oracle
+from nhent import (ConsistencyError, DefectiveError, KernelMatrix,
                    OrderingError, Partition, SizeError, biorthogonal_eig,
                    build_hatano_nelson, build_nh_ssh_real,
                    build_uniform_chain, correlation_matrix, fock_block,
-                   fock_correlation, fock_hamiltonian,
-                   manybody_biortho_ground, modified_entropy, oracle_report,
-                   partial_trace, projector, reduced_density, reorder_modes,
-                   sector_states, select_occupied, vn_entropy)
-from nhent.oracle import _popcount
+                   fock_correlation, manybody_biortho_ground,
+                   modified_entropy, oracle_report, projector,
+                   reduced_density, sector_states, select_occupied,
+                   vn_entropy)
+from nhent.oracle import oracle_equivalence_suite
 
 
 def rho_A_biortho(K, n_particles, keep):
@@ -29,31 +30,52 @@ def random_kernel(n_modes, seed):
     return KernelMatrix(n_modes, A, "open")
 
 
+def jordan_wigner_hamiltonian(K):
+    """sum_ij K_ij c+_i c_j on the 2^N Fock space from operator products.
+
+    c_i = I x ... x sigma^- x Z x ... x Z with the Z string on modes j < i
+    (mode 0 is the last factor), independent of ``fock_block``.
+    """
+    N = K.dim
+    lower, Z = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0])
+    c = []
+    for i in range(N):
+        op = np.eye(2 ** (N - 1 - i))
+        for factor in [lower] + [Z] * i:
+            op = np.kron(op, factor)
+        c.append(op)
+    H = np.zeros((2 ** N, 2 ** N), dtype=complex)
+    for i in range(N):
+        for j in range(N):
+            H += K.entries[i, j] * (c[i].T @ c[j])
+    return H
+
+
 class TestFockHamiltonian:
     def test_diagonal_kernel_counts_occupation(self):
         mu = np.array([0.5, -1.0, 2.0])
-        H = fock_hamiltonian(KernelMatrix(3, np.diag(mu), "open"))
-        states = np.arange(8)
-        expected = sum(mu[i] * ((states >> i) & 1) for i in range(3))
-        assert np.allclose(np.diag(H.matrix), expected, atol=1e-14)
-        assert np.abs(H.matrix - np.diag(np.diag(H.matrix))).max() == 0
+        K = KernelMatrix(3, np.diag(mu), "open")
+        for n in range(4):
+            Hb, states = fock_block(K, n)
+            expected = sum(mu[i] * ((states >> i) & 1) for i in range(3))
+            assert np.allclose(np.diag(Hb), expected, atol=1e-14)
+            assert np.abs(Hb - np.diag(np.diag(Hb))).max(initial=0) == 0
 
     def test_single_hopping_matrix_element(self):
         K = np.zeros((2, 2), dtype=complex)
         K[0, 1] = 0.7
-        H = fock_hamiltonian(KernelMatrix(2, K, "open")).matrix
+        blocks = [fock_block(KernelMatrix(2, K, "open"), n) for n in range(3)]
         # c+_0 c_1 connects the one-particle states |mode 1> -> |mode 0>
-        assert H[0b01, 0b10] == pytest.approx(0.7)
-        assert np.count_nonzero(H) == 1
+        H1, states = blocks[1]
+        assert list(states) == [0b01, 0b10]
+        assert H1[0, 1] == pytest.approx(0.7)
+        assert sum(np.count_nonzero(Hb) for Hb, _ in blocks) == 1
 
     def test_block_eigenvalues_are_subset_sums(self):
         K = build_nh_ssh_real(3, 1.0, 0.4, 0.3, "open")  # 6 modes
         single = biorthogonal_eig(K).eigenvalues
-        Hmb = fock_hamiltonian(K)
-        occ = _popcount(np.arange(2 ** 6, dtype=np.int64))
         for n in (2, 3):
-            block = np.nonzero(occ == n)[0]
-            wmb = np.linalg.eigvals(Hmb.matrix[np.ix_(block, block)])
+            wmb = np.linalg.eigvals(fock_block(K, n)[0])
             sums = np.array([sum(c) for c in itertools.combinations(single, n)])
             cost = np.abs(wmb[:, None] - sums[None, :])
             rows, cols = linear_sum_assignment(cost)
@@ -61,31 +83,22 @@ class TestFockHamiltonian:
 
     def test_size_guard(self):
         with pytest.raises(SizeError):
-            fock_hamiltonian(build_uniform_chain(15, bc="open"))
-        with pytest.raises(SizeError):
             fock_block(build_uniform_chain(15, bc="open"), 7)
 
     def test_matches_jordan_wigner_operator_products(self):
-        # independent construction: c_i = I x ... x sigma^- x Z x ... x Z
-        # with the Z string on modes j < i (mode 0 is the last factor)
-        N = 5
-        K = random_kernel(N, 7)
-        lower, Z = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0])
-        c = []
-        for i in range(N):
-            op = np.eye(2 ** (N - 1 - i))
-            for factor in [lower] + [Z] * i:
-                op = np.kron(op, factor)
-            c.append(op)
-        H = np.zeros((2 ** N, 2 ** N), dtype=complex)
-        for i in range(N):
-            for j in range(N):
-                H += K.entries[i, j] * (c[i].T @ c[j])
-        assert np.array_equal(fock_hamiltonian(K).matrix, H)
+        K = random_kernel(5, 7)
+        H = jordan_wigner_hamiltonian(K)
+        for n in range(6):
+            Hb, states = fock_block(K, n)
+            assert np.array_equal(Hb, H[np.ix_(states, states)])
+            # number conservation: nothing couples the sector to the rest
+            rest = np.setdiff1d(np.arange(2 ** 5), states)
+            assert not H[np.ix_(states, rest)].any()
+            assert not H[np.ix_(rest, states)].any()
 
     def test_block_is_slice_of_full_matrix(self):
         K = random_kernel(6, 11)
-        H = fock_hamiltonian(K).matrix
+        H = jordan_wigner_hamiltonian(K)
         for n in range(7):
             Hb, states = fock_block(K, n)
             assert np.array_equal(states, sector_states(6, n))
@@ -152,20 +165,19 @@ def test_fast_path_and_oracle_apply_one_defectiveness_rule():
 class TestPartialTrace:
     def test_product_state(self):
         rng = np.random.default_rng(5)
-        rho_A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho_B = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        rho_B /= np.trace(rho_B)
-        # A modes occupy the low bits, so the full matrix is kron(B, A)
-        full = FockOperator(5, np.kron(rho_B, rho_A), list(range(5)))
-        assert np.abs(partial_trace(full, 2) - rho_A).max() < 1e-12
+        aR, aL = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        bR, bL = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+        # A modes occupy the low bits, so a product vector is kron(B, A)
+        rho_A = reduced_density(np.kron(bR, aR), np.kron(bL, aL), 5, 2)
+        expected = np.vdot(bL, bR) * np.outer(aR, aL.conj())
+        assert np.abs(rho_A - expected).max() < 1e-12
 
     def test_maximally_entangled_pair(self):
         psi = np.zeros(4, dtype=complex)
         psi[0b01] = 1 / math.sqrt(2)
         psi[0b10] = 1 / math.sqrt(2)
-        rho = FockOperator(2, np.outer(psi, psi.conj()), [0, 1])
-        assert np.allclose(partial_trace(rho, 1), np.diag([0.5, 0.5]),
-                           atol=1e-14)
+        assert np.allclose(reduced_density(psi, psi, 2, 1),
+                           np.diag([0.5, 0.5]), atol=1e-14)
 
     def test_trace_preserved(self):
         K = build_nh_ssh_real(3, 1.0, 0.4, 0.3, "open")
@@ -177,23 +189,17 @@ class TestPartialTrace:
     def test_reduced_density_equals_partial_trace(self, keep):
         K = build_nh_ssh_real(4, 1.0, 0.4, 0.3, "open")
         G_R, G_L, _ = manybody_biortho_ground(K, 4)
-        rho = FockOperator(8, np.outer(G_R, G_L.conj()), list(range(8)))
+        # s = s_A + 2^keep s_B: trace the B index of the full |G_R><G_L|
+        na, nb = 2 ** keep, 2 ** (8 - keep)
+        rho = np.outer(G_R, G_L.conj()).reshape(nb, na, nb, na)
         assert np.abs(reduced_density(G_R, G_L, 8, keep)
-                      - partial_trace(rho, keep)).max() < 1e-13
+                      - np.einsum("aiaj->ij", rho)).max() < 1e-13
 
     def test_reduced_density_keep_out_of_range(self):
         vec = np.zeros(8, dtype=complex)
         for keep in (0, 4):
             with pytest.raises(OrderingError):
                 reduced_density(vec, vec, 3, keep)
-
-    def test_non_leading_keep_rejected(self):
-        op = FockOperator(3, np.eye(8, dtype=complex), [1, 0, 2])
-        with pytest.raises(OrderingError):
-            partial_trace(op, 1)
-        with pytest.raises(OrderingError):
-            partial_trace(FockOperator(3, np.eye(8, dtype=complex),
-                                       [0, 1, 2]), 5)
 
 
 class TestOracleReport:
@@ -263,7 +269,8 @@ class TestPipelineCrossChecks:
         assert abs(vn_entropy(eps) - rep.entropy_vn) < 1e-10
 
     def test_arbitrary_partition_via_relabeling(self):
-        # non-leading subsystem {1, 3}: relabel so it leads, then block-trace
+        # non-leading subsystem {1, 3}: permute the modes so that it leads,
+        # then block-trace
         K = build_hatano_nelson(5, 1.0, 0.3, "open")
         sys = biorthogonal_eig(K)
         sel = select_occupied(sys, Fraction(2, 5))
@@ -272,7 +279,7 @@ class TestPipelineCrossChecks:
         eps = np.linalg.eigvals(C.entries)
 
         order = [1, 3, 0, 2, 4]
-        K2 = reorder_modes(K, order)
+        K2 = KernelMatrix(5, K.entries[np.ix_(order, order)], "open")
         rho_A = rho_A_biortho(K2, 2, 2)
         lam = np.linalg.eigvals(rho_A)
         products = np.array([
@@ -282,7 +289,20 @@ class TestPipelineCrossChecks:
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() < 1e-10
 
-    def test_reorder_validation(self):
-        K = build_uniform_chain(4, bc="open")
-        with pytest.raises(OrderingError):
-            reorder_modes(K, [0, 1, 1, 2])
+
+class TestOracleSuite:
+    def test_inconsistent_modified_entropy_gives_no_residual(self, monkeypatch):
+        def not_conjugate_closed(eps):
+            raise ConsistencyError("eigenvalues are not conjugate-closed")
+        monkeypatch.setattr(nhent.oracle, "modified_entropy",
+                            not_conjugate_closed)
+        results = oracle_equivalence_suite(n_cases=1, n_modes=4, subsystem=2)
+        assert [r["modified_residual"] for r in results] == [None] * 3
+        assert all(r["passed"] for r in results)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(eps):
+            raise RuntimeError("bug in modified_entropy")
+        monkeypatch.setattr(nhent.oracle, "modified_entropy", broken)
+        with pytest.raises(RuntimeError, match="bug in modified_entropy"):
+            oracle_equivalence_suite(n_cases=1, n_modes=4, subsystem=2)

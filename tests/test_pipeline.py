@@ -3,14 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import nhent.pipeline
-from nhent import (ConsistencyError, KernelMatrix, Partition, PartitionError,
-                   bloch_system, build_eb_ssh, build_guo_chain,
-                   build_hatano_nelson, build_uniform_chain,
-                   correlation_matrix, entropy_series, ground_state_system,
-                   select_occupied, vn_entropy)
+from nhent import (KernelMatrix, Partition, PartitionError, bloch_system,
+                   build_eb_ssh, build_guo_chain, build_hatano_nelson,
+                   build_uniform_chain, correlation_matrix, entropy_series,
+                   ground_state_system, select_occupied, vn_entropy)
 from nhent._linalg import eigenvalues
-from nhent.pipeline import oracle_equivalence_suite
 
 HALF = Fraction(1, 2)
 
@@ -107,20 +104,3 @@ class TestEigenvalues:
         A = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
         assert np.array_equal(eigenvalues(A), np.linalg.eigvals(A))
 
-
-class TestOracleSuite:
-    def test_inconsistent_modified_entropy_gives_no_residual(self, monkeypatch):
-        def not_conjugate_closed(eps):
-            raise ConsistencyError("eigenvalues are not conjugate-closed")
-        monkeypatch.setattr(nhent.pipeline, "modified_entropy",
-                            not_conjugate_closed)
-        results = oracle_equivalence_suite(n_cases=1, n_modes=4, subsystem=2)
-        assert [r["modified_residual"] for r in results] == [None] * 3
-        assert all(r["passed"] for r in results)
-
-    def test_other_errors_propagate(self, monkeypatch):
-        def broken(eps):
-            raise RuntimeError("bug in modified_entropy")
-        monkeypatch.setattr(nhent.pipeline, "modified_entropy", broken)
-        with pytest.raises(RuntimeError, match="bug in modified_entropy"):
-            oracle_equivalence_suite(n_cases=1, n_modes=4, subsystem=2)
