@@ -25,6 +25,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys as _sys
 import time
 import warnings
@@ -348,6 +349,12 @@ def main(argv=None) -> int:
                                   "--tolerance")
             name, value = item.split("=", 1)
             config.tolerances.override(name, value)
+        # made before any computation, so that a bad --out costs no run
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}",
+                              "--out") from exc
 
         if args.command == "entanglement":
             return cmd_entanglement(config, args.out, args.workers)

@@ -212,10 +212,18 @@ def parse_config(doc: dict) -> RunConfig:
                 seen.add(v)
                 dedup.append(v)
         param = doc["sweep"]["parameter"]
-        if model is not None and param not in FAMILIES[model.family][0]:
-            raise ConfigError(
-                f"sweep parameter {param!r} not a parameter of family "
-                f"{model.family!r}", "config.sweep.parameter")
+        if model is not None:
+            if param not in FAMILIES[model.family][0]:
+                raise ConfigError(
+                    f"sweep parameter {param!r} not a parameter of family "
+                    f"{model.family!r}", "config.sweep.parameter")
+            # each point must pass the spec's own checks, e.g. integral sizes
+            for v in dedup:
+                try:
+                    ModelSpec(model.family, {**model.params, param: v},
+                              model.bc)
+                except ValueError as exc:
+                    raise ConfigError(str(exc), "config.sweep.values")
         sweep = {"parameter": param, "values": dedup}
 
     tolerances = Tolerances()

@@ -21,6 +21,7 @@ adds to them (for N = 1, on the onsite block).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -404,7 +405,12 @@ def bloch_reduce(km: KernelMatrix, k) -> np.ndarray:
 
 @dataclass
 class ModelSpec:
-    """Family tag plus parameter map, deserializable from run configs."""
+    """Family tag plus parameter map, deserializable from run configs.
+
+    Size parameters (``L``, ``N_cells``, ``n``, ``Lx``, ``Ly``) must be
+    integers or integral floats: a fractional size raises ``ValueError``
+    instead of being truncated.
+    """
 
     family: str
     params: dict
@@ -423,6 +429,13 @@ class ModelSpec:
         if extra:
             raise ValueError(
                 f"family {self.family!r} got unknown parameters {extra}")
+        for name in _SIZE_PARAMS.intersection(self.params):
+            value = self.params[name]
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Integral)
+                    or isinstance(value, float) and value.is_integer()):
+                raise ValueError(f"family {self.family!r} parameter {name!r} "
+                                 f"must be an integer, got {value!r}")
         # the ribbon's open axis has no periodic form
         bcs = ("open",) if self.family == "chern_ribbon" else ("open", "periodic")
         if self.bc not in bcs:
@@ -431,6 +444,10 @@ class ModelSpec:
 
     def build(self) -> KernelMatrix:
         return FAMILIES[self.family][1](self)
+
+
+# lattice sizes; the adapters below pass them through int()
+_SIZE_PARAMS = frozenset({"L", "N_cells", "n", "Lx", "Ly"})
 
 
 def _spec_alpha(value) -> Fraction:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import min_cost_matching
 from .errors import InsufficientDataError, UnsupportedError
 from .spectra import BiorthogonalSystem, GroundStateSelection
 
@@ -115,8 +116,9 @@ def count_fermi_points(sys: BiorthogonalSystem, sel: GroundStateSelection) -> in
     """Number of occupied/unoccupied boundaries along the momentum grid.
 
     Traverses the grid cyclically; between adjacent momenta the band
-    energies are matched by minimal total distance, and every matched pair
-    whose occupation differs counts one switch.  A filled band gives 0, a
+    energies are matched by minimal total distance
+    (``_linalg.min_cost_matching``), and every matched pair whose
+    occupation differs counts one switch.  A filled band gives 0, a
     half-filled single band gives 2.
 
     Raises
@@ -128,33 +130,19 @@ def count_fermi_points(sys: BiorthogonalSystem, sel: GroundStateSelection) -> in
     if sys.momenta is None:
         raise UnsupportedError(
             "Fermi-point counting needs a momentum-resolved system")
-    # imported on call, as in ``_linalg.match_spectra``: keeps
-    # scipy.optimize out of ``import nhent``
-    from scipy.optimize import linear_sum_assignment
     occ = np.zeros(sys.dim, dtype=bool)
     occ[sel.occupied] = True
-    groups = _band_chains(sys)
-    n_groups = len(groups)
+    groups = [np.asarray(g) for g in _band_chains(sys)]
     scale = max(1.0, float(np.abs(sys.eigenvalues).max()))
     switches = 0
-    for g in range(n_groups):
-        a = groups[g]
-        b = groups[(g + 1) % n_groups]
-        ea = sys.eigenvalues[a]
-        eb = sys.eigenvalues[b]
-        if len(a) == 1:
-            pairs = [(0, 0)]
-        else:
-            # tie-break degenerate matchings toward occupation-preserving
-            # pairs; exact touchings are counted as clusters below instead
-            cost = np.abs(ea[:, None] - eb[None, :])
-            flip = occ[np.asarray(a)][:, None] != occ[np.asarray(b)][None, :]
-            cost = cost + (1e-9 * scale) * flip
-            rows, cols = linear_sum_assignment(cost)
-            pairs = list(zip(rows, cols))
-        for i, j in pairs:
-            if occ[a[i]] != occ[b[j]]:
-                switches += 1
+    for a, b in zip(groups, groups[1:] + groups[:1]):
+        # tie-break degenerate matchings toward occupation-preserving
+        # pairs; exact touchings are counted as clusters below instead
+        cost = np.abs(sys.eigenvalues[a][:, None]
+                      - sys.eigenvalues[b][None, :])
+        cost += (1e-9 * scale) * (occ[a][:, None] != occ[b][None, :])
+        perm = min_cost_matching(cost)
+        switches += int(np.count_nonzero(occ[a] != occ[b[perm]]))
     # Bands degenerate at a single momentum with mixed occupation touch the
     # Fermi level exactly there; each occupied/unoccupied coincidence is a
     # band entering and leaving the occupied set (the limit of an

@@ -237,6 +237,15 @@ class TestCommands:
          "config.model.params"),
         ("dynamics", {"model": {**DYNAMICS["model"], "bc": "foo"},
                       "dynamics": {"t_grid": [0.0, 1.0]}}, "config.model.bc"),
+        ("entanglement", {**BASE, "model": {
+            "family": "hatano_nelson", "params": {"L": 6.7, "t": 1.0,
+                                                  "alpha": 0.5}}},
+         "config.model.params"),
+        ("entanglement", {**BASE, "model": {
+            "family": "hatano_nelson", "params": {"L": 8, "t": 1.0,
+                                                  "alpha": 0.5}},
+            "sweep": {"parameter": "L", "values": [8, 8.9]}},
+         "config.sweep.values"),
         *[("entanglement", {**BASE, "partitions": [part]},
            f"config.partitions[0].{key}") for key, part in [
             ("start", {"type": "range", "start": "x", "stop": 4}),
@@ -259,6 +268,7 @@ class TestCommands:
             "renyi_not_list", "tolerances_not_object", "params_not_object",
             "family_not_string", "partitions_not_list", "chern_ribbon_periodic",
             "tolerance_json", "model_param_not_number", "model_bc_unknown",
+            "model_size_not_integral", "sweep_size_not_integral",
             "partition_start", "partition_stop",
             "partition_indices", "partition_indices_not_list", "partition_p",
             "partition_min",
@@ -272,6 +282,26 @@ class TestCommands:
                      *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {path}: ")
+
+    def test_out_directory_is_created(self, tmp_path):
+        cfg = write_config(tmp_path, {"oracle": {"n_cases": 1, "n_modes": 6,
+                                                 "subsystem": 3}})
+        out = tmp_path / "new" / "nested"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "oracle.json").read_text())["passed"] is True
+        assert (out / "manifest.json").exists()
+
+    def test_out_naming_a_file_exit_1_before_computing(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def suite(**_):
+            raise AssertionError("the suite ran before --out was checked")
+        monkeypatch.setattr("nhent.cli.oracle_equivalence_suite", suite)
+        out = tmp_path / "taken"
+        out.write_text("keep", encoding="utf-8")
+        assert main(["oracle", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: --out: ")
+        assert out.read_text(encoding="utf-8") == "keep"
 
     def test_malformed_tolerance_flag_exit_1(self, tmp_path, capsys):
         assert main(["oracle", "--out", str(tmp_path),

@@ -1,6 +1,10 @@
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import nhent
@@ -20,3 +24,32 @@ def test_every_export_resolves():
             for alias in node.names:
                 assert hasattr(mod, alias.name), f"nhent.{node.module}.{alias.name}"
                 assert hasattr(nhent, alias.asname or alias.name)
+
+
+def test_no_run_imports_scipy_optimize(tmp_path):
+    # scipy.optimize costs ~0.25 s and ~20 MB in a fresh process; every
+    # min-cost matching runs in _linalg.min_cost_matching, so no run needs it
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps({"oracle": {"n_cases": 2, "n_modes": 6,
+                                             "subsystem": 3}}))
+    code = f"""
+import sys
+from nhent import (Partition, bloch_system, build_guo_chain,
+                   build_nh_ssh_real, check_duality, count_fermi_points,
+                   ground_state_system, select_occupied)
+from nhent.cli import main
+assert main(["oracle", "--config", {str(config)!r},
+             "--out", {str(tmp_path / "out")!r}]) == 0
+sys_k = bloch_system(build_guo_chain(16, 2, 1.0, 0.4, "periodic"))
+assert count_fermi_points(sys_k, select_occupied(sys_k, 0.5)) == 2
+K = build_nh_ssh_real(6, 1.0, 0.4, 0.3, "periodic")
+check_duality(*ground_state_system(K, 0.5), Partition.half(K.dim))
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+    src = str(Path(nhent.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -475,6 +475,23 @@ class TestModelSpec:
         with pytest.raises(UnsupportedError, match="bc 'open' or 'periodic'"):
             ModelSpec("hatano_nelson", params, bc)
 
+    @pytest.mark.parametrize("family, name, value", [
+        ("hatano_nelson", "L", 6.7), ("hatano_nelson", "L", True),
+        ("hatano_nelson", "L", "6"), ("nh_ssh", "N_cells", 4.5),
+        ("guo_chain", "n", 2.5), ("guo_2d", "Lx", False),
+        ("guo_2d", "Ly", 6.2)])
+    def test_non_integral_size_rejected(self, family, name, value):
+        # the builder adapters pass sizes through int(), which truncates
+        params, _ = SPEC_BUILDS[family]
+        with pytest.raises(ValueError, match=f"{name!r} must be an integer"):
+            ModelSpec(family, {**params, name: value}, "open")
+
+    def test_integral_sizes_accepted(self):
+        for L in (6, 6.0, np.int64(6)):
+            spec = ModelSpec("hatano_nelson", {"L": L, "t": 1.0, "alpha": 0.5},
+                             "open")
+            assert spec.build().dim == 6
+
     def test_round_trip_covers_every_family(self):
         assert set(SPEC_BUILDS) == set(FAMILIES)
 

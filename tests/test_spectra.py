@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from nhent import (BiorthogonalSystem, DefectiveError, DegeneracyWarning,
                    KernelMatrix, biorthogonal_eig, bloch_system,
@@ -12,7 +14,8 @@ from nhent import (BiorthogonalSystem, DefectiveError, DegeneracyWarning,
                    Partition, petermann_factor, report_for_partition,
                    select_occupied)
 from nhent._linalg import (HERMITIAN_TOL, balanced_eig, is_hermitian,
-                           match_spectra, symmetrizing_diagonal)
+                           match_spectra, min_cost_matching,
+                           symmetrizing_diagonal)
 from nhent.spectra import policy_order
 
 
@@ -298,6 +301,80 @@ def test_match_spectra_pairs_conjugate_cluster():
     perm, residual = match_spectra(a, b)
     assert list(perm) == [2, 1, 0]
     assert residual == pytest.approx(1e-14, abs=1e-16)
+
+
+def oracle_like_cost(rng):
+    """|a_i - b_j| of a 32-value rho_A spectrum (products of five
+    occupations, two of them near 0) against a noisy permutation of it:
+    entries span ~1e-20 to 1, as in the oracle's spectrum pairing."""
+    eps = np.array([1e-10, 3e-9, 0.2, 0.5, 0.9]) * (1 + 0.1 * rng.random(5))
+    a = np.array([np.prod([e if bit else 1 - e for bit, e in zip(bits, eps)])
+                  for bits in itertools.product((0, 1), repeat=5)])
+    b = a[rng.permutation(32)] * (1 + 1e-14 * rng.normal(size=32))
+    return np.abs(a[:, None] - b[None, :])
+
+
+class TestMinCostMatching:
+    """The pure-Python matcher returns SciPy's permutation, ties included."""
+
+    @staticmethod
+    def assert_same_as_scipy(cost):
+        _, cols = linear_sum_assignment(cost)
+        perm = min_cost_matching(cost)
+        assert np.array_equal(perm, cols)
+        assert perm.dtype == np.intp
+
+    @staticmethod
+    def random_block(rng, n):
+        kind = rng.integers(4)
+        if kind == 0:
+            return rng.random((n, n))
+        if kind == 1:
+            return rng.integers(0, 3, (n, n)).astype(float)
+        if kind == 2:
+            return np.zeros((n, n))
+        return rng.normal(size=(n, n))
+
+    def test_random_blocks(self):
+        rng = np.random.default_rng(0)
+        for n in rng.integers(1, 13, 40):
+            self.assert_same_as_scipy(rng.random((n, n)))
+
+    def test_tie_heavy_integer_blocks(self):
+        rng = np.random.default_rng(1)
+        for n in rng.integers(2, 11, 60):
+            self.assert_same_as_scipy(rng.integers(0, 3, (n, n)).astype(float))
+
+    def test_zero_and_one_by_one_blocks(self):
+        for n in (1, 2, 6):
+            self.assert_same_as_scipy(np.zeros((n, n)))
+        # a sparse-graph matcher reads these zeros as missing edges
+        cost = np.ones((12, 12))
+        cost[:6, :6] = 0
+        self.assert_same_as_scipy(cost)
+        for x in (0.0, 2.5, -1.0):
+            assert list(min_cost_matching(np.array([[x]]))) == [0]
+
+    def test_mixed_sizes_300_blocks(self):
+        rng = np.random.default_rng(2)
+        for n in rng.integers(1, 9, 300):
+            self.assert_same_as_scipy(self.random_block(rng, n))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_dynamic_range(self, seed):
+        self.assert_same_as_scipy(oracle_like_cost(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_raises(self, bad):
+        cost = np.ones((3, 3))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            min_cost_matching(cost)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
+    def test_non_square_cost_raises(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            min_cost_matching(np.ones(shape))
 
 
 class TestSelectOccupied:
