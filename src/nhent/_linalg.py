@@ -1,5 +1,12 @@
 """Shared dense linear-algebra helpers; the one home of the defectiveness rule.
 
+``balanced_eig`` diagonalizes a general kernel in a diagonally rebalanced
+frame.  When that frame makes the kernel Hermitian (a gauge-Hermitian
+kernel, such as the open Hatano-Nelson chain) it is solved by ``eigh``: the
+eigenbasis is unitary in the balanced frame, its condition is exactly 1.0,
+and no defectiveness test is needed.  A matrix whose imaginary part is
+exactly zero is solved in real arithmetic.
+
 Spectra and bands are paired by ``min_cost_matching``, a pure-Python
 min-cost assignment.
 """
@@ -21,20 +28,29 @@ HERMITIAN_TOL = 1e-14
 DEFECTIVE_COND = 1e12
 
 
-def is_hermitian(A: np.ndarray) -> bool:
-    """max|A - A^dag| <= HERMITIAN_TOL * max(1, max|A|)."""
+def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    """max|A - A^dag| <= tol * max(1, max|A|)."""
     scale = max(1.0, float(np.abs(A).max()))
-    return bool(np.abs(A - A.conj().T).max() <= HERMITIAN_TOL * scale)
+    return bool(np.abs(A - A.conj().T).max() <= tol * scale)
+
+
+def _real_if_real_valued(A: np.ndarray) -> np.ndarray:
+    """A.real when A is complex with an imaginary part of exactly zero."""
+    if not np.isrealobj(A) and not A.imag.any():
+        return A.real
+    return A
 
 
 def eigenvalues(A: np.ndarray) -> np.ndarray:
     """Spectrum of A as complex: ``eigvalsh`` if Hermitian, else ``eigvals``.
 
-    A Hermitian spectrum comes back real and in ascending order.
+    A Hermitian spectrum comes back real and in ascending order.  A
+    non-Hermitian A with zero imaginary part is solved in real arithmetic.
     """
     if is_hermitian(A):
         return np.linalg.eigvalsh(A).astype(complex)
-    return np.linalg.eigvals(A)
+    A = _real_if_real_valued(A)
+    return np.linalg.eigvals(A).astype(complex, copy=False)
 
 
 def min_cost_matching(cost: np.ndarray) -> np.ndarray:
@@ -189,11 +205,19 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
     exactly: V_b = T V_r, V_b^-1 = V_r^-1 T^dag, cond(V_b) = cond(V_r).
     The outputs are complex either way.
 
+    Gauge-Hermitian kernels skip the passes.  If the first balanced kernel
+    is Hermitian, to ``HERMITIAN_TOL`` scaled by max(1, max|ln d|) because
+    each ratio d_j / d_i carries a rounding of about eps |ln d|, its
+    Hermitian part is solved by ``eigh``: V_r = U is unitary, V_r^-1 = U^dag,
+    cond = 1.0, and a Hermitian matrix is never defective.  No ``eig``,
+    condition estimate or inverse is computed.  Every other kernel takes
+    the passes above.
+
     Returns
     -------
     w : np.ndarray
         Eigenvalues (computed in the balanced frame, where they are most
-        accurate).
+        accurate); real-valued on the gauge-Hermitian path.
     V : np.ndarray
         Right eigenvectors as columns, in the original frame (balanced-frame
         vectors scaled back exactly by the diagonal).
@@ -201,7 +225,8 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
         Inverse of V; never None.
     cond : float
         2-norm condition number of the balanced-frame eigenvector matrix;
-        measures genuine (near-)defectiveness rather than grading.
+        measures genuine (near-)defectiveness rather than grading.  Exactly
+        1.0 on the gauge-Hermitian path.
 
     Raises
     ------
@@ -209,42 +234,52 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
         If ``cond`` exceeds ``cond_threshold`` (or is NaN) or the balanced
         factor is singular; carries ``cond`` and the eigenvalue clusters.
     """
-    if not np.isrealobj(A) and not A.imag.any():
-        A = A.real
+    A = _real_if_real_valued(A)
     p = None
     if not np.isrealobj(A):
         p = next((m for m in mirrors
                   if np.array_equal(A.conj(), A[np.ix_(m, m)])), None)
-    d = symmetrizing_diagonal(A)
     M = A if p is None else A.real - A.imag[:, p]
-    for it in range(max_iter):
+
+    def balance(d):
         if p is not None:
             d = np.sqrt(d * d[p])
-        B = (M / d[:, None]) * d[None, :]
-        w, Vr = np.linalg.eig(B)
-        Vb = Vr if p is None else (Vr + 1j * Vr[p]) / np.sqrt(2.0)
-        r = np.linalg.norm(Vb, axis=1)
-        r = np.where(r > 0, r, 1.0)
-        # the last pass keeps its d: V below is scaled by the one B used
-        if r.max() / r.min() < spread_tol or it == max_iter - 1:
-            break
-        d = d * (r / np.exp(np.mean(np.log(r))))
-        d = d / np.exp(np.mean(np.log(d)))
-    cond = float(np.linalg.cond(Vr))
+        return d, (M / d[:, None]) * d[None, :]
+
+    def unmirror(Vr):
+        return Vr if p is None else (Vr + 1j * Vr[p]) / np.sqrt(2.0)
+
+    d, B = balance(symmetrizing_diagonal(A))
+    log_spread = max(1.0, float(np.abs(np.log(d)).max()))
+    if is_hermitian(B, HERMITIAN_TOL * log_spread):
+        w, Vr = np.linalg.eigh(0.5 * (B + B.conj().T))
+        Vb_inv, cond = Vr.conj().T, 1.0
+    else:
+        for it in range(max_iter):
+            w, Vr = np.linalg.eig(B)
+            r = np.linalg.norm(unmirror(Vr), axis=1)
+            r = np.where(r > 0, r, 1.0)
+            # the last pass keeps its d: V below is scaled by the one B used
+            if r.max() / r.min() < spread_tol or it == max_iter - 1:
+                break
+            d = d * (r / np.exp(np.mean(np.log(r))))
+            d, B = balance(d / np.exp(np.mean(np.log(d))))
+        cond = float(np.linalg.cond(Vr))
+        over = not cond <= cond_threshold  # a NaN estimate is over too
+        try:  # an infinite estimate, like a pivot inv finds zero, is singular
+            Vb_inv = None if over or np.isinf(cond) else np.linalg.inv(Vr)
+        except np.linalg.LinAlgError:
+            Vb_inv = None
+        if Vb_inv is None:
+            reason = (f"exceeds {cond_threshold:.1e}" if over
+                      else "but the matrix is singular")
+            raise DefectiveError(
+                f"right-eigenvector matrix condition {cond:.3e} {reason}; "
+                "matrix is (near-)defective", condition_estimate=cond,
+                clusters=_eigenvalue_clusters(w.astype(complex, copy=False),
+                                              float(np.abs(A).max())))
     w = w.astype(complex, copy=False)
-    over = not cond <= cond_threshold  # a NaN estimate is over too
-    try:  # an infinite estimate, like a pivot inv finds zero, is singular
-        Vb_inv = None if over or np.isinf(cond) else np.linalg.inv(Vr)
-    except np.linalg.LinAlgError:
-        Vb_inv = None
-    if Vb_inv is None:
-        reason = (f"exceeds {cond_threshold:.1e}" if over
-                  else "but the matrix is singular")
-        raise DefectiveError(
-            f"right-eigenvector matrix condition {cond:.3e} {reason}; "
-            "matrix is (near-)defective", condition_estimate=cond,
-            clusters=_eigenvalue_clusters(w, float(np.abs(A).max())))
-    V = (Vb * d[:, None]).astype(complex, copy=False)
+    V = (unmirror(Vr) * d[:, None]).astype(complex, copy=False)
     if p is not None:
         Vb_inv = (Vb_inv - 1j * Vb_inv[:, p]) / np.sqrt(2.0)
     return w, V, (Vb_inv / d[None, :]).astype(complex, copy=False), cond

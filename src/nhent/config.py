@@ -18,7 +18,7 @@ from .correlations import Partition
 from .entanglement import CLAMP_TOL, MIDGAP_TOL
 from .errors import ConfigError, ToolkitError, UnsupportedError
 from .models import FAMILIES, ModelSpec
-from .oracle import ORACLE_ENTROPY_TOL, oracle_equivalence_suite
+from .oracle import MAX_MODES, ORACLE_ENTROPY_TOL, oracle_equivalence_suite
 from .pipeline import dual_momentum_partition
 from .scaling import FIT_IMAG_TOL
 from .spectra import OCCUPATION_POLICIES
@@ -270,6 +270,9 @@ def parse_config(doc: dict) -> RunConfig:
         oracle = {**{k: suite[k].default for k in keys}, **doc["oracle"]}
         for key in oracle:
             oracle[key] = _parse_int(oracle[key], f"config.oracle.{key}")
+        if oracle["n_modes"] > MAX_MODES:
+            raise ConfigError(f"n_modes must be at most {MAX_MODES}, got "
+                              f"{oracle['n_modes']}", "config.oracle.n_modes")
         if not 1 <= oracle["subsystem"] < oracle["n_modes"]:
             raise ConfigError(
                 f"subsystem must be in [1, n_modes = {oracle['n_modes']}), "

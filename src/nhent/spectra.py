@@ -16,10 +16,13 @@ unitarily similar to the real matrix Re K - (Im K) P through
 T = (I + iP) / sqrt(2); that matrix is diagonalized and its eigenvectors
 are mapped back by T, which leaves the condition estimate unchanged.
 Kernels that are PT-symmetric only to rounding, or whose labels do not
-tile a lattice, take the complex solver.  The reported condition
-estimate refers to the rebalanced eigenvector matrix, which measures genuine
-(near-)defectiveness rather than grading; the solver in ``_linalg`` alone
-decides defectiveness and raises ``DefectiveError`` above ``cond_threshold``.
+tile a lattice, take the complex solver.  A gauge-Hermitian kernel, one
+that the entry-ratio diagonal makes Hermitian (the open Hatano-Nelson
+chain), is solved by ``eigh`` in that frame and reports a condition of
+exactly 1.0.  The reported condition estimate refers to the rebalanced
+eigenvector matrix, which measures genuine (near-)defectiveness rather
+than grading; the solver in ``_linalg`` alone decides defectiveness and
+raises ``DefectiveError`` above ``cond_threshold``.
 A grading too steep for float64 raises like a defective kernel.
 """
 

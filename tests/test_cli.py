@@ -303,6 +303,17 @@ class TestCommands:
             "configuration error: --out: ")
         assert out.read_text(encoding="utf-8") == "keep"
 
+    def test_oversized_oracle_exit_1_before_computing(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def suite(**_):
+            raise AssertionError("the suite ran on an oversized config")
+        monkeypatch.setattr("nhent.cli.oracle_equivalence_suite", suite)
+        cfg = write_config(tmp_path, {"oracle": {"n_modes": 15}})
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: config.oracle.n_modes: ")
+        assert not (tmp_path / "oracle.json").exists()
+
     def test_malformed_tolerance_flag_exit_1(self, tmp_path, capsys):
         assert main(["oracle", "--out", str(tmp_path),
                      "--tolerance", "oracle=abc"]) == 1

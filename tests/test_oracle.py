@@ -85,6 +85,26 @@ class TestFockHamiltonian:
         with pytest.raises(SizeError):
             fock_block(build_uniform_chain(15, bc="open"), 7)
 
+    def test_sector_states_size_guard(self):
+        with pytest.raises(SizeError):
+            sector_states(nhent.oracle.MAX_MODES + 1, 1)
+
+    def test_table_popcount_matches_bit_loop(self, monkeypatch):
+        def bit_loop_popcount(a):
+            a = a.astype(np.int64)
+            count = np.zeros_like(a)
+            while np.any(a):
+                count += a & 1
+                a >>= 1
+            return count
+        K = random_kernel(8, 13)
+        blocks = [fock_block(K, n) for n in range(9)]
+        monkeypatch.setattr(nhent.oracle, "_popcount", bit_loop_popcount)
+        for n, (H, states) in enumerate(blocks):
+            H_ref, states_ref = fock_block(K, n)
+            assert np.array_equal(states, states_ref)
+            assert np.array_equal(H, H_ref)
+
     def test_matches_jordan_wigner_operator_products(self):
         K = random_kernel(5, 7)
         H = jordan_wigner_hamiltonian(K)
@@ -299,6 +319,17 @@ class TestOracleSuite:
         results = oracle_equivalence_suite(n_cases=1, n_modes=4, subsystem=2)
         assert [r["modified_residual"] for r in results] == [None] * 3
         assert all(r["passed"] for r in results)
+
+    def test_odd_mode_count_compares_the_filled_sector(self):
+        # half filling of 7 modes fills round(3.5) = 4: the oracle must
+        # diagonalize the same sector, and then every rho_A spectrum agrees.
+        # A random case may still miss on the entropy alone: a 2 pi i branch
+        # jump of the factorized logarithm (random-17 here, residual 0.08)
+        results = oracle_equivalence_suite(n_modes=7, subsystem=3, seed=5)
+        for r in results:
+            assert r["spectrum_residual"] < 1e-9, r
+            assert r["purity_residual"] < 1e-10, r
+            assert r["passed"] or r["case"].startswith("random-"), r
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(eps):

@@ -99,6 +99,21 @@ class TestEigenvalues:
         ref = np.sort(np.linalg.eigvals(H).real)
         assert np.abs(w.real - ref).max() < 1e-12
 
+    def test_real_valued_complex_input_runs_in_real_arithmetic(self,
+                                                               monkeypatch):
+        A = np.random.default_rng(9).normal(size=(40, 40)).astype(complex)
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def counted(B):
+            seen.append(B.dtype)
+            return eigvals(B)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        w = eigenvalues(A)
+        assert seen == [np.dtype(float)]
+        assert w.dtype == complex
+        assert np.array_equal(w, eigvals(A.real).astype(complex))
+
     def test_non_hermitian_input_equals_eigvals(self):
         rng = np.random.default_rng(8)
         A = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))

@@ -16,6 +16,7 @@ from nhent import (BiorthogonalSystem, DefectiveError, DegeneracyWarning,
 from nhent._linalg import (HERMITIAN_TOL, balanced_eig, is_hermitian,
                            match_spectra, min_cost_matching,
                            symmetrizing_diagonal)
+from nhent.oracle import manybody_biortho_ground
 from nhent.spectra import policy_order
 
 
@@ -117,15 +118,29 @@ def _counting_eig(monkeypatch):
     return seen
 
 
+def _solver_calls(monkeypatch):
+    """Record (name, input dtype) of every np.linalg eig/eigh/cond/inv call."""
+    calls = []
+    for name in ("eig", "eigh", "cond", "inv"):
+        def counted(B, *args, _name=name, _f=getattr(np.linalg, name),
+                    **kwargs):
+            calls.append((_name, B.dtype))
+            return _f(B, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestBalancing:
     def test_open_chain_takes_one_real_pass(self, monkeypatch):
-        # the entry ratios symmetrize open Hatano-Nelson to rounding, so a
-        # single solve leaves flat eigenvector rows (four row-norm passes
+        # the entry ratios symmetrize open Hatano-Nelson to rounding, so the
+        # balanced kernel is solved by one real eigh (four row-norm passes
         # from d = 1 stopped at condition 1.3e11)
-        seen = _counting_eig(monkeypatch)
+        calls = _solver_calls(monkeypatch)
         sys = biorthogonal_eig(build_hatano_nelson(384, 1.0, 0.5, "open"))
-        assert seen == [np.dtype(float)]
-        assert sys.condition_estimate < 10
+        assert calls == [("eigh", np.dtype(float))]
+        assert sys.condition_estimate == 1.0
+        gram = sys.left.conj().T @ sys.right
+        assert np.abs(gram - np.eye(384)).max() <= 1e-10
 
     @pytest.mark.parametrize("n, alpha", [(384, 0.5), (200, 2.5), (100, 4.0)])
     def test_graded_chain_entropy_matches_hermitian_chain(self, n, alpha):
@@ -254,6 +269,86 @@ class TestPTSymmetricRealPath:
         with pytest.raises(DefectiveError):
             biorthogonal_eig(km)
         assert seen == [np.dtype(float)]
+
+
+def _graded_hermitian(n=40, seed=11, mirrored=False):
+    """(D H D^-1, H): a random complex Hermitian H, ln d uniform in [-5, 5].
+
+    ``mirrored`` makes H* = P H P and d = d[P] exactly for the reversal P,
+    so that D H D^-1 is PT-symmetric under P.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    H = X + X.conj().T
+    x = rng.uniform(-5.0, 5.0, size=n)
+    if mirrored:
+        H = 0.5 * (H + H.conj()[::-1, ::-1])
+        x = 0.5 * (x + x[::-1])
+    d = np.exp(x)
+    return (H * d[:, None]) / d[None, :], H
+
+
+GAUGE_HERMITIAN = {
+    # (kernel, the Hermitian matrix it is diagonally similar to, mirrors,
+    #  the dtype eigh solves in)
+    **{f"hatano_nelson_n{n}_a{a:g}": (
+        lambda n=n, a=a: (build_hatano_nelson(n, 1.0, a, "open").entries,
+                          build_hatano_nelson(n, 1.0, 0.0, "open").entries,
+                          (), np.dtype(float)))
+       for n, a in ((12, 0.7), (128, 0.5), (512, 0.5))},
+    "graded_random_hermitian": lambda: (*_graded_hermitian(), (),
+                                        np.dtype(complex)),
+    "graded_pt_hermitian": lambda: (*_graded_hermitian(mirrored=True),
+                                    (np.arange(40)[::-1],), np.dtype(float)),
+}
+
+
+def _near_misses():
+    km = build_hatano_nelson(64, 1.0, 0.5, "open")
+    # a real change to a hopping of an open chain is absorbed by the
+    # positive gauge; a one-way hop or an on-site gain is not
+    one_way, gain = km.entries.copy(), km.entries.astype(complex)
+    one_way[10, 12] += 1e-9
+    gain[10, 10] += 1e-9j
+    return {"one_way_hop": (one_way, np.dtype(float)),
+            "onsite_gain": (gain, np.dtype(complex))}
+
+
+class TestGaugeHermitianPath:
+    @pytest.mark.parametrize("name", sorted(GAUGE_HERMITIAN))
+    def test_takes_eigh_with_unit_condition(self, monkeypatch, name):
+        A, H, mirrors, dtype = GAUGE_HERMITIAN[name]()
+        calls = _solver_calls(monkeypatch)
+        w, V, Vinv, cond = balanced_eig(A, mirrors=mirrors)
+        assert calls == [("eigh", dtype)]
+        assert cond == 1.0
+        ref = np.linalg.eigvalsh(H)
+        assert np.abs(w - ref).max() <= 1e-10 * np.linalg.norm(H, 2)
+        assert np.abs(Vinv @ V - np.eye(len(A))).max() <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(_near_misses()))
+    def test_near_miss_takes_eig(self, monkeypatch, name):
+        A, dtype = _near_misses()[name]
+        calls = _solver_calls(monkeypatch)
+        w, V, Vinv, cond = balanced_eig(A)
+        assert ("eig", dtype) in calls
+        assert "eigh" not in [c for c, _ in calls]
+        assert cond < 10
+        assert np.abs(Vinv @ V - np.eye(64)).max() <= 1e-10
+        # the perturbation moves no eigenvalue by more than ~1e-9
+        w0 = np.linalg.eigvalsh(build_hatano_nelson(64, 1.0, 0.0,
+                                                    "open").entries)
+        assert np.abs(np.sort_complex(w) - w0).max() < 1e-8
+
+    def test_oracle_hatano_nelson_sector_takes_eigh(self, monkeypatch):
+        K = build_hatano_nelson(10, 1.0, 0.5, "open")
+        calls = _solver_calls(monkeypatch)
+        G_R, G_L, energy = manybody_biortho_ground(K, 5)
+        assert calls == [("eigh", np.dtype(float))]
+        assert abs(np.vdot(G_L, G_R) - 1.0) < 1e-10
+        w0 = np.linalg.eigvalsh(build_hatano_nelson(10, 1.0, 0.0,
+                                                    "open").entries)
+        assert abs(energy - w0[:5].sum()) < 1e-10
 
 
 MODERATE_KERNELS = {
