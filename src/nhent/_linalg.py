@@ -1,11 +1,12 @@
 """Shared dense linear-algebra helpers; the one home of the defectiveness rule.
 
-``balanced_eig`` diagonalizes a general kernel in a diagonally rebalanced
-frame.  When that frame makes the kernel Hermitian (a gauge-Hermitian
-kernel, such as the open Hatano-Nelson chain) it is solved by ``eigh``: the
-eigenbasis is unitary in the balanced frame, its condition is exactly 1.0,
-and no defectiveness test is needed.  A matrix whose imaginary part is
-exactly zero is solved in real arithmetic.
+``balanced_eig`` is the only solver that returns eigenvectors (unit-norm
+columns, with their inverse) and the only code that raises
+``DefectiveError``.  A Hermitian matrix goes to ``eigh`` as given.  Any
+other kernel is diagonalized in a diagonally rebalanced frame: by ``eigh``
+when that frame makes it Hermitian (a gauge-Hermitian kernel, such as the
+open Hatano-Nelson chain, with condition exactly 1.0), and in real
+arithmetic when its imaginary part is exactly zero.
 
 Spectra and bands are paired by ``min_cost_matching``, a pure-Python
 min-cost assignment.
@@ -22,7 +23,7 @@ from .errors import DefectiveError
 
 __all__ = ["HERMITIAN_TOL", "DEFECTIVE_COND", "is_hermitian", "eigenvalues",
            "min_cost_matching", "match_spectra", "symmetrizing_diagonal",
-           "balanced_eig", "eig_with_balanced_inverse"]
+           "balanced_eig"]
 
 HERMITIAN_TOL = 1e-14
 DEFECTIVE_COND = 1e12
@@ -180,9 +181,14 @@ def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
 
 
 def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
-                 mirrors=(), cond_threshold: float = DEFECTIVE_COND):
-    """General eigendecomposition in a diagonally rebalanced frame.
+                 mirrors=()):
+    """Eigendecomposition of a kernel; the one solver that returns vectors.
 
+    A Hermitian A (``is_hermitian``) goes to ``eigh`` exactly as given: no
+    rescaling, no real cast, no symmetrization.  V is unitary, V^-1 = V^dag
+    and cond = 1.0.
+
+    Every other A is diagonalized in a diagonally rebalanced frame.
     Skin-effect-style matrices are diagonal similarity transforms of
     well-conditioned ones; the grading lives in the eigenvectors and is
     invisible to row/column-norm balancing of the entries.  The frame
@@ -217,23 +223,29 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
     -------
     w : np.ndarray
         Eigenvalues (computed in the balanced frame, where they are most
-        accurate); real-valued on the gauge-Hermitian path.
+        accurate); real-valued on the Hermitian and gauge-Hermitian paths.
     V : np.ndarray
-        Right eigenvectors as columns, in the original frame (balanced-frame
-        vectors scaled back exactly by the diagonal).
+        Right eigenvectors as unit-norm columns, in the original frame
+        (balanced-frame vectors scaled back exactly by the diagonal).
     Vinv : np.ndarray
-        Inverse of V; never None.
+        Inverse of V, whose rows absorb the column scaling; never None.
     cond : float
         2-norm condition number of the balanced-frame eigenvector matrix;
         measures genuine (near-)defectiveness rather than grading.  Exactly
-        1.0 on the gauge-Hermitian path.
+        1.0 on the Hermitian and gauge-Hermitian paths.
 
     Raises
     ------
     DefectiveError
-        If ``cond`` exceeds ``cond_threshold`` (or is NaN) or the balanced
+        If ``cond`` exceeds ``DEFECTIVE_COND`` (or is NaN) or the balanced
         factor is singular; carries ``cond`` and the eigenvalue clusters.
+        Also when the unit-normalized V or V^-1 is not finite in float64:
+        the diagonal grading exceeds the representable range.
     """
+    if is_hermitian(A):
+        w, V = np.linalg.eigh(A)
+        V = V.astype(complex)
+        return w.astype(complex), V, V.conj().T, 1.0
     A = _real_if_real_valued(A)
     p = None
     if not np.isrealobj(A):
@@ -265,13 +277,13 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
             d = d * (r / np.exp(np.mean(np.log(r))))
             d, B = balance(d / np.exp(np.mean(np.log(d))))
         cond = float(np.linalg.cond(Vr))
-        over = not cond <= cond_threshold  # a NaN estimate is over too
+        over = not cond <= DEFECTIVE_COND  # a NaN estimate is over too
         try:  # an infinite estimate, like a pivot inv finds zero, is singular
             Vb_inv = None if over or np.isinf(cond) else np.linalg.inv(Vr)
         except np.linalg.LinAlgError:
             Vb_inv = None
         if Vb_inv is None:
-            reason = (f"exceeds {cond_threshold:.1e}" if over
+            reason = (f"exceeds {DEFECTIVE_COND:.1e}" if over
                       else "but the matrix is singular")
             raise DefectiveError(
                 f"right-eigenvector matrix condition {cond:.3e} {reason}; "
@@ -282,21 +294,16 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
     V = (unmirror(Vr) * d[:, None]).astype(complex, copy=False)
     if p is not None:
         Vb_inv = (Vb_inv - 1j * Vb_inv[:, p]) / np.sqrt(2.0)
-    return w, V, (Vb_inv / d[None, :]).astype(complex, copy=False), cond
-
-
-def eig_with_balanced_inverse(A: np.ndarray, mirrors=(),
-                              cond_threshold: float = DEFECTIVE_COND):
-    """(w, V, V^-1, cond, hermitian): ``eigh`` if A is Hermitian, else
-    ``balanced_eig`` with the candidate PT mirrors ``mirrors``.
-
-    The Hermitian path returns the eigh eigenvalues as complex, V, V^dag and
-    a condition of 1.0.  The general path raises ``DefectiveError`` above
-    ``cond_threshold`` or on a singular factor: V^-1 is never None.
-    """
-    if is_hermitian(A):
-        w, V = np.linalg.eigh(A)
-        V = V.astype(complex)
-        return w.astype(complex), V, V.conj().T, 1.0, True
-    return (*balanced_eig(A, mirrors=mirrors, cond_threshold=cond_threshold),
-            False)
+    Vinv = (Vb_inv / d[None, :]).astype(complex, copy=False)
+    del B, Vr, Vb_inv  # freed before the norm's temporaries
+    # right columns to unit norm; the rows of V^-1 absorb the rescaling,
+    # so V^-1 V = I stays exact up to inversion error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vnorm = np.linalg.norm(V, axis=0)
+        V /= vnorm[None, :]
+        Vinv *= vnorm[:, None]
+    if not (np.isfinite(V).all() and np.isfinite(Vinv).all()):
+        raise DefectiveError(
+            "normalized eigenvectors overflow float64: the kernel's diagonal "
+            "grading exceeds the representable range", condition_estimate=cond)
+    return w, V, Vinv, cond

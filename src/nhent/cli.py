@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config, parse_partition
-from .correlations import Partition, check_duality
+from .correlations import check_duality
 from .dynamics import (domain_wall_state, evolve_no_jump,
                        hermitian_ground_state, staggered_state)
 from .errors import ConfigError, ToolkitError
@@ -43,7 +43,7 @@ from .models import FAMILIES
 from .oracle import oracle_equivalence_suite
 from .pipeline import (ground_state_system, momentum_space_view,
                        report_for_partition)
-from .scaling import FitResult, ScalingSeries, fit_central_charge
+from .scaling import ScalingSeries, fit_central_charge
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2
 
@@ -122,14 +122,12 @@ def _entanglement_point(payload):
             if part.space == "momentum":
                 if sys_mom is None:
                     sys_mom, sel_mom = momentum_space_view(
-                        K, config.filling, config.policy,
-                        cond_threshold=tol.defective)
+                        K, config.filling, config.policy)
                 sys_k, sel_k = sys_mom, sel_mom
             else:
                 if sys_pos is None:
                     sys_pos, sel_pos = ground_state_system(
-                        K, config.filling, config.policy,
-                        cond_threshold=tol.defective)
+                        K, config.filling, config.policy)
                 sys_k, sel_k = sys_pos, sel_pos
             report = report_for_partition(sys_k, sel_k, part,
                                           renyi_orders=config.renyi,
@@ -264,8 +262,7 @@ def cmd_duality(config: RunConfig, out_dir: str) -> int:
     if config.model is None or not config.partitions:
         raise ConfigError("duality command requires model and partitions")
     K = config.model.build()
-    sys_k, sel_k = ground_state_system(K, config.filling, config.policy,
-                                       cond_threshold=config.tolerances.defective)
+    sys_k, sel_k = ground_state_system(K, config.filling, config.policy)
     payload = []
     for part in config.partitions:
         rep = check_duality(sys_k, sel_k, part)

@@ -13,10 +13,9 @@ import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from ._linalg import DEFECTIVE_COND
 from .correlations import Partition
 from .entanglement import CLAMP_TOL, MIDGAP_TOL
-from .errors import ConfigError, ToolkitError, UnsupportedError
+from .errors import ConfigError, PartitionError, ToolkitError, UnsupportedError
 from .models import FAMILIES, ModelSpec
 from .oracle import MAX_MODES, ORACLE_ENTROPY_TOL, oracle_equivalence_suite
 from .pipeline import dual_momentum_partition
@@ -30,7 +29,6 @@ __all__ = ["RunConfig", "Tolerances", "load_config", "parse_config"]
 class Tolerances:
     clamp: float = CLAMP_TOL
     midgap: float = MIDGAP_TOL
-    defective: float = DEFECTIVE_COND
     fit_imag: float = FIT_IMAG_TOL
     oracle: float = ORACLE_ENTROPY_TOL
 
@@ -148,6 +146,8 @@ def parse_partition(d: dict, n_total: int, path: str):
                                 num("step", 1))]
     except KeyError as exc:
         raise ConfigError(f"missing key {exc} for type {kind!r}", path)
+    except PartitionError as exc:
+        raise ConfigError(str(exc), path)
 
 
 @dataclass

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .errors import CollapseError, SizeError
 from .correlations import CorrelationMatrix, Partition
-from .entanglement import CLAMP_TOL, EntanglementReport, build_report
+from .entanglement import CLAMP_TOL, build_report
 from .models import KernelMatrix
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "evolve_no_jump",
     "domain_wall_state",
     "hermitian_ground_state",
+    "staggered_state",
 ]
 
 # orbital condition number allowed to build up between orthonormalizations

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (BranchError, ConsistencyError, PartialSpectrumError,
                      PartitionError)
 from .correlations import CorrelationMatrix
-from ._linalg import eig_with_balanced_inverse, eigenvalues
+from ._linalg import balanced_eig, eigenvalues
 
 __all__ = [
     "EntanglementReport",
@@ -135,10 +135,10 @@ def entanglement_hamiltonian(C: CorrelationMatrix,
     Computed through the eigendecomposition of C (never by matrix
     inversion): each eigenvalue maps through xi = ln(1/eps - 1) in the
     eigenbasis of C.  Raises PartialSpectrumError when clamped eigenvalues
-    make part of the spectrum infinite, and DefectiveError (from the
-    eigen-solve) when C is (near-)defective.
+    make part of the spectrum infinite, and DefectiveError (from
+    ``_linalg.balanced_eig``) when C is (near-)defective.
     """
-    eps, V, Vinv, _, _ = eig_with_balanced_inverse(np.asarray(C.entries, dtype=complex))
+    eps, V, Vinv, _ = balanced_eig(np.asarray(C.entries, dtype=complex))
     mask = _clamped(eps, clamp_tol)
     if np.any(mask):
         raise PartialSpectrumError(

@@ -14,8 +14,8 @@ without forming rho, and ``fock_correlation`` reads the two-point function
 off the same vectors.  No 2^N x 2^N matrix is built.
 
 Sector blocks and rho_A go through the fast path's eigen-solve
-(``_linalg.eig_with_balanced_inverse``), so both refuse a (near-)defective
-matrix by one rule, raising ``DefectiveError``.
+(``_linalg.balanced_eig``), so both refuse a (near-)defective matrix by
+one rule, raising ``DefectiveError``.
 
 Mode i is bit i of the basis-state integer, and the kept (A) modes are the
 leading ones, in the low bits.  Jordan-Wigner strings then act entirely
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eig_with_balanced_inverse, match_spectra
+from ._linalg import balanced_eig, match_spectra
 from .correlations import Partition, correlation_matrix
 from .entanglement import modified_entropy, vn_entropy
 from .errors import ConsistencyError, DegeneracyError, OrderingError, SizeError
@@ -123,7 +123,7 @@ def manybody_biortho_ground(K: KernelMatrix, n_particles: int,
     block raises DefectiveError from the eigen-solve.
     """
     Hb, block_states = fock_block(K, n_particles)
-    w, V, Vinv, _, _ = eig_with_balanced_inverse(Hb)
+    w, V, Vinv, _ = balanced_eig(Hb)
     order = policy_order(w, policy)
     idx = order[0]
     if len(order) > 1 and abs(w[order[0]] - w[order[1]]) < degeneracy_tol:
@@ -169,7 +169,7 @@ def oracle_report(rho_A: np.ndarray, clamp_tol: float = 1e-12) -> OracleReport:
     within ``clamp_tol`` of zero contribute nothing.  Raises DefectiveError
     (from the eigen-solve) when rho_A is (near-)defective.
     """
-    lam = eig_with_balanced_inverse(np.asarray(rho_A, dtype=complex))[0]
+    lam = balanced_eig(np.asarray(rho_A, dtype=complex))[0]
     keep = np.abs(lam) > clamp_tol
     lk = lam[keep]
     s_vn = complex(-np.sum(lk * np.log(lk)))
@@ -275,6 +275,7 @@ def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
 
         results.append({
             "case": name,
+            "n_modes": n,
             "entropy_residual": float(entropy_residual),
             "modified_residual": mod_residual,
             "spectrum_residual": spectrum_residual,

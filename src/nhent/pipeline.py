@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFECTIVE_COND, eigenvalues
+from ._linalg import eigenvalues
 from .correlations import Partition, correlation_matrix, momentum_transform
 from .entanglement import (CLAMP_TOL, MIDGAP_TOL, EntanglementReport,
                            build_report, vn_entropy)
@@ -32,10 +32,9 @@ __all__ = [
 ]
 
 
-def ground_state_system(K: KernelMatrix, filling, policy: str = "real_part",
-                        cond_threshold: float = DEFECTIVE_COND):
+def ground_state_system(K: KernelMatrix, filling, policy: str = "real_part"):
     """Diagonalize a kernel and select the occupied set."""
-    sys = biorthogonal_eig(K, cond_threshold)
+    sys = biorthogonal_eig(K)
     sel = select_occupied(sys, filling, policy)
     return sys, sel
 
@@ -74,14 +73,12 @@ def entropy_series(sys: BiorthogonalSystem, sel: GroundStateSelection,
     return ScalingSeries(n, points, geometry)
 
 
-def momentum_space_view(K: KernelMatrix, filling, policy: str = "real_part",
-                        cond_threshold: float = DEFECTIVE_COND):
+def momentum_space_view(K: KernelMatrix, filling, policy: str = "real_part"):
     """Ground-state system of the Fourier-transformed kernel.
 
     Momentum-space partitions reuse the position pathway on this view.
     """
-    return ground_state_system(momentum_transform(K), filling, policy,
-                               cond_threshold=cond_threshold)
+    return ground_state_system(momentum_transform(K), filling, policy)
 
 
 @dataclass
@@ -121,8 +118,7 @@ def dual_momentum_partition(L: int, p: int, size: int | None = None) -> Partitio
 
 
 def self_dual_scan(values, kernel_factory, filling, policy: str = "real_part",
-                   momentum_partition: Partition | None = None,
-                   cond_threshold: float = DEFECTIVE_COND) -> TransitionScan:
+                   momentum_partition: Partition | None = None) -> TransitionScan:
     """Scan a parameter and compare half-system entropies in both spaces.
 
     ``kernel_factory(v)`` must return a periodic kernel.  The localization
@@ -136,12 +132,10 @@ def self_dual_scan(values, kernel_factory, filling, policy: str = "real_part",
     vs, s_real, s_mom = [], [], []
     for v in values:
         K = kernel_factory(v)
-        sys_r, sel_r = ground_state_system(K, filling, policy,
-                                           cond_threshold=cond_threshold)
+        sys_r, sel_r = ground_state_system(K, filling, policy)
         part_r = Partition.half(K.dim, "position")
         rep_r = report_for_partition(sys_r, sel_r, part_r)
-        sys_m, sel_m = momentum_space_view(K, filling, policy,
-                                           cond_threshold=cond_threshold)
+        sys_m, sel_m = momentum_space_view(K, filling, policy)
         part_m = momentum_partition or Partition.half(K.dim, "momentum")
         rep_m = report_for_partition(sys_m, sel_m, part_m)
         vs.append(float(v))

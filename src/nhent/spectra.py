@@ -21,21 +21,21 @@ that the entry-ratio diagonal makes Hermitian (the open Hatano-Nelson
 chain), is solved by ``eigh`` in that frame and reports a condition of
 exactly 1.0.  The reported condition estimate refers to the rebalanced
 eigenvector matrix, which measures genuine (near-)defectiveness rather
-than grading; the solver in ``_linalg`` alone decides defectiveness and
-raises ``DefectiveError`` above ``cond_threshold``.
-A grading too steep for float64 raises like a defective kernel.
+than grading.  The solver, ``_linalg.balanced_eig``, alone decides
+defectiveness, refuses a grading too steep for float64, and raises
+``DefectiveError``; this module only packs its result.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import DEFECTIVE_COND, eig_with_balanced_inverse
-from .errors import DefectiveError, DegeneracyWarning, SizeError
+from ._linalg import balanced_eig
+from .errors import DegeneracyWarning, SizeError
 from .models import KernelMatrix, bloch_momenta, bloch_reduce
 
 __all__ = [
@@ -110,10 +110,10 @@ def _mirrors(K: KernelMatrix) -> tuple:
     return keep, flip
 
 
-def biorthogonal_eig(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) -> BiorthogonalSystem:
+def biorthogonal_eig(K: KernelMatrix) -> BiorthogonalSystem:
     """Diagonalize a kernel into a biorthonormal right/left system.
 
-    Hermitian kernels take the unitary path (left = right).  Otherwise the
+    Hermitian kernels take the unitary path (left is right).  Otherwise the
     right eigenvectors come from a dense general solver; the left set is the
     conjugate transpose of the inverse of the (row-rebalanced) right matrix.
 
@@ -121,29 +121,18 @@ def biorthogonal_eig(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) ->
     ------
     DefectiveError
         From the solver (``_linalg.balanced_eig``) if the rebalanced
-        right-eigenvector matrix condition exceeds ``cond_threshold``; the
-        error carries the clustered eigenvalues so the caller can retry
-        with a parameter nudge.  Also raised when the unit-normalized right
-        or left vectors are not finite in float64.
+        right-eigenvector matrix is (near-)defective; the error carries the
+        clustered eigenvalues so the caller can retry with a parameter
+        nudge.  Also raised when the unit-normalized right or left vectors
+        are not finite in float64.
     """
-    w, V, Vinv, cond, hermitian = eig_with_balanced_inverse(
-        K.entries, _mirrors(K), cond_threshold)
-    if hermitian:
-        return BiorthogonalSystem(w, V, V, cond, hermitian=True)
-    # right columns to unit norm; left rows absorb the rescaling so that
-    # <L_a|R_b> = delta_ab stays exact up to inversion error
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vnorm = np.linalg.norm(V, axis=0)
-        right = V / vnorm[None, :]
-        left = (Vinv * vnorm[:, None]).conj().T
-    if not (np.isfinite(right).all() and np.isfinite(left).all()):
-        raise DefectiveError(
-            "normalized eigenvectors overflow float64: the kernel's diagonal "
-            "grading exceeds the representable range", condition_estimate=cond)
-    return BiorthogonalSystem(w, right, left, cond, hermitian=False)
+    w, V, Vinv, cond = balanced_eig(K.entries, mirrors=_mirrors(K))
+    hermitian = K.is_hermitian()
+    left = V if hermitian else Vinv.conj().T
+    return BiorthogonalSystem(w, V, left, cond, hermitian=hermitian)
 
 
-def bloch_system(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) -> BiorthogonalSystem:
+def bloch_system(K: KernelMatrix) -> BiorthogonalSystem:
     """Momentum-resolved decomposition of a periodic, translation-invariant kernel.
 
     Diagonalizes the Bloch matrix on each grid momentum and assembles
@@ -169,7 +158,7 @@ def bloch_system(K: KernelMatrix, cond_threshold: float = DEFECTIVE_COND) -> Bio
             lb = np.array([[1.0 + 0j]])
         else:
             blk = KernelMatrix(ns, h, "open")
-            sub = biorthogonal_eig(blk, cond_threshold)
+            sub = biorthogonal_eig(blk)
             wb, ub, lb = sub.eigenvalues, sub.right, sub.left
             worst = max(worst, sub.condition_estimate)
         phase = np.exp(1j * k * cells)[:, None, None] / np.sqrt(nc)

@@ -264,6 +264,20 @@ class TestCommands:
             (".num", {"start": 0.0, "stop": 1.0, "num": 2.5}),
             ("[1]", [0.0, "one"]),
         ]],
+        # the gate on defectiveness is fixed, not a tolerance
+        ("entanglement", {**BASE, "tolerances": {"defective": 1e14}},
+         "tolerances"),
+        *[("entanglement", {**BASE, "partitions": [part]},
+           "config.partitions[0]") for part in [
+            {"type": "range", "start": 6, "stop": 3},
+            {"type": "indices", "indices": [0, 99]},
+            {"type": "half", "space": "moment"},
+            {"type": "size_scan", "min": 0},
+        ]],
+        ("dynamics", {**DYNAMICS, "dynamics": {
+            "t_grid": [0.0, 1.0],
+            "partition": {"type": "range", "start": 3, "stop": 3}}},
+         "config.dynamics.partition"),
     ], ids=["oracle_n_modes", "fit_length", "oracle_subsystem_range", "renyi",
             "renyi_not_list", "tolerances_not_object", "params_not_object",
             "family_not_string", "partitions_not_list", "chern_ribbon_periodic",
@@ -273,7 +287,10 @@ class TestCommands:
             "partition_indices", "partition_indices_not_list", "partition_p",
             "partition_min",
             "partition_max", "partition_step", "t_grid_start", "t_grid_stop",
-            "t_grid_num", "t_grid_list"])
+            "t_grid_num", "t_grid_list", "tolerance_defective",
+            "partition_range_reversed", "partition_indices_out_of_range",
+            "partition_unknown_space", "partition_size_scan_empty",
+            "dynamics_partition_empty"])
     def test_malformed_config_values_exit_1(self, tmp_path, capsys, command,
                                             doc, path):
         cfg = write_config(tmp_path, doc)

@@ -53,3 +53,43 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _module_trees():
+    """(file name, AST) of every module in the package."""
+    for path in sorted(Path(nhent.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the package __init__ imports what it exports; any other module must
+    # use each name it imports, or re-export it through __all__
+    for name, tree in _module_trees():
+        if name == "__init__.py":
+            continue
+        imported, used, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0]
+                             for a in node.names}
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__"
+                          for t in node.targets)):
+                exported |= set(ast.literal_eval(node.value))
+        unused = sorted(imported - used - exported)
+        assert not unused, f"nhent/{name} imports unused {unused}"
+
+
+def test_only_the_solver_raises_defective_error():
+    # one defectiveness rule: _linalg.balanced_eig is its only home
+    raisers = {
+        name for name, tree in _module_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "DefectiveError" in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None))}
+    assert raisers == {"_linalg.py"}

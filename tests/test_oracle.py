@@ -7,10 +7,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import nhent.oracle
-from nhent import (ConsistencyError, DefectiveError, KernelMatrix,
-                   OrderingError, Partition, SizeError, biorthogonal_eig,
-                   build_hatano_nelson, build_nh_ssh_real,
-                   build_uniform_chain, correlation_matrix, fock_block,
+from nhent import (ConsistencyError, CorrelationMatrix, DefectiveError,
+                   KernelMatrix, OrderingError, Partition, SizeError,
+                   biorthogonal_eig, build_hatano_nelson, build_nh_ssh_real,
+                   build_uniform_chain, correlation_matrix,
+                   entanglement_hamiltonian, fock_block,
                    fock_correlation, manybody_biortho_ground,
                    modified_entropy, oracle_report, projector,
                    reduced_density, sector_states, select_occupied,
@@ -172,11 +173,14 @@ class TestManybodyGround:
 
 def test_fast_path_and_oracle_apply_one_defectiveness_rule():
     # diag(-1) + the 2 x 2 Jordan block: its one-particle Fock block is K
-    # itself, so the referee must refuse it exactly as the fast path does
+    # itself, so the referee must refuse it exactly as the fast path does;
+    # the entanglement Hamiltonian of the same Jordan block is refused alike
     K = KernelMatrix(3, np.array([[-1.0, 0, 0], [0, 0, 1], [0, 0, 0]]), "open")
     assert np.array_equal(fock_block(K, 1)[0], K.entries)
+    C = CorrelationMatrix(Partition.half(4), K.entries[1:, 1:])
     for solve in (lambda: biorthogonal_eig(K),
-                  lambda: manybody_biortho_ground(K, 1)):
+                  lambda: manybody_biortho_ground(K, 1),
+                  lambda: entanglement_hamiltonian(C)):
         with pytest.raises(DefectiveError) as err:
             solve()
         assert len(err.value.clusters) == 1
@@ -326,6 +330,9 @@ class TestOracleSuite:
         # A random case may still miss on the entropy alone: a 2 pi i branch
         # jump of the factorized logarithm (random-17 here, residual 0.08)
         results = oracle_equivalence_suite(n_modes=7, subsystem=3, seed=5)
+        # the nh-ssh case is built on n_modes // 2 cells, and says so
+        assert {r["case"]: r["n_modes"] for r in results
+                if r["n_modes"] != 7} == {"nh-ssh": 6}
         for r in results:
             assert r["spectrum_residual"] < 1e-9, r
             assert r["purity_residual"] < 1e-10, r
