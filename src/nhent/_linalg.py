@@ -6,7 +6,12 @@ columns, with their inverse) and the only code that raises
 other kernel is diagonalized in a diagonally rebalanced frame: by ``eigh``
 when that frame makes it Hermitian (a gauge-Hermitian kernel, such as the
 open Hatano-Nelson chain, with condition exactly 1.0), and in real
-arithmetic when its imaginary part is exactly zero.
+arithmetic when its imaginary part is exactly zero.  Such a kernel costs
+one ``eig`` per balancing pass and one inverse: the defectiveness gate,
+kappa_2 of the eigenvector matrix against ``DEFECTIVE_COND``, is certified
+from the Frobenius norms of that matrix and its inverse, and only near or
+above the threshold is kappa_2 taken from an SVD.  This module is the only
+caller of ``np.linalg.cond`` and ``svd``.
 
 Spectra and bands are paired by ``min_cost_matching``, a pure-Python
 min-cost assignment.
@@ -170,6 +175,22 @@ def symmetrizing_diagonal(A: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(x, -lim, lim))
 
 
+def _squared_norms(X: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of |X_ij|^2 over ``axis`` (0: per column, 1: per row) of a 2-D X.
+
+    A complex X is read as its float view, real and imaginary parts
+    interleaved along each row, so no n x n temporary is made.
+    """
+    cplx = np.iscomplexobj(X)
+    F = np.ascontiguousarray(X)
+    if cplx:
+        F = F.view(float)
+    if axis == 1:
+        return np.einsum("ij,ij->i", F, F)
+    s = np.einsum("ij,ij->j", F, F)
+    return s[0::2] + s[1::2] if cplx else s
+
+
 def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
     """Groups of eigenvalues chained by gaps below 1e-6 * scale, in index order."""
     # imported on call: only raising paths use it
@@ -208,7 +229,8 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
     balanced kernel B inherits the symmetry, and T = (I + iP) / sqrt(2)
     is a unitary with T^dag B T = Re B - (Im B)[:, p] real.  That real
     matrix is solved, and its eigenvectors V_r and their inverse map back
-    exactly: V_b = T V_r, V_b^-1 = V_r^-1 T^dag, cond(V_b) = cond(V_r).
+    exactly: V_b = T V_r, V_b^-1 = V_r^-1 T^dag, with the same column and
+    row norms and condition numbers (T is unitary).
     The outputs are complex either way.
 
     Gauge-Hermitian kernels skip the passes.  If the first balanced kernel
@@ -216,7 +238,7 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
     each ratio d_j / d_i carries a rounding of about eps |ln d|, its
     Hermitian part is solved by ``eigh``: V_r = U is unitary, V_r^-1 = U^dag,
     cond = 1.0, and a Hermitian matrix is never defective.  No ``eig``,
-    condition estimate or inverse is computed.  Every other kernel takes
+    inverse or condition number is computed.  Every other kernel takes
     the passes above.
 
     Returns
@@ -230,17 +252,25 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
     Vinv : np.ndarray
         Inverse of V, whose rows absorb the column scaling; never None.
     cond : float
-        2-norm condition number of the balanced-frame eigenvector matrix;
-        measures genuine (near-)defectiveness rather than grading.  Exactly
-        1.0 on the Hermitian and gauge-Hermitian paths.
+        max_i ||r_i|| ||l_i|| over the columns r_i of the balanced-frame
+        eigenvector matrix V_b and the rows l_i of V_b^-1: the largest of
+        Wilkinson's eigenvalue condition numbers s_i (s_i^2 is the
+        Petermann factor of mode i), read off V_b and V_b^-1 in O(n^2).
+        It measures genuine (near-)defectiveness rather than grading, and
+        1 <= cond <= kappa_2(V_b) <= n cond.  Exactly 1.0 on the Hermitian
+        and gauge-Hermitian paths.
 
     Raises
     ------
     DefectiveError
-        If ``cond`` exceeds ``DEFECTIVE_COND`` (or is NaN) or the balanced
-        factor is singular; carries ``cond`` and the eigenvalue clusters.
-        Also when the unit-normalized V or V^-1 is not finite in float64:
-        the diagonal grading exceeds the representable range.
+        If kappa_2, the 2-norm condition number of V_b, exceeds
+        ``DEFECTIVE_COND`` (or is NaN), or V_b is singular; carries kappa_2
+        and the eigenvalue clusters.  As kappa_2 <= kappa_F =
+        ||V_b||_F ||V_b^-1||_F, the SVD behind kappa_2 runs only when
+        kappa_F exceeds ``DEFECTIVE_COND / 2`` or the inversion fails.
+        Also raised, carrying ``cond``, when the unit-normalized V or V^-1
+        is not finite in float64: the diagonal grading exceeds the
+        representable range.
     """
     if is_hermitian(A):
         w, V = np.linalg.eigh(A)
@@ -276,20 +306,32 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
                 break
             d = d * (r / np.exp(np.mean(np.log(r))))
             d, B = balance(d / np.exp(np.mean(np.log(d))))
-        cond = float(np.linalg.cond(Vr))
-        over = not cond <= DEFECTIVE_COND  # a NaN estimate is over too
-        try:  # an infinite estimate, like a pivot inv finds zero, is singular
-            Vb_inv = None if over or np.isinf(cond) else np.linalg.inv(Vr)
+        try:
+            Vb_inv = np.linalg.inv(Vr)
         except np.linalg.LinAlgError:
             Vb_inv = None
-        if Vb_inv is None:
-            reason = (f"exceeds {DEFECTIVE_COND:.1e}" if over
-                      else "but the matrix is singular")
-            raise DefectiveError(
-                f"right-eigenvector matrix condition {cond:.3e} {reason}; "
-                "matrix is (near-)defective", condition_estimate=cond,
-                clusters=_eigenvalue_clusters(w.astype(complex, copy=False),
-                                              float(np.abs(A).max())))
+        else:
+            r2, l2 = _squared_norms(Vr, 0), _squared_norms(Vb_inv, 1)
+            kappa_f = np.sqrt(r2.sum()) * np.sqrt(l2.sum())
+        # kappa_2 <= kappa_F = ||Vr||_F ||Vr^-1||_F, so kappa_F at or below
+        # half the threshold proves that the kappa_2 gate accepts.  The
+        # factor 2 absorbs the rounding of the computed inverse (relative
+        # error ~ n eps kappa_2, below 1/2 up to n ~ 2000 at 1e12).  Only
+        # above it, or for a singular Vr, does the SVD run, and it decides.
+        if Vb_inv is None or not kappa_f <= DEFECTIVE_COND / 2:
+            kappa = float(np.linalg.cond(Vr))
+            over = not kappa <= DEFECTIVE_COND  # a NaN estimate is over too
+            # an infinite estimate, like a pivot inv finds zero, is singular
+            if over or np.isinf(kappa) or Vb_inv is None:
+                reason = (f"exceeds {DEFECTIVE_COND:.1e}" if over
+                          else "but the matrix is singular")
+                raise DefectiveError(
+                    f"right-eigenvector matrix condition {kappa:.3e} {reason}; "
+                    "matrix is (near-)defective", condition_estimate=kappa,
+                    clusters=_eigenvalue_clusters(
+                        w.astype(complex, copy=False), float(np.abs(A).max())))
+        # Wilkinson's eigenvalue condition numbers s_i = ||r_i|| ||l_i||
+        cond = float(np.sqrt((r2 * l2).max()))
     w = w.astype(complex, copy=False)
     V = (unmirror(Vr) * d[:, None]).astype(complex, copy=False)
     if p is not None:

@@ -21,7 +21,11 @@ class DefectiveError(ToolkitError):
     """Eigenvector matrix too ill-conditioned for biorthogonal quantities.
 
     Carries ``condition_estimate`` and ``clusters``, the groups of nearly
-    coincident eigenvalues responsible for the (near-)defectiveness.
+    coincident eigenvalues responsible for the (near-)defectiveness.  When
+    the gate refuses, ``condition_estimate`` is the 2-norm condition number
+    (from an SVD) of the rebalanced eigenvector matrix; when the normalized
+    eigenvectors overflow float64, it is the largest eigenvalue condition
+    number that the accepted solve would have reported.
     """
 
     def __init__(self, message, condition_estimate=None, clusters=None):

@@ -19,11 +19,13 @@ Kernels that are PT-symmetric only to rounding, or whose labels do not
 tile a lattice, take the complex solver.  A gauge-Hermitian kernel, one
 that the entry-ratio diagonal makes Hermitian (the open Hatano-Nelson
 chain), is solved by ``eigh`` in that frame and reports a condition of
-exactly 1.0.  The reported condition estimate refers to the rebalanced
-eigenvector matrix, which measures genuine (near-)defectiveness rather
-than grading.  The solver, ``_linalg.balanced_eig``, alone decides
-defectiveness, refuses a grading too steep for float64, and raises
-``DefectiveError``; this module only packs its result.
+exactly 1.0.  Any other kernel reports the largest eigenvalue condition
+number max_a ||R_a|| ||L_a|| of the rebalanced eigenvector matrix, which
+measures genuine (near-)defectiveness rather than grading.  The solver,
+``_linalg.balanced_eig``, alone decides defectiveness (by the 2-norm
+condition number of that matrix), refuses a grading too steep for
+float64, and raises ``DefectiveError``; this module only packs its
+result.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ class BiorthogonalSystem:
     so that every |R_a> has unit 2-norm and left.conj().T @ right = identity.
     ``momenta`` is set when the system was assembled momentum block by
     momentum block and gives the Bloch momentum of each eigenstate.
+
+    ``condition_estimate`` is the largest eigenvalue condition number
+    s_a = ||R_a|| ||L_a|| in the solver's rebalanced frame (s_a^2 is the
+    Petermann factor there), at least 1 and at most the 2-norm condition
+    number that the defectiveness gate reads; exactly 1.0 for a Hermitian
+    or gauge-Hermitian kernel.  A Bloch-assembled system reports the
+    largest over its momentum blocks.
     """
 
     eigenvalues: np.ndarray

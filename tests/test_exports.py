@@ -93,3 +93,14 @@ def test_only_the_solver_raises_defective_error():
         and "DefectiveError" in (getattr(node.func, "id", None),
                                  getattr(node.func, "attr", None))}
     assert raisers == {"_linalg.py"}
+
+
+def test_only_the_solver_takes_an_svd():
+    # the defectiveness gate certifies most solves from the inverse it
+    # already has; an SVD (np.linalg.cond or svd) runs only in _linalg
+    callers = {
+        name for name, tree in _module_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and {"cond", "svd", "svdvals"} & {getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None)}}
+    assert callers == {"_linalg.py"}

@@ -338,6 +338,32 @@ class TestOracleSuite:
             assert r["purity_residual"] < 1e-10, r
             assert r["passed"] or r["case"].startswith("random-"), r
 
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-7, 1.5])
+    def test_purity_residual_is_the_explicit_one(self, monkeypatch, scale):
+        # the suite reads max|rho^2 - rho| off <G_L|G_R>; a G_L scaled off
+        # its normalization must give what the explicit product gives, and
+        # fail the case
+        ground, seen = nhent.oracle.manybody_biortho_ground, []
+
+        def scaled(K, n_particles):
+            G_R, G_L, energy = ground(K, n_particles)
+            seen.append((G_R, scale * G_L))
+            return G_R, scale * G_L, energy
+        monkeypatch.setattr(nhent.oracle, "manybody_biortho_ground", scaled)
+        results = oracle_equivalence_suite(n_cases=2, n_modes=10, subsystem=5)
+        assert len(seen) == len(results) == 4
+        for r, (G_R, G_L) in zip(results, seen):
+            sector = np.flatnonzero((G_R != 0) | (G_L != 0))
+            rho = np.outer(G_R[sector], G_L[sector].conj())
+            explicit = np.abs(rho @ rho - rho).max()
+            # the float64 product carries a rounding of a few eps max|rho|,
+            # which is all there is at scale 1 and ~1e-9 of it at 1 + 1e-7
+            floor = 8 * np.finfo(float).eps * np.abs(rho).max()
+            assert r["purity_residual"] == pytest.approx(explicit, rel=1e-12,
+                                                         abs=floor)
+            if scale != 1.0:
+                assert r["purity_residual"] > 1e-10 and not r["passed"]
+
     def test_other_errors_propagate(self, monkeypatch):
         def broken(eps):
             raise RuntimeError("bug in modified_entropy")

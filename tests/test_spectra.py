@@ -13,6 +13,7 @@ from nhent import (BiorthogonalSystem, DefectiveError, DegeneracyWarning,
                    build_quasicrystal, build_uniform_chain, ground_state_system,
                    momentum_transform, Partition, petermann_factor,
                    report_for_partition, select_occupied)
+from nhent import _linalg
 from nhent._linalg import (HERMITIAN_TOL, balanced_eig, is_hermitian,
                            match_spectra, min_cost_matching,
                            symmetrizing_diagonal)
@@ -31,6 +32,7 @@ class TestBiorthogonalEig:
         km = build_nh_ssh_real(4, 1.0, 0.5, 0.0, "open")
         sys = biorthogonal_eig(km)
         assert sys.hermitian
+        assert sys.condition_estimate == 1.0
         assert np.abs(sys.eigenvalues.imag).max() < 1e-12
         assert np.abs(sys.left - sys.right).max() < 1e-10
 
@@ -130,6 +132,18 @@ def _solver_calls(monkeypatch):
     return calls
 
 
+def _svd_calls(monkeypatch):
+    """Record (name, result) of every np.linalg.cond and np.linalg.svd call."""
+    calls = []
+    for name in ("cond", "svd"):
+        def spied(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            out = _f(*args, **kwargs)
+            calls.append((_name, out))
+            return out
+        monkeypatch.setattr(np.linalg, name, spied)
+    return calls
+
+
 class TestBalancing:
     def test_open_chain_takes_one_real_pass(self, monkeypatch):
         # the entry ratios symmetrize open Hatano-Nelson to rounding, so the
@@ -201,14 +215,26 @@ class TestBalancing:
         ("hatano_nelson_n160_a5", build_hatano_nelson(160, 1.0, 5.0, "open")),
         ("hatano_nelson_n200_a4", build_hatano_nelson(200, 1.0, 4.0, "open")),
     ])
-    def test_defective_kernels_still_raise(self, name, km):
+    def test_defective_kernels_still_raise(self, monkeypatch, name, km):
         # the solver itself refuses each kernel, so every caller does; at
         # n = 160, alpha = 5 it is the float64 overflow of the unit-norm
-        # vectors, after the passes end at a benign condition
+        # vectors, after the passes end at a benign condition and no SVD.
+        # Every other refusal carries the SVD's kappa_2, the one estimate
+        # that decides above the inverse's certificate
+        svd = _svd_calls(monkeypatch)
         for solve in (lambda: balanced_eig(km.entries),
                       lambda: biorthogonal_eig(km)):
-            with pytest.raises(DefectiveError):
+            svd.clear()
+            with pytest.raises(DefectiveError) as err:
                 solve()
+            if name == "hatano_nelson_n160_a5":
+                assert svd == [] and "overflow" in str(err.value)
+                assert 1.0 <= err.value.condition_estimate < 10
+            else:
+                assert [c for c, _ in svd] == ["cond"]
+                kappa_2 = svd[0][1]
+                assert err.value.condition_estimate == kappa_2
+                assert kappa_2 > _linalg.DEFECTIVE_COND
 
 
 def _pi_flux_ring(n_cells):
@@ -354,6 +380,84 @@ class TestGaugeHermitianPath:
         w0 = np.linalg.eigvalsh(build_hatano_nelson(10, 1.0, 0.0,
                                                     "open").entries)
         assert abs(energy - w0[:5].sum()) < 1e-10
+
+
+def _random_complex(n=40, seed=2):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+ACCEPTED_SOLVES = {
+    # the PT-real path
+    "eb_ssh_open_24_g4": lambda: biorthogonal_eig(
+        build_eb_ssh(24, 1.0, 0.5, 4.0, "open")),
+    "random_complex_40": lambda: balanced_eig(_random_complex()),
+    # the 252 x 252 half-filled sector of a random 10-mode kernel
+    "oracle_sector_10_modes": lambda: manybody_biortho_ground(
+        KernelMatrix(10, _random_complex(10, 4), "open"), 5),
+}
+
+
+GATE_KERNELS = {
+    # (kernel, mirrors)
+    "random_complex_40": lambda: (_random_complex(), ()),
+    "eb_ssh_open_24_g4_pt": lambda: (
+        build_eb_ssh(24, 1.0, 0.5, 4.0, "open").entries,
+        (np.arange(48).reshape(24, 2)[::-1].ravel(),)),
+    "measurement_16_g0.8": lambda: (
+        build_measurement_heff(16, 1.0, 0.8, "open").entries, ()),
+    # the PT exceptional point shifted to 1/2, accepted at kappa_2 ~ 8e7
+    "shifted_exceptional_point": lambda: (
+        0.5 * np.eye(2) + np.array([[0.7j, -0.7], [-0.7, -0.7j]]), ()),
+}
+
+
+class TestConditionGate:
+    @pytest.mark.parametrize("name", sorted(ACCEPTED_SOLVES))
+    def test_accepted_solves_take_no_svd(self, monkeypatch, name):
+        svd = _svd_calls(monkeypatch)
+        calls = _solver_calls(monkeypatch)
+        ACCEPTED_SOLVES[name]()
+        assert svd == []
+        assert [c for c, _ in calls].count("inv") == 1
+
+    @pytest.mark.parametrize("name", sorted(GATE_KERNELS))
+    def test_gate_decides_as_the_svd(self, monkeypatch, name):
+        A, mirrors = GATE_KERNELS[name]()
+        vectors = []
+        eig = np.linalg.eig
+
+        def last_eig(B):
+            out = eig(B)
+            vectors.append(out[1])
+            return out
+        monkeypatch.setattr(np.linalg, "eig", last_eig)
+        cond = balanced_eig(A, mirrors=mirrors)[3]
+        # the balanced-frame eigenvector matrix of the last pass
+        Vr = vectors[-1]
+        kappa_2 = np.linalg.cond(Vr)
+        kappa_f = np.linalg.norm(Vr) * np.linalg.norm(np.linalg.inv(Vr))
+        # 1 <= cond <= kappa_2 <= kappa_F <= n cond, up to rounding
+        slack = 1 + 1e-12
+        assert 1.0 <= cond * slack and cond <= kappa_2 * slack
+        assert kappa_2 <= kappa_f * slack <= len(A) * cond * slack**2
+        svd = _svd_calls(monkeypatch)
+        # the SVD raises (below kappa_2), accepts (the next three), or is
+        # not needed (the inverse's certificate, the last)
+        for threshold in (0.5 * kappa_2, 0.999 * kappa_2, 1.001 * kappa_2,
+                          1.5 * kappa_f, 2.5 * kappa_f):
+            monkeypatch.setattr(_linalg, "DEFECTIVE_COND", threshold)
+            svd.clear()
+            try:
+                accepted_cond = balanced_eig(A, mirrors=mirrors)[3]
+            except DefectiveError as err:
+                assert kappa_2 > threshold
+                assert err.condition_estimate == kappa_2
+            else:
+                assert not kappa_2 > threshold
+                assert accepted_cond == cond
+            assert [c for c, _ in svd] == (["cond"] if kappa_f > threshold / 2
+                                          else [])
 
 
 class TestHermitianInput:
