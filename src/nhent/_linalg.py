@@ -3,15 +3,15 @@
 ``balanced_eig`` is the only solver that returns eigenvectors (unit-norm
 columns, with their inverse) and the only code that raises
 ``DefectiveError``.  A Hermitian matrix goes to ``eigh`` as given.  Any
-other kernel is diagonalized in a diagonally rebalanced frame: by ``eigh``
-when that frame makes it Hermitian (a gauge-Hermitian kernel, such as the
-open Hatano-Nelson chain, with condition exactly 1.0), and in real
-arithmetic when its imaginary part is exactly zero.  Such a kernel costs
-one ``eig`` per balancing pass and one inverse: the defectiveness gate,
-kappa_2 of the eigenvector matrix against ``DEFECTIVE_COND``, is certified
-from the Frobenius norms of that matrix and its inverse, and only near or
-above the threshold is kappa_2 taken from an SVD.  This module is the only
-caller of ``np.linalg.cond`` and ``svd``.
+other kernel is balanced once, by the diagonal ``symmetrizing_diagonal``
+reads off its entry ratios, and solved once: by ``eigh`` when that frame
+makes it Hermitian (a gauge-Hermitian kernel, such as the open
+Hatano-Nelson chain, with condition exactly 1.0), else by one ``eig`` and
+one inverse, in real arithmetic when its imaginary part is exactly zero.
+The defectiveness gate, kappa_2 of the eigenvector matrix against
+``DEFECTIVE_COND``, is certified from the Frobenius norms of that matrix
+and its inverse; only near or above the threshold is kappa_2 taken from an
+SVD.  This module is the only caller of ``np.linalg.cond`` and ``svd``.
 
 Spectra and bands are paired by ``min_cost_matching``, a pure-Python
 min-cost assignment.
@@ -147,9 +147,9 @@ def symmetrizing_diagonal(A: np.ndarray) -> np.ndarray:
     step of iterative refinement removes the tie's bias, so the ratio
     equations hold to rounding.  d has geometric mean 1, and is exactly
     ``np.ones`` when all ratios cancel, e.g. on magnitude-symmetric
-    kernels.  |x| is clipped to a quarter of the float64 exponent range, so
-    every ratio d_j / d_i stays below sqrt(float max) and the rescaled
-    kernel stays finite even where the grading itself is not representable.
+    kernels.  |x| is clipped to half of the float64 exponent range, so d
+    and 1 / d are finite; a kernel rescaled by a grading that steep may
+    overflow, and ``balanced_eig`` refuses it.
     """
     n = A.shape[0]
     mag = np.abs(A)
@@ -171,7 +171,7 @@ def symmetrizing_diagonal(A: np.ndarray) -> np.ndarray:
     x = dgetrs(lu, piv, rhs)[0]
     x += dgetrs(lu, piv, rhs - lap @ x)[0]
     x -= x.mean()
-    lim = 0.25 * np.log(np.finfo(float).max)
+    lim = 0.5 * np.log(np.finfo(float).max)
     return np.exp(np.clip(x, -lim, lim))
 
 
@@ -201,26 +201,22 @@ def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
     return [g for g in groups if len(g) > 1]
 
 
-def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
-                 mirrors=()):
+def balanced_eig(A: np.ndarray, mirrors=()):
     """Eigendecomposition of a kernel; the one solver that returns vectors.
 
     A Hermitian A (``is_hermitian``) goes to ``eigh`` exactly as given: no
     rescaling, no real cast, no symmetrization.  V is unitary, V^-1 = V^dag
     and cond = 1.0.
 
-    Every other A is diagonalized in a diagonally rebalanced frame.
-    Skin-effect-style matrices are diagonal similarity transforms of
-    well-conditioned ones; the grading lives in the eigenvectors and is
-    invisible to row/column-norm balancing of the entries.  The frame
-    starts from ``symmetrizing_diagonal(A)``, read off the entry ratios
-    |A_ij| / |A_ji|: it makes an open nonreciprocal chain
-    magnitude-symmetric to rounding, so one pass suffices there, and it is the identity
-    on magnitude-symmetric kernels.  Grading the seed misses is then found
-    iteratively: the row norms of the computed eigenvector matrix estimate
-    the remaining diagonal, the kernel is rebalanced by it, and the
-    decomposition is repeated (at most ``max_iter`` passes) until the
-    eigenvector rows are flat within ``spread_tol``.
+    Every other A is solved once, in the one rebalanced frame B = D^-1 A D,
+    D = diag(d), d = ``symmetrizing_diagonal(A)``.  Skin-effect-style
+    matrices are diagonal similarity transforms of well-conditioned ones;
+    the grading is invisible to row/column-norm balancing of the entries,
+    but the entry ratios |A_ij| / |A_ji| see it: d makes an open
+    nonreciprocal chain magnitude-symmetric to rounding, and it is the
+    identity on magnitude-symmetric kernels.  No grading is read back from
+    the computed eigenvectors, where a defect looks like one (Parlett &
+    Reinsch, Numer. Math. 13, 293 (1969)), so a Jordan block is refused.
 
     A real A is diagonalized in real arithmetic, and so is a complex A that
     is PT-symmetric: ``mirrors`` lists candidate involutive permutations p,
@@ -233,13 +229,12 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
     row norms and condition numbers (T is unitary).
     The outputs are complex either way.
 
-    Gauge-Hermitian kernels skip the passes.  If the first balanced kernel
-    is Hermitian, to ``HERMITIAN_TOL`` scaled by max(1, max|ln d|) because
-    each ratio d_j / d_i carries a rounding of about eps |ln d|, its
-    Hermitian part is solved by ``eigh``: V_r = U is unitary, V_r^-1 = U^dag,
-    cond = 1.0, and a Hermitian matrix is never defective.  No ``eig``,
-    inverse or condition number is computed.  Every other kernel takes
-    the passes above.
+    If B is Hermitian, to ``HERMITIAN_TOL`` scaled by max(1, max|ln d|)
+    because each ratio d_j / d_i carries a rounding of about eps |ln d|,
+    A is gauge-Hermitian and the Hermitian part of B is solved by ``eigh``:
+    V_r = U is unitary, V_r^-1 = U^dag, cond = 1.0, and a Hermitian matrix
+    is never defective.  No ``eig``, inverse or condition number is
+    computed.  Every other B costs one ``eig`` and one inverse.
 
     Returns
     -------
@@ -268,9 +263,9 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
         and the eigenvalue clusters.  As kappa_2 <= kappa_F =
         ||V_b||_F ||V_b^-1||_F, the SVD behind kappa_2 runs only when
         kappa_F exceeds ``DEFECTIVE_COND / 2`` or the inversion fails.
-        Also raised, carrying ``cond``, when the unit-normalized V or V^-1
-        is not finite in float64: the diagonal grading exceeds the
-        representable range.
+        Also raised when the grading exceeds the float64 range: before any
+        solve, with an infinite estimate, if B itself is not finite; and,
+        carrying ``cond``, if the unit-normalized V or V^-1 is not finite.
     """
     if is_hermitian(A):
         w, V = np.linalg.eigh(A)
@@ -282,30 +277,22 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
         p = next((m for m in mirrors
                   if np.array_equal(A.conj(), A[np.ix_(m, m)])), None)
     M = A if p is None else A.real - A.imag[:, p]
-
-    def balance(d):
-        if p is not None:
-            d = np.sqrt(d * d[p])
-        return d, (M / d[:, None]) * d[None, :]
-
-    def unmirror(Vr):
-        return Vr if p is None else (Vr + 1j * Vr[p]) / np.sqrt(2.0)
-
-    d, B = balance(symmetrizing_diagonal(A))
+    d = symmetrizing_diagonal(A)
+    if p is not None:
+        d = np.sqrt(d * d[p])
+    with np.errstate(over="ignore"):
+        B = (M / d[:, None]) * d[None, :]
+    if not np.isfinite(B).all():
+        raise DefectiveError(
+            "balanced kernel overflows float64: the kernel's diagonal "
+            "grading exceeds the representable range",
+            condition_estimate=math.inf)
     log_spread = max(1.0, float(np.abs(np.log(d)).max()))
     if is_hermitian(B, HERMITIAN_TOL * log_spread):
         w, Vr = np.linalg.eigh(0.5 * (B + B.conj().T))
         Vb_inv, cond = Vr.conj().T, 1.0
     else:
-        for it in range(max_iter):
-            w, Vr = np.linalg.eig(B)
-            r = np.linalg.norm(unmirror(Vr), axis=1)
-            r = np.where(r > 0, r, 1.0)
-            # the last pass keeps its d: V below is scaled by the one B used
-            if r.max() / r.min() < spread_tol or it == max_iter - 1:
-                break
-            d = d * (r / np.exp(np.mean(np.log(r))))
-            d, B = balance(d / np.exp(np.mean(np.log(d))))
+        w, Vr = np.linalg.eig(B)
         try:
             Vb_inv = np.linalg.inv(Vr)
         except np.linalg.LinAlgError:
@@ -332,10 +319,11 @@ def balanced_eig(A: np.ndarray, max_iter: int = 4, spread_tol: float = 10.0,
                         w.astype(complex, copy=False), float(np.abs(A).max())))
         # Wilkinson's eigenvalue condition numbers s_i = ||r_i|| ||l_i||
         cond = float(np.sqrt((r2 * l2).max()))
-    w = w.astype(complex, copy=False)
-    V = (unmirror(Vr) * d[:, None]).astype(complex, copy=False)
     if p is not None:
+        Vr = (Vr + 1j * Vr[p]) / np.sqrt(2.0)
         Vb_inv = (Vb_inv - 1j * Vb_inv[:, p]) / np.sqrt(2.0)
+    w = w.astype(complex, copy=False)
+    V = (Vr * d[:, None]).astype(complex, copy=False)
     Vinv = (Vb_inv / d[None, :]).astype(complex, copy=False)
     del B, Vr, Vb_inv  # freed before the norm's temporaries
     # right columns to unit norm; the rows of V^-1 absorb the rescaling,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import min_cost_matching
 from .errors import InsufficientDataError, UnsupportedError
-from .spectra import BiorthogonalSystem, GroundStateSelection
+from .spectra import BiorthogonalSystem, GroundStateSelection, select_occupied
 
 __all__ = [
     "ScalingSeries",
@@ -166,8 +166,6 @@ def lifshitz_scan(values, system_factory, filling, policy: str = "real_part"):
     BiorthogonalSystem.  Returns (v_below, v_above, N_f_below, N_f_above),
     or None if N_f never changes over the scan.
     """
-    from .spectra import select_occupied
-
     prev_v = None
     prev_nf = None
     for v in values:

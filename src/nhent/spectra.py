@@ -8,11 +8,10 @@ raw condition number is inflated by a benign diagonal grading (they are
 diagonal similarity transforms of well-behaved matrices).  The decomposition
 therefore works in a rebalanced frame: a diagonal read off the entry ratios
 |K_ij| / |K_ji| makes an open nonreciprocal chain magnitude-symmetric before
-the first solve, and eigenvector row norms pick up any grading left over.
-Real kernels are solved in real arithmetic, and so are PT-symmetric ones:
-a kernel with K* = P K P exactly, where P is the lattice mirror read off
-the site labels (cell x -> N - 1 - x, sublattice kept or reversed), is
-unitarily similar to the real matrix Re K - (Im K) P through
+the one solve.  Real kernels are solved in real arithmetic, and so are
+PT-symmetric ones: a kernel with K* = P K P exactly, where P is the lattice
+mirror read off the site labels (cell x -> N - 1 - x, sublattice kept or
+reversed), is unitarily similar to the real matrix Re K - (Im K) P through
 T = (I + iP) / sqrt(2); that matrix is diagonalized and its eigenvectors
 are mapped back by T, which leaves the condition estimate unchanged.
 Kernels that are PT-symmetric only to rounding, or whose labels do not
@@ -124,7 +123,7 @@ def biorthogonal_eig(K: KernelMatrix) -> BiorthogonalSystem:
 
     Hermitian kernels take the unitary path (left is right).  Otherwise the
     right eigenvectors come from a dense general solver; the left set is the
-    conjugate transpose of the inverse of the (row-rebalanced) right matrix.
+    conjugate transpose of the inverse of the right matrix.
 
     Raises
     ------

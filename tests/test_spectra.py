@@ -144,11 +144,18 @@ def _svd_calls(monkeypatch):
     return calls
 
 
+def _corner_coupled_chain():
+    # open Hatano-Nelson at the edge of the seed's clip, plus one bond
+    # from the first site to the last: B = D^-1 A D holds an infinity
+    km = build_hatano_nelson(160, 1.0, 5.0, "open")
+    km.entries[159, 0] = 4.0
+    return km
+
+
 class TestBalancing:
     def test_open_chain_takes_one_real_pass(self, monkeypatch):
         # the entry ratios symmetrize open Hatano-Nelson to rounding, so the
-        # balanced kernel is solved by one real eigh (four row-norm passes
-        # from d = 1 stopped at condition 1.3e11)
+        # balanced kernel is solved by one real eigh
         calls = _solver_calls(monkeypatch)
         sys = biorthogonal_eig(build_hatano_nelson(384, 1.0, 0.5, "open"))
         assert calls == [("eigh", np.dtype(float))]
@@ -196,12 +203,26 @@ class TestBalancing:
         assert w.dtype == V.dtype == Vinv.dtype == np.dtype(complex)
         assert np.abs((V * w) @ Vinv - km.entries).max() < 1e-10
 
-    def test_exhausted_passes_keep_the_frame_of_the_last_solve(self):
-        # spread_tol = 1 is never met, so all max_iter passes run; V and
-        # V^-1 must be scaled back by the diagonal the last solve used
-        A = np.random.default_rng(3).normal(size=(12, 12))
-        w, V, Vinv, _ = balanced_eig(A, max_iter=2, spread_tol=1.0)
-        assert np.abs((V * w) @ Vinv - A).max() < 1e-10
+    @pytest.mark.parametrize("name, km, solver", [
+        ("random_complex", KernelMatrix(
+            40, np.random.default_rng(3).normal(size=(40, 40))
+            + 1j * np.random.default_rng(4).normal(size=(40, 40)), "open"),
+         ["eig", "inv"]),
+        ("eb_ssh_open", build_eb_ssh(24, 1.0, 0.5, 4.0, "open"),
+         ["eig", "inv"]),
+        ("guo_chain_open", build_guo_chain(64, 4, 1.0, 3.5, "open"),
+         ["eig", "inv"]),
+        # gradings e^(alpha (n - 1)) of ~e^500 and ~e^400: inside the seed's
+        # clip, so the one balanced kernel is Hermitian
+        ("hatano_nelson_n200_a2.5", build_hatano_nelson(200, 1.0, 2.5, "open"),
+         ["eigh"]),
+        ("hatano_nelson_n100_a4", build_hatano_nelson(100, 1.0, 4.0, "open"),
+         ["eigh"]),
+    ])
+    def test_one_balancing_pass_one_solve(self, monkeypatch, name, km, solver):
+        calls = _solver_calls(monkeypatch)
+        biorthogonal_eig(km)
+        assert [c for c, _ in calls] == solver
 
     @pytest.mark.parametrize("name, km", [
         ("nilpotent", KernelMatrix(2, np.array([[0.7j, -0.7], [-0.7, -0.7j]]),
@@ -214,22 +235,38 @@ class TestBalancing:
         ("hatano_nelson_n64_a12", build_hatano_nelson(64, 1.0, 12.0, "open")),
         ("hatano_nelson_n160_a5", build_hatano_nelson(160, 1.0, 5.0, "open")),
         ("hatano_nelson_n200_a4", build_hatano_nelson(200, 1.0, 4.0, "open")),
+        # Jordan blocks away from zero: no diagonal frame hides the defect
+        ("jordan_half", KernelMatrix(2, np.array([[0.5, 1.0], [0.0, 0.5]]),
+                                     "open")),
+        ("jordan_one", KernelMatrix(2, np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                    "open")),
+        ("jordan_3x3", KernelMatrix(
+            3, 0.3 * np.eye(3) + np.diag([1.0, 1.0], 1), "open")),
+        ("hatano_nelson_n120_a6", build_hatano_nelson(120, 1.0, 6.0, "open")),
+        ("hatano_nelson_n160_a5_corner", _corner_coupled_chain()),
     ])
     def test_defective_kernels_still_raise(self, monkeypatch, name, km):
-        # the solver itself refuses each kernel, so every caller does; at
-        # n = 160, alpha = 5 it is the float64 overflow of the unit-norm
-        # vectors, after the passes end at a benign condition and no SVD.
-        # Every other refusal carries the SVD's kappa_2, the one estimate
-        # that decides above the inverse's certificate
+        # the solver itself refuses each kernel, so every caller does.  At
+        # n = 120, alpha = 6 it is the float64 overflow of the unit-norm
+        # vectors, after a benign condition and no SVD; with a corner bond
+        # the balanced kernel itself overflows, before any solve.  Every
+        # other refusal carries the SVD's kappa_2, the one estimate that
+        # decides above the inverse's certificate
         svd = _svd_calls(monkeypatch)
+        solves = _solver_calls(monkeypatch)
         for solve in (lambda: balanced_eig(km.entries),
                       lambda: biorthogonal_eig(km)):
             svd.clear()
+            solves.clear()
             with pytest.raises(DefectiveError) as err:
                 solve()
-            if name == "hatano_nelson_n160_a5":
-                assert svd == [] and "overflow" in str(err.value)
+            if name == "hatano_nelson_n120_a6":
+                assert svd == [] and "eigenvectors overflow" in str(err.value)
                 assert 1.0 <= err.value.condition_estimate < 10
+            elif name == "hatano_nelson_n160_a5_corner":
+                assert svd == solves == []
+                assert "kernel overflows" in str(err.value)
+                assert err.value.condition_estimate == math.inf
             else:
                 assert [c for c, _ in svd] == ["cond"]
                 kappa_2 = svd[0][1]
