@@ -35,9 +35,13 @@ DEFECTIVE_COND = 1e12
 
 
 def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """max|A - A^dag| <= tol * max(1, max|A|)."""
+    """max|A - A^dag| <= tol * max(1, max|A|), for a finite A only.
+
+    An infinite entry would make the bound infinite and pass any A.
+    """
     scale = max(1.0, float(np.abs(A).max()))
-    return bool(np.abs(A - A.conj().T).max() <= tol * scale)
+    return (math.isfinite(scale)
+            and bool(np.abs(A - A.conj().T).max() <= tol * scale))
 
 
 def _real_if_real_valued(A: np.ndarray) -> np.ndarray:
@@ -263,14 +267,18 @@ def balanced_eig(A: np.ndarray, mirrors=()):
         and the eigenvalue clusters.  As kappa_2 <= kappa_F =
         ||V_b||_F ||V_b^-1||_F, the SVD behind kappa_2 runs only when
         kappa_F exceeds ``DEFECTIVE_COND / 2`` or the inversion fails.
-        Also raised when the grading exceeds the float64 range: before any
-        solve, with an infinite estimate, if B itself is not finite; and,
-        carrying ``cond``, if the unit-normalized V or V^-1 is not finite.
+        Also raised before any solve, with an infinite estimate, if A has
+        an infinite or NaN entry or the grading makes B overflow float64;
+        and, carrying ``cond``, if the unit-normalized V or V^-1 is not
+        finite.
     """
     if is_hermitian(A):
         w, V = np.linalg.eigh(A)
         V = V.astype(complex)
         return w.astype(complex), V, V.conj().T, 1.0
+    if not np.isfinite(A).all():
+        raise DefectiveError("kernel has a non-finite entry (inf or NaN)",
+                             condition_estimate=math.inf)
     A = _real_if_real_valued(A)
     p = None
     if not np.isrealobj(A):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgeqrf, zgeqrf_lwork, zungqr
 
 from .errors import CollapseError, SizeError
 from .correlations import CorrelationMatrix, Partition
@@ -100,12 +101,28 @@ def kernel_exponential(K: KernelMatrix, t: float):
 
 
 def _orthonormalize(M: np.ndarray, time: float) -> np.ndarray:
-    Q, R = np.linalg.qr(M)
-    diag = np.abs(np.diag(R))
+    """Q of the thin QR factorization of the N x M orbital matrix.
+
+    LAPACK's zgeqrf and zungqr are called directly, at less cost than
+    through ``np.linalg.qr``.  Each takes the workspace its query returns,
+    as numpy's call does; the wrappers' default of 3M would run unblocked
+    code above 128 columns, which rounds otherwise.  The orbitals have
+    collapsed when the smallest |R_ii| is at most 1e-12 of the largest, or
+    when they outnumber the modes.
+    """
+    m, n = M.shape
+    if n > m:
+        raise CollapseError(
+            f"{n} orbitals in {m} modes are linearly dependent", time=time)
+    lwork, _ = zgeqrf_lwork(m, n)
+    qr, tau, _, _ = zgeqrf(M, lwork=int(lwork.real))
+    diag = np.abs(np.diagonal(qr))
     if diag.min() <= 1e-12 * max(diag.max(), 1e-300):
         raise CollapseError(
             f"orbital matrix rank-deficient at t={time:g}", time=time)
-    return Q
+    # a workspace query reads no entries, so it may skip the copy of qr
+    _, work, _ = zungqr(qr, tau, lwork=-1, overwrite_a=True)
+    return zungqr(qr, tau, lwork=int(work[0].real), overwrite_a=True)[0]
 
 
 def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
@@ -118,8 +135,10 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
     ln(1e6) / spread, spread being that of the eigenvalues of the Hermitian
     part of -i K_eff: this log-norm bound keeps the orbital condition growth
     below 1e6.  Each output record carries the partition block of C, with
-    |tr C - n| in its source, and its entanglement report, with correlation
-    eigenvalues within ``clamp_tol`` of 0 or 1 counted as unentangled.
+    the trace residual |tr(M M^dag) - n| in its source (the trace of the
+    full C, over all sites, not of the block), and its entanglement report,
+    with correlation eigenvalues within ``clamp_tol`` of 0 or 1 counted as
+    unentangled.
 
     Returns
     -------

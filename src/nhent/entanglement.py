@@ -48,15 +48,50 @@ def _clamped(eps: np.ndarray, tol: float) -> np.ndarray:
     return (np.abs(eps) <= tol) | (np.abs(eps - 1.0) <= tol)
 
 
-def _over_unclamped(eps, clamp_tol: float, entropy, empty=0.0 + 0.0j):
-    """``entropy(e)`` of the eigenvalues e not clamped at 0 or 1.
-
-    Clamped eigenvalues contribute exactly zero (the x ln x limit), so the
-    result is ``empty`` when none is left.
-    """
+def _unclamped(eps, clamp_tol: float) -> np.ndarray:
+    """The eigenvalues not clamped at 0 or 1, as a complex array."""
     eps = np.asarray(eps, dtype=complex)
-    e = eps[~_clamped(eps, clamp_tol)]
-    return entropy(e) if len(e) else empty
+    return eps[~_clamped(eps, clamp_tol)]
+
+
+def _spectrum(C: CorrelationMatrix, clamp_tol: float):
+    """(eps, e, xi, clamped): all eigenvalues of C, the unclamped ones e,
+    their entanglement energies and the indices of the clamped ones."""
+    eps = eigenvalues(np.asarray(C.entries, dtype=complex))
+    mask = _clamped(eps, clamp_tol)
+    e = eps[~mask]
+    return eps, e, np.log(1.0 / e - 1.0), np.nonzero(mask)[0]
+
+
+# The entropy kernels take the unclamped eigenvalues e only: clamped ones
+# contribute exactly zero (the x ln x limit), so none left gives zero.
+
+def _vn(e: np.ndarray) -> complex:
+    if not len(e):
+        return 0j
+    return complex(-np.sum(e * np.log(e) + (1.0 - e) * np.log(1.0 - e)))
+
+
+def _renyi(e: np.ndarray, n) -> complex:
+    if int(n) != n or n < 2:
+        raise ValueError(f"Renyi order must be an integer >= 2, got {n}")
+    if not len(e):
+        return 0j
+    factors = e ** n + (1.0 - e) ** n
+    if np.any(np.abs(factors) < 1e-14):
+        raise BranchError(f"Tr rho_A^{n} factor vanished; logarithm singular")
+    return complex(np.sum(np.log(factors)) / (1.0 - n))
+
+
+def _modified(e: np.ndarray, imag_tol: float = 1e-6) -> float:
+    if not len(e):
+        return 0.0
+    s = -np.sum(e * np.log(np.abs(e)) + (1.0 - e) * np.log(np.abs(1.0 - e)))
+    if abs(s.imag) > imag_tol:
+        raise ConsistencyError(
+            f"modified entropy imaginary residual {s.imag:.3e}; "
+            "eigenvalues are not conjugate-closed")
+    return float(s.real)
 
 
 def entanglement_spectrum(C: CorrelationMatrix, clamp_tol: float = CLAMP_TOL):
@@ -74,10 +109,8 @@ def entanglement_spectrum(C: CorrelationMatrix, clamp_tol: float = CLAMP_TOL):
     clamped : np.ndarray
         Indices (into eps) of the clamped eigenvalues.
     """
-    eps = eigenvalues(np.asarray(C.entries, dtype=complex))
-    mask = _clamped(eps, clamp_tol)
-    xi = np.log(1.0 / eps[~mask] - 1.0)
-    return eps, xi, np.nonzero(mask)[0]
+    eps, _, xi, clamped = _spectrum(C, clamp_tol)
+    return eps, xi, clamped
 
 
 def vn_entropy(eps, clamp_tol: float = CLAMP_TOL) -> complex:
@@ -85,8 +118,7 @@ def vn_entropy(eps, clamp_tol: float = CLAMP_TOL) -> complex:
 
     Terms with eps within clamp tolerance of 0 or 1 contribute 0.
     """
-    return _over_unclamped(eps, clamp_tol, lambda e: complex(
-        -np.sum(e * np.log(e) + (1.0 - e) * np.log(1.0 - e))))
+    return _vn(_unclamped(eps, clamp_tol))
 
 
 def renyi_entropy(eps, n: int, clamp_tol: float = CLAMP_TOL) -> complex:
@@ -94,17 +126,7 @@ def renyi_entropy(eps, n: int, clamp_tol: float = CLAMP_TOL) -> complex:
 
     The free-fermion factorization of Tr rho_A^n; n must be an integer >= 2.
     """
-    if int(n) != n or n < 2:
-        raise ValueError(f"Renyi order must be an integer >= 2, got {n}")
-
-    def renyi(e):
-        factors = e ** n + (1.0 - e) ** n
-        if np.any(np.abs(factors) < 1e-14):
-            raise BranchError(
-                f"Tr rho_A^{n} factor vanished; logarithm singular")
-        return complex(np.sum(np.log(factors)) / (1.0 - n))
-
-    return _over_unclamped(eps, clamp_tol, renyi)
+    return _renyi(_unclamped(eps, clamp_tol), n)
 
 
 def modified_entropy(eps, clamp_tol: float = CLAMP_TOL,
@@ -116,16 +138,7 @@ def modified_entropy(eps, clamp_tol: float = CLAMP_TOL,
     above ``imag_tol`` means the input was not conjugate-closed and raises
     ConsistencyError; otherwise the real part is returned.
     """
-
-    def modified(e):
-        s = -np.sum(e * np.log(np.abs(e)) + (1.0 - e) * np.log(np.abs(1.0 - e)))
-        if abs(s.imag) > imag_tol:
-            raise ConsistencyError(
-                f"modified entropy imaginary residual {s.imag:.3e}; "
-                "eigenvalues are not conjugate-closed")
-        return float(s.real)
-
-    return _over_unclamped(eps, clamp_tol, modified, empty=0.0)
+    return _modified(_unclamped(eps, clamp_tol), imag_tol)
 
 
 def entanglement_hamiltonian(C: CorrelationMatrix,
@@ -179,12 +192,12 @@ def build_report(C: CorrelationMatrix, renyi_orders=(2,),
     than failing, and callers needing a strict check use
     ``modified_entropy`` directly.
     """
-    eps, xi, clamped = entanglement_spectrum(C, clamp_tol)
-    s = vn_entropy(eps, clamp_tol)
-    renyi = {int(n): renyi_entropy(eps, int(n), clamp_tol) for n in renyi_orders}
+    eps, e, xi, clamped = _spectrum(C, clamp_tol)
+    s = _vn(e)
+    renyi = {int(n): _renyi(e, int(n)) for n in renyi_orders}
     midgap = np.nonzero(np.abs(eps.real - 0.5) < midgap_tol)[0]
     try:
-        s_mod = modified_entropy(eps, clamp_tol)
+        s_mod = _modified(e)
     except ConsistencyError:
         s_mod = float("nan")
     return EntanglementReport(

@@ -25,8 +25,9 @@ class DefectiveError(ToolkitError):
     the gate refuses, ``condition_estimate`` is the 2-norm condition number
     (from an SVD) of the rebalanced eigenvector matrix; when the normalized
     eigenvectors overflow float64, it is the largest eigenvalue condition
-    number that the accepted solve would have reported; when the rebalanced
-    kernel itself overflows, before any solve, it is infinite.
+    number that the accepted solve would have reported; when the kernel has
+    a non-finite entry or its rebalanced form overflows, before any solve,
+    it is infinite.
     """
 
     def __init__(self, message, condition_estimate=None, clusters=None):

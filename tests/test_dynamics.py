@@ -6,6 +6,7 @@ from nhent import (CollapseError, GaussianState, KernelMatrix, Partition,
                    build_measurement_heff, build_uniform_chain,
                    domain_wall_state, evolve_no_jump, hermitian_ground_state,
                    kernel_exponential, staggered_state)
+from nhent.dynamics import _orthonormalize
 
 
 def _expm_qr_entropies(K, M0, t_grid, n_A, substeps=10):
@@ -107,6 +108,41 @@ class TestEvolveNoJump:
         with pytest.raises(CollapseError):
             evolve_no_jump(build_uniform_chain(6, bc="open"),
                            GaussianState(M), [0.0], Partition.half(6))
+
+    @pytest.mark.parametrize("shape", [(64, 32), (128, 64), (256, 128)])
+    def test_orthonormalize_matches_numpy_qr(self, shape):
+        rng = np.random.default_rng(shape[1])
+        M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(_orthonormalize(M, 0.0), np.linalg.qr(M)[0])
+
+    def test_orthonormalize_uses_the_queried_workspace(self):
+        # zgeqrf runs its blocked code only above 128 columns, and only with
+        # the queried workspace, not the wrapper's default of 3n.  The
+        # reference is SciPy's qr, which queries the workspace of the same
+        # LAPACK: numpy bundles another OpenBLAS build, whose blocked code
+        # can round otherwise when BLAS runs on several threads
+        rng = np.random.default_rng(129)
+        M = rng.normal(size=(258, 129)) + 1j * rng.normal(size=(258, 129))
+        assert np.array_equal(_orthonormalize(M, 0.0),
+                              scipy.linalg.qr(M, mode="economic")[0])
+
+    def test_orthonormalize_keeps_a_nearly_dependent_column(self):
+        # smallest |R_ii| just above 1e-12 of the largest: no collapse
+        rng = np.random.default_rng(7)
+        Q = np.linalg.qr(rng.normal(size=(12, 4)) + 0j)[0]
+        M = Q * np.array([1.0, 1.0, 1.0, 1.01e-12])
+        r = np.abs(np.diag(np.linalg.qr(M)[1]))
+        assert 1e-12 < r.min() / r.max() < 1.02e-12
+        Q2 = _orthonormalize(M, 0.0)
+        assert np.abs(Q2.conj().T @ Q2 - np.eye(4)).max() < 1e-12
+        with pytest.raises(CollapseError):
+            _orthonormalize(Q * np.array([1.0, 1.0, 1.0, 0.99e-12]), 0.0)
+
+    def test_more_orbitals_than_modes_collapse(self):
+        # a thin QR would keep only the first two of the three orbitals
+        M = np.random.default_rng(2).normal(size=(2, 3)) + 0j
+        with pytest.raises(CollapseError):
+            _orthonormalize(M, 0.0)
 
     def test_time_grid_validation(self):
         K = build_uniform_chain(6, bc="open")

@@ -13,6 +13,7 @@ from nhent import (BranchError, ConsistencyError, CorrelationMatrix,
                    entanglement_hamiltonian, entanglement_spectrum,
                    modified_entropy, mutual_information, renyi_entropy,
                    select_occupied, vn_entropy)
+from nhent.entanglement import MIDGAP_TOL
 from nhent.models import KernelMatrix
 
 
@@ -172,6 +173,75 @@ class TestReports:
         C = correlation_matrix(sys, sel, Partition.half(8))
         report = build_report(C)
         assert report.realness_residual < 1e-12
+
+
+def _similar(diag_blocks, seed):
+    """S B S^-1 for the block-diagonal B and a seeded real S."""
+    B = np.zeros((7, 7), dtype=complex)
+    i = 0
+    for block in diag_blocks:
+        block = np.atleast_2d(block)
+        B[i:i + len(block), i:i + len(block)] = block
+        i += len(block)
+    S = np.random.default_rng(seed).normal(size=(7, 7)) + 3.0 * np.eye(7)
+    return S @ B @ np.linalg.inv(S)
+
+
+def _hermitian_block():
+    Q = np.linalg.qr(np.random.default_rng(4).normal(size=(7, 7)))[0]
+    return (Q * [0.0, 0.02, 0.3, 0.5, 0.51, 0.8, 1.0]) @ Q.T
+
+
+REPORT_BLOCKS = {
+    "hermitian": _hermitian_block,
+    # real, so its eigenvalues come in conjugate pairs
+    "conjugate_closed": lambda: _similar(
+        [[[0.4, 0.2], [-0.2, 0.4]], [[0.3, 0.6], [-0.6, 0.3]], 0.52, 0.9,
+         1.0], 5),
+    "not_conjugate_closed": lambda: _similar(
+        [0.3 + 0.2j, 0.6, 0.48 - 0.1j, 0.05 + 0.3j, 0.7, 0.0, 0.2j], 6),
+    "all_clamped": lambda: np.diag([0.0, 1.0, 1e-13, 1.0 - 1e-13, 0.0,
+                                    1.0, 0.0]),
+}
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestReportFields:
+    """build_report spectra once; its fields equal the public functions'."""
+
+    @pytest.mark.parametrize("name", sorted(REPORT_BLOCKS))
+    def test_report_matches_the_public_functions(self, name):
+        C = corr_of(REPORT_BLOCKS[name]())
+        report = build_report(C, renyi_orders=(2, 3))
+        eps, xi, clamped = entanglement_spectrum(C)
+        assert _same_bits(report.correlation_eigenvalues, eps)
+        assert _same_bits(report.single_particle_spectrum, xi)
+        assert _same_bits(report.clamped_modes, clamped)
+        assert _same_bits(report.midgap_modes, np.nonzero(
+            np.abs(eps.real - 0.5) < MIDGAP_TOL)[0])
+        assert _same_bits(report.entropy_vn, vn_entropy(eps))
+        assert type(report.entropy_vn) is complex
+        for n in (2, 3):
+            assert _same_bits(report.entropy_renyi[n], renyi_entropy(eps, n))
+        assert (len(clamped) == len(eps)) is (name == "all_clamped")
+        if name == "not_conjugate_closed":
+            with pytest.raises(ConsistencyError):
+                modified_entropy(eps)
+            assert math.isnan(report.entropy_modified)
+        else:
+            assert _same_bits(report.entropy_modified, modified_entropy(eps))
+            assert type(report.entropy_modified) is float
+
+    def test_vanishing_renyi_factor_raises(self):
+        # eps = (1 +- i)/2 makes eps^2 + (1-eps)^2 exactly zero
+        C = corr_of(np.diag([0.5 + 0.5j, 0.5 - 0.5j, 0.2]))
+        with pytest.raises(BranchError):
+            build_report(C, renyi_orders=(2,))
 
 
 class TestMutualInformation:

@@ -104,3 +104,16 @@ def test_only_the_solver_takes_an_svd():
         and {"cond", "svd", "svdvals"} & {getattr(node.func, "id", None),
                                           getattr(node.func, "attr", None)}}
     assert callers == {"_linalg.py"}
+
+
+def test_no_module_takes_qr_from_a_wrapper():
+    # the orbital QR calls LAPACK's zgeqrf and zungqr directly; the numpy
+    # and scipy wrappers cost a third more at the no-jump sizes
+    homes = {"np.linalg", "numpy.linalg", "scipy.linalg"}
+    callers = {
+        name for name, tree in _module_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "qr" and ast.unparse(node.func.value) in homes
+        or isinstance(node, ast.ImportFrom) and node.module in homes
+        and "qr" in {a.name for a in node.names}}
+    assert callers == set()

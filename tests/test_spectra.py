@@ -517,6 +517,25 @@ class TestHermitianInput:
         ref = -np.sum(eps * np.log(eps) + (1 - eps) * np.log(1 - eps))
         assert abs(entropy - ref) <= 1e-12
 
+    @pytest.mark.parametrize("A", [
+        np.array([[0.0, np.inf], [1.0, 0.0]]),
+        np.array([[0.0, -np.inf], [1.0, 0.0]]),
+        np.array([[0.0, 1.0 + 1j * np.inf], [1.0, 0.0]]),
+        np.array([[0.0, np.nan], [1.0, 0.0]]),
+    ], ids=["inf", "minus_inf", "complex_inf", "nan"])
+    def test_non_finite_input_is_refused(self, monkeypatch, A):
+        # |inf - 1| <= tol * inf would pass the Hermitian test, and eigh,
+        # which reads one triangle, would return +-1, a unitary V and
+        # cond 1.0 for [[0, inf], [1, 0]]
+        assert not is_hermitian(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            _linalg.eigenvalues(A)
+        solves = _solver_calls(monkeypatch)
+        with pytest.raises(DefectiveError, match="non-finite") as err:
+            balanced_eig(A)
+        assert err.value.condition_estimate == math.inf
+        assert solves == []
+
 
 MODERATE_KERNELS = {
     "hatano_nelson": lambda: build_hatano_nelson(24, 1.0, 0.3, "open"),
