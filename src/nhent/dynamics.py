@@ -62,10 +62,9 @@ class GaussianState:
         return self.orbitals @ self.orbitals.conj().T
 
 
-def domain_wall_state(n_modes: int, n_filled: int | None = None) -> GaussianState:
-    """Product state with the leading ``n_filled`` sites occupied."""
-    if n_filled is None:
-        n_filled = n_modes // 2
+def domain_wall_state(n_modes: int) -> GaussianState:
+    """Product state with the leading n_modes // 2 sites occupied."""
+    n_filled = n_modes // 2
     M = np.zeros((n_modes, n_filled), dtype=complex)
     M[np.arange(n_filled), np.arange(n_filled)] = 1.0
     return GaussianState(M)

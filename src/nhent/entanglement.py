@@ -41,6 +41,8 @@ __all__ = [
 
 CLAMP_TOL = 1e-12
 MIDGAP_TOL = 0.05
+# largest imaginary part a modified entropy may carry and still be real
+MODIFIED_IMAG_TOL = 1e-6
 
 
 def _clamped(eps: np.ndarray, tol: float) -> np.ndarray:
@@ -48,10 +50,10 @@ def _clamped(eps: np.ndarray, tol: float) -> np.ndarray:
     return (np.abs(eps) <= tol) | (np.abs(eps - 1.0) <= tol)
 
 
-def _unclamped(eps, clamp_tol: float) -> np.ndarray:
+def _unclamped(eps) -> np.ndarray:
     """The eigenvalues not clamped at 0 or 1, as a complex array."""
     eps = np.asarray(eps, dtype=complex)
-    return eps[~_clamped(eps, clamp_tol)]
+    return eps[~_clamped(eps, CLAMP_TOL)]
 
 
 def _spectrum(C: CorrelationMatrix, clamp_tol: float):
@@ -83,22 +85,22 @@ def _renyi(e: np.ndarray, n) -> complex:
     return complex(np.sum(np.log(factors)) / (1.0 - n))
 
 
-def _modified(e: np.ndarray, imag_tol: float = 1e-6) -> float:
+def _modified(e: np.ndarray) -> float:
     if not len(e):
         return 0.0
     s = -np.sum(e * np.log(np.abs(e)) + (1.0 - e) * np.log(np.abs(1.0 - e)))
-    if abs(s.imag) > imag_tol:
+    if abs(s.imag) > MODIFIED_IMAG_TOL:
         raise ConsistencyError(
             f"modified entropy imaginary residual {s.imag:.3e}; "
             "eigenvalues are not conjugate-closed")
     return float(s.real)
 
 
-def entanglement_spectrum(C: CorrelationMatrix, clamp_tol: float = CLAMP_TOL):
+def entanglement_spectrum(C: CorrelationMatrix):
     """Correlation eigenvalues {eps_n} and entanglement energies {xi_n}.
 
-    xi_n = ln(1/eps_n - 1) on the principal branch; eigenvalues clamped at
-    0 or 1 are flagged and excluded from the xi list.
+    xi_n = ln(1/eps_n - 1) on the principal branch; eigenvalues within
+    ``CLAMP_TOL`` of 0 or 1 are flagged and excluded from the xi list.
 
     Returns
     -------
@@ -109,40 +111,38 @@ def entanglement_spectrum(C: CorrelationMatrix, clamp_tol: float = CLAMP_TOL):
     clamped : np.ndarray
         Indices (into eps) of the clamped eigenvalues.
     """
-    eps, _, xi, clamped = _spectrum(C, clamp_tol)
+    eps, _, xi, clamped = _spectrum(C, CLAMP_TOL)
     return eps, xi, clamped
 
 
-def vn_entropy(eps, clamp_tol: float = CLAMP_TOL) -> complex:
+def vn_entropy(eps) -> complex:
     """von Neumann entropy -sum [eps ln eps + (1-eps) ln(1-eps)].
 
-    Terms with eps within clamp tolerance of 0 or 1 contribute 0.
+    Terms with eps within ``CLAMP_TOL`` of 0 or 1 contribute 0.
     """
-    return _vn(_unclamped(eps, clamp_tol))
+    return _vn(_unclamped(eps))
 
 
-def renyi_entropy(eps, n: int, clamp_tol: float = CLAMP_TOL) -> complex:
+def renyi_entropy(eps, n: int) -> complex:
     """Renyi entropy S_n = (1-n)^-1 sum_k ln[eps_k^n + (1-eps_k)^n].
 
     The free-fermion factorization of Tr rho_A^n; n must be an integer >= 2.
     """
-    return _renyi(_unclamped(eps, clamp_tol), n)
+    return _renyi(_unclamped(eps), n)
 
 
-def modified_entropy(eps, clamp_tol: float = CLAMP_TOL,
-                     imag_tol: float = 1e-6) -> float:
+def modified_entropy(eps) -> float:
     """Modified entropy -sum [eps ln|eps| + (1-eps) ln|1-eps|].
 
     |.| is the complex modulus, so the result is real whenever the
     eigenvalue set is closed under conjugation.  A residual imaginary part
-    above ``imag_tol`` means the input was not conjugate-closed and raises
-    ConsistencyError; otherwise the real part is returned.
+    above ``MODIFIED_IMAG_TOL`` means the input was not conjugate-closed and
+    raises ConsistencyError; otherwise the real part is returned.
     """
-    return _modified(_unclamped(eps, clamp_tol), imag_tol)
+    return _modified(_unclamped(eps))
 
 
-def entanglement_hamiltonian(C: CorrelationMatrix,
-                             clamp_tol: float = CLAMP_TOL) -> np.ndarray:
+def entanglement_hamiltonian(C: CorrelationMatrix) -> np.ndarray:
     """Kernel h^E with eigenvalues {xi_n}, so that rho_A ~ exp(-H^E).
 
     Computed through the eigendecomposition of C (never by matrix
@@ -152,7 +152,7 @@ def entanglement_hamiltonian(C: CorrelationMatrix,
     ``_linalg.balanced_eig``) when C is (near-)defective.
     """
     eps, V, Vinv, _ = balanced_eig(np.asarray(C.entries, dtype=complex))
-    mask = _clamped(eps, clamp_tol)
+    mask = _clamped(eps, CLAMP_TOL)
     if np.any(mask):
         raise PartialSpectrumError(
             "correlation eigenvalues at 0/1 give infinite entanglement energies",

@@ -56,6 +56,12 @@ __all__ = [
 
 MAX_MODES = 14
 ORACLE_ENTROPY_TOL = 1e-8
+ORACLE_SPECTRUM_TOL = 1e-9
+ORACLE_PURITY_TOL = 1e-10
+# rho_A eigenvalues at most this large in modulus contribute no entropy
+ORACLE_CLAMP_TOL = 1e-12
+# the oracle declines a ground eigenvalue this close to the next one
+DEGENERACY_TOL = 1e-9
 
 
 # set-bit count of every integer below 2^MAX_MODES
@@ -110,15 +116,14 @@ def fock_block(K: KernelMatrix, n_particles: int):
 
 
 def manybody_biortho_ground(K: KernelMatrix, n_particles: int,
-                            policy: str = "real_part",
-                            degeneracy_tol: float = 1e-9):
+                            policy: str = "real_part"):
     """Right and left ground vectors of the kernel's n-particle block.
 
     The ground eigenvalue is the policy-minimal eigenvalue of the block
     (with the same tolerance-aware tie ordering as the single-particle
     selection); vectors are normalized so <G_L|G_R> = 1 and returned in
     the full 2^N occupation basis.  If the ground eigenvalue itself is
-    degenerate within ``degeneracy_tol`` the oracle declines
+    degenerate within ``DEGENERACY_TOL`` the oracle declines
     (DegeneracyError) rather than guessing a state; a (near-)defective
     block raises DefectiveError from the eigen-solve.
     """
@@ -126,7 +131,7 @@ def manybody_biortho_ground(K: KernelMatrix, n_particles: int,
     w, V, Vinv, _ = balanced_eig(Hb)
     order = policy_order(w, policy)
     idx = order[0]
-    if len(order) > 1 and abs(w[order[0]] - w[order[1]]) < degeneracy_tol:
+    if len(order) > 1 and abs(w[order[0]] - w[order[1]]) < DEGENERACY_TOL:
         raise DegeneracyError(
             f"many-body ground eigenvalue degenerate: {w[order[0]]} vs {w[order[1]]}")
     dim = 2 ** K.dim
@@ -161,16 +166,16 @@ class OracleReport:
     entropy_modified: float
 
 
-def oracle_report(rho_A: np.ndarray, clamp_tol: float = 1e-12) -> OracleReport:
+def oracle_report(rho_A: np.ndarray) -> OracleReport:
     """Spectrum of rho_A, S_vn = -Tr rho ln rho, S_mod = -Tr rho ln|rho|.
 
     ln|rho_A| replaces each eigenvalue logarithm by ln|lambda| in the same
     eigenbasis, so both entropies reduce to eigenvalue sums.  Eigenvalues
-    within ``clamp_tol`` of zero contribute nothing.  Raises DefectiveError
-    (from the eigen-solve) when rho_A is (near-)defective.
+    within ``ORACLE_CLAMP_TOL`` of zero contribute nothing.  Raises
+    DefectiveError (from the eigen-solve) when rho_A is (near-)defective.
     """
     lam = balanced_eig(np.asarray(rho_A, dtype=complex))[0]
-    keep = np.abs(lam) > clamp_tol
+    keep = np.abs(lam) > ORACLE_CLAMP_TOL
     lk = lam[keep]
     s_vn = complex(-np.sum(lk * np.log(lk)))
     s_mod = -np.sum(lk * np.log(np.abs(lk)))
@@ -204,9 +209,7 @@ def fock_correlation(G_R: np.ndarray, G_L: np.ndarray, n_modes: int) -> np.ndarr
 
 def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
                              subsystem: int = 4, seed: int = 20210715,
-                             entropy_tol: float = ORACLE_ENTROPY_TOL,
-                             spectrum_tol: float = 1e-9,
-                             purity_tol: float = 1e-10):
+                             entropy_tol: float = ORACLE_ENTROPY_TOL):
     """Cross-check the correlation pathway against the Fock-space oracle.
 
     Runs randomized number-conserving non-Hermitian kernels plus fixed
@@ -214,7 +217,10 @@ def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
     exact many-body entropy, the rho_A spectrum with the product multiset
     of correlation eigenvalues, and checking rho^2 = rho.  For the rank-one
     rho = |G_R><G_L|, max|rho^2 - rho| = |<G_L|G_R> - 1| max|G_R| max|G_L|
-    exactly, so the purity check costs O(2^N) and forms no rho.
+    exactly, so the purity check costs O(2^N) and forms no rho.  A case
+    passes when its entropy residual is below ``entropy_tol``, its spectrum
+    residual below ``ORACLE_SPECTRUM_TOL`` and its purity residual below
+    ``ORACLE_PURITY_TOL``.
 
     Returns a list of per-case dicts with residuals and a 'passed' flag.
     """
@@ -241,7 +247,7 @@ def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
         n = K.dim
         sys = biorthogonal_eig(K)
         sel = select_occupied(sys, 0.5)
-        # the sector the fast path fills: round(n / 2) rounds 3.5 up
+        # the sector the fast path fills: n / 2 rounded half up
         n_part = sel.n_occupied
         part = Partition.contiguous(0, subsystem, n)
         C = correlation_matrix(sys, sel, part)
@@ -282,7 +288,7 @@ def oracle_equivalence_suite(n_cases: int = 20, n_modes: int = 8,
             "spectrum_residual": spectrum_residual,
             "purity_residual": purity,
             "passed": bool(entropy_residual < entropy_tol
-                           and spectrum_residual < spectrum_tol
-                           and purity < purity_tol),
+                           and spectrum_residual < ORACLE_SPECTRUM_TOL
+                           and purity < ORACLE_PURITY_TOL),
         })
     return results

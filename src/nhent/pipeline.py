@@ -49,9 +49,8 @@ def report_for_partition(sys: BiorthogonalSystem, sel: GroundStateSelection,
 
 
 def entropy_series(sys: BiorthogonalSystem, sel: GroundStateSelection,
-                   sizes=None, geometry: str = "chord",
-                   space: str = "position") -> ScalingSeries:
-    """Entropy S(L_A) over leading contiguous partitions of growing size.
+                   sizes=None, geometry: str = "chord") -> ScalingSeries:
+    """Entropy S(L_A) over leading contiguous position cuts of growing size.
 
     Each cut is diagonalized on its smaller side: for n/2 < L_A < n the
     spectrum comes from the complement [L_A, n).  The selected state is a
@@ -67,7 +66,7 @@ def entropy_series(sys: BiorthogonalSystem, sel: GroundStateSelection,
     for la in sizes:
         la = int(la)
         cut = (la, n) if n / 2 < la < n else (0, la)
-        part = Partition.contiguous(*cut, n, space)
+        part = Partition.contiguous(*cut, n)
         eps = eigenvalues(correlation_matrix(sys, sel, part).entries)
         points.append((la, vn_entropy(eps)))
     return ScalingSeries(n, points, geometry)
@@ -102,18 +101,16 @@ def _interp_crossing(xs, f, g):
     return None
 
 
-def dual_momentum_partition(L: int, p: int, size: int | None = None) -> Partition:
-    """Momentum partition dual to a contiguous real-space cut.
+def dual_momentum_partition(L: int, p: int) -> Partition:
+    """Momentum partition dual to the contiguous real-space half cut.
 
     A commensurate potential exp(-2 pi i p n / L) acts in momentum space as
     a hopping by p grid steps, so the dual lattice is the momentum grid
     relabeled by multiplication with p (mod L).  The returned partition is
     contiguous in that relabeling, which is what maps onto a contiguous
-    real-space cut under the model's self-duality.
+    real-space cut under the model's self-duality; it holds L // 2 momenta.
     """
-    if size is None:
-        size = L // 2
-    idx = tuple(sorted((p * t) % L for t in range(size)))
+    idx = tuple(sorted((p * t) % L for t in range(L // 2)))
     return Partition("momentum", idx, L)
 
 

@@ -159,16 +159,17 @@ def bloch_system(K: KernelMatrix) -> BiorthogonalSystem:
     momenta = np.repeat(ks, ns)
     worst = 1.0
     cells = np.arange(nc)
+    # a block's candidate PT mirror reverses its sublattice index
+    sublattice_mirror = np.arange(ns)[::-1]
     for m, (k, h) in enumerate(zip(ks, bloch_reduce(K, ks))):
         if ns == 1:
             wb = np.array([h[0, 0]])
             ub = np.array([[1.0 + 0j]])
             lb = np.array([[1.0 + 0j]])
         else:
-            blk = KernelMatrix(ns, h, "open")
-            sub = biorthogonal_eig(blk)
-            wb, ub, lb = sub.eigenvalues, sub.right, sub.left
-            worst = max(worst, sub.condition_estimate)
+            wb, ub, vinv, cond = balanced_eig(h, (sublattice_mirror,))
+            lb = vinv.conj().T
+            worst = max(worst, cond)
         phase = np.exp(1j * k * cells)[:, None, None] / np.sqrt(nc)
         cols = slice(m * ns, (m + 1) * ns)
         eigenvalues[cols] = wb
@@ -179,6 +180,9 @@ def bloch_system(K: KernelMatrix) -> BiorthogonalSystem:
 
 
 OCCUPATION_POLICIES = ("real_part", "imag_part", "modulus")
+
+# policy keys closer than this, relative to max(1, spectral radius), tie
+TIE_TOL = 1e-12
 
 _POLICY_PRIMARY = {
     "real_part": lambda z: z.real,
@@ -206,11 +210,10 @@ def _group_within(values: np.ndarray, tol: float) -> np.ndarray:
     return group
 
 
-def policy_order(eigenvalues: np.ndarray, policy: str,
-                 tie_tol: float = 1e-12) -> np.ndarray:
+def policy_order(eigenvalues: np.ndarray, policy: str) -> np.ndarray:
     """Ascending ordering under a policy with tolerance-aware ties.
 
-    Primary keys within ``tie_tol`` (scaled by the spectral radius) of each
+    Primary keys within ``TIE_TOL`` (scaled by the spectral radius) of each
     other form a tie cluster resolved by the secondary key, then by index.
     Exact float comparison would otherwise let rounding noise in degenerate
     real parts scramble which member of a conjugate pair fills first.
@@ -221,32 +224,34 @@ def policy_order(eigenvalues: np.ndarray, policy: str,
     scale = max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
     primary = np.asarray(_POLICY_PRIMARY[policy](eigenvalues), dtype=float)
     secondary = np.asarray(_POLICY_SECONDARY[policy](eigenvalues), dtype=float)
-    group = _group_within(primary, tie_tol * scale)
+    group = _group_within(primary, TIE_TOL * scale)
     return np.lexsort((np.arange(len(eigenvalues)), secondary, group))
 
 
-def select_occupied(sys: BiorthogonalSystem, filling, policy: str = "real_part",
-                    boundary_tol: float = 1e-12) -> GroundStateSelection:
-    """Indices of the round(filling * N) lowest eigenvalues under a policy.
+def select_occupied(sys: BiorthogonalSystem, filling,
+                    policy: str = "real_part") -> GroundStateSelection:
+    """Indices of the filling * N lowest eigenvalues under a policy.
 
-    Ordering is lexicographic ascending in (policy key, remaining parts,
-    index), which makes sweeps reproducible.  A degenerate key at the Fermi
-    boundary raises a DegeneracyWarning and marks the selection; the
-    computation proceeds with the deterministic tie-break.
+    filling * N is rounded half up, exactly: half filling of an odd chain
+    of N sites occupies (N + 1) / 2 states.  Ordering is lexicographic
+    ascending in (policy key, remaining parts, index), which makes sweeps
+    reproducible.  Keys within ``TIE_TOL`` at the Fermi boundary raise a
+    DegeneracyWarning and mark the selection; the computation proceeds
+    with the deterministic tie-break.
     """
     filling = Fraction(filling).limit_denominator(10 ** 9) if not isinstance(filling, Fraction) else filling
     if not 0 < filling <= 1:
         raise ValueError(f"filling must be in (0, 1], got {filling}")
     n = sys.dim
-    n_occ = int(round(float(filling) * n))
-    order = policy_order(sys.eigenvalues, policy, boundary_tol)
+    n_occ = int(filling * n + Fraction(1, 2))
+    order = policy_order(sys.eigenvalues, policy)
     occupied = order[:n_occ]
     degenerate = False
     if 0 < n_occ < n:
         lo, hi = sys.eigenvalues[order[n_occ - 1]], sys.eigenvalues[order[n_occ]]
         key = _POLICY_PRIMARY[policy]
         scale = max(1.0, float(np.abs(sys.eigenvalues).max()))
-        if abs(key(lo) - key(hi)) < boundary_tol * scale:
+        if abs(key(lo) - key(hi)) < TIE_TOL * scale:
             degenerate = True
             warnings.warn(
                 f"occupation boundary degenerate under policy {policy!r}: "

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nhent import (DegeneracyWarning, Partition, build_uniform_chain,
+                   momentum_space_view, report_for_partition)
 from nhent.cli import main
 from nhent.config import ConfigError, parse_config
 
@@ -100,6 +103,31 @@ class TestCommands:
         assert reports[0]["entropy_vn"]["re"] > 0
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert manifest["points"][0]["status"] == "ok"
+
+    def test_momentum_partition_reports_the_momentum_view(self, tmp_path):
+        # a "momentum" partition is cut from the ground state of the
+        # Fourier-transformed kernel, as in pipeline.momentum_space_view
+        doc = {"model": {"family": "uniform_chain",
+                         "params": {"L": 16, "t": 1.0}, "bc": "periodic"},
+               "filling": "1/2",
+               "partitions": [{"type": "half", "space": "momentum"}]}
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["entanglement", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        K = build_uniform_chain(16, 1.0, "periodic")
+        with pytest.warns(DegeneracyWarning):
+            view = momentum_space_view(K, Fraction(1, 2))
+        rep = report_for_partition(*view, Partition.half(16, "momentum"))
+        s, s2 = rep.entropy_vn, rep.entropy_renyi[2]
+        expected = ["", "momentum[0:8]", "8"] + [
+            f"{x:.12g}" for x in (s.real, s.imag, s2.real, s2.imag,
+                                  rep.entropy_modified)] + [str(rep.n_midgap)]
+        rows = (out / "entanglement.csv").read_text().splitlines()
+        assert [row.split(",") for row in rows[1:]] == [expected]
+        assert f"{s.real:.12g}" == "0.540465351577"
+        assert json.loads((out / "reports.json").read_text())[0][
+            "partition"]["space"] == "momentum"
 
     def test_sweep_workers_deterministic(self, tmp_path):
         doc = {**BASE, "sweep": {"parameter": "u",

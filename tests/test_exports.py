@@ -117,3 +117,92 @@ def test_no_module_takes_qr_from_a_wrapper():
         or isinstance(node, ast.ImportFrom) and node.module in homes
         and "qr" in {a.name for a in node.names}}
     assert callers == set()
+
+
+
+# Optional parameters that stay although no call passes them: ``policy`` is
+# the configured ground-state choice, which the oracle referee and the two
+# scans must be able to follow.
+_UNPASSED_BY_DESIGN = {("oracle.py", "manybody_biortho_ground", "policy"),
+                       ("scaling.py", "lifshitz_scan", "policy"),
+                       ("pipeline.py", "self_dual_scan", "policy")}
+
+
+def _optional_parameters(tree):
+    """(function, callee name, positional index or None, parameter) of every
+    optional parameter in the tree.  An ``__init__`` is called through its
+    class name, and a method's first parameter is bound, not passed."""
+    owners = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+              for f in c.body if isinstance(f, ast.FunctionDef)}
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        owner = owners.get(id(f))
+        callee = owner.name if owner and f.name == "__init__" else f.name
+        positional = f.args.posonlyargs + f.args.args
+        if owner and "staticmethod" not in map(ast.unparse, f.decorator_list):
+            positional = positional[1:]
+        first = len(positional) - len(f.args.defaults)
+        for i, a in enumerate(positional[first:], first):
+            yield f, callee, i, a.arg
+        for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if d is not None:
+                yield f, callee, None, a.arg
+
+
+def _calls(node, func=None):
+    """(call, innermost enclosing function or None) of every call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, func
+        yield from _calls(
+            child, child if isinstance(child, ast.FunctionDef) else func)
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    # a parameter that no call in src/, tests/ or bench/ passes is a
+    # configuration that nothing runs; its default belongs in the body, or
+    # in a named constant of the module that owns the rule.  A call passes
+    # a parameter by keyword, by position, through a * splat (positional
+    # ones), or through a ** splat when some string in the code spells its
+    # name.  A value that merely forwards an optional parameter of the
+    # calling function counts only if that parameter is passed itself.
+    package = Path(nhent.__file__).resolve().parent
+    params = {}   # (module, function, parameter) -> (callee, index)
+    spelled = set()
+    passes = {}   # callee -> [(slot, forwarded parameter or None)]
+    for path in sorted(p for d in ("src", "tests", "bench")
+                       for p in (package.parents[1] / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spelled |= {n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        own = {}
+        if path.parent == package:
+            for f, callee, i, p in _optional_parameters(tree):
+                params[path.name, f.name, p] = callee, i
+                own.setdefault(id(f), {})[p] = (path.name, f.name, p)
+        for call, f in _calls(tree):
+            env = own.get(id(f), {})
+            slots = [("*" if isinstance(a, ast.Starred) else i, a)
+                     for i, a in enumerate(call.args)]
+            slots += [(k.arg or "**", k.value) for k in call.keywords]
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            passes.setdefault(callee, []).extend(
+                (slot, env.get(getattr(value, "id", None)))
+                for slot, value in slots)
+
+    def fills(slot, i, p):
+        return (slot in (i, p) or slot == "*" and i is not None
+                or slot == "**" and p in spelled)
+
+    passed = set()
+    while True:
+        now = {key for key, (callee, i) in params.items()
+               if any(fills(slot, i, key[2]) and via in passed | {None}
+                      for slot, via in passes.get(callee, ()))}
+        if now == passed:
+            break
+        passed = now
+    unpassed = sorted(set(params) - passed - _UNPASSED_BY_DESIGN)
+    assert unpassed == [], "optional parameters that no call passes: " + \
+        ", ".join(f"{m[:-3]}.{f}({p})" for m, f, p in unpassed)

@@ -8,9 +8,9 @@ from scipy.optimize import linear_sum_assignment
 
 import nhent.oracle
 from nhent import (ConsistencyError, CorrelationMatrix, DefectiveError,
-                   KernelMatrix, OrderingError, Partition, SizeError,
-                   biorthogonal_eig, build_hatano_nelson, build_nh_ssh_real,
-                   build_uniform_chain, correlation_matrix,
+                   DegeneracyError, KernelMatrix, OrderingError, Partition,
+                   SizeError, biorthogonal_eig, build_hatano_nelson,
+                   build_nh_ssh_real, build_uniform_chain, correlation_matrix,
                    entanglement_hamiltonian, fock_block,
                    fock_correlation, manybody_biortho_ground,
                    modified_entropy, oracle_report, projector,
@@ -155,6 +155,12 @@ class TestManybodyGround:
         sector = sector_states(6, 3)
         rho = np.outer(G_R[sector], G_L[sector].conj())
         assert np.abs(rho @ rho - rho).max() < 1e-10
+
+    def test_degenerate_ground_eigenvalue_raises(self):
+        # one particle in diag(0, 0, 1): two ground states, no unique one
+        K = KernelMatrix(3, np.diag([0.0, 0.0, 1.0]), "open")
+        with pytest.raises(DegeneracyError, match="degenerate"):
+            manybody_biortho_ground(K, 1)
 
     @pytest.mark.parametrize("scale", [1.0, 1.5])
     def test_sector_purity_equals_full_space_purity(self, scale):
@@ -325,7 +331,7 @@ class TestOracleSuite:
         assert all(r["passed"] for r in results)
 
     def test_odd_mode_count_compares_the_filled_sector(self):
-        # half filling of 7 modes fills round(3.5) = 4: the oracle must
+        # half filling of 7 modes fills 3.5 rounded up, 4: the oracle must
         # diagonalize the same sector, and then every rho_A spectrum agrees.
         # A random case may still miss on the entropy alone: a 2 pi i branch
         # jump of the factorized logarithm (random-17 here, residual 0.08)

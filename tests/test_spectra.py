@@ -697,6 +697,13 @@ class TestSelectOccupied:
         with pytest.raises(ValueError):
             select_occupied(sys, 1.5)
 
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    def test_half_filling_of_an_odd_chain_rounds_up(self, n):
+        # n / 2 rounds half up for every odd n; rounding half to even would
+        # fill 2 of 5 and 4 of 9 sites but 4 of 7 and 6 of 11
+        sys = biorthogonal_eig(build_uniform_chain(n, bc="open"))
+        assert select_occupied(sys, Fraction(1, 2)).n_occupied == (n + 1) // 2
+
     def test_tie_groups_survive_rounding_noise(self):
         # same real parts up to 1e-15 noise: imaginary part must decide
         sys = diag_system([1e-15 - 0.5j, -1e-16 + 0.5j, 1.0])
