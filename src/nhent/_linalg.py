@@ -32,6 +32,9 @@ __all__ = ["HERMITIAN_TOL", "DEFECTIVE_COND", "is_hermitian", "eigenvalues",
 
 HERMITIAN_TOL = 1e-14
 DEFECTIVE_COND = 1e12
+# eigenvalues closer than this, relative to the kernel's largest entry,
+# form one cluster in a refusal's report
+CLUSTER_TOL = 1e-6
 
 
 def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
@@ -145,35 +148,48 @@ def symmetrizing_diagonal(A: np.ndarray) -> np.ndarray:
 
     x = ln d solves x_i - x_j = (1/2) ln(|A_ij| / |A_ji|) in the least-squares
     sense over the pairs i != j where both entries are nonzero; a pair with
-    only one nonzero entry carries no ratio and is skipped.  The normal
-    equations are a graph-Laplacian system.  A weak tie of every x_i to 0
-    makes it nonsingular and centres each connected component, and one
-    step of iterative refinement removes the tie's bias, so the ratio
-    equations hold to rounding.  d has geometric mean 1, and is exactly
-    ``np.ones`` when all ratios cancel, e.g. on magnitude-symmetric
-    kernels.  |x| is clipped to half of the float64 exponent range, so d
-    and 1 / d are finite; a kernel rescaled by a grading that steep may
-    overflow, and ``balanced_eig`` refuses it.
+    only one nonzero entry carries no ratio and is skipped.  The ratios are
+    read on the nonzero pairs only, as ln|A_ij| - ln|A_ji| per pair, and
+    summed per row.  The normal equations are a graph-Laplacian system.  A
+    weak tie of every x_i to 0 makes it nonsingular and centres each
+    connected component (up to a constant per component, the rounding of
+    its ratio sum over the tie, which no ratio equation sees), and one step
+    of iterative refinement removes the tie's bias, so the ratio equations
+    hold to rounding.  d has geometric mean 1, and is exactly ``np.ones``
+    when all ratios cancel, e.g. on magnitude-symmetric kernels.  |x| is
+    clipped to half of the float64 exponent range, so d and 1 / d are
+    finite; a kernel rescaled by a grading that steep may overflow, and
+    ``balanced_eig`` refuses it.
     """
     n = A.shape[0]
-    mag = np.abs(A)
-    edge = (mag > 0) & (mag.T > 0)
-    np.fill_diagonal(edge, False)
-    log_mag = np.log(np.where(edge, mag, 1.0))
-    rhs = 0.5 * (log_mag - log_mag.T).sum(axis=1)
+    nonzero = A != 0
+    i, j = np.nonzero(nonzero & nonzero.T)
+    off = i != j
+    i, j = i[off], j[off]
+    # each pair's ratio is antisymmetric in (i, j), so equal magnitudes
+    # give exactly 0 and a magnitude-symmetric A exactly np.ones
+    ratio = np.log(np.abs(A[i, j])) - np.log(np.abs(A[j, i]))
+    rhs = 0.5 * np.bincount(i, ratio, minlength=n)
     if not rhs.any():
         return np.ones(n)
-    lap = np.diag(edge.sum(axis=1)) - edge
+    degree = np.bincount(i, minlength=n)
     # tie weight: sqrt(eps)/4 of 4/n^2, a lower bound on the smallest
     # nonzero Laplacian eigenvalue of any component (Mohar 1991); one
-    # refinement step squares the tie's relative bias to below eps
-    tied = lap + np.sqrt(np.finfo(float).eps) / n**2 * np.eye(n)
+    # refinement step squares the tie's relative bias to below eps.  The
+    # tie is the tied matrix's smallest eigenvalue, which on dense coupling
+    # graphs can fall below a Cholesky factorization's backward error, so
+    # the factorization is an LU.
+    tied = np.zeros((n, n), order="F")
+    tied[i, j] = -1.0
+    np.fill_diagonal(tied, degree + np.sqrt(np.finfo(float).eps) / n**2)
     # factored once for the solve and the refinement step; LAPACK is called
     # directly because the lu_factor/lu_solve wrappers cost more than the
     # solve itself on the 2 x 2 Bloch blocks
-    lu, piv, _ = dgetrf(tied)
+    lu, piv, _ = dgetrf(tied, overwrite_a=True)
     x = dgetrs(lu, piv, rhs)[0]
-    x += dgetrs(lu, piv, rhs - lap @ x)[0]
+    # the Laplacian product (L x)_i = degree_i x_i - sum_j x_j over the pairs
+    lap_x = degree * x - np.bincount(i, x[j], minlength=n)
+    x += dgetrs(lu, piv, rhs - lap_x)[0]
     x -= x.mean()
     lim = 0.5 * np.log(np.finfo(float).max)
     return np.exp(np.clip(x, -lim, lim))
@@ -196,11 +212,12 @@ def _squared_norms(X: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
-    """Groups of eigenvalues chained by gaps below 1e-6 * scale, in index order."""
+    """Groups of eigenvalues chained by gaps below CLUSTER_TOL * scale, in
+    index order."""
     # imported on call: only raising paths use it
     from scipy.sparse.csgraph import connected_components
     gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
-    _, label = connected_components(gaps < 1e-6 * max(scale, 1e-300))
+    _, label = connected_components(gaps < CLUSTER_TOL * max(scale, 1e-300))
     groups = [list(eigenvalues[label == c]) for c in range(label.max() + 1)]
     return [g for g in groups if len(g) > 1]
 
@@ -224,14 +241,16 @@ def balanced_eig(A: np.ndarray, mirrors=()):
 
     A real A is diagonalized in real arithmetic, and so is a complex A that
     is PT-symmetric: ``mirrors`` lists candidate involutive permutations p,
-    and the first with ``A.conj() == A[p][:, p]`` exactly is used.  The
+    and the first with ``A.conj() == A[p][:, p]`` exactly (read as
+    Re A = (Re A)[p][:, p] and -Im A = (Im A)[p][:, p]) is used.  The
     diagonal is then kept mirror-symmetric (d <- sqrt(d d[p])), so the
     balanced kernel B inherits the symmetry, and T = (I + iP) / sqrt(2)
     is a unitary with T^dag B T = Re B - (Im B)[:, p] real.  That real
     matrix is solved, and its eigenvectors V_r and their inverse map back
     exactly: V_b = T V_r, V_b^-1 = V_r^-1 T^dag, with the same column and
-    row norms and condition numbers (T is unitary).
-    The outputs are complex either way.
+    row norms and condition numbers (T is unitary).  The back-map to the
+    caller's frame, V = D T V_r and V^-1 = V_r^-1 T^dag D^-1, fills each
+    output in one complex array, so the outputs are complex either way.
 
     If B is Hermitian, to ``HERMITIAN_TOL`` scaled by max(1, max|ln d|)
     because each ratio d_j / d_i carries a rounding of about eps |ln d|,
@@ -282,8 +301,10 @@ def balanced_eig(A: np.ndarray, mirrors=()):
     A = _real_if_real_valued(A)
     p = None
     if not np.isrealobj(A):
+        # A* = P A P, read on the real and imaginary parts separately
         p = next((m for m in mirrors
-                  if np.array_equal(A.conj(), A[np.ix_(m, m)])), None)
+                  if np.array_equal(A.real, A.real[np.ix_(m, m)])
+                  and np.array_equal(-A.imag, A.imag[np.ix_(m, m)])), None)
     M = A if p is None else A.real - A.imag[:, p]
     d = symmetrizing_diagonal(A)
     if p is not None:
@@ -327,12 +348,25 @@ def balanced_eig(A: np.ndarray, mirrors=()):
                         w.astype(complex, copy=False), float(np.abs(A).max())))
         # Wilkinson's eigenvalue condition numbers s_i = ||r_i|| ||l_i||
         cond = float(np.sqrt((r2 * l2).max()))
-    if p is not None:
-        Vr = (Vr + 1j * Vr[p]) / np.sqrt(2.0)
-        Vb_inv = (Vb_inv - 1j * Vb_inv[:, p]) / np.sqrt(2.0)
+    # back to the caller's frame, each output in one complex array, with
+    # T = (I + iP) / sqrt(2) on the PT path and T = I otherwise; T and D
+    # are applied in separate roundings, as folding 1 / sqrt(2) into d
+    # would move every PT result by an ulp
     w = w.astype(complex, copy=False)
-    V = (Vr * d[:, None]).astype(complex, copy=False)
-    Vinv = (Vb_inv / d[None, :]).astype(complex, copy=False)
+    V = np.empty(Vr.shape, dtype=complex)
+    Vinv = np.empty(Vr.shape, dtype=complex)
+    if p is None:
+        np.multiply(Vr, d[:, None], out=V)
+        np.divide(Vb_inv, d, out=Vinv)
+    else:
+        np.multiply(1j, Vr[p], out=V)
+        V += Vr
+        V /= np.sqrt(2.0)
+        V *= d[:, None]
+        np.multiply(-1j, Vb_inv[:, p], out=Vinv)
+        Vinv += Vb_inv
+        Vinv /= np.sqrt(2.0)
+        Vinv /= d
     del B, Vr, Vb_inv  # freed before the norm's temporaries
     # right columns to unit norm; the rows of V^-1 absorb the rescaling,
     # so V^-1 V = I stays exact up to inversion error

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._linalg import match_spectra
+from ._linalg import _real_if_real_valued, match_spectra
 from .errors import PartitionError, UnsupportedError
 from .models import KernelMatrix
 from .spectra import BiorthogonalSystem, GroundStateSelection
@@ -88,7 +88,12 @@ class Partition:
 
 @dataclass
 class CorrelationMatrix:
-    """Two-point function restricted to a partition."""
+    """Two-point function restricted to a partition.
+
+    ``correlation_matrix`` stores ``entries`` as float64 when every entry
+    has an imaginary part of exactly zero (a real kernel with a real
+    spectrum, for instance), and as complex128 otherwise.
+    """
 
     partition: Partition
     entries: np.ndarray
@@ -110,7 +115,8 @@ def correlation_matrix(sys: BiorthogonalSystem, sel: GroundStateSelection,
     idx = np.asarray(part.indices)
     R = sys.right[np.ix_(idx, sel.occupied)]
     L = sys.left[np.ix_(idx, sel.occupied)]
-    return CorrelationMatrix(part, R @ L.conj().T, source=(sys, sel))
+    return CorrelationMatrix(part, _real_if_real_valued(R @ L.conj().T),
+                             source=(sys, sel))
 
 
 def projector(sys: BiorthogonalSystem, sel: GroundStateSelection) -> np.ndarray:

@@ -35,6 +35,9 @@ __all__ = [
 
 # orbital condition number allowed to build up between orthonormalizations
 _MAX_GROWTH = 1e6
+# orbitals have collapsed when the smallest |R_ii| of their QR factor is at
+# most this fraction of the largest
+COLLAPSE_TOL = 1e-12
 
 
 @dataclass
@@ -106,8 +109,8 @@ def _orthonormalize(M: np.ndarray, time: float) -> np.ndarray:
     through ``np.linalg.qr``.  Each takes the workspace its query returns,
     as numpy's call does; the wrappers' default of 3M would run unblocked
     code above 128 columns, which rounds otherwise.  The orbitals have
-    collapsed when the smallest |R_ii| is at most 1e-12 of the largest, or
-    when they outnumber the modes.
+    collapsed when the smallest |R_ii| is at most ``COLLAPSE_TOL`` of the
+    largest, or when they outnumber the modes.
     """
     m, n = M.shape
     if n > m:
@@ -116,7 +119,7 @@ def _orthonormalize(M: np.ndarray, time: float) -> np.ndarray:
     lwork, _ = zgeqrf_lwork(m, n)
     qr, tau, _, _ = zgeqrf(M, lwork=int(lwork.real))
     diag = np.abs(np.diagonal(qr))
-    if diag.min() <= 1e-12 * max(diag.max(), 1e-300):
+    if diag.min() <= COLLAPSE_TOL * max(diag.max(), 1e-300):
         raise CollapseError(
             f"orbital matrix rank-deficient at t={time:g}", time=time)
     # a workspace query reads no entries, so it may skip the copy of qr

@@ -43,6 +43,8 @@ CLAMP_TOL = 1e-12
 MIDGAP_TOL = 0.05
 # largest imaginary part a modified entropy may carry and still be real
 MODIFIED_IMAG_TOL = 1e-6
+# a Renyi factor eps^n + (1 - eps)^n smaller than this has no logarithm
+RENYI_FACTOR_TOL = 1e-14
 
 
 def _clamped(eps: np.ndarray, tol: float) -> np.ndarray:
@@ -59,7 +61,7 @@ def _unclamped(eps) -> np.ndarray:
 def _spectrum(C: CorrelationMatrix, clamp_tol: float):
     """(eps, e, xi, clamped): all eigenvalues of C, the unclamped ones e,
     their entanglement energies and the indices of the clamped ones."""
-    eps = eigenvalues(np.asarray(C.entries, dtype=complex))
+    eps = eigenvalues(C.entries)
     mask = _clamped(eps, clamp_tol)
     e = eps[~mask]
     return eps, e, np.log(1.0 / e - 1.0), np.nonzero(mask)[0]
@@ -80,7 +82,7 @@ def _renyi(e: np.ndarray, n) -> complex:
     if not len(e):
         return 0j
     factors = e ** n + (1.0 - e) ** n
-    if np.any(np.abs(factors) < 1e-14):
+    if np.any(np.abs(factors) < RENYI_FACTOR_TOL):
         raise BranchError(f"Tr rho_A^{n} factor vanished; logarithm singular")
     return complex(np.sum(np.log(factors)) / (1.0 - n))
 

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 FIT_IMAG_TOL = 1e-6
+# extra matching cost, relative to the spectral scale, of pairing band
+# energies across an occupation change; it only breaks ties
+MATCH_TIE_WEIGHT = 1e-9
 
 
 @dataclass
@@ -140,7 +143,8 @@ def count_fermi_points(sys: BiorthogonalSystem, sel: GroundStateSelection) -> in
         # pairs; exact touchings are counted as clusters below instead
         cost = np.abs(sys.eigenvalues[a][:, None]
                       - sys.eigenvalues[b][None, :])
-        cost += (1e-9 * scale) * (occ[a][:, None] != occ[b][None, :])
+        cost += ((MATCH_TIE_WEIGHT * scale)
+                 * (occ[a][:, None] != occ[b][None, :]))
         perm = min_cost_matching(cost)
         switches += int(np.count_nonzero(occ[a] != occ[b[perm]]))
     # Bands degenerate at a single momentum with mixed occupation touch the

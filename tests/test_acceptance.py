@@ -215,13 +215,12 @@ def test_06_eb_crossover():
         return 2.0 * fit_central_charge(series, window=(1, sizes[-1]),
                                         imag_tol=imag_tol).c
 
-    # at gamma0 = 0 the kernel spectrum is real, but 4-7 correlation
-    # eigenvalues per size are negative reals whose imaginary parts (at
-    # most ~1e-16) are rounding noise; its sign picks the log branch, so
-    # Im S is set by rounding (0.72, -1.24, -1.4e-5, -1.5e-3, 1.84 at 24,
-    # 72, 120, 168, 216 cells on one BLAS thread; other values on two).
-    # The real part carries the scaling (cross-checked at gamma0 = 1e-3
-    # where S is real)
+    # at gamma0 = 0 the kernel and its spectrum are real, so C is stored as
+    # float64 and 4-8 of its eigenvalues per size are exact negative reals.
+    # The principal branch gives each of them +i pi, so Im S is a fixed,
+    # nonzero function of size (0.72, 1.24, 1.51, 1.69, 1.84 at 24, 72,
+    # 120, 168, 216 cells, on one BLAS thread or two).  The real part
+    # carries the scaling (cross-checked at gamma0 = 1e-3 where S is real)
     c_zero = charge(0.0, np.inf)
     c_tiny = charge(1e-3, 1e-6)
     c_large = charge(4.0, 1e-6)

@@ -7,8 +7,9 @@ from nhent import (KernelMatrix, Partition, PartitionError, UnsupportedError,
                    biorthogonal_eig, bloch_momenta, bloch_reduce, bloch_system,
                    build_eb_ssh, build_guo_chain, build_hatano_nelson,
                    build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
-                   build_uniform_chain, check_duality, correlation_matrix,
-                   momentum_transform, projector, select_occupied)
+                   build_report, build_uniform_chain, check_duality,
+                   correlation_matrix, momentum_transform, projector,
+                   select_occupied, vn_entropy)
 from nhent.correlations import sorted_by_re_im
 
 
@@ -66,6 +67,22 @@ class TestCorrelationMatrix:
         assert C.entries[1, 1] == pytest.approx(0.5, abs=1e-12)
         assert C.entries[0, 1] == pytest.approx((1 - 1j) / 4, abs=1e-12)
         assert C.entries[1, 0] == pytest.approx((1 + 1j) / 4, abs=1e-12)
+
+    @pytest.mark.parametrize("n_cells, gamma0, dtype", [
+        (40, 0.0, np.float64), (72, 0.0, np.float64),
+        (40, 0.3, np.complex128)])
+    def test_real_spectrum_gives_a_real_matrix(self, n_cells, gamma0, dtype):
+        # at gamma0 = 0 the kernel is real with a real spectrum, so C has an
+        # imaginary part of exactly zero and is stored as float64; its
+        # negative real eigenvalues carry no rounding-signed imaginary part,
+        # and every route to the entropy takes the same logarithm branch
+        km = build_eb_ssh(n_cells, 1.0, 0.5, gamma0, "open")
+        sys = biorthogonal_eig(km)
+        sel = select_occupied(sys, Fraction(1, 2))
+        C = correlation_matrix(sys, sel, Partition.half(km.dim))
+        assert C.entries.dtype == dtype
+        s = vn_entropy(np.linalg.eigvals(C.entries))
+        assert s == build_report(C).entropy_vn
 
     def test_hermitian_limit_spectrum_in_unit_interval(self):
         km = build_uniform_chain(8)

@@ -107,6 +107,28 @@ class TestBiorthogonalEig:
         sys = biorthogonal_eig(km)
         assert sys.condition_estimate < 100
 
+    @pytest.mark.parametrize("name, km, hermitian, tests", [
+        ("eb_ssh_open", build_eb_ssh(24, 1.0, 0.5, 0.3, "open"), False, 1),
+        # gauge-Hermitian: condition 1.0, so the kernel itself is tested again
+        ("hatano_nelson_open", build_hatano_nelson(24, 1.0, 0.5, "open"),
+         False, 2),
+        ("ssh_open", build_nh_ssh_real(12, 1.0, 0.5, 0.0, "open"), True, 2),
+    ])
+    def test_one_hermitian_test_of_a_non_hermitian_kernel(
+            self, monkeypatch, name, km, hermitian, tests):
+        # a condition other than 1.0 already says the kernel is not
+        # Hermitian; the test of the balanced kernel is not counted
+        seen = []
+
+        def spied(A, *args):
+            seen.append(A is km.entries)
+            return is_hermitian(A, *args)
+        monkeypatch.setattr(_linalg, "is_hermitian", spied)
+        monkeypatch.setattr("nhent.models.is_hermitian", spied)
+        sys = biorthogonal_eig(km)
+        assert sys.hermitian is hermitian
+        assert sum(seen) == tests
+
 
 def _counting_eig(monkeypatch):
     """Record the dtype of every array handed to np.linalg.eig."""
@@ -177,10 +199,36 @@ class TestBalancing:
         rng = np.random.default_rng(7)
         G = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         gain_loss = G + G.conj().T + 1j * np.diag(rng.normal(size=16))
+        # A_ji = i conj(A_ij) swaps the real and imaginary parts, so
+        # |A_ji| = |A_ij| exactly, on a sparse non-Hermitian kernel
+        upper = np.triu(G * (rng.random((16, 16)) < 0.3), 1)
+        swapped = upper + 1j * upper.conj().T
         # the A02 ring point, and a Hermitian matrix plus i*gamma on-site
         for A in (build_nh_ssh_real(32, 1.0, 0.3, 0.7, "periodic").entries,
-                  gain_loss):
+                  gain_loss, swapped):
             assert np.array_equal(symmetrizing_diagonal(A), np.ones(len(A)))
+
+    @pytest.mark.parametrize("n, density", [(30, 0.15), (60, 0.08),
+                                            (40, 1.0)])
+    def test_seed_is_the_least_squares_solution(self, n, density):
+        # dense reference: one row e_i - e_j per pair i < j with both
+        # entries nonzero, right side (1/2) ln(|A_ij| / |A_ji|).  The fit
+        # is unique up to a constant on each connected component, so the
+        # fitted differences are compared, and the geometric mean of d
+        rng = np.random.default_rng(n)
+        A = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) \
+            * (rng.random((n, n)) < density)
+        A[0, n - 1] = 0.0  # a one-way bond carries no ratio
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if A[i, j] != 0 and A[j, i] != 0]
+        incidence = np.zeros((len(pairs), n))
+        for row, (i, j) in enumerate(pairs):
+            incidence[row, i], incidence[row, j] = 1.0, -1.0
+        ratio = [0.5 * np.log(abs(A[i, j]) / abs(A[j, i])) for i, j in pairs]
+        x = np.linalg.lstsq(incidence, ratio, rcond=None)[0]
+        log_d = np.log(symmetrizing_diagonal(A))
+        assert np.abs(incidence @ (log_d - x)).max() <= 1e-12
+        assert abs(log_d.mean()) <= 1e-12
 
     def test_seed_skips_one_way_bonds(self):
         # at Gamma = t every bond hops one way only: no ratio, no grading
