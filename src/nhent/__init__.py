@@ -20,7 +20,7 @@ from .models import (FAMILIES, KernelMatrix, ModelSpec, bloch_momenta,
                      build_measurement_heff, build_nh_ssh_bloch,
                      build_nh_ssh_real, build_quasicrystal,
                      build_uniform_chain, fibonacci_approximant)
-from .spectra import (BiorthogonalSystem, GroundStateSelection,
+from .spectra import (BiorthogonalSystem, BlochSystem, GroundStateSelection,
                       biorthogonal_eig, bloch_system, petermann_factor,
                       select_occupied)
 from .correlations import (CorrelationMatrix, DualityReport, Partition,

@@ -5,6 +5,11 @@ restricted to subsystem A, equals the A-block of R P R where
 P = sum_{a occ} |R_a><L_a| is the occupied-state projector and R the
 real-space restriction.  Spec(R P R) and Spec(P R P) agree on their nonzero
 parts, which is the position-momentum duality check.
+
+On a system solved momentum block by momentum block (a ``BlochSystem``), P
+is block-Toeplitz: its (x, s; y, s') entry depends on x - y mod N only, and
+one inverse FFT of the occupied Bloch projectors gives every entry, so no
+block is formed from the dense eigenvector matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import scipy.linalg
 from ._linalg import _real_if_real_valued, match_spectra
 from .errors import PartitionError, UnsupportedError
 from .models import KernelMatrix
-from .spectra import BiorthogonalSystem, GroundStateSelection
+from .spectra import BiorthogonalSystem, BlochSystem, GroundStateSelection
 
 __all__ = [
     "Partition",
@@ -104,23 +109,51 @@ class CorrelationMatrix:
         return self.partition.size
 
 
+def _bloch_block(sys: BlochSystem, sel: GroundStateSelection,
+                 idx: np.ndarray) -> np.ndarray:
+    """C[i, j] = c[(x_i - x_j) mod N, s_i, s_j] for modes i, j in idx.
+
+    c[d] = N^-1 sum_k exp(i k d) P(k) is one inverse FFT over the grid of
+    the occupied Bloch projectors P(k) = sum_{b occ} u_k[:, b] l_k[:, b]^dag.
+    """
+    nc, ns = sys.cells.shape
+    occ = np.zeros(sys.dim, dtype=bool)
+    occ[sel.occupied] = True
+    P = (sys.u_k * occ.reshape(nc, 1, ns)) @ sys.l_k.conj().transpose(0, 2, 1)
+    c = np.fft.ifft(P, axis=0)
+    x, s = sys.cell_of[idx], sys.sublattice_of[idx]
+    return c[(x[:, None] - x) % nc, s[:, None], s]
+
+
 def correlation_matrix(sys: BiorthogonalSystem, sel: GroundStateSelection,
                        part: Partition) -> CorrelationMatrix:
     """C_ij = sum_{a occ} R_a(i) L*_a(j) for i, j in the partition.
 
-    The partition indexes the basis the system was diagonalized in; for
-    momentum-space partitions diagonalize the Fourier-transformed kernel
-    first (see ``momentum_transform``) and reuse this position pathway.
+    On a ``BlochSystem`` the block is gathered from the block-Toeplitz
+    correlations C(x - y) = N^-1 sum_k exp(i k (x - y)) P(k) (Peschel,
+    J. Phys. A 36, L205 (2003)), for any position partition: one FFT over
+    the momentum grid and one |A|^2 gather, with no eigenvector matrix.  On
+    any other system it is the product R_A L_A^dag of the partition's rows
+    of the occupied vectors, taken in float64 when both factors are
+    real-valued.  The partition indexes the basis the system was
+    diagonalized in; for momentum-space partitions diagonalize the
+    Fourier-transformed kernel first (see ``momentum_transform``) and reuse
+    this position pathway.
     """
     idx = np.asarray(part.indices)
-    R = sys.right[np.ix_(idx, sel.occupied)]
-    L = sys.left[np.ix_(idx, sel.occupied)]
-    return CorrelationMatrix(part, _real_if_real_valued(R @ L.conj().T),
-                             source=(sys, sel))
+    if isinstance(sys, BlochSystem):
+        C = _bloch_block(sys, sel, idx)
+    else:
+        R = _real_if_real_valued(sys.right[np.ix_(idx, sel.occupied)])
+        L = _real_if_real_valued(sys.left[np.ix_(idx, sel.occupied)])
+        C = R @ L.conj().T
+    return CorrelationMatrix(part, _real_if_real_valued(C), source=(sys, sel))
 
 
 def projector(sys: BiorthogonalSystem, sel: GroundStateSelection) -> np.ndarray:
     """Occupied-state projector P = sum_{a occ} |R_a><L_a| (idempotent)."""
+    if isinstance(sys, BlochSystem):
+        return _bloch_block(sys, sel, np.arange(sys.dim))
     R = sys.right[:, sel.occupied]
     L = sys.left[:, sel.occupied]
     return R @ L.conj().T

@@ -388,6 +388,9 @@ def bloch_reduce(km: KernelMatrix, k) -> np.ndarray:
 
     ``k`` is one momentum or an array of them; the result has shape
     ``np.shape(k) + (ns, ns)``, and the blocks are gathered once for all k.
+    The sum runs over the cell offsets x whose block is nonzero only (three
+    on a nearest-neighbour chain), so its temporaries hold len(k) times that
+    many blocks, not len(k) * N; an all-zero kernel gives zero blocks.
     Exact on the discrete grid k = 2 pi m / N for any integer m.
     """
     if km.bc != "periodic":
@@ -395,8 +398,9 @@ def bloch_reduce(km: KernelMatrix, k) -> np.ndarray:
     pos = km.cell_sites
     # blocks[x, s, s'] = K[(x, s), (0, s')]
     blocks = km.entries[pos[:, :, None], pos[0]]
-    phase = np.exp((-1j * np.asarray(k))[..., None] * np.arange(len(pos)))
-    return (blocks * phase[..., None, None]).sum(axis=-3)
+    x = np.flatnonzero(blocks.any(axis=(1, 2)))
+    phase = np.exp((-1j * np.asarray(k))[..., None] * x)
+    return (blocks[x] * phase[..., None, None]).sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------

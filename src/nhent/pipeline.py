@@ -18,7 +18,7 @@ from .entanglement import (CLAMP_TOL, MIDGAP_TOL, EntanglementReport,
                            build_report, vn_entropy)
 from .models import KernelMatrix
 from .scaling import ScalingSeries
-from .spectra import (BiorthogonalSystem, GroundStateSelection,
+from .spectra import (BiorthogonalSystem, BlochSystem, GroundStateSelection,
                       biorthogonal_eig, select_occupied)
 
 __all__ = [
@@ -58,17 +58,29 @@ def entropy_series(sys: BiorthogonalSystem, sel: GroundStateSelection,
     1 - spec(C_A); the von Neumann kernel is symmetric under eps -> 1 - eps,
     also on the principal branch, so S_A = S_B.  Where P is not a projector
     to working precision (near an exceptional point) the two sides differ.
+
+    Each distinct block is diagonalized once.  On a ``BlochSystem`` a cut
+    is keyed by its translate that starts in cell 0
+    (``BlochSystem.translation_key``): a complement [L_A, n) that starts on
+    a cell boundary is then the leading block of size n - L_A, and S(L_A)
+    equals S(n - L_A) exactly.  On any other system every cut is its own
+    key.
     """
     n = sys.dim
     if sizes is None:
         sizes = range(1, n)
+    entropies = {}
     points = []
     for la in sizes:
         la = int(la)
         cut = (la, n) if n / 2 < la < n else (0, la)
         part = Partition.contiguous(*cut, n)
-        eps = eigenvalues(correlation_matrix(sys, sel, part).entries)
-        points.append((la, vn_entropy(eps)))
+        key = (sys.translation_key(part.indices)
+               if isinstance(sys, BlochSystem) else cut)
+        if key not in entropies:
+            eps = eigenvalues(correlation_matrix(sys, sel, part).entries)
+            entropies[key] = vn_entropy(eps)
+        points.append((la, entropies[key]))
     return ScalingSeries(n, points, geometry)
 
 

@@ -24,7 +24,10 @@ measures genuine (near-)defectiveness rather than grading.  The solver,
 ``_linalg.balanced_eig``, alone decides defectiveness (by the 2-norm
 condition number of that matrix), refuses a grading too steep for
 float64, and raises ``DefectiveError``; this module only packs its
-result.
+result.  A periodic, translation-invariant kernel can instead be solved
+momentum block by momentum block (``bloch_system``, one ``balanced_eig``
+per block); its ``BlochSystem`` keeps the per-momentum eigenvector blocks
+and assembles the dense dim x dim ``right`` and ``left`` only on demand.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from .models import KernelMatrix, bloch_momenta, bloch_reduce
 
 __all__ = [
     "BiorthogonalSystem",
+    "BlochSystem",
     "GroundStateSelection",
     "biorthogonal_eig",
     "bloch_system",
@@ -55,8 +60,10 @@ class BiorthogonalSystem:
 
     Columns of ``right`` are |R_a>, columns of ``left`` are |L_a>, normalized
     so that every |R_a> has unit 2-norm and left.conj().T @ right = identity.
-    ``momenta`` is set when the system was assembled momentum block by
-    momentum block and gives the Bloch momentum of each eigenstate.
+    ``momenta`` is set when the system was solved momentum block by
+    momentum block and gives the Bloch momentum of each eigenstate; such a
+    system is a ``BlochSystem``, which keeps the per-momentum blocks and
+    assembles ``right`` and ``left`` on first access.
 
     ``condition_estimate`` is the largest eigenvalue condition number
     s_a = ||R_a|| ||L_a|| in the solver's rebalanced frame (s_a^2 is the
@@ -142,44 +149,96 @@ def biorthogonal_eig(K: KernelMatrix) -> BiorthogonalSystem:
     return BiorthogonalSystem(w, V, left, cond, hermitian=hermitian)
 
 
-def bloch_system(K: KernelMatrix) -> BiorthogonalSystem:
+class BlochSystem(BiorthogonalSystem):
+    """Biorthogonal system of a periodic kernel, kept momentum block by block.
+
+    State m * ns + b is band b at momentum k_m = 2 pi m / N.  ``u_k`` and
+    ``l_k`` are (N, ns, ns) stacks: column b of u_k[m] and l_k[m] is that
+    state's right and left Bloch vector, with l_k[m]^dag u_k[m] = identity.
+    ``cells`` is the kernel's (N, ns) cell map (mode ``cells[x, s]`` is
+    sublattice s of cell x), and ``cell_of`` and ``sublattice_of`` invert it
+    per mode.  ``right`` and ``left`` hold R(cells[x, s], m ns + b) =
+    exp(i k_m x) u_k[m, s, b] / sqrt(N), and likewise from l_k; each dim x
+    dim array is assembled on first access only, and the correlation path
+    never reads them (see ``correlations.correlation_matrix``).
+    """
+
+    def __init__(self, eigenvalues, u_k, l_k, cells, condition_estimate,
+                 hermitian, momenta):
+        self.eigenvalues = eigenvalues
+        self.u_k, self.l_k, self.cells = u_k, l_k, cells
+        self.condition_estimate = condition_estimate
+        self.hermitian = hermitian
+        self.momenta = momenta
+        nc, ns = cells.shape
+        self.cell_of = np.empty(self.dim, dtype=int)
+        self.cell_of[cells] = np.arange(nc)[:, None]
+        self.sublattice_of = np.empty(self.dim, dtype=int)
+        self.sublattice_of[cells] = np.arange(ns)
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        return self._assemble(self.u_k)
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        return self._assemble(self.l_k)
+
+    def translation_key(self, indices) -> bytes:
+        """The modes' (cell, sublattice) sequence, translated by whole cells
+        so that the first mode sits in cell 0.
+
+        Two mode sequences with one key have the bitwise-identical
+        block-Toeplitz correlation matrix (``correlations.correlation_matrix``
+        reads only cell differences mod N and sublattices).
+        """
+        idx = np.asarray(indices)
+        cell = (self.cell_of[idx] - self.cell_of[idx[0]]) % len(self.cells)
+        return cell.tobytes() + self.sublattice_of[idx].tobytes()
+
+    def _assemble(self, blocks: np.ndarray) -> np.ndarray:
+        nc, ns = self.cells.shape
+        dim = self.dim
+        out = np.zeros((dim, dim), dtype=complex)
+        pos = self.cells.ravel()
+        x = np.arange(nc)
+        for m, k in enumerate(bloch_momenta(nc)):
+            phase = np.exp(1j * k * x)[:, None, None] / np.sqrt(nc)
+            out[pos, m * ns:(m + 1) * ns] = (phase * blocks[m]).reshape(dim, ns)
+        return out
+
+
+def bloch_system(K: KernelMatrix) -> BlochSystem:
     """Momentum-resolved decomposition of a periodic, translation-invariant kernel.
 
-    Diagonalizes the Bloch matrix on each grid momentum and assembles
-    full-size eigenvectors R(x, s) = exp(i k x) u(s) / sqrt(N).  The returned
-    system carries per-state momenta for Fermi-point counting.
+    Diagonalizes the Bloch matrix on each grid momentum, each block by
+    ``_linalg.balanced_eig`` (a one-sublattice block is its own eigenvalue),
+    and keeps the per-momentum eigenvector blocks: no dim x dim array is
+    formed unless ``right`` or ``left`` is read, or unless every block
+    solves at condition 1.0, when the whole kernel's Hermitian test sets
+    ``hermitian``.  The returned system carries per-state momenta for
+    Fermi-point counting.
     """
-    pos = K.cell_sites
-    nc, ns = pos.shape
-    pos = pos.ravel()
+    cells = K.cell_sites
+    nc, ns = cells.shape
     ks = bloch_momenta(nc)
-    dim = K.dim
-
-    eigenvalues = np.empty(dim, dtype=complex)
-    right = np.zeros((dim, dim), dtype=complex)
-    left = np.zeros((dim, dim), dtype=complex)
-    momenta = np.repeat(ks, ns)
+    eigenvalues = np.empty((nc, ns), dtype=complex)
+    # a one-sublattice block's Bloch vectors are 1
+    u_k = np.ones((nc, ns, ns), dtype=complex)
+    l_k = np.ones((nc, ns, ns), dtype=complex)
     worst = 1.0
-    cells = np.arange(nc)
     # a block's candidate PT mirror reverses its sublattice index
     sublattice_mirror = np.arange(ns)[::-1]
-    for m, (k, h) in enumerate(zip(ks, bloch_reduce(K, ks))):
+    for m, h in enumerate(bloch_reduce(K, ks)):
         if ns == 1:
-            wb = np.array([h[0, 0]])
-            ub = np.array([[1.0 + 0j]])
-            lb = np.array([[1.0 + 0j]])
-        else:
-            wb, ub, vinv, cond = balanced_eig(h, (sublattice_mirror,))
-            lb = vinv.conj().T
-            worst = max(worst, cond)
-        phase = np.exp(1j * k * cells)[:, None, None] / np.sqrt(nc)
-        cols = slice(m * ns, (m + 1) * ns)
-        eigenvalues[cols] = wb
-        right[pos, cols] = (phase * ub).reshape(dim, ns)
-        left[pos, cols] = (phase * lb).reshape(dim, ns)
-    return BiorthogonalSystem(eigenvalues, right, left, worst,
-                              hermitian=worst == 1.0 and K.is_hermitian(),
-                              momenta=momenta)
+            eigenvalues[m] = h[0, 0]
+            continue
+        w, v, vinv, cond = balanced_eig(h, (sublattice_mirror,))
+        eigenvalues[m], u_k[m], l_k[m] = w, v, vinv.conj().T
+        worst = max(worst, cond)
+    return BlochSystem(eigenvalues.ravel(), u_k, l_k, cells, worst,
+                       hermitian=worst == 1.0 and K.is_hermitian(),
+                       momenta=np.repeat(ks, ns))
 
 
 OCCUPATION_POLICIES = ("real_part", "imag_part", "modulus")

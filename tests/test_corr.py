@@ -5,7 +5,8 @@ import pytest
 
 from nhent import (KernelMatrix, Partition, PartitionError, UnsupportedError,
                    biorthogonal_eig, bloch_momenta, bloch_reduce, bloch_system,
-                   build_eb_ssh, build_guo_chain, build_hatano_nelson,
+                   build_eb_ssh, build_guo_2d, build_guo_chain,
+                   build_hatano_nelson, build_measurement_heff,
                    build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
                    build_report, build_uniform_chain, check_duality,
                    correlation_matrix, momentum_transform, projector,
@@ -121,6 +122,57 @@ class TestCorrelationMatrix:
         ev_a = np.sort(np.linalg.eigvalsh(ca))
         ev_b = np.sort(np.linalg.eigvalsh(cb))
         assert np.abs(ev_a - np.sort(1 - ev_b)).max() < 1e-10
+
+
+BLOCH_FAMILIES = {
+    "guo-n2": lambda: build_guo_chain(24, 2, 1.0, 3.5),
+    "guo-n3": lambda: build_guo_chain(27, 3, 1.0, 0.8),
+    "nh-ssh": lambda: build_nh_ssh_real(10, 1.0, 0.4, 0.3, "periodic"),
+    "uniform-16": lambda: build_uniform_chain(16),
+    "uniform-33": lambda: build_uniform_chain(33),
+    "hatano-nelson-ring": lambda: build_hatano_nelson(20, 1.0, 0.5, "periodic"),
+    "measurement-ring": lambda: build_measurement_heff(18, 1.0, 0.5, "periodic"),
+    "guo-2d-4x4": lambda: build_guo_2d(4, 4, 0.6),
+    "eb-ssh-ring": lambda: build_eb_ssh(12, 1.0, 1.0, 0.3),
+}
+
+
+def _partition_kinds(n):
+    """Leading, offset, mid-cell, wrapping and non-contiguous mode sets."""
+    rng = np.random.default_rng(5)
+    ranges = [(0, n // 2), (0, 3), (0, n - 1), (2, 2 + n // 3), (4, n),
+              (1, 1 + n // 2), (3, 8), (n - 5, n)]
+    kinds = [tuple(range(a, b)) for a, b in ranges]
+    kinds += [tuple(rng.choice(n, size=size, replace=False))
+              for size in (2, 3, 5, n // 3, n // 2, n - 2)]
+    kinds += [(0, 1, n - 2, n - 1), (1, n - 1), tuple(range(0, n, 2)),
+              tuple(range(1, n, 3))]
+    return kinds
+
+
+class TestBlochCorrelations:
+    @pytest.mark.parametrize("name", sorted(BLOCH_FAMILIES))
+    def test_toeplitz_block_matches_assembled_vectors(self, name):
+        # the block-Toeplitz gather against R_A L_A^dag of the assembled
+        # eigenvectors, on every partition kind and on the full projector
+        km = BLOCH_FAMILIES[name]()
+        sys = bloch_system(km)
+        sel = select_occupied(sys, Fraction(1, 2))
+        R = sys.right[:, sel.occupied]
+        L = sys.left[:, sel.occupied]
+        for indices in _partition_kinds(km.dim):
+            part = Partition("position", indices, km.dim)
+            idx = np.asarray(part.indices)
+            C = correlation_matrix(sys, sel, part).entries
+            assert np.abs(C - R[idx] @ L[idx].conj().T).max() < 1e-12, indices
+        assert np.abs(projector(sys, sel) - R @ L.conj().T).max() < 1e-12
+
+    def test_correlations_leave_the_vectors_unassembled(self):
+        sys = bloch_system(build_guo_chain(24, 2, 1.0, 3.5))
+        sel = select_occupied(sys, Fraction(1, 2))
+        correlation_matrix(sys, sel, Partition.contiguous(3, 11, 24))
+        projector(sys, sel)
+        assert "right" not in vars(sys) and "left" not in vars(sys)
 
 
 class TestProjector:

@@ -28,7 +28,10 @@ def test_every_export_resolves():
 
 def test_no_run_imports_scipy_optimize(tmp_path):
     # scipy.optimize costs ~0.25 s and ~20 MB in a fresh process; every
-    # min-cost matching runs in _linalg.min_cost_matching, so no run needs it
+    # min-cost matching runs in _linalg.min_cost_matching, so no run needs
+    # it.  scipy.fft would add ~0.1 s and ~4 MB to `import nhent`; the
+    # block-Toeplitz correlations of a Bloch system take numpy.fft, which
+    # numpy loads anyway
     config = tmp_path / "oracle.json"
     config.write_text(json.dumps({"oracle": {"n_cases": 2, "n_modes": 6,
                                              "subsystem": 3}}))
@@ -36,15 +39,18 @@ def test_no_run_imports_scipy_optimize(tmp_path):
 import sys
 from nhent import (Partition, bloch_system, build_guo_chain,
                    build_nh_ssh_real, check_duality, count_fermi_points,
-                   ground_state_system, select_occupied)
+                   entropy_series, ground_state_system, select_occupied)
 from nhent.cli import main
 assert main(["oracle", "--config", {str(config)!r},
              "--out", {str(tmp_path / "out")!r}]) == 0
 sys_k = bloch_system(build_guo_chain(16, 2, 1.0, 0.4, "periodic"))
-assert count_fermi_points(sys_k, select_occupied(sys_k, 0.5)) == 2
+sel_k = select_occupied(sys_k, 0.5)
+assert count_fermi_points(sys_k, sel_k) == 2
+assert len(entropy_series(sys_k, sel_k, sizes=(4, 12)).points) == 2
 K = build_nh_ssh_real(6, 1.0, 0.4, 0.3, "periodic")
 check_duality(*ground_state_system(K, 0.5), Partition.half(K.dim))
-print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+print(sorted(m for m in sys.modules
+             if m.startswith(("scipy.optimize", "scipy.fft"))))
 """
     src = str(Path(nhent.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

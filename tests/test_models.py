@@ -365,6 +365,24 @@ def test_bloch_real_space_spectral_consistency(name):
     assert cost[rows, cols].max() < tol
 
 
+@pytest.mark.parametrize("km", [
+    *(build() for _, build in sorted(PERIODIC_MODELS.items())),
+    build_guo_chain(24, 2, 1.0, 3.5), build_uniform_chain(33),
+    build_guo_2d(4, 4, 0.6),
+    KernelMatrix(6, np.zeros((6, 6)), "periodic",
+                 [(c, s) for c in range(3) for s in range(2)])],
+    ids=[*sorted(PERIODIC_MODELS), "guo_n2", "uniform", "guo_2d", "zero"])
+def test_bloch_reduction_sums_only_nonzero_offsets(km):
+    # the same sum as over every cell offset, bytes and all: the offsets
+    # whose block is zero add nothing
+    pos = km.cell_sites
+    ks = bloch_momenta(len(pos))
+    blocks = km.entries[pos[:, :, None], pos[0]]
+    phase = np.exp((-1j * ks)[:, None] * np.arange(len(pos)))
+    every_offset = (blocks * phase[..., None, None]).sum(axis=-3)
+    assert bloch_reduce(km, ks).tobytes() == every_offset.tobytes()
+
+
 # family -> (ModelSpec params, direct builder call for a boundary condition)
 SPEC_BUILDS = {
     "hatano_nelson": ({"L": 6, "t": 1.0, "alpha": 0.3},

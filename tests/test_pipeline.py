@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from nhent import (KernelMatrix, Partition, PartitionError, bloch_system,
                    build_eb_ssh, build_guo_chain, build_hatano_nelson,
                    build_uniform_chain, correlation_matrix, entropy_series,
                    ground_state_system, select_occupied, vn_entropy)
+from nhent import pipeline
 from nhent._linalg import eigenvalues
 
 HALF = Fraction(1, 2)
@@ -65,15 +67,47 @@ class TestEntropySeries:
             assert abs(s - _leading_block_entropy(sys, sel, la)) < 1e-10, la
 
     def test_bloch_guo_chain_cuts_match_leading_block(self):
-        # the A05 cuts and the two middle ones; on a few other cuts past
-        # n/2 the 200+ site leading block itself loses ~1e-10: eigenvalues
-        # near 0 or 1 (~1e-11, just above the clamp) carry absolute errors
-        # of that size there, and eps ln eps amplifies them by ~25
+        # the A05 cuts, the two middle ones and the two past n/2 where the
+        # 235- and 237-site leading blocks built from assembled eigenvectors
+        # lost 4.5e-10 and 1.2e-10: eigenvalues near 0 or 1 (~1e-11, just
+        # above the clamp) carried absolute errors of that size, and
+        # eps ln eps amplifies them by ~25; the block-Toeplitz blocks keep
+        # every cut within ~2e-11
         sys, sel = _guo_bloch()
-        sizes = sorted({*range(4, 253, 4), 128, 129})
+        sizes = sorted({*range(4, 253, 4), 128, 129, 235, 237})
         series = entropy_series(sys, sel, sizes=sizes)
         for la, s in series.points:
             assert abs(s - _leading_block_entropy(sys, sel, la)) < 1e-10, la
+
+    def test_bloch_series_solves_each_distinct_block_once(self, monkeypatch):
+        # a complement [L_A, n) that starts on a cell boundary is a translate
+        # of the leading block of size n - L_A: the 63 A05 sizes are 32
+        # distinct blocks
+        sys, sel = _guo_bloch()
+        calls = []
+        monkeypatch.setattr(pipeline, "eigenvalues",
+                            lambda A: calls.append(len(A)) or eigenvalues(A))
+        series = entropy_series(sys, sel, sizes=range(4, 253, 4))
+        assert len(series.points) == 63
+        assert sorted(calls) == list(range(4, 129, 4))
+
+    def test_bloch_cell_aligned_cuts_are_symmetric(self):
+        sys, sel = _guo_bloch()
+        S = dict(entropy_series(sys, sel, sizes=range(2, 255, 2)).points)
+        assert all(S[la] == S[256 - la] for la in S)
+
+    def test_bloch_series_allocates_no_dense_eigenvectors(self):
+        # a dim x dim complex array at dim = 2048 is 64 MiB; the whole run
+        # stays below a sixteenth of one
+        km = build_guo_chain(2048, 2, 1.0, 3.5, "periodic")
+        tracemalloc.start()
+        try:
+            sys = bloch_system(km)
+            entropy_series(sys, select_occupied(sys, HALF), sizes=(64, 128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2048 ** 2 / 16
 
     def test_size_zero_raises_partition_error(self):
         sys, sel = _hatano_nelson(64)()

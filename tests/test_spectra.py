@@ -7,8 +7,9 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from nhent import (BiorthogonalSystem, DefectiveError, DegeneracyWarning,
-                   KernelMatrix, biorthogonal_eig, bloch_system,
-                   build_eb_ssh, build_guo_chain, build_hatano_nelson,
+                   KernelMatrix, biorthogonal_eig, bloch_momenta,
+                   bloch_reduce, bloch_system, build_eb_ssh, build_guo_2d,
+                   build_guo_chain, build_hatano_nelson,
                    build_measurement_heff, build_nh_ssh_real,
                    build_quasicrystal, build_uniform_chain, ground_state_system,
                    momentum_transform, Partition, petermann_factor,
@@ -794,7 +795,42 @@ class TestPetermann:
             petermann_factor(sys, 1, 1)
 
 
+def _dense_bloch_fill(km):
+    """Reference eigenvectors written block by block into dim x dim arrays:
+    R(x, s) = exp(i k x) u_k(s) / sqrt(N), one ``balanced_eig`` per
+    momentum, and L likewise from the inverse."""
+    pos = km.cell_sites
+    nc, ns = pos.shape
+    right = np.zeros((km.dim, km.dim), dtype=complex)
+    left = np.zeros((km.dim, km.dim), dtype=complex)
+    cells = np.arange(nc)
+    ks = bloch_momenta(nc)
+    for m, (k, h) in enumerate(zip(ks, bloch_reduce(km, ks))):
+        if ns == 1:
+            ub = lb = np.array([[1.0 + 0j]])
+        else:
+            _, ub, vinv, _ = balanced_eig(h, (np.arange(ns)[::-1],))
+            lb = vinv.conj().T
+        phase = np.exp(1j * k * cells)[:, None, None] / np.sqrt(nc)
+        cols = slice(m * ns, (m + 1) * ns)
+        right[pos.ravel(), cols] = (phase * ub).reshape(km.dim, ns)
+        left[pos.ravel(), cols] = (phase * lb).reshape(km.dim, ns)
+    return right, left
+
+
 class TestBlochSystem:
+    @pytest.mark.parametrize("km", [
+        build_nh_ssh_real(6, 1.0, 0.5, 0.3, "periodic"),
+        build_guo_chain(27, 3, 1.0, 0.8), build_uniform_chain(9),
+        build_guo_2d(4, 4, 0.6)], ids=["nh-ssh", "guo-n3", "uniform", "guo-2d"])
+    def test_vectors_are_assembled_on_first_access(self, km):
+        sys = bloch_system(km)
+        assert "right" not in vars(sys) and "left" not in vars(sys)
+        right, left = _dense_bloch_fill(km)
+        assert np.array_equal(sys.right, right)
+        assert np.array_equal(sys.left, left)
+        assert sys.right is sys.right
+
     def test_assembled_vectors_are_kernel_eigenvectors(self):
         km = build_nh_ssh_real(6, 1.0, 0.5, 0.3, "periodic")
         sys = bloch_system(km)
