@@ -1,7 +1,8 @@
 """Shared dense linear-algebra helpers; the one home of the defectiveness rule.
 
 ``balanced_eig`` is the only solver that returns eigenvectors (unit-norm
-columns, with their inverse) and the only code that raises
+right columns and their biorthogonal left partners), the only Hermitian
+test of a kernel solve, and the only code that raises
 ``DefectiveError``.  A Hermitian matrix goes to ``eigh`` as given.  Any
 other kernel is balanced once, by the diagonal ``symmetrizing_diagonal``
 reads off its entry ratios, and solved once: by ``eigh`` when that frame
@@ -226,7 +227,7 @@ def balanced_eig(A: np.ndarray, mirrors=()):
     """Eigendecomposition of a kernel; the one solver that returns vectors.
 
     A Hermitian A (``is_hermitian``) goes to ``eigh`` exactly as given: no
-    rescaling, no real cast, no symmetrization.  V is unitary, V^-1 = V^dag
+    rescaling, no real cast, no symmetrization.  V is unitary, left is V
     and cond = 1.0.
 
     Every other A is solved once, in the one rebalanced frame B = D^-1 A D,
@@ -261,15 +262,17 @@ def balanced_eig(A: np.ndarray, mirrors=()):
 
     Returns
     -------
-    w : np.ndarray
-        Eigenvalues (computed in the balanced frame, where they are most
-        accurate); real-valued on the Hermitian and gauge-Hermitian paths.
-    V : np.ndarray
-        Right eigenvectors as unit-norm columns, in the original frame
+    The fields of ``spectra.BiorthogonalSystem``, in order:
+    eigenvalues : np.ndarray
+        Computed in the balanced frame, where they are most accurate;
+        real-valued on the Hermitian and gauge-Hermitian paths.
+    right : np.ndarray
+        Right eigenvectors V as unit-norm columns, in the original frame
         (balanced-frame vectors scaled back exactly by the diagonal).
-    Vinv : np.ndarray
-        Inverse of V, whose rows absorb the column scaling; never None.
-    cond : float
+    left : np.ndarray
+        Left eigenvectors as the columns of V^-dag, which absorb the column
+        scaling, so left^dag right = I; ``right`` itself if A is Hermitian.
+    condition_estimate : float
         max_i ||r_i|| ||l_i|| over the columns r_i of the balanced-frame
         eigenvector matrix V_b and the rows l_i of V_b^-1: the largest of
         Wilkinson's eigenvalue condition numbers s_i (s_i^2 is the
@@ -294,7 +297,7 @@ def balanced_eig(A: np.ndarray, mirrors=()):
     if is_hermitian(A):
         w, V = np.linalg.eigh(A)
         V = V.astype(complex)
-        return w.astype(complex), V, V.conj().T, 1.0
+        return w.astype(complex), V, V, 1.0
     if not np.isfinite(A).all():
         raise DefectiveError("kernel has a non-finite entry (inf or NaN)",
                              condition_estimate=math.inf)
@@ -378,4 +381,5 @@ def balanced_eig(A: np.ndarray, mirrors=()):
         raise DefectiveError(
             "normalized eigenvectors overflow float64: the kernel's diagonal "
             "grading exceeds the representable range", condition_estimate=cond)
-    return w, V, Vinv, cond
+    # the left vectors are the columns of V^-dag, conjugated in place
+    return w, V, np.conjugate(Vinv, out=Vinv).T, cond

@@ -151,12 +151,10 @@ def correlation_matrix(sys: BiorthogonalSystem, sel: GroundStateSelection,
 
 
 def projector(sys: BiorthogonalSystem, sel: GroundStateSelection) -> np.ndarray:
-    """Occupied-state projector P = sum_{a occ} |R_a><L_a| (idempotent)."""
-    if isinstance(sys, BlochSystem):
-        return _bloch_block(sys, sel, np.arange(sys.dim))
-    R = sys.right[:, sel.occupied]
-    L = sys.left[:, sel.occupied]
-    return R @ L.conj().T
+    """Occupied-state projector P = sum_{a occ} |R_a><L_a| (idempotent): the
+    correlation matrix of the partition of all modes, with its dtype rule."""
+    everything = Partition("position", range(sys.dim), sys.dim)
+    return correlation_matrix(sys, sel, everything).entries
 
 
 def momentum_transform(K: KernelMatrix) -> KernelMatrix:

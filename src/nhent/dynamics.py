@@ -38,6 +38,9 @@ _MAX_GROWTH = 1e6
 # orbitals have collapsed when the smallest |R_ii| of their QR factor is at
 # most this fraction of the largest
 COLLAPSE_TOL = 1e-12
+# a Hermitian-part eigenvalue spread at or below this is norm-preserving
+# evolution, which needs no step limit
+UNITARY_SPREAD_TOL = 1e-12
 
 
 @dataclass
@@ -158,7 +161,8 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
     # (Trefethen & Embree, Spectra and Pseudospectra (2005))
     mu = np.linalg.eigvalsh(0.5j * (K_eff.entries.conj().T - K_eff.entries))
     spread = float(mu[-1] - mu[0])
-    max_step = math.log(_MAX_GROWTH) / spread if spread > 1e-12 else math.inf
+    max_step = (math.log(_MAX_GROWTH) / spread
+                if spread > UNITARY_SPREAD_TOL else math.inf)
 
     M = _orthonormalize(psi0.orbitals.copy(), psi0.time)
     now = psi0.time

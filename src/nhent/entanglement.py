@@ -153,14 +153,14 @@ def entanglement_hamiltonian(C: CorrelationMatrix) -> np.ndarray:
     make part of the spectrum infinite, and DefectiveError (from
     ``_linalg.balanced_eig``) when C is (near-)defective.
     """
-    eps, V, Vinv, _ = balanced_eig(np.asarray(C.entries, dtype=complex))
+    eps, V, left, _ = balanced_eig(np.asarray(C.entries, dtype=complex))
     mask = _clamped(eps, CLAMP_TOL)
     if np.any(mask):
         raise PartialSpectrumError(
             "correlation eigenvalues at 0/1 give infinite entanglement energies",
             excluded=list(np.nonzero(mask)[0]))
     xi = np.log(1.0 / eps - 1.0)
-    return (V * xi) @ Vinv
+    return (V * xi) @ left.conj().T
 
 
 @dataclass

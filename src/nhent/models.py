@@ -51,6 +51,11 @@ __all__ = [
     "build_uniform_chain",
 ]
 
+# a mobility-edge potential denominator below this in modulus is singular
+SINGULAR_DENOMINATOR_TOL = 1e-12
+# a projector jump vector's 2-norm may differ from 1 by at most this
+PROJECTOR_NORM_TOL = 1e-10
+
 
 @dataclass
 class KernelMatrix:
@@ -216,7 +221,7 @@ def build_quasicrystal(L: int, J_L: float, J_R: float, V: float, alpha,
         potential = V * np.exp(-1j * phase)
     elif variant == "mobility_edge":
         den = 1.0 - a * np.exp(1j * phase)
-        singular = np.flatnonzero(np.abs(den) < 1e-12)
+        singular = np.flatnonzero(np.abs(den) < SINGULAR_DENOMINATOR_TOL)
         if singular.size:
             raise SingularPotentialError(
                 f"potential denominator vanishes at site {singular[0]}")
@@ -364,7 +369,7 @@ def build_heff_from_jumps(H: KernelMatrix, jumps, rates) -> KernelMatrix:
             K += -0.5j * rate * np.outer(v.conj(), v)
         elif kind == "projector":
             norm = np.linalg.norm(v)
-            if abs(norm - 1.0) > 1e-10:
+            if abs(norm - 1.0) > PROJECTOR_NORM_TOL:
                 raise NormalizationError(
                     f"projector vector norm {norm} != 1; idempotence would fail")
             K += -0.5j * rate * np.outer(v, v.conj())

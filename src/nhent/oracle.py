@@ -128,7 +128,7 @@ def manybody_biortho_ground(K: KernelMatrix, n_particles: int,
     block raises DefectiveError from the eigen-solve.
     """
     Hb, block_states = fock_block(K, n_particles)
-    w, V, Vinv, _ = balanced_eig(Hb)
+    w, V, left, _ = balanced_eig(Hb)
     order = policy_order(w, policy)
     idx = order[0]
     if len(order) > 1 and abs(w[order[0]] - w[order[1]]) < DEGENERACY_TOL:
@@ -138,7 +138,7 @@ def manybody_biortho_ground(K: KernelMatrix, n_particles: int,
     G_R = np.zeros(dim, dtype=complex)
     G_L = np.zeros(dim, dtype=complex)
     G_R[block_states] = V[:, idx]
-    G_L[block_states] = Vinv[idx, :].conj()
+    G_L[block_states] = left[:, idx]
     return G_R, G_L, w[idx]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import min_cost_matching
 from .errors import InsufficientDataError, UnsupportedError
-from .spectra import BiorthogonalSystem, GroundStateSelection, select_occupied
+from .spectra import BlochSystem, GroundStateSelection, select_occupied
 
 __all__ = [
     "ScalingSeries",
@@ -30,6 +30,9 @@ FIT_IMAG_TOL = 1e-6
 # extra matching cost, relative to the spectral scale, of pairing band
 # energies across an occupation change; it only breaks ties
 MATCH_TIE_WEIGHT = 1e-9
+# bands at one momentum closer than this, relative to the spectral scale,
+# touch; a touching with mixed occupation is two Fermi points
+BAND_TOUCH_TOL = 1e-8
 
 
 @dataclass
@@ -101,41 +104,28 @@ def fit_central_charge(series: ScalingSeries, window=None,
                      rms_residual=rms, window=(lo, hi), n_points=len(xs))
 
 
-def _band_chains(sys: BiorthogonalSystem):
-    """Group state indices by momentum, ordered along the grid."""
-    ks = sys.momenta
-    order = np.argsort(ks, kind="stable")
-    groups = []
-    current_k = None
-    for idx in order:
-        if current_k is None or abs(ks[idx] - current_k) > 1e-12:
-            groups.append([])
-            current_k = ks[idx]
-        groups[-1].append(int(idx))
-    return groups
-
-
-def count_fermi_points(sys: BiorthogonalSystem, sel: GroundStateSelection) -> int:
+def count_fermi_points(sys: BlochSystem, sel: GroundStateSelection) -> int:
     """Number of occupied/unoccupied boundaries along the momentum grid.
 
-    Traverses the grid cyclically; between adjacent momenta the band
-    energies are matched by minimal total distance
-    (``_linalg.min_cost_matching``), and every matched pair whose
+    Needs a ``BlochSystem``, whose bands at momentum k_m are the states
+    m * ns .. m * ns + ns - 1.  Traverses the grid cyclically; between
+    adjacent momenta the band energies are matched by minimal total
+    distance (``_linalg.min_cost_matching``), and every matched pair whose
     occupation differs counts one switch.  A filled band gives 0, a
     half-filled single band gives 2.
 
     Raises
     ------
     UnsupportedError
-        The system carries no momentum resolution (build it with
+        The system is not momentum-resolved (build it with
         ``bloch_system``).
     """
-    if sys.momenta is None:
+    if not isinstance(sys, BlochSystem):
         raise UnsupportedError(
             "Fermi-point counting needs a momentum-resolved system")
     occ = np.zeros(sys.dim, dtype=bool)
     occ[sel.occupied] = True
-    groups = [np.asarray(g) for g in _band_chains(sys)]
+    groups = list(np.arange(sys.dim).reshape(sys.cells.shape))
     scale = max(1.0, float(np.abs(sys.eigenvalues).max()))
     switches = 0
     for a, b in zip(groups, groups[1:] + groups[:1]):
@@ -157,7 +147,7 @@ def count_fermi_points(sys: BiorthogonalSystem, sel: GroundStateSelection) -> in
         ev = sys.eigenvalues[grp]
         for i in range(len(grp)):
             for j in range(i + 1, len(grp)):
-                if (abs(ev[i] - ev[j]) < 1e-8 * scale
+                if (abs(ev[i] - ev[j]) < BAND_TOUCH_TOL * scale
                         and occ[grp[i]] != occ[grp[j]]):
                     switches += 2
     return switches
@@ -166,8 +156,7 @@ def count_fermi_points(sys: BiorthogonalSystem, sel: GroundStateSelection) -> in
 def lifshitz_scan(values, system_factory, filling, policy: str = "real_part"):
     """Scan a parameter and report the first value where N_f changes.
 
-    ``system_factory(v)`` must return a momentum-resolved
-    BiorthogonalSystem.  Returns (v_below, v_above, N_f_below, N_f_above),
+    ``system_factory(v)`` must return a ``BlochSystem``.  Returns (v_below, v_above, N_f_below, N_f_above),
     or None if N_f never changes over the scan.
     """
     prev_v = None

@@ -21,10 +21,11 @@ chain), is solved by ``eigh`` in that frame and reports a condition of
 exactly 1.0.  Any other kernel reports the largest eigenvalue condition
 number max_a ||R_a|| ||L_a|| of the rebalanced eigenvector matrix, which
 measures genuine (near-)defectiveness rather than grading.  The solver,
-``_linalg.balanced_eig``, alone decides defectiveness (by the 2-norm
-condition number of that matrix), refuses a grading too steep for
-float64, and raises ``DefectiveError``; this module only packs its
-result.  A periodic, translation-invariant kernel can instead be solved
+``_linalg.balanced_eig``, alone tests whether a kernel is Hermitian,
+decides defectiveness (by the 2-norm condition number of that matrix),
+refuses a grading too steep for float64, and raises ``DefectiveError``; it
+returns the fields of a ``BiorthogonalSystem``, and this module only packs
+its result.  A periodic, translation-invariant kernel can instead be solved
 momentum block by momentum block (``bloch_system``, one ``balanced_eig``
 per block); its ``BlochSystem`` keeps the per-momentum eigenvector blocks
 and assembles the dense dim x dim ``right`` and ``left`` only on demand.
@@ -58,12 +59,12 @@ __all__ = [
 class BiorthogonalSystem:
     """Matched right/left eigenvector sets of a kernel matrix.
 
+    The fields are what ``_linalg.balanced_eig`` returns, in its order.
     Columns of ``right`` are |R_a>, columns of ``left`` are |L_a>, normalized
-    so that every |R_a> has unit 2-norm and left.conj().T @ right = identity.
-    ``momenta`` is set when the system was solved momentum block by
-    momentum block and gives the Bloch momentum of each eigenstate; such a
-    system is a ``BlochSystem``, which keeps the per-momentum blocks and
-    assembles ``right`` and ``left`` on first access.
+    so that every |R_a> has unit 2-norm and left.conj().T @ right = identity;
+    a Hermitian kernel gives ``left is right``.  A system solved momentum
+    block by momentum block is a ``BlochSystem``, which keeps the
+    per-momentum blocks and assembles ``right`` and ``left`` on first access.
 
     ``condition_estimate`` is the largest eigenvalue condition number
     s_a = ||R_a|| ||L_a|| in the solver's rebalanced frame (s_a^2 is the
@@ -77,8 +78,6 @@ class BiorthogonalSystem:
     right: np.ndarray
     left: np.ndarray
     condition_estimate: float
-    hermitian: bool = False
-    momenta: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -141,40 +140,39 @@ def biorthogonal_eig(K: KernelMatrix) -> BiorthogonalSystem:
         nudge.  Also raised when the unit-normalized right or left vectors
         are not finite in float64.
     """
-    w, V, Vinv, cond = balanced_eig(K.entries, mirrors=_mirrors(K))
-    # the solver's Hermitian path reports the literal 1.0, so any other
-    # condition settles the test without a second pass over the kernel
-    hermitian = cond == 1.0 and K.is_hermitian()
-    left = V if hermitian else np.conjugate(Vinv, out=Vinv).T
-    return BiorthogonalSystem(w, V, left, cond, hermitian=hermitian)
+    return BiorthogonalSystem(*balanced_eig(K.entries, mirrors=_mirrors(K)))
 
 
 class BlochSystem(BiorthogonalSystem):
     """Biorthogonal system of a periodic kernel, kept momentum block by block.
 
-    State m * ns + b is band b at momentum k_m = 2 pi m / N.  ``u_k`` and
-    ``l_k`` are (N, ns, ns) stacks: column b of u_k[m] and l_k[m] is that
-    state's right and left Bloch vector, with l_k[m]^dag u_k[m] = identity.
-    ``cells`` is the kernel's (N, ns) cell map (mode ``cells[x, s]`` is
-    sublattice s of cell x), and ``cell_of`` and ``sublattice_of`` invert it
-    per mode.  ``right`` and ``left`` hold R(cells[x, s], m ns + b) =
-    exp(i k_m x) u_k[m, s, b] / sqrt(N), and likewise from l_k; each dim x
-    dim array is assembled on first access only, and the correlation path
-    never reads them (see ``correlations.correlation_matrix``).
+    State m * ns + b is band b at momentum k_m = 2 pi m / N, so states
+    m * ns .. m * ns + ns - 1 are the bands at k_m, and ``momenta`` gives
+    each state's k_m.  ``u_k`` and ``l_k`` are (N, ns, ns) stacks: column b
+    of u_k[m] and l_k[m] is that state's right and left Bloch vector, with
+    l_k[m]^dag u_k[m] = identity.  ``cells`` is the kernel's (N, ns) cell
+    map (mode ``cells[x, s]`` is sublattice s of cell x), and ``cell_of``
+    and ``sublattice_of`` invert it per mode.  ``right`` and ``left`` hold
+    R(cells[x, s], m ns + b) = exp(i k_m x) u_k[m, s, b] / sqrt(N), and
+    likewise from l_k; each dim x dim array is assembled on first access
+    only, and the correlation path never reads them (see
+    ``correlations.correlation_matrix``).
     """
 
-    def __init__(self, eigenvalues, u_k, l_k, cells, condition_estimate,
-                 hermitian, momenta):
+    def __init__(self, eigenvalues, u_k, l_k, cells, condition_estimate):
         self.eigenvalues = eigenvalues
         self.u_k, self.l_k, self.cells = u_k, l_k, cells
         self.condition_estimate = condition_estimate
-        self.hermitian = hermitian
-        self.momenta = momenta
         nc, ns = cells.shape
         self.cell_of = np.empty(self.dim, dtype=int)
         self.cell_of[cells] = np.arange(nc)[:, None]
         self.sublattice_of = np.empty(self.dim, dtype=int)
         self.sublattice_of[cells] = np.arange(ns)
+
+    @property
+    def momenta(self) -> np.ndarray:
+        nc, ns = self.cells.shape
+        return np.repeat(bloch_momenta(nc), ns)
 
     @cached_property
     def right(self) -> np.ndarray:
@@ -214,10 +212,7 @@ def bloch_system(K: KernelMatrix) -> BlochSystem:
     Diagonalizes the Bloch matrix on each grid momentum, each block by
     ``_linalg.balanced_eig`` (a one-sublattice block is its own eigenvalue),
     and keeps the per-momentum eigenvector blocks: no dim x dim array is
-    formed unless ``right`` or ``left`` is read, or unless every block
-    solves at condition 1.0, when the whole kernel's Hermitian test sets
-    ``hermitian``.  The returned system carries per-state momenta for
-    Fermi-point counting.
+    formed unless ``right`` or ``left`` is read.
     """
     cells = K.cell_sites
     nc, ns = cells.shape
@@ -233,12 +228,10 @@ def bloch_system(K: KernelMatrix) -> BlochSystem:
         if ns == 1:
             eigenvalues[m] = h[0, 0]
             continue
-        w, v, vinv, cond = balanced_eig(h, (sublattice_mirror,))
-        eigenvalues[m], u_k[m], l_k[m] = w, v, vinv.conj().T
+        eigenvalues[m], u_k[m], l_k[m], cond = balanced_eig(
+            h, (sublattice_mirror,))
         worst = max(worst, cond)
-    return BlochSystem(eigenvalues.ravel(), u_k, l_k, cells, worst,
-                       hermitian=worst == 1.0 and K.is_hermitian(),
-                       momenta=np.repeat(ks, ns))
+    return BlochSystem(eigenvalues.ravel(), u_k, l_k, cells, worst)
 
 
 OCCUPATION_POLICIES = ("real_part", "imag_part", "modulus")
@@ -261,14 +254,9 @@ _POLICY_SECONDARY = {
 def _group_within(values: np.ndarray, tol: float) -> np.ndarray:
     """Group ids for sorted-adjacent values closer than tol (tie clusters)."""
     order = np.argsort(values, kind="stable")
-    group = np.empty(len(values), dtype=int)
-    gid = 0
-    prev = None
-    for i in order:
-        if prev is not None and values[i] - prev > tol:
-            gid += 1
-        group[i] = gid
-        prev = values[i]
+    group = np.zeros(len(values), dtype=int)
+    # a gap involving a NaN compares False, so a NaN joins the group before
+    group[order[1:]] = np.cumsum(np.diff(values[order]) > tol)
     return group
 
 

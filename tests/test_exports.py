@@ -112,6 +112,16 @@ def test_only_the_solver_takes_an_svd():
     assert callers == {"_linalg.py"}
 
 
+def test_no_module_tests_a_kernel_for_hermiticity():
+    # the solver's routing test in _linalg.balanced_eig is the one
+    # Hermitian test of a solve; KernelMatrix.is_hermitian is for callers
+    callers = {
+        name for name, tree in _module_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "is_hermitian"}
+    assert callers == set()
+
+
 def test_no_module_takes_qr_from_a_wrapper():
     # the orbital QR calls LAPACK's zgeqrf and zungqr directly; the numpy
     # and scipy wrappers cost a third more at the no-jump sizes

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from nhent._linalg import (HERMITIAN_TOL, balanced_eig, is_hermitian,
                            match_spectra, min_cost_matching,
                            symmetrizing_diagonal)
 from nhent.oracle import manybody_biortho_ground
-from nhent.spectra import policy_order
+from nhent.spectra import _group_within, policy_order
 
 
 def diag_system(values):
@@ -32,7 +33,7 @@ class TestBiorthogonalEig:
     def test_hermitian_input_unitary_path(self):
         km = build_nh_ssh_real(4, 1.0, 0.5, 0.0, "open")
         sys = biorthogonal_eig(km)
-        assert sys.hermitian
+        assert sys.left is sys.right
         assert sys.condition_estimate == 1.0
         assert np.abs(sys.eigenvalues.imag).max() < 1e-12
         assert np.abs(sys.left - sys.right).max() < 1e-10
@@ -48,7 +49,6 @@ class TestBiorthogonalEig:
         km = KernelMatrix(8, A, "open")
         assert km.is_hermitian() is is_hermitian(A) is hermitian
         sys = biorthogonal_eig(km)
-        assert sys.hermitian is hermitian
         assert (sys.left is sys.right) is hermitian
         gram = sys.left.conj().T @ sys.right
         assert np.abs(gram - np.eye(8)).max() < 1e-12
@@ -108,17 +108,18 @@ class TestBiorthogonalEig:
         sys = biorthogonal_eig(km)
         assert sys.condition_estimate < 100
 
-    @pytest.mark.parametrize("name, km, hermitian, tests", [
-        ("eb_ssh_open", build_eb_ssh(24, 1.0, 0.5, 0.3, "open"), False, 1),
-        # gauge-Hermitian: condition 1.0, so the kernel itself is tested again
+    @pytest.mark.parametrize("name, km, hermitian", [
+        ("eb_ssh_open", build_eb_ssh(24, 1.0, 0.5, 0.3, "open"), False),
+        # gauge-Hermitian: condition 1.0, but the solver's routing test
+        # already said the kernel is not Hermitian
         ("hatano_nelson_open", build_hatano_nelson(24, 1.0, 0.5, "open"),
-         False, 2),
-        ("ssh_open", build_nh_ssh_real(12, 1.0, 0.5, 0.0, "open"), True, 2),
+         False),
+        ("ssh_open", build_nh_ssh_real(12, 1.0, 0.5, 0.0, "open"), True),
     ])
     def test_one_hermitian_test_of_a_non_hermitian_kernel(
-            self, monkeypatch, name, km, hermitian, tests):
-        # a condition other than 1.0 already says the kernel is not
-        # Hermitian; the test of the balanced kernel is not counted
+            self, monkeypatch, name, km, hermitian):
+        # the solver's routing test is the only test of the kernel; the
+        # test of the balanced kernel is not counted
         seen = []
 
         def spied(A, *args):
@@ -127,8 +128,8 @@ class TestBiorthogonalEig:
         monkeypatch.setattr(_linalg, "is_hermitian", spied)
         monkeypatch.setattr("nhent.models.is_hermitian", spied)
         sys = biorthogonal_eig(km)
-        assert sys.hermitian is hermitian
-        assert sum(seen) == tests
+        assert (sys.left is sys.right) is hermitian
+        assert sum(seen) == 1
 
 
 def _counting_eig(monkeypatch):
@@ -247,10 +248,10 @@ class TestBalancing:
         km = build_eb_ssh(8, 1.0, 0.5, 0.0, "open")
         assert not km.entries.imag.any() and not is_hermitian(km.entries)
         seen = _counting_eig(monkeypatch)
-        w, V, Vinv, _ = balanced_eig(km.entries)
+        w, V, left, _ = balanced_eig(km.entries)
         assert seen and all(dt == np.dtype(float) for dt in seen)
-        assert w.dtype == V.dtype == Vinv.dtype == np.dtype(complex)
-        assert np.abs((V * w) @ Vinv - km.entries).max() < 1e-10
+        assert w.dtype == V.dtype == left.dtype == np.dtype(complex)
+        assert np.abs((V * w) @ left.conj().T - km.entries).max() < 1e-10
 
     @pytest.mark.parametrize("name, km, solver", [
         ("random_complex", KernelMatrix(
@@ -350,10 +351,9 @@ class TestPTSymmetricRealPath:
         km = PT_KERNELS[name]()
         assert km.entries.imag.any()
         # reference: the complex solve, without a mirror
-        w, V, Vinv, cond = balanced_eig(km.entries)
+        w, V, left, cond = balanced_eig(km.entries)
         vnorm = np.linalg.norm(V, axis=0)
-        ref = BiorthogonalSystem(w, V / vnorm, (Vinv * vnorm[:, None]).conj().T,
-                                 cond)
+        ref = BiorthogonalSystem(w, V / vnorm, left * vnorm, cond)
         seen = _counting_eig(monkeypatch)
         sys = biorthogonal_eig(km)
         assert seen == [np.dtype(float)]
@@ -436,22 +436,22 @@ class TestGaugeHermitianPath:
     def test_takes_eigh_with_unit_condition(self, monkeypatch, name):
         A, H, mirrors, dtype = GAUGE_HERMITIAN[name]()
         calls = _solver_calls(monkeypatch)
-        w, V, Vinv, cond = balanced_eig(A, mirrors=mirrors)
+        w, V, left, cond = balanced_eig(A, mirrors=mirrors)
         assert calls == [("eigh", dtype)]
         assert cond == 1.0
         ref = np.linalg.eigvalsh(H)
         assert np.abs(w - ref).max() <= 1e-10 * np.linalg.norm(H, 2)
-        assert np.abs(Vinv @ V - np.eye(len(A))).max() <= 1e-10
+        assert np.abs(left.conj().T @ V - np.eye(len(A))).max() <= 1e-10
 
     @pytest.mark.parametrize("name", sorted(_near_misses()))
     def test_near_miss_takes_eig(self, monkeypatch, name):
         A, dtype = _near_misses()[name]
         calls = _solver_calls(monkeypatch)
-        w, V, Vinv, cond = balanced_eig(A)
+        w, V, left, cond = balanced_eig(A)
         assert ("eig", dtype) in calls
         assert "eigh" not in [c for c, _ in calls]
         assert cond < 10
-        assert np.abs(Vinv @ V - np.eye(64)).max() <= 1e-10
+        assert np.abs(left.conj().T @ V - np.eye(64)).max() <= 1e-10
         # the perturbation moves no eigenvalue by more than ~1e-9
         w0 = np.linalg.eigvalsh(build_hatano_nelson(64, 1.0, 0.0,
                                                     "open").entries)
@@ -769,6 +769,27 @@ class TestPolicyOrder:
         order = policy_order(np.array([1j, -1.0, 2.0]), "modulus")
         assert list(order) == [1, 0, 2]
 
+    @pytest.mark.parametrize("values, tol, expected", [
+        ([0.0, 1.0, 0.5], 0.1, [0, 2, 1]),
+        # gaps of 0.08 chain the span 0 .. 0.24 into one group
+        ([0.24, 0.0, 1.0, 0.08, 0.16], 0.1, [0, 0, 1, 0, 0]),
+        ([1.0, 1.0, 0.0], 0.0, [1, 1, 0]),
+        # NaN sorts last and a gap to it compares False: it joins the group
+        # before it
+        ([np.nan, 0.0, 2.0, np.nan], 0.5, [1, 0, 1, 1]),
+        ([3.0], 1.0, [0]),
+        ([], 1.0, []),
+    ], ids=["plain", "chained", "exact_tie", "nan", "single", "empty"])
+    def test_group_ids(self, values, tol, expected):
+        values = np.asarray(values, dtype=float)
+        # reference: one sorted pass, a new group after every gap above tol
+        ref, gid, prev = np.empty(len(values), dtype=int), 0, None
+        for i in np.argsort(values, kind="stable"):
+            if prev is not None and values[i] - prev > tol:
+                gid += 1
+            ref[i], prev = gid, values[i]
+        assert _group_within(values, tol).tolist() == expected == ref.tolist()
+
 
 class TestPetermann:
     def make(self, vectors):
@@ -798,7 +819,7 @@ class TestPetermann:
 def _dense_bloch_fill(km):
     """Reference eigenvectors written block by block into dim x dim arrays:
     R(x, s) = exp(i k x) u_k(s) / sqrt(N), one ``balanced_eig`` per
-    momentum, and L likewise from the inverse."""
+    momentum, and L likewise from the left Bloch vectors."""
     pos = km.cell_sites
     nc, ns = pos.shape
     right = np.zeros((km.dim, km.dim), dtype=complex)
@@ -809,8 +830,7 @@ def _dense_bloch_fill(km):
         if ns == 1:
             ub = lb = np.array([[1.0 + 0j]])
         else:
-            _, ub, vinv, _ = balanced_eig(h, (np.arange(ns)[::-1],))
-            lb = vinv.conj().T
+            _, ub, lb, _ = balanced_eig(h, (np.arange(ns)[::-1],))
         phase = np.exp(1j * k * cells)[:, None, None] / np.sqrt(nc)
         cols = slice(m * ns, (m + 1) * ns)
         right[pos.ravel(), cols] = (phase * ub).reshape(km.dim, ns)
@@ -838,6 +858,18 @@ class TestBlochSystem:
         assert np.abs(resid).max() < 1e-10
         gram = sys.left.conj().T @ sys.right
         assert np.abs(gram - np.eye(km.dim)).max() < 1e-10
+
+    def test_hermitian_ring_forms_no_dense_array(self):
+        # one dim x dim complex array at dim = 2048 is 64 MiB; the solve of
+        # a Hermitian ring stays below an eighth of one
+        km = build_uniform_chain(2048)
+        tracemalloc.start()
+        try:
+            bloch_system(km)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_momentum_labels(self):
         km = build_uniform_chain(8)
