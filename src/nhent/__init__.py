@@ -24,8 +24,8 @@ from .spectra import (BiorthogonalSystem, BlochSystem, GroundStateSelection,
                       biorthogonal_eig, bloch_system, petermann_factor,
                       select_occupied)
 from .correlations import (CorrelationMatrix, DualityReport, Partition,
-                           check_duality, correlation_matrix,
-                           momentum_transform, projector)
+                           check_duality, correlation_matrices,
+                           correlation_matrix, momentum_transform, projector)
 from .entanglement import (EntanglementReport, build_report,
                            entanglement_hamiltonian, entanglement_spectrum,
                            modified_entropy, mutual_information, renyi_entropy,

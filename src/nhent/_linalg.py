@@ -13,6 +13,11 @@ The defectiveness gate, kappa_2 of the eigenvector matrix against
 ``DEFECTIVE_COND``, is certified from the Frobenius norms of that matrix
 and its inverse; only near or above the threshold is kappa_2 taken from an
 SVD.  This module is the only caller of ``np.linalg.cond`` and ``svd``.
+``balanced_eig`` also takes an (m, n, n) stack, such as the Bloch matrices
+of a ring: every gate runs per matrix, the matrices are grouped by path,
+and each group is one stacked LAPACK call, so the cost in Python calls does
+not grow with m, and each matrix's outputs are bit for bit those it gets
+alone.
 
 Spectra and bands are paired by ``min_cost_matching``, a pure-Python
 min-cost assignment.
@@ -38,14 +43,21 @@ DEFECTIVE_COND = 1e12
 CLUSTER_TOL = 1e-6
 
 
-def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL):
     """max|A - A^dag| <= tol * max(1, max|A|), for a finite A only.
 
-    An infinite entry would make the bound infinite and pass any A.
+    An infinite entry would make the bound infinite and pass any A.  On an
+    (m, n, n) stack, a boolean array: the test of each matrix, against the
+    matching entry of ``tol`` when that is an array.
     """
-    scale = max(1.0, float(np.abs(A).max()))
-    return (math.isfinite(scale)
-            and bool(np.abs(A - A.conj().T).max() <= tol * scale))
+    if A.ndim == 2:
+        scale = max(1.0, float(np.abs(A).max()))
+        return (math.isfinite(scale)
+                and bool(np.abs(A - A.conj().T).max() <= tol * scale))
+    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    with np.errstate(invalid="ignore"):  # inf - inf on a non-finite matrix
+        gap = np.abs(A - A.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    return np.isfinite(scale) & (gap <= tol * scale)
 
 
 def _real_if_real_valued(A: np.ndarray) -> np.ndarray:
@@ -161,55 +173,84 @@ def symmetrizing_diagonal(A: np.ndarray) -> np.ndarray:
     clipped to half of the float64 exponent range, so d and 1 / d are
     finite; a kernel rescaled by a grading that steep may overflow, and
     ``balanced_eig`` refuses it.
+
+    An (m, n, n) stack gives an (m, n) array, each row bit for bit the d of
+    its matrix alone.  Matrices with one pattern of nonzero pairs share the
+    Laplacian and its factorization, and each takes its own two solves: one
+    solve of several right-hand sides rounds differently.
     """
-    n = A.shape[0]
-    nonzero = A != 0
-    i, j = np.nonzero(nonzero & nonzero.T)
-    off = i != j
-    i, j = i[off], j[off]
-    # each pair's ratio is antisymmetric in (i, j), so equal magnitudes
-    # give exactly 0 and a magnitude-symmetric A exactly np.ones
-    ratio = np.log(np.abs(A[i, j])) - np.log(np.abs(A[j, i]))
-    rhs = 0.5 * np.bincount(i, ratio, minlength=n)
-    if not rhs.any():
-        return np.ones(n)
-    degree = np.bincount(i, minlength=n)
-    # tie weight: sqrt(eps)/4 of 4/n^2, a lower bound on the smallest
-    # nonzero Laplacian eigenvalue of any component (Mohar 1991); one
-    # refinement step squares the tie's relative bias to below eps.  The
-    # tie is the tied matrix's smallest eigenvalue, which on dense coupling
-    # graphs can fall below a Cholesky factorization's backward error, so
-    # the factorization is an LU.
-    tied = np.zeros((n, n), order="F")
-    tied[i, j] = -1.0
-    np.fill_diagonal(tied, degree + np.sqrt(np.finfo(float).eps) / n**2)
-    # factored once for the solve and the refinement step; LAPACK is called
-    # directly because the lu_factor/lu_solve wrappers cost more than the
-    # solve itself on the 2 x 2 Bloch blocks
-    lu, piv, _ = dgetrf(tied, overwrite_a=True)
-    x = dgetrs(lu, piv, rhs)[0]
-    # the Laplacian product (L x)_i = degree_i x_i - sum_j x_j over the pairs
-    lap_x = degree * x - np.bincount(i, x[j], minlength=n)
-    x += dgetrs(lu, piv, rhs - lap_x)[0]
-    x -= x.mean()
+    S = A.reshape(-1, *A.shape[-2:])
+    m, n = S.shape[:2]
+    nonzero = S != 0
+    pairs = nonzero & nonzero.transpose(0, 2, 1)
+    pairs[:, range(n), range(n)] = False
+    label = (np.unique(pairs.reshape(m, -1), axis=0, return_inverse=True)[1]
+             if m > 1 else np.zeros(m, dtype=int)).ravel()
+    d = np.ones((m, n))
     lim = 0.5 * np.log(np.finfo(float).max)
-    return np.exp(np.clip(x, -lim, lim))
+    for pattern in range(label.max(initial=-1) + 1):
+        blocks = np.flatnonzero(label == pattern)
+        i, j = np.nonzero(pairs[blocks[0]])
+        # each pair's ratio is antisymmetric in (i, j), so equal magnitudes
+        # give exactly 0 and a magnitude-symmetric A exactly np.ones
+        b = blocks[:, None]
+        ratio = np.log(np.abs(S[b, i, j])) - np.log(np.abs(S[b, j, i]))
+        rhs = 0.5 * _row_bincount(i, ratio, n)
+        live = rhs.any(axis=1)
+        if not live.any():
+            continue
+        blocks, rhs = blocks[live], rhs[live]
+        degree = np.bincount(i, minlength=n)
+        # tie weight: sqrt(eps)/4 of 4/n^2, a lower bound on the smallest
+        # nonzero Laplacian eigenvalue of any component (Mohar 1991); one
+        # refinement step squares the tie's relative bias to below eps.  The
+        # tie is the tied matrix's smallest eigenvalue, which on dense
+        # coupling graphs can fall below a Cholesky factorization's backward
+        # error, so the factorization is an LU.
+        tied = np.zeros((n, n), order="F")
+        tied[i, j] = -1.0
+        np.fill_diagonal(tied, degree + np.sqrt(np.finfo(float).eps) / n**2)
+        # factored once for every solve and refinement step; LAPACK is
+        # called directly because the lu_factor/lu_solve wrappers cost more
+        # than the solve itself on the 2 x 2 Bloch blocks
+        lu, piv, _ = dgetrf(tied, overwrite_a=True)
+        x = np.array([dgetrs(lu, piv, r)[0] for r in rhs])
+        # the Laplacian product (L x)_i = degree_i x_i - sum_j x_j over the
+        # pairs
+        lap_x = degree * x - _row_bincount(i, x[:, j], n)
+        x += np.array([dgetrs(lu, piv, r)[0] for r in rhs - lap_x])
+        x -= x.mean(axis=1, keepdims=True)
+        d[blocks] = np.exp(np.clip(x, -lim, lim))
+    return d.reshape(A.shape[:-1])
+
+
+def _row_bincount(i: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """``np.bincount(i, w, minlength=n)`` for each row w of a 2-D weights.
+
+    Each bin adds its weights in the order of one row's call, so every row
+    is bit for bit that call.
+    """
+    rows = len(weights)
+    bins = (np.arange(rows)[:, None] * n + i).ravel()
+    return np.bincount(bins, weights.ravel(), minlength=rows * n).reshape(
+        rows, n)
 
 
 def _squared_norms(X: np.ndarray, axis: int) -> np.ndarray:
-    """Sums of |X_ij|^2 over ``axis`` (0: per column, 1: per row) of a 2-D X.
+    """Sums of |X_kij|^2 over ``axis`` (1: per column, 2: per row) of each
+    matrix of an (m, n, n) stack X.
 
     A complex X is read as its float view, real and imaginary parts
-    interleaved along each row, so no n x n temporary is made.
+    interleaved along each row, so no stack-sized temporary is made.
     """
     cplx = np.iscomplexobj(X)
     F = np.ascontiguousarray(X)
     if cplx:
         F = F.view(float)
-    if axis == 1:
-        return np.einsum("ij,ij->i", F, F)
-    s = np.einsum("ij,ij->j", F, F)
-    return s[0::2] + s[1::2] if cplx else s
+    if axis == 2:
+        return np.einsum("kij,kij->ki", F, F)
+    s = np.einsum("kij,kij->kj", F, F)
+    return s[:, 0::2] + s[:, 1::2] if cplx else s
 
 
 def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
@@ -223,8 +264,185 @@ def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
     return [g for g in groups if len(g) > 1]
 
 
+def _rows(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """X[idx]; X itself when idx takes every row in order, so a single
+    matrix is never copied."""
+    return X if len(idx) == len(X) else X[idx]
+
+
+def _stacked(solver, X: np.ndarray):
+    """``solver`` (``np.linalg.eig``, ``eigh`` or ``inv``) on each matrix of
+    the (m, n, n) stack X, in one call; outputs stacked along axis 0.
+
+    numpy solves each matrix of a stack by the LAPACK call it makes for that
+    matrix alone, so the outputs are bit for bit those of m calls.  A stack
+    of one goes in as its matrix.  A longer one goes in as (1, 1, m, n, n):
+    a wrapper that reads its argument as one matrix and forms
+    ``a - a.conj().T`` (the benchmark's span tracer does) then broadcasts
+    instead of raising.
+    """
+    if len(X) == 1:
+        out, take = solver(X[0]), (lambda o: o[None])
+    else:
+        out, take = solver(X[None, None]), (lambda o: o[0, 0])
+    return tuple(map(take, out)) if isinstance(out, tuple) else take(out)
+
+
+def _inverses(Vr: np.ndarray):
+    """(inverses, singular) of a stack: a singular matrix is flagged, and
+    its inverse left NaN."""
+    try:
+        return _stacked(np.linalg.inv, Vr), np.zeros(len(Vr), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    inv = np.full_like(Vr, np.nan)
+    singular = np.ones(len(Vr), dtype=bool)
+    if len(Vr) > 1:  # find which are
+        for b, V in enumerate(Vr):
+            try:
+                inv[b] = np.linalg.inv(V)
+            except np.linalg.LinAlgError:
+                continue
+            singular[b] = False
+    return inv, singular
+
+
+def _balanced_frames(R: np.ndarray, mirrors):
+    """The balanced kernels B = D^-1 M D of a stack R of non-Hermitian
+    kernels, [(rows of R, B, d, P)]: one stack of the real-valued kernels,
+    one of the PT-symmetric ones and one of the rest.
+
+    M is R in real arithmetic when its imaginary part is exactly zero,
+    Re R - (Im R) P on a PT kernel, whose P (a row of the (k, n) array,
+    None off the PT stack) is its first mirror with R* = P R P exactly,
+    and R itself otherwise.
+    """
+    k, n = R.shape[:2]
+    if not k:
+        return []
+    cplx = (R.imag.any(axis=(1, 2)) if np.iscomplexobj(R)
+            else np.zeros(k, dtype=bool))
+    mirror = np.full(k, -1)  # index into mirrors, -1 for none
+    for c, p in enumerate(mirrors):
+        # A* = P A P, read on the real and imaginary parts separately
+        free = np.flatnonzero(cplx & (mirror < 0))
+        C = _rows(R, free)
+        flip = C[:, p][:, :, p]
+        mirror[free[(C.real == flip.real).all(axis=(1, 2))
+                    & (-C.imag == flip.imag).all(axis=(1, 2))]] = c
+    d = symmetrizing_diagonal(R)
+    frames = []
+    for rows in map(np.flatnonzero, (~cplx, mirror >= 0,
+                                     cplx & (mirror < 0))):
+        if not rows.size:
+            continue
+        M, dr, perm = _rows(R, rows), d[rows], None
+        if not cplx[rows[0]]:
+            M = M.real
+        elif mirror[rows[0]] >= 0:
+            perm = np.array(mirrors)[mirror[rows]]
+            M = M.real - np.take_along_axis(M.imag, perm[:, None, :], axis=2)
+            # a mirror-symmetric diagonal, so that B inherits the symmetry
+            dr = np.sqrt(dr * np.take_along_axis(dr, perm, axis=1))
+        with np.errstate(over="ignore"):
+            B = (M / dr[:, :, None]) * dr[:, None, :]
+        frames.append((rows, B, dr, perm))
+    return frames
+
+
+def _to_caller_frame(Vr, Vb_inv, d, perm):
+    """(V, V^-1) = (D T V_r, V_r^-1 T^dag D^-1) for a stack of balanced-frame
+    eigenvectors V_r and their inverses, each output in one complex array,
+    with T = (I + iP) / sqrt(2) on the PT stack (``perm`` holds each P) and
+    T = I otherwise.
+
+    T and D are applied in separate roundings, as folding 1 / sqrt(2) into d
+    would move every PT result by an ulp.
+    """
+    V = np.empty(Vr.shape, dtype=complex)
+    Vinv = np.empty(Vr.shape, dtype=complex)
+    if perm is None:
+        np.multiply(Vr, d[:, :, None], out=V)
+        np.divide(Vb_inv, d[:, None, :], out=Vinv)
+        return V, Vinv
+    np.multiply(1j, np.take_along_axis(Vr, perm[:, :, None], axis=1), out=V)
+    V += Vr
+    V /= np.sqrt(2.0)
+    V *= d[:, :, None]
+    np.multiply(-1j, np.take_along_axis(Vb_inv, perm[:, None, :], axis=2),
+                out=Vinv)
+    Vinv += Vb_inv
+    Vinv /= np.sqrt(2.0)
+    Vinv /= d[:, None, :]
+    return V, Vinv
+
+
+def _frame_rows(d, perm, idx):
+    """(d[idx], P[idx]) of a frame; P stays None off the PT stack."""
+    return d[idx], None if perm is None else perm[idx]
+
+
+def _solve_balanced(frames):
+    """Solve each frame of ``_balanced_frames`` by path: one ``eigh`` for its
+    gauge-Hermitian kernels, one ``eig`` and one inverse per arithmetic for
+    the rest.
+
+    Returns the solves [(rows, w, Vr, Vb^-1, d, P, cond)] and the suspects
+    [(row, Vr, w, singular)] whose kappa_F certificate fails.
+    """
+    solved, suspects = [], []
+    for rows, B, d, perm in frames:
+        log_spread = np.maximum(1.0, np.abs(np.log(d)).max(axis=1))
+        gauge = is_hermitian(B, HERMITIAN_TOL * log_spread)
+        g = np.flatnonzero(gauge)
+        if g.size:
+            Bg = _rows(B, g)
+            w, Vr = _stacked(np.linalg.eigh,
+                             0.5 * (Bg + Bg.conj().transpose(0, 2, 1)))
+            solved.append((rows[g], w, Vr, Vr.conj().transpose(0, 2, 1),
+                           *_frame_rows(d, perm, g), np.ones(len(g))))
+        e = np.flatnonzero(~gauge)
+        if not e.size:
+            continue
+        w, Vr = _stacked(np.linalg.eig, _rows(B, e))
+        # numpy's eig is real only if every spectrum of the stack is; a real
+        # matrix with a real spectrum takes real vectors, as it would alone
+        parts = [(e, w, Vr)]
+        if np.isrealobj(B) and np.iscomplexobj(w):
+            cplx = w.imag.any(axis=1)
+            real, cplx = np.flatnonzero(~cplx), np.flatnonzero(cplx)
+            parts = [(e[real], w[real].real, Vr[real].real),
+                     (e[cplx], _rows(w, cplx), _rows(Vr, cplx))]
+        for part, w, Vr in parts:
+            if not part.size:
+                continue
+            Vb_inv, singular = _inverses(Vr)
+            r2, l2 = _squared_norms(Vr, 1), _squared_norms(Vb_inv, 2)
+            # kappa_2 <= kappa_F = ||Vr||_F ||Vr^-1||_F, so kappa_F at or
+            # below half the threshold proves that the kappa_2 gate
+            # accepts.  The factor 2 absorbs the rounding of the computed
+            # inverse (relative error ~ n eps kappa_2, below 1/2 up to
+            # n ~ 2000 at 1e12).  Only above it, or for a singular Vr, does
+            # the SVD run, and it decides.
+            kappa_f = np.sqrt(r2.sum(axis=1)) * np.sqrt(l2.sum(axis=1))
+            suspect = singular | ~(kappa_f <= DEFECTIVE_COND / 2)
+            suspects += [(rows[part[b]], Vr[b], w[b], singular[b])
+                         for b in np.flatnonzero(suspect)]
+            # Wilkinson's eigenvalue condition numbers s_i = ||r_i|| ||l_i||
+            solved.append((rows[part], w, Vr, Vb_inv,
+                           *_frame_rows(d, perm, part),
+                           np.sqrt((r2 * l2).max(axis=1))))
+    return solved, suspects
+
+
 def balanced_eig(A: np.ndarray, mirrors=()):
     """Eigendecomposition of a kernel; the one solver that returns vectors.
+
+    ``A`` is one n x n kernel or an (m, n, n) stack of them.  A stack is
+    solved matrix by matrix by the rules below, every gate applied to each
+    matrix, and each output is bit for bit that of the matrix solved alone;
+    the matrices are grouped by path, and each group costs one stacked
+    ``eigh``, or one ``eig`` and one inverse, however many it holds.
 
     A Hermitian A (``is_hermitian``) goes to ``eigh`` exactly as given: no
     rescaling, no real cast, no symmetrization.  V is unitary, left is V
@@ -262,7 +480,8 @@ def balanced_eig(A: np.ndarray, mirrors=()):
 
     Returns
     -------
-    The fields of ``spectra.BiorthogonalSystem``, in order:
+    The fields of ``spectra.BiorthogonalSystem``, in order, each stacked
+    along a leading axis of length m for a stack:
     eigenvalues : np.ndarray
         Computed in the balanced frame, where they are most accurate;
         real-valued on the Hermitian and gauge-Hermitian paths.
@@ -271,8 +490,9 @@ def balanced_eig(A: np.ndarray, mirrors=()):
         (balanced-frame vectors scaled back exactly by the diagonal).
     left : np.ndarray
         Left eigenvectors as the columns of V^-dag, which absorb the column
-        scaling, so left^dag right = I; ``right`` itself if A is Hermitian.
-    condition_estimate : float
+        scaling, so left^dag right = I; ``right`` itself if A is Hermitian
+        (if every matrix of a stack is).
+    condition_estimate : float, or an (m,) array for a stack
         max_i ||r_i|| ||l_i|| over the columns r_i of the balanced-frame
         eigenvector matrix V_b and the rows l_i of V_b^-1: the largest of
         Wilkinson's eigenvalue condition numbers s_i (s_i^2 is the
@@ -292,94 +512,87 @@ def balanced_eig(A: np.ndarray, mirrors=()):
         Also raised before any solve, with an infinite estimate, if A has
         an infinite or NaN entry or the grading makes B overflow float64;
         and, carrying ``cond``, if the unit-normalized V or V^-1 is not
-        finite.
+        finite.  On a stack, the first matrix that fails the first gate
+        any matrix fails is reported, by its index, with what its own
+        solve would carry.
     """
-    if is_hermitian(A):
-        w, V = np.linalg.eigh(A)
-        V = V.astype(complex)
-        return w.astype(complex), V, V, 1.0
-    if not np.isfinite(A).all():
-        raise DefectiveError("kernel has a non-finite entry (inf or NaN)",
-                             condition_estimate=math.inf)
-    A = _real_if_real_valued(A)
-    p = None
-    if not np.isrealobj(A):
-        # A* = P A P, read on the real and imaginary parts separately
-        p = next((m for m in mirrors
-                  if np.array_equal(A.real, A.real[np.ix_(m, m)])
-                  and np.array_equal(-A.imag, A.imag[np.ix_(m, m)])), None)
-    M = A if p is None else A.real - A.imag[:, p]
-    d = symmetrizing_diagonal(A)
-    if p is not None:
-        d = np.sqrt(d * d[p])
-    with np.errstate(over="ignore"):
-        B = (M / d[:, None]) * d[None, :]
-    if not np.isfinite(B).all():
-        raise DefectiveError(
-            "balanced kernel overflows float64: the kernel's diagonal "
-            "grading exceeds the representable range",
+    S = A if A.ndim == 3 else A[None]
+    m, n = S.shape[:2]
+
+    def refuse(block, reason, condition_estimate, clusters=None):
+        at = f"block {block}: " if A.ndim == 3 else ""
+        return DefectiveError(at + reason, clusters=clusters,
+                              condition_estimate=condition_estimate)
+
+    herm = np.atleast_1d(is_hermitian(A))
+    rest = np.flatnonzero(~herm)
+    R = _rows(S, rest)
+    bad = np.flatnonzero(~np.isfinite(R).all(axis=(1, 2)))
+    if bad.size:
+        raise refuse(rest[bad[0]], "kernel has a non-finite entry "
+                     "(inf or NaN)", condition_estimate=math.inf)
+    frames = _balanced_frames(R, mirrors)
+    bad = [r for rows, B, *_ in frames
+           for r in rows[~np.isfinite(B).all(axis=(1, 2))]]
+    if bad:
+        raise refuse(
+            rest[min(bad)], "balanced kernel overflows float64: the "
+            "kernel's diagonal grading exceeds the representable range",
             condition_estimate=math.inf)
-    log_spread = max(1.0, float(np.abs(np.log(d)).max()))
-    if is_hermitian(B, HERMITIAN_TOL * log_spread):
-        w, Vr = np.linalg.eigh(0.5 * (B + B.conj().T))
-        Vb_inv, cond = Vr.conj().T, 1.0
+
+    units = []  # (blocks, eigenvalues, right, left, cond), one per path
+    h = np.flatnonzero(herm)
+    if h.size:
+        w, V = _stacked(np.linalg.eigh, _rows(S, h))
+        V = V.astype(complex)
+        units.append((h, w.astype(complex), V, V, np.ones(len(h))))
+    solved, suspects = _solve_balanced(frames)
+    del frames
+    for r, Vr, w, singular in sorted(suspects, key=lambda s: s[0]):
+        kappa = float(np.linalg.cond(Vr))
+        over = not kappa <= DEFECTIVE_COND  # a NaN estimate is over too
+        # an infinite estimate, like a pivot inv finds zero, is singular
+        if over or np.isinf(kappa) or singular:
+            reason = (f"exceeds {DEFECTIVE_COND:.1e}" if over
+                      else "but the matrix is singular")
+            raise refuse(
+                rest[r], f"right-eigenvector matrix condition {kappa:.3e} "
+                f"{reason}; matrix is (near-)defective",
+                condition_estimate=kappa, clusters=_eigenvalue_clusters(
+                    w.astype(complex, copy=False), float(np.abs(R[r]).max())))
+    del suspects
+    overflow = []
+    while solved:
+        rows, w, Vr, Vb_inv, d, perm, cond = solved.pop(0)
+        V, Vinv = _to_caller_frame(Vr, Vb_inv, d, perm)
+        del Vr, Vb_inv  # freed before the norm's temporaries
+        # right columns to unit norm; the rows of V^-1 absorb the
+        # rescaling, so V^-1 V = I stays exact up to inversion error
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vnorm = np.linalg.norm(V, axis=1)
+            V /= vnorm[:, None, :]
+            Vinv *= vnorm[:, :, None]
+        finite = (np.isfinite(V).all(axis=(1, 2))
+                  & np.isfinite(Vinv).all(axis=(1, 2)))
+        overflow += [(r, c) for r, c in zip(rows[~finite], cond[~finite])]
+        # the left vectors are the columns of V^-dag, conjugated in place
+        units.append((rest[rows], w.astype(complex, copy=False), V,
+                      np.conjugate(Vinv, out=Vinv).transpose(0, 2, 1), cond))
+    if overflow:
+        r, cond = min(overflow)
+        raise refuse(rest[r], "normalized eigenvectors overflow float64: the "
+                     "kernel's diagonal grading exceeds the representable "
+                     "range", condition_estimate=float(cond))
+    if len(units) == 1:
+        _, w, V, left, cond = units[0]
     else:
-        w, Vr = np.linalg.eig(B)
-        try:
-            Vb_inv = np.linalg.inv(Vr)
-        except np.linalg.LinAlgError:
-            Vb_inv = None
-        else:
-            r2, l2 = _squared_norms(Vr, 0), _squared_norms(Vb_inv, 1)
-            kappa_f = np.sqrt(r2.sum()) * np.sqrt(l2.sum())
-        # kappa_2 <= kappa_F = ||Vr||_F ||Vr^-1||_F, so kappa_F at or below
-        # half the threshold proves that the kappa_2 gate accepts.  The
-        # factor 2 absorbs the rounding of the computed inverse (relative
-        # error ~ n eps kappa_2, below 1/2 up to n ~ 2000 at 1e12).  Only
-        # above it, or for a singular Vr, does the SVD run, and it decides.
-        if Vb_inv is None or not kappa_f <= DEFECTIVE_COND / 2:
-            kappa = float(np.linalg.cond(Vr))
-            over = not kappa <= DEFECTIVE_COND  # a NaN estimate is over too
-            # an infinite estimate, like a pivot inv finds zero, is singular
-            if over or np.isinf(kappa) or Vb_inv is None:
-                reason = (f"exceeds {DEFECTIVE_COND:.1e}" if over
-                          else "but the matrix is singular")
-                raise DefectiveError(
-                    f"right-eigenvector matrix condition {kappa:.3e} {reason}; "
-                    "matrix is (near-)defective", condition_estimate=kappa,
-                    clusters=_eigenvalue_clusters(
-                        w.astype(complex, copy=False), float(np.abs(A).max())))
-        # Wilkinson's eigenvalue condition numbers s_i = ||r_i|| ||l_i||
-        cond = float(np.sqrt((r2 * l2).max()))
-    # back to the caller's frame, each output in one complex array, with
-    # T = (I + iP) / sqrt(2) on the PT path and T = I otherwise; T and D
-    # are applied in separate roundings, as folding 1 / sqrt(2) into d
-    # would move every PT result by an ulp
-    w = w.astype(complex, copy=False)
-    V = np.empty(Vr.shape, dtype=complex)
-    Vinv = np.empty(Vr.shape, dtype=complex)
-    if p is None:
-        np.multiply(Vr, d[:, None], out=V)
-        np.divide(Vb_inv, d, out=Vinv)
-    else:
-        np.multiply(1j, Vr[p], out=V)
-        V += Vr
-        V /= np.sqrt(2.0)
-        V *= d[:, None]
-        np.multiply(-1j, Vb_inv[:, p], out=Vinv)
-        Vinv += Vb_inv
-        Vinv /= np.sqrt(2.0)
-        Vinv /= d
-    del B, Vr, Vb_inv  # freed before the norm's temporaries
-    # right columns to unit norm; the rows of V^-1 absorb the rescaling,
-    # so V^-1 V = I stays exact up to inversion error
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vnorm = np.linalg.norm(V, axis=0)
-        V /= vnorm[None, :]
-        Vinv *= vnorm[:, None]
-    if not (np.isfinite(V).all() and np.isfinite(Vinv).all()):
-        raise DefectiveError(
-            "normalized eigenvectors overflow float64: the kernel's diagonal "
-            "grading exceeds the representable range", condition_estimate=cond)
-    # the left vectors are the columns of V^-dag, conjugated in place
-    return w, V, np.conjugate(Vinv, out=Vinv).T, cond
+        w = np.empty((m, n), dtype=complex)
+        V = np.empty((m, n, n), dtype=complex)
+        left = np.empty((m, n, n), dtype=complex)
+        cond = np.empty(m)
+        for blocks, *fields in units:
+            w[blocks], V[blocks], left[blocks], cond[blocks] = fields
+    if A.ndim == 3:
+        return w, V, left, cond
+    right = V[0]
+    return w[0], right, right if left is V else left[0], float(cond[0])

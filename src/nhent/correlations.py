@@ -9,7 +9,8 @@ parts, which is the position-momentum duality check.
 On a system solved momentum block by momentum block (a ``BlochSystem``), P
 is block-Toeplitz: its (x, s; y, s') entry depends on x - y mod N only, and
 one inverse FFT of the occupied Bloch projectors gives every entry, so no
-block is formed from the dense eigenvector matrices.
+block is formed from the dense eigenvector matrices, and the blocks of many
+partitions of one state (``correlation_matrices``) share that one FFT.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "CorrelationMatrix",
     "DualityReport",
     "correlation_matrix",
+    "correlation_matrices",
     "projector",
     "momentum_transform",
     "check_duality",
@@ -109,20 +111,41 @@ class CorrelationMatrix:
         return self.partition.size
 
 
-def _bloch_block(sys: BlochSystem, sel: GroundStateSelection,
-                 idx: np.ndarray) -> np.ndarray:
-    """C[i, j] = c[(x_i - x_j) mod N, s_i, s_j] for modes i, j in idx.
-
-    c[d] = N^-1 sum_k exp(i k d) P(k) is one inverse FFT over the grid of
-    the occupied Bloch projectors P(k) = sum_{b occ} u_k[:, b] l_k[:, b]^dag.
-    """
+def _bloch_correlations(sys: BlochSystem,
+                        sel: GroundStateSelection) -> np.ndarray:
+    """c[d] = N^-1 sum_k exp(i k d) P(k), the (N, ns, ns) block-Toeplitz
+    correlations: one inverse FFT over the grid of the occupied Bloch
+    projectors P(k) = sum_{b occ} u_k[:, b] l_k[:, b]^dag."""
     nc, ns = sys.cells.shape
     occ = np.zeros(sys.dim, dtype=bool)
     occ[sel.occupied] = True
     P = (sys.u_k * occ.reshape(nc, 1, ns)) @ sys.l_k.conj().transpose(0, 2, 1)
-    c = np.fft.ifft(P, axis=0)
+    return np.fft.ifft(P, axis=0)
+
+
+def _bloch_block(sys: BlochSystem, c: np.ndarray,
+                 idx: np.ndarray) -> np.ndarray:
+    """C[i, j] = c[(x_i - x_j) mod N, s_i, s_j] for modes i, j in idx."""
     x, s = sys.cell_of[idx], sys.sublattice_of[idx]
-    return c[(x[:, None] - x) % nc, s[:, None], s]
+    return c[(x[:, None] - x) % len(c), s[:, None], s]
+
+
+def correlation_matrices(sys: BiorthogonalSystem, sel: GroundStateSelection,
+                         parts):
+    """``correlation_matrix`` of each partition in ``parts`` (any iterable,
+    read one at a time), in order, as a generator; on a ``BlochSystem`` the
+    FFT behind every block is done once."""
+    c = _bloch_correlations(sys, sel) if isinstance(sys, BlochSystem) else None
+    for part in parts:
+        idx = np.asarray(part.indices)
+        if c is not None:
+            C = _bloch_block(sys, c, idx)
+        else:
+            R = _real_if_real_valued(sys.right[np.ix_(idx, sel.occupied)])
+            L = _real_if_real_valued(sys.left[np.ix_(idx, sel.occupied)])
+            C = R @ L.conj().T
+        yield CorrelationMatrix(part, _real_if_real_valued(C),
+                                source=(sys, sel))
 
 
 def correlation_matrix(sys: BiorthogonalSystem, sel: GroundStateSelection,
@@ -138,16 +161,10 @@ def correlation_matrix(sys: BiorthogonalSystem, sel: GroundStateSelection,
     real-valued.  The partition indexes the basis the system was
     diagonalized in; for momentum-space partitions diagonalize the
     Fourier-transformed kernel first (see ``momentum_transform``) and reuse
-    this position pathway.
+    this position pathway.  ``correlation_matrices`` gives several
+    partitions of one state for one FFT.
     """
-    idx = np.asarray(part.indices)
-    if isinstance(sys, BlochSystem):
-        C = _bloch_block(sys, sel, idx)
-    else:
-        R = _real_if_real_valued(sys.right[np.ix_(idx, sel.occupied)])
-        L = _real_if_real_valued(sys.left[np.ix_(idx, sel.occupied)])
-        C = R @ L.conj().T
-    return CorrelationMatrix(part, _real_if_real_valued(C), source=(sys, sel))
+    return next(correlation_matrices(sys, sel, [part]))
 
 
 def projector(sys: BiorthogonalSystem, sel: GroundStateSelection) -> np.ndarray:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import eigenvalues
-from .correlations import Partition, correlation_matrix, momentum_transform
+from .correlations import (Partition, correlation_matrices,
+                           correlation_matrix, momentum_transform)
 from .entanglement import (CLAMP_TOL, MIDGAP_TOL, EntanglementReport,
                            build_report, vn_entropy)
 from .models import KernelMatrix
@@ -59,17 +60,18 @@ def entropy_series(sys: BiorthogonalSystem, sel: GroundStateSelection,
     also on the principal branch, so S_A = S_B.  Where P is not a projector
     to working precision (near an exceptional point) the two sides differ.
 
-    Each distinct block is diagonalized once.  On a ``BlochSystem`` a cut
-    is keyed by its translate that starts in cell 0
-    (``BlochSystem.translation_key``): a complement [L_A, n) that starts on
-    a cell boundary is then the leading block of size n - L_A, and S(L_A)
-    equals S(n - L_A) exactly.  On any other system every cut is its own
-    key.
+    Each distinct block is formed and diagonalized once, all of them in one
+    ``correlation_matrices`` pass (on a ``BlochSystem``, from one FFT of
+    the occupied Bloch projectors).  On a ``BlochSystem`` a cut is keyed by
+    its translate that starts in cell 0 (``BlochSystem.translation_key``):
+    a complement [L_A, n) that starts on a cell boundary is then the
+    leading block of size n - L_A, and S(L_A) equals S(n - L_A) exactly.
+    On any other system every cut is its own key.
     """
     n = sys.dim
     if sizes is None:
         sizes = range(1, n)
-    entropies = {}
+    cuts = {}  # key -> its first cut
     points = []
     for la in sizes:
         la = int(la)
@@ -77,10 +79,13 @@ def entropy_series(sys: BiorthogonalSystem, sel: GroundStateSelection,
         part = Partition.contiguous(*cut, n)
         key = (sys.translation_key(part.indices)
                if isinstance(sys, BlochSystem) else cut)
-        if key not in entropies:
-            eps = eigenvalues(correlation_matrix(sys, sel, part).entries)
-            entropies[key] = vn_entropy(eps)
-        points.append((la, entropies[key]))
+        cuts.setdefault(key, cut)
+        points.append((la, key))
+    # partitions made one at a time: all of them would hold O(n^2) indices
+    parts = (Partition.contiguous(*cut, n) for cut in cuts.values())
+    entropies = {key: vn_entropy(eigenvalues(C.entries))
+                 for key, C in zip(cuts, correlation_matrices(sys, sel, parts))}
+    points = [(la, entropies[key]) for la, key in points]
     return ScalingSeries(n, points, geometry)
 
 

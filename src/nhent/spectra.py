@@ -27,8 +27,9 @@ refuses a grading too steep for float64, and raises ``DefectiveError``; it
 returns the fields of a ``BiorthogonalSystem``, and this module only packs
 its result.  A periodic, translation-invariant kernel can instead be solved
 momentum block by momentum block (``bloch_system``, one ``balanced_eig``
-per block); its ``BlochSystem`` keeps the per-momentum eigenvector blocks
-and assembles the dense dim x dim ``right`` and ``left`` only on demand.
+call on the stack of all blocks); its ``BlochSystem`` keeps the
+per-momentum eigenvector blocks and assembles the dense dim x dim
+``right`` and ``left`` only on demand.
 """
 
 from __future__ import annotations
@@ -195,43 +196,43 @@ class BlochSystem(BiorthogonalSystem):
         return cell.tobytes() + self.sublattice_of[idx].tobytes()
 
     def _assemble(self, blocks: np.ndarray) -> np.ndarray:
+        """R(cells[x, s], m ns + b) = exp(i k_m x) blocks[m, s, b] / sqrt(N),
+        every entry in one product."""
         nc, ns = self.cells.shape
-        dim = self.dim
-        out = np.zeros((dim, dim), dtype=complex)
-        pos = self.cells.ravel()
         x = np.arange(nc)
-        for m, k in enumerate(bloch_momenta(nc)):
-            phase = np.exp(1j * k * x)[:, None, None] / np.sqrt(nc)
-            out[pos, m * ns:(m + 1) * ns] = (phase * blocks[m]).reshape(dim, ns)
-        return out
+        # phase[x, m] = exp(i k_m x) / sqrt(N)
+        phase = np.exp(1j * bloch_momenta(nc) * x[:, None]) / np.sqrt(nc)
+        out = np.empty((nc, ns, nc, ns), dtype=complex)
+        np.multiply(phase[:, None, :, None], blocks.transpose(1, 0, 2),
+                    out=out)
+        out = out.reshape(self.dim, self.dim)
+        # row (x, s) of the product belongs to mode cells[x, s]
+        pos = self.cells.ravel()
+        if np.array_equal(pos, np.arange(self.dim)):
+            return out
+        return out[np.argsort(pos)]
 
 
 def bloch_system(K: KernelMatrix) -> BlochSystem:
     """Momentum-resolved decomposition of a periodic, translation-invariant kernel.
 
-    Diagonalizes the Bloch matrix on each grid momentum, each block by
-    ``_linalg.balanced_eig`` (a one-sublattice block is its own eigenvalue),
+    Diagonalizes the Bloch matrices of all grid momenta in one stacked
+    ``_linalg.balanced_eig`` call (a one-sublattice block is its own
+    eigenvalue), whose LAPACK calls do not grow with the number of cells,
     and keeps the per-momentum eigenvector blocks: no dim x dim array is
     formed unless ``right`` or ``left`` is read.
     """
     cells = K.cell_sites
     nc, ns = cells.shape
-    ks = bloch_momenta(nc)
-    eigenvalues = np.empty((nc, ns), dtype=complex)
-    # a one-sublattice block's Bloch vectors are 1
-    u_k = np.ones((nc, ns, ns), dtype=complex)
-    l_k = np.ones((nc, ns, ns), dtype=complex)
-    worst = 1.0
+    h = bloch_reduce(K, bloch_momenta(nc))
+    if ns == 1:
+        # a one-sublattice block's Bloch vectors are 1
+        return BlochSystem(h.ravel(), np.ones((nc, 1, 1), dtype=complex),
+                           np.ones((nc, 1, 1), dtype=complex), cells, 1.0)
     # a block's candidate PT mirror reverses its sublattice index
-    sublattice_mirror = np.arange(ns)[::-1]
-    for m, h in enumerate(bloch_reduce(K, ks)):
-        if ns == 1:
-            eigenvalues[m] = h[0, 0]
-            continue
-        eigenvalues[m], u_k[m], l_k[m], cond = balanced_eig(
-            h, (sublattice_mirror,))
-        worst = max(worst, cond)
-    return BlochSystem(eigenvalues.ravel(), u_k, l_k, cells, worst)
+    eigenvalues, u_k, l_k, cond = balanced_eig(h, (np.arange(ns)[::-1],))
+    return BlochSystem(eigenvalues.ravel(), u_k, l_k, cells,
+                       max(1.0, float(cond.max())))
 
 
 OCCUPATION_POLICIES = ("real_part", "imag_part", "modulus")

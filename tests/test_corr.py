@@ -9,7 +9,8 @@ from nhent import (KernelMatrix, Partition, PartitionError, UnsupportedError,
                    build_hatano_nelson, build_measurement_heff,
                    build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
                    build_report, build_uniform_chain, check_duality,
-                   correlation_matrix, momentum_transform, projector,
+                   correlation_matrices, correlation_matrix,
+                   entropy_series, momentum_transform, projector,
                    select_occupied, vn_entropy)
 from nhent.correlations import sorted_by_re_im
 
@@ -166,6 +167,30 @@ class TestBlochCorrelations:
             C = correlation_matrix(sys, sel, part).entries
             assert np.abs(C - R[idx] @ L[idx].conj().T).max() < 1e-12, indices
         assert np.abs(projector(sys, sel) - R @ L.conj().T).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["guo-n2", "guo-2d-4x4", "uniform-33"])
+    def test_partitions_of_one_state_share_one_fft(self, monkeypatch, name):
+        km = BLOCH_FAMILIES[name]()
+        sys = bloch_system(km)
+        sel = select_occupied(sys, Fraction(1, 2))
+        parts = [Partition("position", indices, km.dim)
+                 for indices in _partition_kinds(km.dim)]
+        alone = [correlation_matrix(sys, sel, part) for part in parts]
+        ifft, calls = np.fft.ifft, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ifft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        shared = list(correlation_matrices(sys, sel, parts))
+        assert len(calls) == 1
+        for a, b in zip(alone, shared):
+            assert a.partition == b.partition
+            assert a.entries.dtype == b.entries.dtype
+            assert np.array_equal(a.entries, b.entries)
+        calls.clear()
+        series = entropy_series(sys, sel, sizes=range(1, km.dim))
+        assert len(calls) == 1 and len(series.points) == km.dim - 1
 
     def test_correlations_leave_the_vectors_unassembled(self):
         sys = bloch_system(build_guo_chain(24, 2, 1.0, 3.5))

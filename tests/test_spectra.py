@@ -21,6 +21,7 @@ from nhent._linalg import (HERMITIAN_TOL, balanced_eig, is_hermitian,
                            symmetrizing_diagonal)
 from nhent.oracle import manybody_biortho_ground
 from nhent.spectra import _group_within, policy_order
+from test_corr import BLOCH_FAMILIES
 
 
 def diag_system(values):
@@ -838,7 +839,40 @@ def _dense_bloch_fill(km):
     return right, left
 
 
+def _bloch_per_block(km):
+    """bloch_system's eigenvalues, u_k, l_k and condition from one 2-D
+    ``balanced_eig`` per momentum."""
+    nc, ns = km.cell_sites.shape
+    eigenvalues = np.empty((nc, ns), dtype=complex)
+    u_k = np.ones((nc, ns, ns), dtype=complex)
+    l_k = np.ones((nc, ns, ns), dtype=complex)
+    worst = 1.0
+    for m, h in enumerate(bloch_reduce(km, bloch_momenta(nc))):
+        if ns == 1:
+            eigenvalues[m] = h[0, 0]
+            continue
+        eigenvalues[m], u_k[m], l_k[m], cond = balanced_eig(
+            h, (np.arange(ns)[::-1],))
+        worst = max(worst, cond)
+    return eigenvalues.ravel(), u_k, l_k, worst
+
+
+BLOCH_RINGS = {**BLOCH_FAMILIES,
+               **{f"a05-g{g}": (lambda g=g: build_guo_chain(256, 2, 1.0, g))
+                  for g in (3.5, 4.5)}}
+
+
 class TestBlochSystem:
+    @pytest.mark.parametrize("name", sorted(BLOCH_RINGS))
+    def test_one_stacked_solve_equals_the_per_block_solves(self, name):
+        km = BLOCH_RINGS[name]()
+        sys = bloch_system(km)
+        eigenvalues, u_k, l_k, cond = _bloch_per_block(km)
+        assert np.array_equal(sys.eigenvalues, eigenvalues)
+        assert np.array_equal(sys.u_k, u_k)
+        assert np.array_equal(sys.l_k, l_k)
+        assert sys.condition_estimate == cond
+
     @pytest.mark.parametrize("km", [
         build_nh_ssh_real(6, 1.0, 0.5, 0.3, "periodic"),
         build_guo_chain(27, 3, 1.0, 0.8), build_uniform_chain(9),
@@ -881,3 +915,118 @@ class TestBlochSystem:
         for a in range(8):
             assert sys.eigenvalues[a] == pytest.approx(
                 -2 * np.cos(sys.momenta[a]), abs=1e-12)
+
+
+def _mixed_blocks(n, seed=7):
+    """One n x n kernel per solver path and arithmetic."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    herm = X + X.conj().T
+    d = np.exp(rng.uniform(-2.0, 2.0, size=n))
+    hop = np.eye(n, k=1)
+    chain = hop + hop.T
+    gain = np.diag(np.arange(n) - (n - 1) / 2)  # odd under the reversal
+    return {
+        "hermitian": herm,
+        # diagonally similar to a Hermitian matrix
+        "gauge_hermitian_complex": (herm * d[:, None]) / d[None, :],
+        "gauge_hermitian_real": (herm.real * d[:, None]) / d[None, :],
+        # opposite hops of equal size: nothing to balance, complex spectrum
+        "real_complex_spectrum": hop - hop.T + np.diag(
+            0.1 * rng.normal(size=n)),
+        # one-way hops: nothing to balance, a real spectrum
+        "real_real_spectrum": hop + np.diag(np.arange(n)),
+        # PT-symmetric gain and loss below and above the breaking point
+        "pt_unbroken": chain + 0.1j * gain,
+        "pt_broken": chain + 3j * gain,
+        "general": rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+    }
+
+
+def _per_block(stack, mirrors=()):
+    """The 2-D solver on each block, outputs stacked."""
+    fields = list(zip(*(balanced_eig(block, mirrors) for block in stack)))
+    return [np.array(f) for f in fields]
+
+
+class TestStackedSolver:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_stack_equals_the_per_block_solves(self, monkeypatch, n):
+        blocks = _mixed_blocks(n)
+        mirrors = (np.arange(n)[::-1],)
+        calls = _solver_calls(monkeypatch)
+        seen = []
+        # every block twice, then three times, interleaved, so each path
+        # group holds several blocks
+        for copies in (2, 3):
+            stack = np.array([blocks[name] for name in list(blocks) * copies])
+            expected = _per_block(stack, mirrors)
+            calls.clear()
+            got = balanced_eig(stack, mirrors)
+            seen.append([name for name, _ in calls])
+            for field, e, g in zip(("eigenvalues", "right", "left", "cond"),
+                                   expected, got):
+                assert g.shape == e.shape and g.dtype == e.dtype, field
+                assert np.array_equal(g, e), field
+        # however many blocks each group holds: eigh for the Hermitian ones;
+        # per stack (real, PT, complex) eigh for its gauge-Hermitian blocks,
+        # eig for the rest and an inverse per spectrum arithmetic
+        assert seen[0] == seen[1] == [
+            "eigh", "eigh", "eig", "inv", "inv", "eig", "inv", "inv", "eigh",
+            "eig", "inv"]
+
+    def test_a_hermitian_stack_returns_right_as_left(self):
+        blocks = _mixed_blocks(2)
+        stack = np.array([blocks["hermitian"], 2 * blocks["hermitian"]])
+        w, right, left, cond = balanced_eig(stack)
+        assert left is right
+        assert np.array_equal(cond, np.ones(2))
+
+    def test_one_by_one_blocks(self):
+        stack = np.array([0.5, -1.0 + 0.25j, 2.0 - 0j, 1e-3j],
+                         dtype=complex).reshape(4, 1, 1)
+        got = balanced_eig(stack)
+        for e, g in zip(_per_block(stack), got):
+            assert np.array_equal(g, e)
+        assert np.array_equal(got[0], stack[:, :, 0])
+
+    def test_a_nilpotent_block_is_refused_with_its_own_report(self):
+        nilpotent = np.array([[0.7j, -0.7], [-0.7, -0.7j]])
+        blocks = _mixed_blocks(2)
+        stack = np.array([blocks["general"], blocks["hermitian"], nilpotent,
+                          blocks["pt_broken"]])
+        mirrors = (np.array([1, 0]),)
+        with pytest.raises(DefectiveError) as alone:
+            balanced_eig(nilpotent, mirrors)
+        with pytest.raises(DefectiveError) as err:
+            balanced_eig(stack, mirrors)
+        assert str(err.value).startswith("block 2: ")
+        assert str(err.value) == "block 2: " + str(alone.value)
+        assert err.value.condition_estimate == alone.value.condition_estimate
+        assert err.value.condition_estimate > _linalg.DEFECTIVE_COND
+        assert err.value.clusters == alone.value.clusters
+        assert err.value.clusters
+
+    def test_a_non_finite_block_is_refused_before_any_solve(self,
+                                                           monkeypatch):
+        blocks = _mixed_blocks(2)
+        bad = blocks["general"].copy()
+        bad[0, 1] = np.nan
+        stack = np.array([blocks["hermitian"], blocks["general"], bad])
+        calls = _solver_calls(monkeypatch)
+        with pytest.raises(DefectiveError, match="^block 2: .*non-finite") \
+                as err:
+            balanced_eig(stack)
+        assert err.value.condition_estimate == math.inf
+        assert calls == []
+
+    def test_bloch_system_lapack_calls_do_not_grow_with_the_ring(
+            self, monkeypatch):
+        calls = _solver_calls(monkeypatch)
+        seen = []
+        for n_cells in (64, 1024):
+            calls.clear()
+            bloch_system(build_guo_chain(2 * n_cells, 2, 1.0, 3.5))
+            seen.append([name for name, _ in calls])
+        assert seen[0] == seen[1]
+        assert 0 < len(seen[0]) <= 6
