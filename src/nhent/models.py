@@ -110,6 +110,26 @@ class KernelMatrix:
     def is_hermitian(self) -> bool:
         return is_hermitian(self.entries)
 
+    def is_translation_invariant(self) -> bool:
+        """Whether K[(x, s), (y, s')] depends only on (x - y) mod N.
+
+        Every nonzero entry must equal, exactly, the entry at its pair
+        shifted by one cell, (x, s; y, s') -> (x + 1, s; y + 1, s') mod N.
+        The shift permutes the pairs, so the zeros then follow too.  Reads
+        the nonzero pattern only (no dim x dim temporary); False when the
+        site labels do not tile a cell grid.  The boundary condition is not
+        read: ``bloch_reduce`` needs a periodic kernel besides.
+        """
+        try:
+            pos = self.cell_sites
+        except SizeError:
+            return False
+        shift = np.empty(self.dim, dtype=int)
+        shift[pos] = np.roll(pos, -1, axis=0)
+        i, j = np.nonzero(self.entries)
+        return np.array_equal(self.entries[shift[i], shift[j]],
+                              self.entries[i, j])
+
 
 def fibonacci_approximant(L: int) -> Fraction:
     """Rational approximant p/q to the inverse golden mean with q = L.
@@ -397,10 +417,22 @@ def bloch_reduce(km: KernelMatrix, k) -> np.ndarray:
     on a nearest-neighbour chain), so its temporaries hold len(k) times that
     many blocks, not len(k) * N; an all-zero kernel gives zero blocks.
     Exact on the discrete grid k = 2 pi m / N for any integer m.
+
+    Raises
+    ------
+    UnsupportedError
+        If the kernel is not periodic, or not invariant under a one-cell
+        translation (``KernelMatrix.is_translation_invariant``): the row-0
+        blocks would then not describe the other rows.
+    SizeError
+        If the site labels do not tile a cell grid.
     """
     if km.bc != "periodic":
-        raise ValueError("Bloch reduction requires a periodic kernel")
+        raise UnsupportedError("Bloch reduction requires a periodic kernel")
     pos = km.cell_sites
+    if not km.is_translation_invariant():
+        raise UnsupportedError("Bloch reduction requires a kernel invariant "
+                               "under a one-cell translation")
     # blocks[x, s, s'] = K[(x, s), (0, s')]
     blocks = km.entries[pos[:, :, None], pos[0]]
     x = np.flatnonzero(blocks.any(axis=(1, 2)))

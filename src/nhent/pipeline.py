@@ -17,10 +17,11 @@ from .correlations import (Partition, correlation_matrices,
                            correlation_matrix, momentum_transform)
 from .entanglement import (CLAMP_TOL, MIDGAP_TOL, EntanglementReport,
                            build_report, vn_entropy)
+from .errors import SizeError, UnsupportedError
 from .models import KernelMatrix
 from .scaling import ScalingSeries
 from .spectra import (BiorthogonalSystem, BlochSystem, GroundStateSelection,
-                      biorthogonal_eig, select_occupied)
+                      biorthogonal_eig, bloch_system, select_occupied)
 
 __all__ = [
     "ground_state_system",
@@ -34,8 +35,21 @@ __all__ = [
 
 
 def ground_state_system(K: KernelMatrix, filling, policy: str = "real_part"):
-    """Diagonalize a kernel and select the occupied set."""
-    sys = biorthogonal_eig(K)
+    """Diagonalize a kernel and select the occupied set.
+
+    The kernel alone picks the solver.  A periodic kernel that is invariant
+    under a one-cell translation (``KernelMatrix.is_translation_invariant``)
+    is solved momentum block by momentum block and gives a ``BlochSystem``
+    (``bloch_system``); every other kernel (open, a ring with a flux or a
+    site-dependent potential, labels that do not tile a cell grid, a
+    momentum-space view) is solved dense by ``biorthogonal_eig``.
+    """
+    try:
+        sys = bloch_system(K)
+    except (UnsupportedError, SizeError):
+        # not a translation-invariant ring (bloch_reduce's refusal, the one
+        # translation test per solve), or labels that tile no cell grid
+        sys = biorthogonal_eig(K)
     sel = select_occupied(sys, filling, policy)
     return sys, sel
 

@@ -29,7 +29,11 @@ its result.  A periodic, translation-invariant kernel can instead be solved
 momentum block by momentum block (``bloch_system``, one ``balanced_eig``
 call on the stack of all blocks); its ``BlochSystem`` keeps the
 per-momentum eigenvector blocks and assembles the dense dim x dim
-``right`` and ``left`` only on demand.
+``right`` and ``left`` only on demand.  ``bloch_system`` refuses, with
+``UnsupportedError``, a kernel that is not periodic or not exactly
+invariant under a one-cell translation, whose blocks would describe
+another kernel; ``pipeline.ground_state_system`` sends exactly the kernels
+it accepts there, and every other one to ``biorthogonal_eig``.
 """
 
 from __future__ import annotations
@@ -221,6 +225,13 @@ def bloch_system(K: KernelMatrix) -> BlochSystem:
     eigenvalue), whose LAPACK calls do not grow with the number of cells,
     and keeps the per-momentum eigenvector blocks: no dim x dim array is
     formed unless ``right`` or ``left`` is read.
+
+    Raises
+    ------
+    UnsupportedError
+        From ``bloch_reduce``, if the kernel is not periodic or not
+        invariant under a one-cell translation
+        (``KernelMatrix.is_translation_invariant``).
     """
     cells = K.cell_sites
     nc, ns = cells.shape

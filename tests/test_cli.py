@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nhent import (DegeneracyWarning, Partition, build_uniform_chain,
-                   momentum_space_view, report_for_partition)
+from nhent import (DegeneracyWarning, Partition, bloch_system,
+                   build_uniform_chain, momentum_space_view, pipeline,
+                   report_for_partition)
 from nhent.cli import main
 from nhent.config import ConfigError, parse_config
+from test_pipeline import _dense_solves
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -128,6 +130,21 @@ class TestCommands:
         assert f"{s.real:.12g}" == "0.540465351577"
         assert json.loads((out / "reports.json").read_text())[0][
             "partition"]["space"] == "momentum"
+
+    def test_periodic_entanglement_takes_the_bloch_path(self, tmp_path,
+                                                         monkeypatch):
+        # the BASE ring is translation-invariant: ground_state_system solves
+        # it by its 2 x 2 Bloch blocks, with no eig or eigh of the 12 modes
+        routed = []
+        monkeypatch.setattr(pipeline, "bloch_system",
+                            lambda K: routed.append(K.dim)
+                            or bloch_system(K))
+        orders = _dense_solves(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["entanglement", "--config", write_config(tmp_path, BASE),
+                     "--out", str(out)]) == 0
+        assert routed == [12]
+        assert orders and set(orders) == {2}
 
     def test_sweep_workers_deterministic(self, tmp_path):
         doc = {**BASE, "sweep": {"parameter": "u",

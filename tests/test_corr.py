@@ -5,7 +5,7 @@ import pytest
 
 from nhent import (KernelMatrix, Partition, PartitionError, UnsupportedError,
                    biorthogonal_eig, bloch_momenta, bloch_reduce, bloch_system,
-                   build_eb_ssh, build_guo_2d, build_guo_chain,
+                   build_eb_ssh, build_guo_chain,
                    build_hatano_nelson, build_measurement_heff,
                    build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
                    build_report, build_uniform_chain, check_duality,
@@ -125,15 +125,25 @@ class TestCorrelationMatrix:
         assert np.abs(ev_a - np.sort(1 - ev_b)).max() < 1e-10
 
 
+def sublattice_major(km):
+    """The same ring with its modes relabelled: mode s * N + x is
+    sublattice s of cell x, so its cell map is not the identity."""
+    nc, ns = km.cell_sites.shape
+    old = km.cell_sites.T.ravel()
+    labels = [(x, s) for s in range(ns) for x in range(nc)]
+    return KernelMatrix(km.dim, km.entries[np.ix_(old, old)], km.bc, labels)
+
+
 BLOCH_FAMILIES = {
     "guo-n2": lambda: build_guo_chain(24, 2, 1.0, 3.5),
     "guo-n3": lambda: build_guo_chain(27, 3, 1.0, 0.8),
+    "guo-n3-sublattice-major": lambda: sublattice_major(
+        build_guo_chain(27, 3, 1.0, 0.8)),
     "nh-ssh": lambda: build_nh_ssh_real(10, 1.0, 0.4, 0.3, "periodic"),
     "uniform-16": lambda: build_uniform_chain(16),
     "uniform-33": lambda: build_uniform_chain(33),
     "hatano-nelson-ring": lambda: build_hatano_nelson(20, 1.0, 0.5, "periodic"),
     "measurement-ring": lambda: build_measurement_heff(18, 1.0, 0.5, "periodic"),
-    "guo-2d-4x4": lambda: build_guo_2d(4, 4, 0.6),
     "eb-ssh-ring": lambda: build_eb_ssh(12, 1.0, 1.0, 0.3),
 }
 
@@ -168,7 +178,8 @@ class TestBlochCorrelations:
             assert np.abs(C - R[idx] @ L[idx].conj().T).max() < 1e-12, indices
         assert np.abs(projector(sys, sel) - R @ L.conj().T).max() < 1e-12
 
-    @pytest.mark.parametrize("name", ["guo-n2", "guo-2d-4x4", "uniform-33"])
+    @pytest.mark.parametrize("name", ["guo-n2", "guo-n3-sublattice-major",
+                                      "uniform-33"])
     def test_partitions_of_one_state_share_one_fft(self, monkeypatch, name):
         km = BLOCH_FAMILIES[name]()
         sys = bloch_system(km)

@@ -14,6 +14,7 @@ from nhent import (FAMILIES, KernelMatrix, ModelSpec, NormalizationError,
                    build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
                    build_uniform_chain, bloch_system, fibonacci_approximant,
                    momentum_transform)
+from test_corr import sublattice_major
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -368,10 +369,11 @@ def test_bloch_real_space_spectral_consistency(name):
 @pytest.mark.parametrize("km", [
     *(build() for _, build in sorted(PERIODIC_MODELS.items())),
     build_guo_chain(24, 2, 1.0, 3.5), build_uniform_chain(33),
-    build_guo_2d(4, 4, 0.6),
+    sublattice_major(build_guo_chain(27, 3, 1.0, 0.8)),
     KernelMatrix(6, np.zeros((6, 6)), "periodic",
                  [(c, s) for c in range(3) for s in range(2)])],
-    ids=[*sorted(PERIODIC_MODELS), "guo_n2", "uniform", "guo_2d", "zero"])
+    ids=[*sorted(PERIODIC_MODELS), "guo_n2", "uniform",
+         "guo_n3_sublattice_major", "zero"])
 def test_bloch_reduction_sums_only_nonzero_offsets(km):
     # the same sum as over every cell offset, bytes and all: the offsets
     # whose block is zero add nothing
@@ -526,7 +528,59 @@ def test_labels_that_do_not_tile_the_cell_grid_raise(last_label):
     km = build_nh_ssh_real(3, 1.0, 0.4, 0.3, "periodic")
     assert np.array_equal(km.cell_sites, np.arange(6).reshape(3, 2))
     km.site_labels[-1] = last_label
+    assert not km.is_translation_invariant()
     for call in (lambda: bloch_reduce(km, 0.0), lambda: bloch_system(km),
                  lambda: momentum_transform(km)):
         with pytest.raises(SizeError, match="do not tile"):
             call()
+
+
+def pi_flux_ring(n_cells):
+    """The A02 ring: the PT SSH ring at its PT boundary (omega - upsilon =
+    u) with a pi flux on the wrap bond."""
+    km = build_nh_ssh_real(n_cells, 1.0, 0.3, 0.7, "periodic")
+    w = km.dim - 1
+    km.entries[[0, w], [w, 0]] *= -1
+    return km
+
+
+# periodic kernels whose row-0 blocks do not describe the other rows
+NOT_TRANSLATION_INVARIANT = {
+    # its cells run along x and wrap into the next row of cells
+    "guo_2d": lambda: build_guo_2d(4, 4, 0.6),
+    # a site-dependent potential
+    "quasicrystal": lambda: build_quasicrystal(34, 0.5, 1.0, 0.5,
+                                               Fraction(21, 34)),
+    # the wrap bond differs from the bulk bonds
+    "pi_flux_ring": lambda: pi_flux_ring(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_TRANSLATION_INVARIANT))
+def test_a_ring_that_is_not_translation_invariant_is_refused(name):
+    # the Bloch blocks of these rings would reconstruct another kernel
+    km = NOT_TRANSLATION_INVARIANT[name]()
+    assert km.bc == "periodic" and not km.is_translation_invariant()
+    for call in (lambda: bloch_reduce(km, 0.0), lambda: bloch_system(km)):
+        with pytest.raises(UnsupportedError, match="one-cell translation"):
+            call()
+
+
+def test_an_open_kernel_has_no_bloch_reduction():
+    km = build_nh_ssh_real(4, 1.0, 0.4, 0.3, "open")
+    for call in (lambda: bloch_reduce(km, 0.0), lambda: bloch_system(km)):
+        with pytest.raises(UnsupportedError, match="periodic"):
+            call()
+
+
+def test_translation_invariance_is_exact():
+    # one entry a unit in the last place off breaks it, and so does an
+    # entry that is zero where its translate is not
+    km = build_hatano_nelson(8, 1.0, 0.5, "periodic")
+    assert km.is_translation_invariant()
+    nudged = km.entries.copy()
+    nudged[3, 4] = np.nextafter(nudged[3, 4].real, 0.0)
+    assert not KernelMatrix(8, nudged, "periodic").is_translation_invariant()
+    cut = km.entries.copy()
+    cut[3, 4] = 0.0
+    assert not KernelMatrix(8, cut, "periodic").is_translation_invariant()

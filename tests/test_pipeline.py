@@ -4,12 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nhent import (KernelMatrix, Partition, PartitionError, bloch_system,
-                   build_eb_ssh, build_guo_chain, build_hatano_nelson,
+from nhent import (BlochSystem, DefectiveError, KernelMatrix, Partition,
+                   PartitionError, bloch_system, build_eb_ssh,
+                   build_guo_chain, build_hatano_nelson, build_nh_ssh_real,
                    build_uniform_chain, correlation_matrix, entropy_series,
-                   ground_state_system, select_occupied, vn_entropy)
+                   ground_state_system, momentum_transform,
+                   report_for_partition, select_occupied, vn_entropy)
 from nhent import pipeline
 from nhent._linalg import eigenvalues
+from test_models import NOT_TRANSLATION_INVARIANT
 
 HALF = Fraction(1, 2)
 
@@ -153,3 +156,71 @@ class TestEigenvalues:
         A = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
         assert np.array_equal(eigenvalues(A), np.linalg.eigvals(A))
 
+
+def _dense_solves(monkeypatch):
+    """Record the matrix order of every np.linalg eig/eigh call."""
+    orders = []
+    for name in ("eig", "eigh"):
+        def counted(A, *args, _f=getattr(np.linalg, name), **kwargs):
+            orders.append(A.shape[-1])
+            return _f(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return orders
+
+
+ROUTED_TO_BLOCH = {
+    "uniform": lambda: build_uniform_chain(64),
+    "nh_ssh": lambda: build_nh_ssh_real(16, 1.0, 0.4, 0.3, "periodic"),
+    "guo": lambda: build_guo_chain(32, 2, 1.0, 0.4),
+    "hatano_nelson": lambda: build_hatano_nelson(20, 1.0, 0.5, "periodic"),
+}
+
+ROUTED_DENSE = {
+    **NOT_TRANSLATION_INVARIANT,
+    "open_chain": lambda: build_nh_ssh_real(16, 1.0, 0.4, 0.3, "open"),
+    "momentum_view": lambda: momentum_transform(build_uniform_chain(16)),
+}
+
+
+class TestRoute:
+    @pytest.mark.parametrize("name", sorted(ROUTED_TO_BLOCH))
+    def test_a_translation_invariant_ring_is_solved_by_blocks(
+            self, monkeypatch, name):
+        km = ROUTED_TO_BLOCH[name]()
+        orders = _dense_solves(monkeypatch)
+        sys, sel = ground_state_system(km, HALF)
+        assert isinstance(sys, BlochSystem)
+        assert km.dim not in orders and all(n <= 2 for n in orders)
+        expected = bloch_system(km)
+        assert np.array_equal(sys.eigenvalues, expected.eigenvalues)
+        assert np.array_equal(sys.u_k, expected.u_k)
+        assert np.array_equal(sel.occupied,
+                              select_occupied(expected, HALF).occupied)
+
+    @pytest.mark.parametrize("name", sorted(ROUTED_DENSE))
+    def test_any_other_kernel_is_solved_dense(self, monkeypatch, name):
+        km = ROUTED_DENSE[name]()
+        orders = _dense_solves(monkeypatch)
+        sys, _ = ground_state_system(km, HALF)
+        assert not isinstance(sys, BlochSystem)
+        assert km.dim in orders
+
+    @pytest.mark.parametrize("km", [
+        build_nh_ssh_real(16, 1.0, 0.4, 0.3, "periodic"),
+        build_nh_ssh_real(16, 1.0, 0.5, 0.0, "periodic"),
+        build_guo_chain(32, 2, 1.0, 0.4)],
+        ids=["nh_ssh", "hermitian_ssh", "guo"])
+    def test_both_routes_give_one_half_cut_entropy(self, km):
+        dense = pipeline.biorthogonal_eig(km)
+        half = Partition.half(km.dim)
+        s_dense = report_for_partition(
+            dense, select_occupied(dense, HALF), half).entropy_vn
+        s_bloch = report_for_partition(
+            *ground_state_system(km, HALF), half).entropy_vn
+        assert abs(s_bloch - s_dense) < 1e-12
+
+    def test_an_exceptional_ring_is_refused(self):
+        # for nu != w the k = 0 block of the eb_ssh ring is an exact
+        # nilpotent: the dense solve of the whole ring took it at s ~ 5e7
+        with pytest.raises(DefectiveError, match="^block 0: "):
+            ground_state_system(build_eb_ssh(24, 1.0, 0.5, 0.3), HALF)

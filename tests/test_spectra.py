@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from nhent import (BiorthogonalSystem, DefectiveError, DegeneracyWarning,
                    KernelMatrix, biorthogonal_eig, bloch_momenta,
-                   bloch_reduce, bloch_system, build_eb_ssh, build_guo_2d,
+                   bloch_reduce, bloch_system, build_eb_ssh,
                    build_guo_chain, build_hatano_nelson,
                    build_measurement_heff, build_nh_ssh_real,
                    build_quasicrystal, build_uniform_chain, ground_state_system,
@@ -21,7 +21,7 @@ from nhent._linalg import (HERMITIAN_TOL, balanced_eig, is_hermitian,
                            symmetrizing_diagonal)
 from nhent.oracle import manybody_biortho_ground
 from nhent.spectra import _group_within, policy_order
-from test_corr import BLOCH_FAMILIES
+from test_corr import BLOCH_FAMILIES, sublattice_major
 
 
 def diag_system(values):
@@ -876,7 +876,8 @@ class TestBlochSystem:
     @pytest.mark.parametrize("km", [
         build_nh_ssh_real(6, 1.0, 0.5, 0.3, "periodic"),
         build_guo_chain(27, 3, 1.0, 0.8), build_uniform_chain(9),
-        build_guo_2d(4, 4, 0.6)], ids=["nh-ssh", "guo-n3", "uniform", "guo-2d"])
+        sublattice_major(build_guo_chain(27, 3, 1.0, 0.8))],
+        ids=["nh-ssh", "guo-n3", "uniform", "guo-n3-sublattice-major"])
     def test_vectors_are_assembled_on_first_access(self, km):
         sys = bloch_system(km)
         assert "right" not in vars(sys) and "left" not in vars(sys)
@@ -895,15 +896,18 @@ class TestBlochSystem:
 
     def test_hermitian_ring_forms_no_dense_array(self):
         # one dim x dim complex array at dim = 2048 is 64 MiB; the solve of
-        # a Hermitian ring stays below an eighth of one
+        # a Hermitian ring stays below an eighth of one, also through the
+        # route of ground_state_system and its translation test
         km = build_uniform_chain(2048)
-        tracemalloc.start()
-        try:
-            bloch_system(km)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        for solve in (lambda: bloch_system(km),
+                      lambda: ground_state_system(km, Fraction(1, 2))):
+            tracemalloc.start()
+            try:
+                solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2 ** 20
 
     def test_momentum_labels(self):
         km = build_uniform_chain(8)

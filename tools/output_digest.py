@@ -15,8 +15,10 @@ Run it on two trees and compare the lines to list the outputs that differ:
 The outputs are the solver fields (eigenvalues, right, left, condition) of
 dense kernels on every solver path and of Bloch rings, the half-cut
 correlation matrix, projector and entanglement report of each, and the
-entropy series of the rings.  A call that raises is digested as its error
-type and message.
+entropy series of the rings.  The ``route/`` outputs take their system from
+``ground_state_system``, which picks the Bloch or the dense solver itself,
+and add the type of system it returned.  A call that raises is digested as
+its error type and message.
 """
 
 import hashlib
@@ -79,6 +81,21 @@ def bloch_kernels(nhent):
     }
 
 
+def route_kernels(nhent):
+    """Kernels on either side of the route of ``ground_state_system``."""
+    pi_flux = nhent.build_nh_ssh_real(32, 1.0, 0.3, 0.7, "periodic")
+    pi_flux.entries[[0, 63], [63, 0]] *= -1
+    return {
+        "uniform-128": nhent.build_uniform_chain(128),
+        "a02-ring-64": nhent.build_nh_ssh_real(32, 1.0, 0.3, 0.7, "periodic"),
+        "pi-flux-ring-64": pi_flux,
+        "guo-n2": nhent.build_guo_chain(64, 2, 1.0, 3.5),
+        "quasicrystal-34": nhent.build_quasicrystal(34, 0.5, 1.0, 0.5,
+                                                    Fraction(21, 34)),
+        "eb-ssh-open": nhent.build_eb_ssh(24, 1.0, 0.5, 1e-3, "open"),
+    }
+
+
 def digest(value) -> str:
     a = np.ascontiguousarray(np.asarray(value))
     h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
@@ -90,28 +107,37 @@ def outputs(nhent):
     """(name, thunk) of every digested output."""
 
     def system(kind, km):
-        sys_ = (nhent.bloch_system(km) if kind == "bloch"
-                else nhent.biorthogonal_eig(km))
-        sel = nhent.select_occupied(sys_, HALF)
+        if kind == "route":
+            sys_, sel = nhent.ground_state_system(km, HALF)
+        else:
+            sys_ = (nhent.bloch_system(km) if kind == "bloch"
+                    else nhent.biorthogonal_eig(km))
+            sel = nhent.select_occupied(sys_, HALF)
         half = nhent.Partition.half(km.dim)
         C = nhent.correlation_matrix(sys_, sel, half)
         rep = nhent.build_report(C)
-        out = {"eigenvalues": sys_.eigenvalues, "right": sys_.right,
-               "left": sys_.left, "condition": sys_.condition_estimate,
+        out = {"eigenvalues": sys_.eigenvalues,
+               "condition": sys_.condition_estimate,
                "occupied": sel.occupied, "half-correlation": C.entries,
-               "projector": nhent.projector(sys_, sel),
                "half-spectrum": rep.correlation_eigenvalues,
                "half-entropy": rep.entropy_vn,
                "half-renyi-2": rep.entropy_renyi[2]}
+        if kind == "route":
+            out["system-type"] = type(sys_).__name__.encode()
+        else:
+            out.update(right=sys_.right, left=sys_.left,
+                       projector=nhent.projector(sys_, sel))
         if kind == "bloch":
             out.update(u_k=sys_.u_k, l_k=sys_.l_k)
+        if kind != "dense":
             series = nhent.entropy_series(sys_, sel,
                                           sizes=range(1, km.dim, 3))
             out["entropy-series"] = np.array(series.points)
         return out
 
     for kind, kernels in (("dense", dense_kernels(nhent)),
-                          ("bloch", bloch_kernels(nhent))):
+                          ("bloch", bloch_kernels(nhent)),
+                          ("route", route_kernels(nhent))):
         for name, km in kernels.items():
             yield f"{kind}/{name}", (lambda kind=kind, km=km:
                                      system(kind, km))
