@@ -40,7 +40,6 @@ from .oracle import (OracleReport, fock_block, fock_correlation,
                      sector_states)
 from .pipeline import (TransitionScan, dual_momentum_partition,
                        entropy_series, ground_state_system,
-                       momentum_space_view, report_for_partition,
-                       self_dual_scan)
+                       report_for_partition, self_dual_scan)
 
 __version__ = "0.1.0"

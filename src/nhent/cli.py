@@ -13,6 +13,9 @@ Common flags: --config PATH (JSON), --out DIR, --workers N,
 --tolerance NAME=VALUE (repeatable).  Exit status: 0 success,
 1 configuration/validation error, 2 numerical failure.
 
+An entanglement sweep point solves its kernel once: position and momentum
+partitions are cut from that one ground state.
+
 Outputs are deterministic: rows follow config order regardless of worker
 scheduling, floats are printed with 12 significant digits, CSV files are
 UTF-8 with LF line endings, and complex quantities are split into Re/Im
@@ -41,8 +44,7 @@ from .dynamics import (domain_wall_state, evolve_no_jump,
 from .errors import ConfigError, ToolkitError
 from .models import FAMILIES
 from .oracle import oracle_equivalence_suite
-from .pipeline import (ground_state_system, momentum_space_view,
-                       report_for_partition)
+from .pipeline import ground_state_system, report_for_partition
 from .scaling import ScalingSeries, fit_central_charge
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2
@@ -101,7 +103,7 @@ def _report_json(report, label) -> dict:
 
 
 def _entanglement_point(payload):
-    """One sweep point: build, diagonalize, report every partition.
+    """One sweep point: build, diagonalize once, report every partition.
 
     Module-level so process pools can pickle it.  Returns (rows, reports,
     status, warnings); rows are already formatted strings.
@@ -117,18 +119,8 @@ def _entanglement_point(payload):
     rows, reports, warn_msgs = [], [], []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sys_pos = sel_pos = sys_mom = sel_mom = None
+        sys_k, sel_k = ground_state_system(K, config.filling, config.policy)
         for part in config.partitions:
-            if part.space == "momentum":
-                if sys_mom is None:
-                    sys_mom, sel_mom = momentum_space_view(
-                        K, config.filling, config.policy)
-                sys_k, sel_k = sys_mom, sel_mom
-            else:
-                if sys_pos is None:
-                    sys_pos, sel_pos = ground_state_system(
-                        K, config.filling, config.policy)
-                sys_k, sel_k = sys_pos, sel_pos
             report = report_for_partition(sys_k, sel_k, part,
                                           renyi_orders=config.renyi,
                                           clamp_tol=tol.clamp,

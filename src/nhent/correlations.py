@@ -3,14 +3,20 @@
 The biorthogonal two-point function C^A_ij = <G_L| c+_j c_i |G_R>, with i, j
 restricted to subsystem A, equals the A-block of R P R where
 P = sum_{a occ} |R_a><L_a| is the occupied-state projector and R the
-real-space restriction.  Spec(R P R) and Spec(P R P) agree on their nonzero
+restriction to A.  Spec(R P R) and Spec(P R P) agree on their nonzero
 parts, which is the position-momentum duality check.
+
+A partition is cut in its own space from the one system of a kernel.  A
+momentum partition indexes the modes of F P F^dag, with F[m, x] =
+exp(-2 pi i m x / N) / sqrt(N) on the cell index of a periodic kernel:
+mode m * ns + s is sublattice s at k_m, as in ``momentum_transform``.
 
 On a system solved momentum block by momentum block (a ``BlochSystem``), P
 is block-Toeplitz: its (x, s; y, s') entry depends on x - y mod N only, and
-one inverse FFT of the occupied Bloch projectors gives every entry, so no
-block is formed from the dense eigenvector matrices, and the blocks of many
-partitions of one state (``correlation_matrices``) share that one FFT.
+one inverse FFT of the occupied Bloch projectors P(k) gives every entry,
+so no block is formed from the dense eigenvector matrices, and the blocks
+of many partitions of one state (``correlation_matrices``) share that one
+FFT.  In momentum space P is block-diagonal, delta_{m m'} P(k_m)[s, s'].
 """
 
 from __future__ import annotations
@@ -111,18 +117,6 @@ class CorrelationMatrix:
         return self.partition.size
 
 
-def _bloch_correlations(sys: BlochSystem,
-                        sel: GroundStateSelection) -> np.ndarray:
-    """c[d] = N^-1 sum_k exp(i k d) P(k), the (N, ns, ns) block-Toeplitz
-    correlations: one inverse FFT over the grid of the occupied Bloch
-    projectors P(k) = sum_{b occ} u_k[:, b] l_k[:, b]^dag."""
-    nc, ns = sys.cells.shape
-    occ = np.zeros(sys.dim, dtype=bool)
-    occ[sel.occupied] = True
-    P = (sys.u_k * occ.reshape(nc, 1, ns)) @ sys.l_k.conj().transpose(0, 2, 1)
-    return np.fft.ifft(P, axis=0)
-
-
 def _bloch_block(sys: BlochSystem, c: np.ndarray,
                  idx: np.ndarray) -> np.ndarray:
     """C[i, j] = c[(x_i - x_j) mod N, s_i, s_j] for modes i, j in idx."""
@@ -130,19 +124,41 @@ def _bloch_block(sys: BlochSystem, c: np.ndarray,
     return c[(x[:, None] - x) % len(c), s[:, None], s]
 
 
+def _occupied_rows(sys: BiorthogonalSystem, sel: GroundStateSelection,
+                   part: Partition) -> tuple:
+    """(R_A, L_A), the partition's rows of the occupied right and left
+    vectors in its space: C = R_A L_A^dag."""
+    idx, occ = np.asarray(part.indices), sel.occupied
+    if part.space == "position":
+        return sys.right[np.ix_(idx, occ)], sys.left[np.ix_(idx, occ)]
+    if sys.cells is None:
+        raise UnsupportedError("momentum partitions need a periodic cell grid")
+    return tuple(np.fft.fft(v[:, occ][sys.cells], axis=0, norm="ortho")
+                 .reshape(sys.dim, -1)[idx] for v in (sys.right, sys.left))
+
+
 def correlation_matrices(sys: BiorthogonalSystem, sel: GroundStateSelection,
                          parts):
     """``correlation_matrix`` of each partition in ``parts`` (any iterable,
     read one at a time), in order, as a generator; on a ``BlochSystem`` the
     FFT behind every block is done once."""
-    c = _bloch_correlations(sys, sel) if isinstance(sys, BlochSystem) else None
+    bloch = isinstance(sys, BlochSystem)
+    if bloch:
+        # the occupied Bloch projectors P(k) = sum_{b occ} u_k[:, b]
+        # l_k[:, b]^dag, and c[d] = N^-1 sum_k exp(i k d) P(k)
+        occ = np.isin(np.arange(sys.dim), sel.occupied)
+        P = ((sys.u_k * occ.reshape(len(sys.u_k), 1, -1))
+             @ sys.l_k.conj().transpose(0, 2, 1))
+        c = np.fft.ifft(P, axis=0)
     for part in parts:
         idx = np.asarray(part.indices)
-        if c is not None:
+        if bloch and part.space == "momentum":
+            m, s = np.divmod(idx, P.shape[1])
+            C = P[m[:, None], s[:, None], s] * (m[:, None] == m)
+        elif bloch:
             C = _bloch_block(sys, c, idx)
         else:
-            R = _real_if_real_valued(sys.right[np.ix_(idx, sel.occupied)])
-            L = _real_if_real_valued(sys.left[np.ix_(idx, sel.occupied)])
+            R, L = map(_real_if_real_valued, _occupied_rows(sys, sel, part))
             C = R @ L.conj().T
         yield CorrelationMatrix(part, _real_if_real_valued(C),
                                 source=(sys, sel))
@@ -150,19 +166,19 @@ def correlation_matrices(sys: BiorthogonalSystem, sel: GroundStateSelection,
 
 def correlation_matrix(sys: BiorthogonalSystem, sel: GroundStateSelection,
                        part: Partition) -> CorrelationMatrix:
-    """C_ij = sum_{a occ} R_a(i) L*_a(j) for i, j in the partition.
+    """C_ij = sum_{a occ} R_a(i) L*_a(j) for i, j in the partition, with
+    R_a and L_a in the partition's space.
 
-    On a ``BlochSystem`` the block is gathered from the block-Toeplitz
-    correlations C(x - y) = N^-1 sum_k exp(i k (x - y)) P(k) (Peschel,
-    J. Phys. A 36, L205 (2003)), for any position partition: one FFT over
-    the momentum grid and one |A|^2 gather, with no eigenvector matrix.  On
-    any other system it is the product R_A L_A^dag of the partition's rows
-    of the occupied vectors, taken in float64 when both factors are
-    real-valued.  The partition indexes the basis the system was
-    diagonalized in; for momentum-space partitions diagonalize the
-    Fourier-transformed kernel first (see ``momentum_transform``) and reuse
-    this position pathway.  ``correlation_matrices`` gives several
-    partitions of one state for one FFT.
+    On a ``BlochSystem`` the block is gathered from P(k): a position block
+    from the block-Toeplitz correlations C(x - y) = N^-1 sum_k
+    exp(i k (x - y)) P(k) (Peschel, J. Phys. A 36, L205 (2003)), one FFT
+    over the momentum grid and one |A|^2 gather with no eigenvector matrix;
+    a momentum block from delta_{m m'} P(k_m)[s, s'].  On any other system
+    it is the product R_A L_A^dag of the partition's rows of the occupied
+    vectors (for a momentum partition, their FFT over the cells), taken in
+    float64 when both factors are real-valued.  ``correlation_matrices``
+    gives several partitions of one state for one FFT.  A momentum
+    partition of a system without ``cells`` raises ``UnsupportedError``.
     """
     return next(correlation_matrices(sys, sel, [part]))
 
@@ -217,18 +233,17 @@ def check_duality(sys: BiorthogonalSystem, sel: GroundStateSelection,
                   part: Partition) -> DualityReport:
     """Compare Spec(R P R) with Spec(P R P) as multisets.
 
-    R P R is evaluated on the partition block (size |A|); P R P on the
-    occupied-state block B_ab = <L_a| R |R_b> (size n_occ).  The shorter
-    spectrum is padded with exact zeros, which is the rank argument: both
-    products share their nonzero spectrum.  Pairing uses an optimal
-    assignment rather than sorted-order matching: clusters of eigenvalues
-    with nearly equal real parts but opposite imaginary parts would
-    otherwise cross-pair and report a spurious mismatch.
+    R P R is evaluated on the partition block (size |A|), P R P on the
+    occupied-state block B_ab = <L_a| R |R_b> (size n_occ), both in the
+    partition's space.  The shorter spectrum is padded with exact zeros,
+    which is the rank argument: both products share their nonzero
+    spectrum.  Pairing uses an optimal assignment rather than sorted-order
+    matching: clusters of eigenvalues with nearly equal real parts but
+    opposite imaginary parts would otherwise cross-pair and report a
+    spurious mismatch.
     """
-    idx = np.asarray(part.indices)
     C = correlation_matrix(sys, sel, part).entries
-    Ra = sys.right[np.ix_(idx, sel.occupied)]
-    La = sys.left[np.ix_(idx, sel.occupied)]
+    Ra, La = _occupied_rows(sys, sel, part)
     B = La.conj().T @ Ra
     ev_rpr = np.linalg.eigvals(C)
     ev_prp = np.linalg.eigvals(B)

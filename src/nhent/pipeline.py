@@ -3,7 +3,8 @@
 These helpers wire the stages together for the CLI, the acceptance suite,
 and parameter sweeps: ground-state preparation, per-partition entanglement
 reports, entropy-versus-subsystem-size series, and the real/momentum
-transition scan used for self-dual models.
+transition scan used for self-dual models.  A kernel has one ground state,
+and partitions in either space are cut from it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import eigenvalues
-from .correlations import (Partition, correlation_matrices,
-                           correlation_matrix, momentum_transform)
+from .correlations import Partition, correlation_matrices, correlation_matrix
 from .entanglement import (CLAMP_TOL, MIDGAP_TOL, EntanglementReport,
                            build_report, vn_entropy)
 from .errors import SizeError, UnsupportedError
@@ -27,7 +27,6 @@ __all__ = [
     "ground_state_system",
     "report_for_partition",
     "entropy_series",
-    "momentum_space_view",
     "TransitionScan",
     "self_dual_scan",
     "dual_momentum_partition",
@@ -41,8 +40,8 @@ def ground_state_system(K: KernelMatrix, filling, policy: str = "real_part"):
     under a one-cell translation (``KernelMatrix.is_translation_invariant``)
     is solved momentum block by momentum block and gives a ``BlochSystem``
     (``bloch_system``); every other kernel (open, a ring with a flux or a
-    site-dependent potential, labels that do not tile a cell grid, a
-    momentum-space view) is solved dense by ``biorthogonal_eig``.
+    site-dependent potential, labels that do not tile a cell grid) is
+    solved dense by ``biorthogonal_eig``.
     """
     try:
         sys = bloch_system(K)
@@ -103,14 +102,6 @@ def entropy_series(sys: BiorthogonalSystem, sel: GroundStateSelection,
     return ScalingSeries(n, points, geometry)
 
 
-def momentum_space_view(K: KernelMatrix, filling, policy: str = "real_part"):
-    """Ground-state system of the Fourier-transformed kernel.
-
-    Momentum-space partitions reuse the position pathway on this view.
-    """
-    return ground_state_system(momentum_transform(K), filling, policy)
-
-
 @dataclass
 class TransitionScan:
     """Real- vs momentum-space entropies over a parameter scan."""
@@ -149,9 +140,10 @@ def self_dual_scan(values, kernel_factory, filling, policy: str = "real_part",
                    momentum_partition: Partition | None = None) -> TransitionScan:
     """Scan a parameter and compare half-system entropies in both spaces.
 
-    ``kernel_factory(v)`` must return a periodic kernel.  The localization
-    transition of a self-dual model shows up as a crossing between the
-    real-space and momentum-space entropy curves; the crossing point is
+    ``kernel_factory(v)`` must return a periodic kernel.  Both curves are
+    cuts of one ground state per value: the real-space half cut and a
+    momentum partition.  The localization transition of a self-dual model
+    shows up as a crossing between the two curves; the crossing point is
     located by linear interpolation and reported, not asserted.  Pass a
     duality-relabeled ``momentum_partition`` (see
     ``dual_momentum_partition``) to make the two curves exact mirrors of
@@ -160,12 +152,10 @@ def self_dual_scan(values, kernel_factory, filling, policy: str = "real_part",
     vs, s_real, s_mom = [], [], []
     for v in values:
         K = kernel_factory(v)
-        sys_r, sel_r = ground_state_system(K, filling, policy)
-        part_r = Partition.half(K.dim, "position")
-        rep_r = report_for_partition(sys_r, sel_r, part_r)
-        sys_m, sel_m = momentum_space_view(K, filling, policy)
+        sys, sel = ground_state_system(K, filling, policy)
         part_m = momentum_partition or Partition.half(K.dim, "momentum")
-        rep_m = report_for_partition(sys_m, sel_m, part_m)
+        rep_r, rep_m = (report_for_partition(sys, sel, part)
+                        for part in (Partition.half(K.dim), part_m))
         vs.append(float(v))
         s_real.append(rep_r.entropy_vn.real)
         s_mom.append(rep_m.entropy_vn.real)

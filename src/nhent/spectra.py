@@ -76,13 +76,16 @@ class BiorthogonalSystem:
     Petermann factor there), at least 1 and at most the 2-norm condition
     number that the defectiveness gate reads; exactly 1.0 for a Hermitian
     or gauge-Hermitian kernel.  A Bloch-assembled system reports the
-    largest over its momentum blocks.
+    largest over its momentum blocks.  ``cells`` is the kernel's cell map
+    (``KernelMatrix.cell_sites``), or None unless the kernel is periodic
+    and its labels tile a cell grid: momentum partitions need it.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
     condition_estimate: float
+    cells: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -145,7 +148,9 @@ def biorthogonal_eig(K: KernelMatrix) -> BiorthogonalSystem:
         nudge.  Also raised when the unit-normalized right or left vectors
         are not finite in float64.
     """
-    return BiorthogonalSystem(*balanced_eig(K.entries, mirrors=_mirrors(K)))
+    mirrors = _mirrors(K)  # none when the labels tile no cell grid
+    cells = K.cell_sites if mirrors and K.bc == "periodic" else None
+    return BiorthogonalSystem(*balanced_eig(K.entries, mirrors=mirrors), cells)
 
 
 class BlochSystem(BiorthogonalSystem):
@@ -155,9 +160,8 @@ class BlochSystem(BiorthogonalSystem):
     m * ns .. m * ns + ns - 1 are the bands at k_m, and ``momenta`` gives
     each state's k_m.  ``u_k`` and ``l_k`` are (N, ns, ns) stacks: column b
     of u_k[m] and l_k[m] is that state's right and left Bloch vector, with
-    l_k[m]^dag u_k[m] = identity.  ``cells`` is the kernel's (N, ns) cell
-    map (mode ``cells[x, s]`` is sublattice s of cell x), and ``cell_of``
-    and ``sublattice_of`` invert it per mode.  ``right`` and ``left`` hold
+    l_k[m]^dag u_k[m] = identity.  ``cell_of`` and ``sublattice_of``
+    invert the (N, ns) ``cells`` per mode.  ``right`` and ``left`` hold
     R(cells[x, s], m ns + b) = exp(i k_m x) u_k[m, s, b] / sqrt(N), and
     likewise from l_k; each dim x dim array is assembled on first access
     only, and the correlation path never reads them (see

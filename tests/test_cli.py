@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nhent import (DegeneracyWarning, Partition, bloch_system,
-                   build_uniform_chain, momentum_space_view, pipeline,
+from nhent import (Partition, bloch_system, build_nh_ssh_real,
+                   ground_state_system, momentum_transform, pipeline,
                    report_for_partition)
+from nhent import cli
 from nhent.cli import main
 from nhent.config import ConfigError, parse_config
 from test_pipeline import _dense_solves
@@ -107,29 +108,71 @@ class TestCommands:
         assert manifest["points"][0]["status"] == "ok"
 
     def test_momentum_partition_reports_the_momentum_view(self, tmp_path):
-        # a "momentum" partition is cut from the ground state of the
-        # Fourier-transformed kernel, as in pipeline.momentum_space_view
+        # a "momentum" partition is cut from the position ground state; the
+        # referee cuts the solved Fourier-transformed kernel by position
+        ring = {"family": "nh_ssh", "bc": "periodic", "params": {
+            "N_cells": 6, "omega": 1.0, "upsilon": 0.4, "u": 0.3}}
+        cuts = [(1, 2, 3, 4, 5, 6, 7), (0, 3, 5, 8)]
+        doc = {"model": ring, "filling": "1/2", "partitions": [
+            {"type": "indices", "indices": list(c), "space": "momentum"}
+            for c in cuts]}
+        out = tmp_path / "out"
+        assert main(["entanglement", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        rows = (out / "entanglement.csv").read_text().splitlines()[1:]
+        view = ground_state_system(momentum_transform(
+            build_nh_ssh_real(6, 1.0, 0.4, 0.3, "periodic")), Fraction(1, 2))
+        for row, cut in zip(rows, cuts, strict=True):
+            rep = report_for_partition(*view, Partition("position", cut, 12))
+            s, s2 = rep.entropy_vn, rep.entropy_renyi[2]
+            fields = row.split(",")
+            assert fields[1:3] == [f"momentum[{cut[0]}:{cut[-1] + 1}]",
+                                   str(len(cut))]
+            assert [fields[i] for i in (3, 5, 7, 8)] == [
+                f"{x:.12g}" for x in (s.real, s2.real, rep.entropy_modified)
+            ] + [str(rep.n_midgap)]
+            # Im S is rounding noise of either sign on both routes
+            assert max(abs(float(fields[i])) for i in (4, 6)) < 1e-12
+        assert json.loads((out / "reports.json").read_text())[0][
+            "partition"]["space"] == "momentum"
+
+    def test_momentum_half_cut_of_a_tied_ring_is_a_product(self, tmp_path):
+        # the Fermi level of the 16-site ring ties k = +-pi/2; the position
+        # solve fills plane waves, so the momentum half cut holds whole
+        # momentum modes and S = 0 (a second, dense solve of the Fourier
+        # kernel used to mix the tied pair and read 0.540465351577)
         doc = {"model": {"family": "uniform_chain",
                          "params": {"L": 16, "t": 1.0}, "bc": "periodic"},
                "filling": "1/2",
                "partitions": [{"type": "half", "space": "momentum"}]}
         out = tmp_path / "out"
-        out.mkdir()
         assert main(["entanglement", "--config", write_config(tmp_path, doc),
                      "--out", str(out)]) == 0
-        K = build_uniform_chain(16, 1.0, "periodic")
-        with pytest.warns(DegeneracyWarning):
-            view = momentum_space_view(K, Fraction(1, 2))
-        rep = report_for_partition(*view, Partition.half(16, "momentum"))
-        s, s2 = rep.entropy_vn, rep.entropy_renyi[2]
-        expected = ["", "momentum[0:8]", "8"] + [
-            f"{x:.12g}" for x in (s.real, s.imag, s2.real, s2.imag,
-                                  rep.entropy_modified)] + [str(rep.n_midgap)]
         rows = (out / "entanglement.csv").read_text().splitlines()
-        assert [row.split(",") for row in rows[1:]] == [expected]
-        assert f"{s.real:.12g}" == "0.540465351577"
-        assert json.loads((out / "reports.json").read_text())[0][
-            "partition"]["space"] == "momentum"
+        assert [row.split(",") for row in rows[1:]] == [
+            ["", "momentum[0:8]", "8", "0", "0", "0", "0", "0", "0"]]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert any("degenerate" in w
+                   for w in manifest["points"][0]["warnings"])
+
+    def test_one_solve_per_sweep_point(self, tmp_path, monkeypatch):
+        # position and momentum partitions are cut from one ground state
+        solves = []
+
+        def spy(*args):
+            solves.append(args)
+            return ground_state_system(*args)
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "ground_state_system", spy)
+        doc = {**BASE, "partitions": [
+            {"type": "half"}, {"type": "half", "space": "momentum"},
+            {"type": "range", "start": 1, "stop": 8, "space": "momentum"}],
+            "sweep": {"parameter": "u", "values": [0.2, 0.3]}}
+        out = tmp_path / "out"
+        assert main(["entanglement", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        assert len(solves) == 2
+        assert len((out / "entanglement.csv").read_text().splitlines()) == 7
 
     def test_periodic_entanglement_takes_the_bloch_path(self, tmp_path,
                                                          monkeypatch):

@@ -1,17 +1,20 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nhent import (KernelMatrix, Partition, PartitionError, UnsupportedError,
+from nhent import (BlochSystem, DegeneracyWarning, KernelMatrix, Partition,
+                   PartitionError, UnsupportedError,
                    biorthogonal_eig, bloch_momenta, bloch_reduce, bloch_system,
                    build_eb_ssh, build_guo_chain,
                    build_hatano_nelson, build_measurement_heff,
                    build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
                    build_report, build_uniform_chain, check_duality,
                    correlation_matrices, correlation_matrix,
-                   entropy_series, momentum_transform, projector,
-                   select_occupied, vn_entropy)
+                   entropy_series, ground_state_system, momentum_transform,
+                   projector, select_occupied, vn_entropy)
+from nhent._linalg import match_spectra
 from nhent.correlations import sorted_by_re_im
 
 
@@ -211,6 +214,71 @@ class TestBlochCorrelations:
         assert "right" not in vars(sys) and "left" not in vars(sys)
 
 
+# Rings whose Fermi level is not tied, so that the position solve and the
+# referee's dense solve of the Fourier kernel select one state.  eb-ssh-ring,
+# guo-n2, hatano-nelson-ring and uniform-16 are left out: their boundary
+# raises DegeneracyWarning, and two solves may break the tie differently
+# (the uniform-16 half cut reads 0 here and 0.540 on the referee).
+MOMENTUM_FAMILIES = {
+    **{name: BLOCH_FAMILIES[name] for name in (
+        "guo-n3", "guo-n3-sublattice-major", "measurement-ring", "nh-ssh",
+        "uniform-33")},
+    # periodic, but its potential breaks translation: solved dense
+    "quasicrystal-34": lambda: build_quasicrystal(34, 0.5, 1.0, 0.5,
+                                                  Fraction(21, 34)),
+}
+
+
+def _tie_free(solve, km):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegeneracyWarning)
+        return solve(km)
+
+
+def _dense(km):
+    sys = biorthogonal_eig(km)
+    return sys, select_occupied(sys, Fraction(1, 2))
+
+
+class TestMomentumPartitions:
+    @pytest.mark.parametrize("route", ["ground-state", "dense"])
+    @pytest.mark.parametrize("name", sorted(MOMENTUM_FAMILIES))
+    def test_block_matches_the_fourier_kernel_referee(self, name, route):
+        # a momentum block cut from the position state against the
+        # position block of the solved Fourier kernel, whose modes are
+        # already momenta; "dense" takes the FFT of the occupied vectors
+        # also where ground_state_system gathers from the Bloch projectors
+        km = MOMENTUM_FAMILIES[name]()
+        solve = {"ground-state": lambda k: ground_state_system(
+            k, Fraction(1, 2)), "dense": _dense}[route]
+        sys, sel = _tie_free(solve, km)
+        assert isinstance(sys, BlochSystem) == (
+            route == "ground-state" and name != "quasicrystal-34")
+        ref = _tie_free(solve, momentum_transform(km))
+        for indices in _partition_kinds(km.dim):
+            C = correlation_matrix(
+                sys, sel, Partition("momentum", indices, km.dim)).entries
+            expected = correlation_matrix(
+                *ref, Partition("position", indices, km.dim)).entries
+            assert np.abs(C - expected).max() < 1e-12, indices
+
+    def test_open_chain_is_refused(self):
+        km = build_nh_ssh_real(6, 1.0, 0.4, 0.3, "open")
+        sys, sel = ground_state_system(km, Fraction(1, 2))
+        with pytest.raises(UnsupportedError):
+            correlation_matrix(sys, sel, Partition.half(km.dim, "momentum"))
+
+    def test_momentum_half_cut_is_not_the_position_block(self):
+        km = build_nh_ssh_real(10, 1.0, 0.4, 0.3, "periodic")
+        sys, sel = ground_state_system(km, Fraction(1, 2))
+        C_k, C_x = (correlation_matrix(sys, sel, Partition.half(km.dim, space))
+                    for space in ("momentum", "position"))
+        assert np.abs(C_k.entries - C_x.entries).max() > 0.1
+        # the half cut holds whole momentum cells: a product state
+        assert np.allclose(np.sort(np.linalg.eigvals(C_k.entries).real),
+                           [0] * 5 + [1] * 5, atol=1e-12)
+
+
 class TestProjector:
     def test_all_modes_occupied_gives_identity(self):
         km = build_uniform_chain(6, bc="open")
@@ -313,6 +381,19 @@ class TestDuality:
         sel = select_occupied(sys, Fraction(1, 2))
         rep = check_duality(sys, sel, Partition.half(24))
         assert rep.max_mismatch < 1e-9
+
+    @pytest.mark.parametrize("name", ["nh-ssh", "quasicrystal-34"])
+    def test_momentum_half_cut(self, name):
+        # R P R in momentum space against the referee's, and P R P from the
+        # same momentum rows of the occupied vectors
+        km = MOMENTUM_FAMILIES[name]()
+        sys, sel = ground_state_system(km, Fraction(1, 2))
+        rep = check_duality(sys, sel, Partition.half(km.dim, "momentum"))
+        ref = check_duality(*ground_state_system(momentum_transform(km),
+                                                 Fraction(1, 2)),
+                            Partition.half(km.dim))
+        assert rep.max_mismatch < 1e-9
+        assert match_spectra(ref.spectrum_rpr, rep.spectrum_rpr)[1] < 1e-9
 
     def test_nonzero_counts_agree(self):
         km = build_quasicrystal(13, 0.4, 1.0, 0.7, Fraction(8, 13))

@@ -30,16 +30,18 @@ def test_no_run_imports_scipy_optimize(tmp_path):
     # scipy.optimize costs ~0.25 s and ~20 MB in a fresh process; every
     # min-cost matching runs in _linalg.min_cost_matching, so no run needs
     # it.  scipy.fft would add ~0.1 s and ~4 MB to `import nhent`; the
-    # block-Toeplitz correlations of a Bloch system take numpy.fft, which
-    # numpy loads anyway
+    # block-Toeplitz correlations of a Bloch system and the momentum rows of
+    # a dense one take numpy.fft, which numpy loads anyway
     config = tmp_path / "oracle.json"
     config.write_text(json.dumps({"oracle": {"n_cases": 2, "n_modes": 6,
                                              "subsystem": 3}}))
     code = f"""
 import sys
+from fractions import Fraction
 from nhent import (Partition, bloch_system, build_guo_chain,
-                   build_nh_ssh_real, check_duality, count_fermi_points,
-                   entropy_series, ground_state_system, select_occupied)
+                   build_nh_ssh_real, build_quasicrystal, check_duality,
+                   count_fermi_points, entropy_series, ground_state_system,
+                   report_for_partition, select_occupied)
 from nhent.cli import main
 assert main(["oracle", "--config", {str(config)!r},
              "--out", {str(tmp_path / "out")!r}]) == 0
@@ -49,6 +51,11 @@ assert count_fermi_points(sys_k, sel_k) == 2
 assert len(entropy_series(sys_k, sel_k, sizes=(4, 12)).points) == 2
 K = build_nh_ssh_real(6, 1.0, 0.4, 0.3, "periodic")
 check_duality(*ground_state_system(K, 0.5), Partition.half(K.dim))
+report_for_partition(*ground_state_system(K, 0.5),
+                     Partition.contiguous(1, 8, K.dim, "momentum"))
+Q = build_quasicrystal(34, 0.5, 1.0, 0.5, Fraction(21, 34))
+report_for_partition(*ground_state_system(Q, 0.5),
+                     Partition.contiguous(3, 20, Q.dim, "momentum"))
 print(sorted(m for m in sys.modules
              if m.startswith(("scipy.optimize", "scipy.fft"))))
 """
@@ -119,6 +126,17 @@ def test_no_module_tests_a_kernel_for_hermiticity():
         name for name, tree in _module_trees() for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         and node.func.attr == "is_hermitian"}
+    assert callers == set()
+
+
+def test_no_module_calls_momentum_transform():
+    # one state per kernel: momentum partitions are cut from the position
+    # ground state, and the Fourier kernel is left to the tests' referee
+    callers = {
+        name for name, tree in _module_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "momentum_transform" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))}
     assert callers == set()
 
 

@@ -17,8 +17,10 @@ dense kernels on every solver path and of Bloch rings, the half-cut
 correlation matrix, projector and entanglement report of each, and the
 entropy series of the rings.  The ``route/`` outputs take their system from
 ``ground_state_system``, which picks the Bloch or the dense solver itself,
-and add the type of system it returned.  A call that raises is digested as
-its error type and message.
+and add the type of system it returned.  The ``momentum/`` outputs cut the
+momentum half cut from the system of ``ground_state_system``: its
+correlation matrix, entanglement report and duality spectra.  A call that
+raises is digested as its error type and message.
 """
 
 import hashlib
@@ -96,6 +98,23 @@ def route_kernels(nhent):
     }
 
 
+def momentum_kernels(nhent):
+    """Periodic kernels, Bloch-solved and dense, cut in momentum space."""
+    guo = nhent.build_guo_chain(27, 3, 1.0, 0.8)
+    # the same ring with mode s * N + x at sublattice s of cell x
+    nc, ns = guo.cell_sites.shape
+    old = guo.cell_sites.T.ravel()
+    return {
+        "uniform-33": nhent.build_uniform_chain(33),
+        "nh-ssh": nhent.build_nh_ssh_real(10, 1.0, 0.4, 0.3, "periodic"),
+        "guo-n3-sublattice-major": nhent.KernelMatrix(
+            guo.dim, guo.entries[np.ix_(old, old)], guo.bc,
+            [(x, s) for s in range(ns) for x in range(nc)]),
+        "quasicrystal-34": nhent.build_quasicrystal(34, 0.5, 1.0, 0.5,
+                                                    Fraction(21, 34)),
+    }
+
+
 def digest(value) -> str:
     a = np.ascontiguousarray(np.asarray(value))
     h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
@@ -135,6 +154,22 @@ def outputs(nhent):
             out["entropy-series"] = np.array(series.points)
         return out
 
+    def momentum(km):
+        sys_, sel = nhent.ground_state_system(km, HALF)
+        half = nhent.Partition.half(km.dim, "momentum")
+        C = nhent.correlation_matrix(sys_, sel, half)
+        rep = nhent.build_report(C)
+        dual = nhent.check_duality(sys_, sel, half)
+        return {"half-correlation": C.entries,
+                "half-spectrum": rep.correlation_eigenvalues,
+                "half-entropy": rep.entropy_vn,
+                "half-renyi-2": rep.entropy_renyi[2],
+                "duality-rpr": dual.spectrum_rpr,
+                "duality-prp": dual.spectrum_prp,
+                "duality-mismatch": dual.max_mismatch}
+
+    for name, km in momentum_kernels(nhent).items():
+        yield f"momentum/{name}", lambda km=km: momentum(km)
     for kind, kernels in (("dense", dense_kernels(nhent)),
                           ("bloch", bloch_kernels(nhent)),
                           ("route", route_kernels(nhent))):
