@@ -8,6 +8,8 @@ matrix C(t) = M(t) M(t)^dag (with orthonormalized orbital columns M) is
 Hermitian and idempotent at all times: non-unitary amplification changes the
 state direction, normalization removes the overall decay.  Every kernel is
 propagated by the dense exponential, with substeps bounded by the log-norm.
+Every step runs in float64 where a site frame g = i^p makes -i K_eff and
+the start orbitals exactly real-valued (see ``evolve_no_jump``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgeqrf, zgeqrf_lwork, zungqr
+from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dorgqr, zgeqrf,
+                                 zgeqrf_lwork, zungqr)
 
 from .errors import CollapseError, SizeError
 from .correlations import CorrelationMatrix, Partition
@@ -41,6 +44,9 @@ COLLAPSE_TOL = 1e-12
 # a Hermitian-part eigenvalue spread at or below this is norm-preserving
 # evolution, which needs no step limit
 UNITARY_SPREAD_TOL = 1e-12
+# LAPACK's Householder QR, its workspace query and its Q builder, by dtype
+_QR = {np.dtype(float): (dgeqrf, dgeqrf_lwork, dorgqr),
+       np.dtype(complex): (zgeqrf, zgeqrf_lwork, zungqr)}
 
 
 @dataclass
@@ -97,37 +103,59 @@ def hermitian_ground_state(K: KernelMatrix, n_particles: int) -> GaussianState:
 
 
 def kernel_exponential(K: KernelMatrix, t: float):
-    """Propagator exp(-i K t) by ``scipy.linalg.expm``, for every kernel.
+    """Propagator exp(-i K t) by ``scipy.linalg.expm``, in the frame of K.
 
     V exp(-i w t) V^-1 would lose the small entries of a graded kernel whose
     V is ill conditioned (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
+    ``evolve_no_jump`` calls it where no real site frame exists.
     """
     return scipy.linalg.expm(-1j * t * K.entries)
+
+
+def _site_gauge(A: np.ndarray):
+    """The diagonal g = i^p, p in {0, 1}^n, with g* A g real-valued, or None.
+
+    A nonzero A_jk fixes p_j xor p_k (0 if real, 1 if imaginary), a BFS
+    2-colouring assigns p, and the exact closing test refuses the rest: an
+    entry with both parts nonzero, an imaginary diagonal, an odd ring."""
+    nonzero, flip = [P | P.T for P in (A != 0, A.imag != 0)]
+    p = np.full(len(A), -1)
+    for root in range(len(A)):
+        if p[root] < 0:
+            p[root], queue = 0, [root]
+            for j in queue:
+                new = np.flatnonzero(nonzero[j] & (p < 0))
+                p[new] = p[j] ^ flip[j, new]
+                queue.extend(new.tolist())
+    g = np.where(p == 1, 1j, 1.0)
+    return None if (g.conj()[:, None] * A * g).imag.any() else g
 
 
 def _orthonormalize(M: np.ndarray, time: float) -> np.ndarray:
     """Q of the thin QR factorization of the N x M orbital matrix.
 
-    LAPACK's zgeqrf and zungqr are called directly, at less cost than
-    through ``np.linalg.qr``.  Each takes the workspace its query returns,
-    as numpy's call does; the wrappers' default of 3M would run unblocked
-    code above 128 columns, which rounds otherwise.  The orbitals have
-    collapsed when the smallest |R_ii| is at most ``COLLAPSE_TOL`` of the
-    largest, or when they outnumber the modes.
+    LAPACK's dgeqrf and dorgqr (float64) or zgeqrf and zungqr (complex128)
+    are called directly, at less cost than through ``np.linalg.qr``.  Each
+    takes the workspace its query returns, as numpy's call does; the
+    wrappers' default of 3M would run unblocked code above 128 columns,
+    which rounds otherwise.  The orbitals have collapsed when the smallest
+    |R_ii| is at most ``COLLAPSE_TOL`` of the largest, or when they
+    outnumber the modes.
     """
     m, n = M.shape
     if n > m:
         raise CollapseError(
             f"{n} orbitals in {m} modes are linearly dependent", time=time)
-    lwork, _ = zgeqrf_lwork(m, n)
-    qr, tau, _, _ = zgeqrf(M, lwork=int(lwork.real))
+    geqrf, geqrf_lwork, orgqr = _QR[M.dtype]
+    lwork, _ = geqrf_lwork(m, n)
+    qr, tau, _, _ = geqrf(M, lwork=int(lwork.real))
     diag = np.abs(np.diagonal(qr))
     if diag.min() <= COLLAPSE_TOL * max(diag.max(), 1e-300):
         raise CollapseError(
             f"orbital matrix rank-deficient at t={time:g}", time=time)
     # a workspace query reads no entries, so it may skip the copy of qr
-    _, work, _ = zungqr(qr, tau, lwork=-1, overwrite_a=True)
-    return zungqr(qr, tau, lwork=int(work[0].real), overwrite_a=True)[0]
+    _, work, _ = orgqr(qr, tau, lwork=-1, overwrite_a=True)
+    return orgqr(qr, tau, lwork=int(work[0].real), overwrite_a=True)[0]
 
 
 def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
@@ -144,6 +172,11 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
     full C, over all sites, not of the block), and its entanglement report,
     with correlation eigenvalues within ``clamp_tol`` of 0 or 1 counted as
     unentangled.
+
+    In the site frame g = i^p of ``_site_gauge``, when g* M_0 is exactly
+    real-valued once each column is rotated by the power of i of its first
+    nonzero entry (C is unchanged), X = g* M is propagated in float64.  The
+    report is taken from the real C_g; the record holds C = g_A C_g g_A*.
 
     Returns
     -------
@@ -164,7 +197,15 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
     max_step = (math.log(_MAX_GROWTH) / spread
                 if spread > UNITARY_SPREAD_TOL else math.inf)
 
-    M = _orthonormalize(psi0.orbitals.copy(), psi0.time)
+    g = _site_gauge(A := -1j * K_eff.entries)
+    if g is not None:
+        X = g.conj()[:, None] * psi0.orbitals
+        first = X[(X != 0).argmax(axis=0), np.arange(X.shape[1])]
+        X = X * np.where(first.real == 0, -1j, 1)
+        g = None if X.imag.any() else g
+    M = _orthonormalize(psi0.orbitals.copy() if g is None else X.real,
+                        psi0.time)
+    B = None if g is None else (g.conj()[:, None] * A * g).real
     now = psi0.time
     idx = np.asarray(partition.indices)
     records = []
@@ -176,7 +217,8 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
             h = dt / n_sub
             key = round(h, 15)
             if key not in prop_cache:
-                prop_cache[key] = kernel_exponential(K_eff, h)
+                prop_cache[key] = (kernel_exponential(K_eff, h) if B is None
+                                   else scipy.linalg.expm(h * B))
             U = prop_cache[key]
             for _ in range(n_sub):
                 M = _orthonormalize(U @ M, t_out)
@@ -184,9 +226,12 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
         # tr(M M^dag) = ||M||_F^2
         trace_residual = abs(np.vdot(M, M).real - M.shape[1])
         MA = M[idx]
-        C = CorrelationMatrix(partition, MA @ MA.conj().T,
+        CA = MA @ MA.conj().T
+        report = build_report(CorrelationMatrix(partition, CA),
+                              renyi_orders=renyi_orders, clamp_tol=clamp_tol)
+        if g is not None:
+            CA = g[idx, None] * CA * g[idx].conj()
+        C = CorrelationMatrix(partition, CA,
                               source=("no_jump", t_out, trace_residual))
-        report = build_report(C, renyi_orders=renyi_orders,
-                              clamp_tol=clamp_tol)
         records.append((t_out, C, report))
     return records

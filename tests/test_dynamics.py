@@ -6,7 +6,8 @@ from nhent import (CollapseError, GaussianState, KernelMatrix, Partition,
                    build_measurement_heff, build_uniform_chain,
                    domain_wall_state, evolve_no_jump, hermitian_ground_state,
                    kernel_exponential, staggered_state)
-from nhent.dynamics import _orthonormalize
+from nhent import dynamics
+from nhent.dynamics import _orthonormalize, _site_gauge
 
 
 def _expm_qr_entropies(K, M0, t_grid, n_A, substeps=10):
@@ -25,6 +26,97 @@ def _expm_qr_entropies(K, M0, t_grid, n_A, substeps=10):
         e = e[(e > 1e-12) & (e < 1 - 1e-12)]
         out.append(-np.sum(e * np.log(e) + (1 - e) * np.log(1 - e)))
     return np.array(out)
+
+
+def _complex_loop_records(K, M0, t_grid, idx):
+    """(C_A, S, trace residual) per output by a complex expm + QR loop with
+    the substep rule of ``evolve_no_jump``, independent of its site frame."""
+    mu = np.linalg.eigvalsh(0.5j * (K.conj().T - K))
+    spread = mu[-1] - mu[0]
+    max_step = np.log(1e6) / spread if spread > 1e-12 else np.inf
+    M, _ = np.linalg.qr(M0)
+    out = []
+    for i, t in enumerate(t_grid):
+        if i:
+            n_sub = max(1, int(np.ceil((t - t_grid[i - 1]) / max_step)))
+            h = (t - t_grid[i - 1]) / n_sub
+            U = scipy.linalg.expm(-1j * h * K)
+            for _ in range(n_sub):
+                M, _ = np.linalg.qr(U @ M)
+        A = M[idx]
+        C = A @ A.conj().T
+        e = np.linalg.eigvalsh(C)
+        e = e[(e > 1e-12) & (e < 1 - 1e-12)]
+        S = -np.sum(e * np.log(e) + (1 - e) * np.log(1 - e))
+        out.append((C, S, abs(np.vdot(M, M).real - M.shape[1])))
+    return out
+
+
+def _open_chain(n):
+    return build_uniform_chain(n, bc="open").entries
+
+
+class TestSiteGauge:
+    @pytest.mark.parametrize("A", [
+        -1j * build_measurement_heff(10, 1.0, 0.0, "open").entries,
+        -1j * build_measurement_heff(10, 1.0, 0.5, "open").entries,
+        -1j * build_measurement_heff(10, 1.0, 0.5, "periodic").entries,
+        -1j * _open_chain(9),
+        -1j * (_open_chain(9) - 0.4j * np.eye(9)),
+    ], ids=["measurement-G0", "measurement-G0.5", "measurement-ring",
+            "uniform", "uniform-decay"])
+    def test_gauge_makes_the_generator_real(self, A):
+        g = _site_gauge(A)
+        assert g is not None
+        assert set(g.tolist()) <= {1, 1j}
+        assert not (g.conj()[:, None] * A * g).imag.any()
+
+    @pytest.mark.parametrize("A", [
+        -1j * build_uniform_chain(3).entries,
+        -1j * (_open_chain(8) + np.diag(np.linspace(-1.0, 1.0, 8))),
+        -1j * np.exp(0.3j) * _open_chain(6),
+        np.array([[0.0, 1.0 + 0.5j], [1.0, 0.0]]),
+    ], ids=["odd-ring", "real-potential", "phase-hopping", "both-parts"])
+    def test_no_gauge(self, A):
+        assert _site_gauge(A) is None
+
+    @pytest.mark.parametrize("start", ["staggered", "domain_wall",
+                                       "hermitian_ground"])
+    def test_orbital_dtype_follows_the_frame(self, start, monkeypatch):
+        # the six bench kernels with product starts run in float64, a
+        # Hermitian ground-state start in complex128
+        seen = []
+
+        def spy(M, time):
+            seen.append(M.dtype)
+            return _orthonormalize(M, time)
+
+        monkeypatch.setattr(dynamics, "_orthonormalize", spy)
+        for L in (64, 128):
+            for gamma in (0.0, 0.25, 0.5):
+                K = build_measurement_heff(L, 1.0, gamma, "open")
+                psi0 = (hermitian_ground_state(K, L // 2)
+                        if start == "hermitian_ground"
+                        else getattr(dynamics, f"{start}_state")(L))
+                evolve_no_jump(K, psi0, [0.0, 1.0], Partition.half(L))
+        dtype = np.complex128 if start == "hermitian_ground" else np.float64
+        assert len(seen) >= 12 and set(seen) == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("start", [staggered_state, domain_wall_state])
+    def test_real_frame_matches_complex_loop(self, gamma, start):
+        L = 64
+        K = build_measurement_heff(L, 1.0, gamma, "open")
+        psi0 = start(L)
+        t_grid = np.linspace(0.0, 20.0, 41)
+        part = Partition.half(L)
+        records = evolve_no_jump(K, psi0, t_grid, part)
+        ref = _complex_loop_records(K.entries, psi0.orbitals, t_grid,
+                                    np.asarray(part.indices))
+        for (_, C, rep), (C_ref, S_ref, res_ref) in zip(records, ref):
+            assert np.abs(C.entries - C_ref).max() < 1e-12
+            assert abs(rep.entropy_vn - S_ref) < 1e-12
+            assert abs(C.source[2] - res_ref) < 1e-12
 
 
 class TestKernelExponential:
@@ -108,6 +200,12 @@ class TestEvolveNoJump:
         with pytest.raises(CollapseError):
             evolve_no_jump(build_uniform_chain(6, bc="open"),
                            GaussianState(M), [0.0], Partition.half(6))
+        # the uniform chain runs in its real site frame; a real on-site
+        # potential leaves it none, so the same start is complex
+        K = build_uniform_chain(6, bc="open")
+        K = KernelMatrix(6, K.entries + np.diag(np.arange(6.0)), "open")
+        with pytest.raises(CollapseError):
+            evolve_no_jump(K, GaussianState(M), [0.0], Partition.half(6))
 
     @pytest.mark.parametrize("shape", [(64, 32), (128, 64), (256, 128)])
     def test_orthonormalize_matches_numpy_qr(self, shape):
@@ -127,22 +225,35 @@ class TestEvolveNoJump:
                               scipy.linalg.qr(M, mode="economic")[0])
 
     def test_orthonormalize_keeps_a_nearly_dependent_column(self):
-        # smallest |R_ii| just above 1e-12 of the largest: no collapse
+        # smallest |R_ii| just above 1e-12 of the largest: no collapse, in
+        # complex and in real arithmetic
         rng = np.random.default_rng(7)
-        Q = np.linalg.qr(rng.normal(size=(12, 4)) + 0j)[0]
-        M = Q * np.array([1.0, 1.0, 1.0, 1.01e-12])
-        r = np.abs(np.diag(np.linalg.qr(M)[1]))
-        assert 1e-12 < r.min() / r.max() < 1.02e-12
-        Q2 = _orthonormalize(M, 0.0)
-        assert np.abs(Q2.conj().T @ Q2 - np.eye(4)).max() < 1e-12
-        with pytest.raises(CollapseError):
-            _orthonormalize(Q * np.array([1.0, 1.0, 1.0, 0.99e-12]), 0.0)
+        for dtype in (complex, float):
+            Q = np.linalg.qr(rng.normal(size=(12, 4)).astype(dtype))[0]
+            M = Q * np.array([1.0, 1.0, 1.0, 1.01e-12])
+            r = np.abs(np.diag(np.linalg.qr(M)[1]))
+            assert 1e-12 < r.min() / r.max() < 1.02e-12
+            Q2 = _orthonormalize(M, 0.0)
+            assert Q2.dtype == dtype
+            assert np.abs(Q2.conj().T @ Q2 - np.eye(4)).max() < 1e-12
+            with pytest.raises(CollapseError):
+                _orthonormalize(Q * np.array([1.0, 1.0, 1.0, 0.99e-12]), 0.0)
 
     def test_more_orbitals_than_modes_collapse(self):
         # a thin QR would keep only the first two of the three orbitals
-        M = np.random.default_rng(2).normal(size=(2, 3)) + 0j
-        with pytest.raises(CollapseError):
-            _orthonormalize(M, 0.0)
+        M = np.random.default_rng(2).normal(size=(2, 3))
+        for dtype in (complex, float):
+            with pytest.raises(CollapseError):
+                _orthonormalize(M.astype(dtype), 0.0)
+
+    @pytest.mark.parametrize("shape", [(64, 32), (258, 129)])
+    def test_real_orthonormalize_matches_scipy_qr(self, shape):
+        # dgeqrf/dorgqr; above 128 columns the blocked code, which runs
+        # only with the queried workspace
+        M = np.random.default_rng(shape[1]).normal(size=shape)
+        Q = _orthonormalize(M, 0.0)
+        assert Q.dtype == np.float64
+        assert np.array_equal(Q, scipy.linalg.qr(M, mode="economic")[0])
 
     def test_time_grid_validation(self):
         K = build_uniform_chain(6, bc="open")

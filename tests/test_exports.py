@@ -31,7 +31,8 @@ def test_no_run_imports_scipy_optimize(tmp_path):
     # min-cost matching runs in _linalg.min_cost_matching, so no run needs
     # it.  scipy.fft would add ~0.1 s and ~4 MB to `import nhent`; the
     # block-Toeplitz correlations of a Bloch system and the momentum rows of
-    # a dense one take numpy.fft, which numpy loads anyway
+    # a dense one take numpy.fft, which numpy loads anyway.  scipy.sparse is
+    # not needed either: the no-jump site gauge reads the dense pattern
     config = tmp_path / "oracle.json"
     config.write_text(json.dumps({"oracle": {"n_cases": 2, "n_modes": 6,
                                              "subsystem": 3}}))
@@ -39,8 +40,10 @@ def test_no_run_imports_scipy_optimize(tmp_path):
 import sys
 from fractions import Fraction
 from nhent import (Partition, bloch_system, build_guo_chain,
-                   build_nh_ssh_real, build_quasicrystal, check_duality,
-                   count_fermi_points, entropy_series, ground_state_system,
+                   build_measurement_heff, build_nh_ssh_real,
+                   build_quasicrystal, check_duality, count_fermi_points,
+                   domain_wall_state, entropy_series, evolve_no_jump,
+                   ground_state_system, hermitian_ground_state,
                    report_for_partition, select_occupied)
 from nhent.cli import main
 assert main(["oracle", "--config", {str(config)!r},
@@ -56,8 +59,11 @@ report_for_partition(*ground_state_system(K, 0.5),
 Q = build_quasicrystal(34, 0.5, 1.0, 0.5, Fraction(21, 34))
 report_for_partition(*ground_state_system(Q, 0.5),
                      Partition.contiguous(3, 20, Q.dim, "momentum"))
+M = build_measurement_heff(16, 1.0, 0.5, "open")
+for psi0 in (domain_wall_state(16), hermitian_ground_state(M, 8)):
+    evolve_no_jump(M, psi0, [0.0, 1.0], Partition.half(16))
 print(sorted(m for m in sys.modules
-             if m.startswith(("scipy.optimize", "scipy.fft"))))
+             if m.startswith(("scipy.optimize", "scipy.fft", "scipy.sparse"))))
 """
     src = str(Path(nhent.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -141,8 +147,9 @@ def test_no_module_calls_momentum_transform():
 
 
 def test_no_module_takes_qr_from_a_wrapper():
-    # the orbital QR calls LAPACK's zgeqrf and zungqr directly; the numpy
-    # and scipy wrappers cost a third more at the no-jump sizes
+    # the orbital QR calls LAPACK's dgeqrf and dorgqr (real site frame) or
+    # zgeqrf and zungqr directly; the numpy and scipy wrappers cost a third
+    # more at the no-jump sizes
     homes = {"np.linalg", "numpy.linalg", "scipy.linalg"}
     callers = {
         name for name, tree in _module_trees() for node in ast.walk(tree)

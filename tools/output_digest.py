@@ -19,8 +19,11 @@ entropy series of the rings.  The ``route/`` outputs take their system from
 ``ground_state_system``, which picks the Bloch or the dense solver itself,
 and add the type of system it returned.  The ``momentum/`` outputs cut the
 momentum half cut from the system of ``ground_state_system``: its
-correlation matrix, entanglement report and duality spectra.  A call that
-raises is digested as its error type and message.
+correlation matrix, entanglement report and duality spectra.  The
+``dynamics/`` outputs are no-jump runs of ``evolve_no_jump``: the half-cut
+entropies, the last record's correlation matrix and the trace residuals,
+with starts and kernels on the real site-frame path and on the complex one.
+A call that raises is digested as its error type and message.
 """
 
 import hashlib
@@ -115,6 +118,22 @@ def momentum_kernels(nhent):
     }
 
 
+def dynamics_cases(nhent):
+    """(kernel, start) of no-jump runs; the first two take the real site
+    frame, the other two the complex path."""
+    chain = nhent.build_measurement_heff(64, 1.0, 0.5, "open")
+    uniform = nhent.build_uniform_chain(32, bc="open")
+    onsite = nhent.KernelMatrix(
+        32, uniform.entries + np.diag(np.cos(np.arange(32.0))), "open")
+    return {
+        "measurement-staggered": (chain, nhent.staggered_state(64)),
+        "measurement-domain-wall": (chain, nhent.domain_wall_state(64)),
+        "uniform-onsite": (onsite, nhent.domain_wall_state(32)),
+        "measurement-hermitian-ground": (
+            chain, nhent.hermitian_ground_state(chain, 32)),
+    }
+
+
 def digest(value) -> str:
     a = np.ascontiguousarray(np.asarray(value))
     h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
@@ -168,6 +187,15 @@ def outputs(nhent):
                 "duality-prp": dual.spectrum_prp,
                 "duality-mismatch": dual.max_mismatch}
 
+    def dynamics(km, psi0):
+        records = nhent.evolve_no_jump(km, psi0, np.linspace(0.0, 20.0, 21),
+                                       nhent.Partition.half(km.dim))
+        return {"entropies": [rep.entropy_vn for _, _, rep in records],
+                "last-correlation": records[-1][1].entries,
+                "trace-residuals": [C.source[2] for _, C, _ in records]}
+
+    for name, (km, psi0) in dynamics_cases(nhent).items():
+        yield f"dynamics/{name}", lambda km=km, psi0=psi0: dynamics(km, psi0)
     for name, km in momentum_kernels(nhent).items():
         yield f"momentum/{name}", lambda km=km: momentum(km)
     for kind, kernels in (("dense", dense_kernels(nhent)),
