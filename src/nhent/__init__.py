@@ -33,8 +33,7 @@ from .entanglement import (EntanglementReport, build_report,
 from .scaling import (FitResult, ScalingSeries, count_fermi_points,
                       fit_central_charge, lifshitz_scan)
 from .dynamics import (GaussianState, domain_wall_state, evolve_no_jump,
-                       hermitian_ground_state, kernel_exponential,
-                       staggered_state)
+                       hermitian_ground_state, staggered_state)
 from .oracle import (OracleReport, fock_block, fock_correlation,
                      manybody_biortho_ground, oracle_report, reduced_density,
                      sector_states)

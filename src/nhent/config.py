@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -83,9 +84,19 @@ def _parse_float(value, path: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"not a number: {value!r}", path)
     try:
-        return float(value)
+        x = float(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"not a number: {value!r} ({exc})", path)
+    if math.isnan(x):
+        raise ConfigError(f"not a number: {value!r}", path)
+    return x
+
+
+def _parse_time(value, path: str) -> float:
+    t = _parse_float(value, path)
+    if not math.isfinite(t):
+        raise ConfigError(f"time must be finite, got {t}", path)
+    return t
 
 
 def _parse_model(d: dict, path: str) -> tuple[ModelSpec, int]:
@@ -249,10 +260,13 @@ def parse_config(doc: dict) -> RunConfig:
         path = "config.dynamics.t_grid"
         if isinstance(tg, dict):
             _require_keys(tg, ("start", "stop", "num"), (), path)
-            tg = {k: (_parse_int if k == "num" else _parse_float)(v, f"{path}.{k}")
+            tg = {k: (_parse_int if k == "num" else _parse_time)(v, f"{path}.{k}")
                   for k, v in tg.items()}
+            if tg["num"] < 0:
+                raise ConfigError(f"num must be >= 0, got {tg['num']}",
+                                  f"{path}.num")
         elif isinstance(tg, list):
-            tg = [_parse_float(t, f"{path}[{i}]") for i, t in enumerate(tg)]
+            tg = [_parse_time(t, f"{path}[{i}]") for i, t in enumerate(tg)]
         else:
             raise ConfigError("expected an object or a list", path)
         state = doc["dynamics"].get("initial_state", "domain_wall")

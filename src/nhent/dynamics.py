@@ -7,9 +7,11 @@ evolved wave function only, rho(t) = |psi(t)><psi(t)|, so the correlation
 matrix C(t) = M(t) M(t)^dag (with orthonormalized orbital columns M) is
 Hermitian and idempotent at all times: non-unitary amplification changes the
 state direction, normalization removes the overall decay.  Every kernel is
-propagated by the dense exponential, with substeps bounded by the log-norm.
-Every step runs in float64 where a site frame g = i^p makes -i K_eff and
-the start orbitals exactly real-valued (see ``evolve_no_jump``).
+propagated in one site frame g by one dense exponential of its generator
+B = g* (-i K_eff) g, with substeps bounded by the log-norm of B; the frame
+is a diagonal of powers of i where that makes B and the start orbitals
+real-valued, so the run takes float64, and the identity otherwise (see
+``evolve_no_jump``).
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ import scipy.linalg
 from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dorgqr, zgeqrf,
                                  zgeqrf_lwork, zungqr)
 
-from .errors import CollapseError, SizeError
+from ._linalg import balanced_eig
+from .errors import CollapseError, PartitionError, SizeError
 from .correlations import CorrelationMatrix, Partition
 from .entanglement import CLAMP_TOL, build_report
 from .models import KernelMatrix
 
 __all__ = [
     "GaussianState",
-    "kernel_exponential",
     "evolve_no_jump",
     "domain_wall_state",
     "hermitian_ground_state",
@@ -98,18 +100,8 @@ def staggered_state(n_modes: int) -> GaussianState:
 def hermitian_ground_state(K: KernelMatrix, n_particles: int) -> GaussianState:
     """Ground state of the Hermitian part (K + K^dag)/2 at fixed filling."""
     h = 0.5 * (K.entries + K.entries.conj().T)
-    _, V = np.linalg.eigh(h)
+    V = balanced_eig(h)[1]
     return GaussianState(V[:, :n_particles])
-
-
-def kernel_exponential(K: KernelMatrix, t: float):
-    """Propagator exp(-i K t) by ``scipy.linalg.expm``, in the frame of K.
-
-    V exp(-i w t) V^-1 would lose the small entries of a graded kernel whose
-    V is ill conditioned (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
-    ``evolve_no_jump`` calls it where no real site frame exists.
-    """
-    return scipy.linalg.expm(-1j * t * K.entries)
 
 
 def _site_gauge(A: np.ndarray):
@@ -163,49 +155,70 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
                    clamp_tol: float = CLAMP_TOL):
     """Evolve orbitals under exp(-i K_eff t) with renormalization.
 
-    Each output interval, from ``psi0.time`` on, is cut into equal substeps
-    of ``kernel_exponential`` with one QR each.  A substep is at most
-    ln(1e6) / spread, spread being that of the eigenvalues of the Hermitian
-    part of -i K_eff: this log-norm bound keeps the orbital condition growth
-    below 1e6.  Each output record carries the partition block of C, with
-    the trace residual |tr(M M^dag) - n| in its source (the trace of the
-    full C, over all sites, not of the block), and its entanglement report,
-    with correlation eigenvalues within ``clamp_tol`` of 0 or 1 counted as
+    The orbitals run in one site frame g, a diagonal unitary: the g = i^p
+    of ``_site_gauge`` when g* M_0 is exactly real-valued once each column
+    is rotated by the power of i of its first nonzero entry (C is
+    unchanged), and the identity otherwise.  Each output interval, from
+    ``psi0.time`` on, is cut into equal substeps of exp(h B), the generator
+    B = g* (-i K_eff) g, with one QR each; B and the orbitals X = g* M are
+    float64 exactly when both are real-valued.  A substep is at most
+    ln(1e6) / spread, spread being that of the eigenvalues of (B + B^dag)/2,
+    the Hermitian part of B: this log-norm bound keeps the orbital condition
+    growth below 1e6.  Each output record carries the partition block of C
+    = g_A C_g g_A*, with the trace residual |tr(M M^dag) - n| in its source
+    (the trace of the full C, over all sites, not of the block), and the
+    entanglement report of C_g, which has the spectrum of C, with
+    correlation eigenvalues within ``clamp_tol`` of 0 or 1 counted as
     unentangled.
-
-    In the site frame g = i^p of ``_site_gauge``, when g* M_0 is exactly
-    real-valued once each column is rotated by the power of i of its first
-    nonzero entry (C is unchanged), X = g* M is propagated in float64.  The
-    report is taken from the real C_g; the record holds C = g_A C_g g_A*.
 
     Returns
     -------
     list of (time, CorrelationMatrix, EntanglementReport)
+
+    Raises
+    ------
+    SizeError
+        If ``psi0`` has another number of modes than ``K_eff``.
+    PartitionError
+        If ``partition`` is of another system size than ``K_eff``.
+    ValueError
+        If a time is not finite, ``t_grid`` is not strictly increasing, or
+        it starts before ``psi0.time``.
     """
+    n = K_eff.dim
+    if psi0.n_modes != n:
+        raise SizeError(f"psi0 has {psi0.n_modes} modes, K_eff has {n}")
+    if partition.n_total != n:
+        raise PartitionError(
+            f"partition of {partition.n_total} modes, K_eff has {n}")
     t_grid = [float(t) for t in t_grid]
+    if not all(map(math.isfinite, t_grid)):
+        raise ValueError("t_grid must be finite")
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly increasing")
     if t_grid and t_grid[0] < psi0.time:
         raise ValueError(
             f"t_grid must start at or after psi0.time = {psi0.time:g}")
 
-    # cond(exp(-i K h)) <= exp(spread * h) for any K; the eigenvalues of a
-    # non-normal K bound only the asymptotic growth, not the transient
-    # (Trefethen & Embree, Spectra and Pseudospectra (2005))
-    mu = np.linalg.eigvalsh(0.5j * (K_eff.entries.conj().T - K_eff.entries))
-    spread = float(mu[-1] - mu[0])
-    max_step = (math.log(_MAX_GROWTH) / spread
-                if spread > UNITARY_SPREAD_TOL else math.inf)
-
     g = _site_gauge(A := -1j * K_eff.entries)
     if g is not None:
         X = g.conj()[:, None] * psi0.orbitals
         first = X[(X != 0).argmax(axis=0), np.arange(X.shape[1])]
         X = X * np.where(first.real == 0, -1j, 1)
-        g = None if X.imag.any() else g
-    M = _orthonormalize(psi0.orbitals.copy() if g is None else X.real,
-                        psi0.time)
-    B = None if g is None else (g.conj()[:, None] * A * g).real
+    if g is None or X.imag.any():
+        g, X = np.ones(n), psi0.orbitals
+    B = g.conj()[:, None] * A * g
+    if not (B.imag.any() or X.imag.any()):
+        B, X = B.real, X.real
+    M = _orthonormalize(X, psi0.time)
+
+    # cond(exp(h B)) <= exp(spread * h) for any B; the eigenvalues of a
+    # non-normal B bound only the asymptotic growth, not the transient
+    # (Trefethen & Embree, Spectra and Pseudospectra (2005))
+    mu = np.linalg.eigvalsh(0.5 * (B + B.conj().T))
+    spread = float(mu[-1] - mu[0])
+    max_step = (math.log(_MAX_GROWTH) / spread
+                if spread > UNITARY_SPREAD_TOL else math.inf)
     now = psi0.time
     idx = np.asarray(partition.indices)
     records = []
@@ -217,8 +230,10 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
             h = dt / n_sub
             key = round(h, 15)
             if key not in prop_cache:
-                prop_cache[key] = (kernel_exponential(K_eff, h) if B is None
-                                   else scipy.linalg.expm(h * B))
+                # not V exp(h w) V^-1, which loses the small entries of a
+                # graded kernel whose V is ill conditioned (Moler & Van
+                # Loan, SIAM Rev. 45, 3 (2003))
+                prop_cache[key] = scipy.linalg.expm(h * B)
             U = prop_cache[key]
             for _ in range(n_sub):
                 M = _orthonormalize(U @ M, t_out)
@@ -229,9 +244,7 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
         CA = MA @ MA.conj().T
         report = build_report(CorrelationMatrix(partition, CA),
                               renyi_orders=renyi_orders, clamp_tol=clamp_tol)
-        if g is not None:
-            CA = g[idx, None] * CA * g[idx].conj()
-        C = CorrelationMatrix(partition, CA,
+        C = CorrelationMatrix(partition, g[idx, None] * CA * g[idx].conj(),
                               source=("no_jump", t_out, trace_residual))
         records.append((t_out, C, report))
     return records

@@ -351,7 +351,14 @@ class TestCommands:
             (".stop", {"start": 0.0, "stop": [1], "num": 3}),
             (".num", {"start": 0.0, "stop": 1.0, "num": 2.5}),
             ("[1]", [0.0, "one"]),
+            ("[1]", [0.0, float("nan"), 2.0]),
+            ("[1]", [0.0, float("inf")]),
+            (".start", {"start": float("-inf"), "stop": 1.0, "num": 3}),
+            (".num", {"start": 0.0, "stop": 1.0, "num": -1}),
         ]],
+        ("dynamics", {**DYNAMICS, "dynamics": {"t_grid": [0.0, 1.0]},
+                      "tolerances": {"clamp": float("nan")}},
+         "tolerances.clamp"),
         # the gate on defectiveness is fixed, not a tolerance
         ("entanglement", {**BASE, "tolerances": {"defective": 1e14}},
          "tolerances"),
@@ -375,7 +382,9 @@ class TestCommands:
             "partition_indices", "partition_indices_not_list", "partition_p",
             "partition_min",
             "partition_max", "partition_step", "t_grid_start", "t_grid_stop",
-            "t_grid_num", "t_grid_list", "tolerance_defective",
+            "t_grid_num", "t_grid_list", "t_grid_nan", "t_grid_infinity",
+            "t_grid_start_infinity", "t_grid_num_negative", "tolerance_nan",
+            "tolerance_defective",
             "partition_range_reversed", "partition_indices_out_of_range",
             "partition_unknown_space", "partition_size_scan_empty",
             "dynamics_partition_empty"])

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 
 from nhent import (CollapseError, GaussianState, KernelMatrix, Partition,
-                   build_measurement_heff, build_uniform_chain,
-                   domain_wall_state, evolve_no_jump, hermitian_ground_state,
-                   kernel_exponential, staggered_state)
+                   PartitionError, SizeError, build_measurement_heff,
+                   build_uniform_chain, domain_wall_state, evolve_no_jump,
+                   hermitian_ground_state, staggered_state)
 from nhent import dynamics
 from nhent.dynamics import _orthonormalize, _site_gauge
 
@@ -56,6 +56,9 @@ def _open_chain(n):
     return build_uniform_chain(n, bc="open").entries
 
 
+_MEASUREMENT = build_measurement_heff(64, 1.0, 0.5, "open")
+
+
 class TestSiteGauge:
     @pytest.mark.parametrize("A", [
         -1j * build_measurement_heff(10, 1.0, 0.0, "open").entries,
@@ -102,12 +105,20 @@ class TestSiteGauge:
         dtype = np.complex128 if start == "hermitian_ground" else np.float64
         assert len(seen) >= 12 and set(seen) == {np.dtype(dtype)}
 
-    @pytest.mark.parametrize("gamma", [0.0, 0.5])
-    @pytest.mark.parametrize("start", [staggered_state, domain_wall_state])
-    def test_real_frame_matches_complex_loop(self, gamma, start):
-        L = 64
-        K = build_measurement_heff(L, 1.0, gamma, "open")
-        psi0 = start(L)
+    @pytest.mark.parametrize("K, psi0", [
+        *[(build_measurement_heff(64, 1.0, gamma, "open"), start(64))
+          for start in (staggered_state, domain_wall_state)
+          for gamma in (0.0, 0.5)],
+        # no site frame: the identity frame, in complex128
+        (KernelMatrix(64, _open_chain(64) + np.diag(np.cos(np.arange(64.0))),
+                      "open"), domain_wall_state(64)),
+        # a site frame, but a complex start in it: the identity frame too
+        (_MEASUREMENT, hermitian_ground_state(_MEASUREMENT, 32)),
+    ], ids=["staggered_state-0.0", "staggered_state-0.5",
+            "domain_wall_state-0.0", "domain_wall_state-0.5",
+            "uniform-onsite", "hermitian_ground_state-0.5"])
+    def test_real_frame_matches_complex_loop(self, K, psi0):
+        L = K.dim
         t_grid = np.linspace(0.0, 20.0, 41)
         part = Partition.half(L)
         records = evolve_no_jump(K, psi0, t_grid, part)
@@ -117,24 +128,6 @@ class TestSiteGauge:
             assert np.abs(C.entries - C_ref).max() < 1e-12
             assert abs(rep.entropy_vn - S_ref) < 1e-12
             assert abs(C.source[2] - res_ref) < 1e-12
-
-
-class TestKernelExponential:
-    def test_zero_time_is_identity(self):
-        K = build_uniform_chain(6, bc="open")
-        assert np.array_equal(kernel_exponential(K, 0.0), np.eye(6))
-
-    def test_diagonal_kernel(self):
-        lam = np.array([0.3, -1.2, 0.7 + 0.2j])
-        K = KernelMatrix(3, np.diag(lam), "open")
-        U = kernel_exponential(K, 1.7)
-        assert np.allclose(U, np.diag(np.exp(-1j * lam * 1.7)), atol=1e-12)
-
-    def test_nilpotent_kernel_truncates(self):
-        K = KernelMatrix(2, np.array([[0.0, 1.0], [0.0, 0.0]]), "open")
-        t = 0.9
-        expected = np.eye(2) - 1j * t * K.entries
-        assert np.allclose(kernel_exponential(K, t), expected, atol=1e-12)
 
 
 class TestStates:
@@ -262,6 +255,18 @@ class TestEvolveNoJump:
             evolve_no_jump(K, psi, [0.0, 0.0], Partition.half(6))
         with pytest.raises(ValueError):
             evolve_no_jump(K, psi, [-1.0, 1.0], Partition.half(6))
+        # a NaN would make every later step NaN, and so propagate nothing
+        for grid in ([0.0, np.nan, 2.0], [0.0, np.inf], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                evolve_no_jump(K, psi, grid, Partition.half(6))
+
+    def test_sizes_must_match_the_kernel(self):
+        K = build_uniform_chain(4, bc="open")
+        with pytest.raises(SizeError):
+            evolve_no_jump(K, staggered_state(6), [0.0], Partition.half(4))
+        # the first half of 8 sites would be all 4 sites of the kernel
+        with pytest.raises(PartitionError):
+            evolve_no_jump(K, staggered_state(4), [0.0], Partition.half(8))
 
     def test_time_grid_starts_at_state_time(self):
         K = build_measurement_heff(8, 1.0, 0.5, "open")

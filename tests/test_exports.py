@@ -114,6 +114,19 @@ def test_only_the_solver_raises_defective_error():
     assert raisers == {"_linalg.py"}
 
 
+def test_only_the_solver_returns_eigenvectors():
+    # _linalg.balanced_eig is the one solver that returns eigenvectors, so
+    # only _linalg names eig or eigh, whether it calls them or hands them to
+    # its stacked solve; eigenvalue-only solves (eigvals, eigvalsh) may run
+    # anywhere
+    users = {
+        name for name, tree in _module_trees() for node in ast.walk(tree)
+        if {"eig", "eigh"} & {getattr(node, "id", None),
+                              getattr(node, "attr", None),
+                              getattr(node, "name", None)}}
+    assert users == {"_linalg.py"}
+
+
 def test_only_the_solver_takes_an_svd():
     # the defectiveness gate certifies most solves from the inverse it
     # already has; an SVD (np.linalg.cond or svd) runs only in _linalg

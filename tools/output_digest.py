@@ -22,7 +22,7 @@ momentum half cut from the system of ``ground_state_system``: its
 correlation matrix, entanglement report and duality spectra.  The
 ``dynamics/`` outputs are no-jump runs of ``evolve_no_jump``: the half-cut
 entropies, the last record's correlation matrix and the trace residuals,
-with starts and kernels on the real site-frame path and on the complex one.
+with starts and kernels that run in float64 and in complex128.
 A call that raises is digested as its error type and message.
 """
 
@@ -119,8 +119,10 @@ def momentum_kernels(nhent):
 
 
 def dynamics_cases(nhent):
-    """(kernel, start) of no-jump runs; the first two take the real site
-    frame, the other two the complex path."""
+    """(kernel, start) of no-jump runs.  The first two run in float64, in
+    the site frame that makes the generator and the start real; the other
+    two run in complex128 in the identity frame: the on-site chain has no
+    site frame, and the ground-state start is complex in the chain's."""
     chain = nhent.build_measurement_heff(64, 1.0, 0.5, "open")
     uniform = nhent.build_uniform_chain(32, bc="open")
     onsite = nhent.KernelMatrix(
