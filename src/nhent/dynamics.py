@@ -11,11 +11,14 @@ propagated in one site frame g by one dense exponential of its generator
 B = g* (-i K_eff) g, with substeps bounded by the log-norm of B; the frame
 is a diagonal of powers of i where that makes B and the start orbitals
 real-valued, so the run takes float64, and the identity otherwise (see
-``evolve_no_jump``).
+``evolve_no_jump``).  The propagation keeps only each output time's
+partition block; the entanglement reports of all output times are built
+after it in one stacked pass (``entanglement.build_report``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +28,7 @@ from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dorgqr, zgeqrf,
                                  zgeqrf_lwork, zungqr)
 
 from ._linalg import balanced_eig
-from .errors import CollapseError, PartitionError, SizeError
+from .errors import CollapseError, PartitionError, SizeError, UnsupportedError
 from .correlations import CorrelationMatrix, Partition
 from .entanglement import CLAMP_TOL, build_report
 from .models import KernelMatrix
@@ -123,6 +126,17 @@ def _site_gauge(A: np.ndarray):
     return None if (g.conj()[:, None] * A * g).imag.any() else g
 
 
+@functools.cache
+def _qr_workspace(dtype: np.dtype, m: int, n: int) -> tuple:
+    """The workspace sizes that LAPACK's QR factorization and Q builder
+    ask for on an m x n matrix of dtype.  A workspace query reads no
+    entries, so the Q builder's is asked on zeros."""
+    geqrf, geqrf_lwork, orgqr = _QR[dtype]
+    lwork, _ = geqrf_lwork(m, n)
+    _, work, _ = orgqr(np.zeros((m, n), dtype), np.zeros(n, dtype), lwork=-1)
+    return int(lwork.real), int(work[0].real)
+
+
 def _orthonormalize(M: np.ndarray, time: float) -> np.ndarray:
     """Q of the thin QR factorization of the N x M orbital matrix.
 
@@ -130,7 +144,8 @@ def _orthonormalize(M: np.ndarray, time: float) -> np.ndarray:
     are called directly, at less cost than through ``np.linalg.qr``.  Each
     takes the workspace its query returns, as numpy's call does; the
     wrappers' default of 3M would run unblocked code above 128 columns,
-    which rounds otherwise.  The orbitals have collapsed when the smallest
+    which rounds otherwise.  The queries run once per shape and dtype
+    (``_qr_workspace``).  The orbitals have collapsed when the smallest
     |R_ii| is at most ``COLLAPSE_TOL`` of the largest, or when they
     outnumber the modes.
     """
@@ -138,16 +153,14 @@ def _orthonormalize(M: np.ndarray, time: float) -> np.ndarray:
     if n > m:
         raise CollapseError(
             f"{n} orbitals in {m} modes are linearly dependent", time=time)
-    geqrf, geqrf_lwork, orgqr = _QR[M.dtype]
-    lwork, _ = geqrf_lwork(m, n)
-    qr, tau, _, _ = geqrf(M, lwork=int(lwork.real))
+    geqrf, _, orgqr = _QR[M.dtype]
+    qr_lwork, q_lwork = _qr_workspace(M.dtype, m, n)
+    qr, tau, _, _ = geqrf(M, lwork=qr_lwork)
     diag = np.abs(np.diagonal(qr))
     if diag.min() <= COLLAPSE_TOL * max(diag.max(), 1e-300):
         raise CollapseError(
             f"orbital matrix rank-deficient at t={time:g}", time=time)
-    # a workspace query reads no entries, so it may skip the copy of qr
-    _, work, _ = orgqr(qr, tau, lwork=-1, overwrite_a=True)
-    return orgqr(qr, tau, lwork=int(work[0].real), overwrite_a=True)[0]
+    return orgqr(qr, tau, lwork=q_lwork, overwrite_a=True)[0]
 
 
 def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
@@ -164,12 +177,17 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
     float64 exactly when both are real-valued.  A substep is at most
     ln(1e6) / spread, spread being that of the eigenvalues of (B + B^dag)/2,
     the Hermitian part of B: this log-norm bound keeps the orbital condition
-    growth below 1e6.  Each output record carries the partition block of C
-    = g_A C_g g_A*, with the trace residual |tr(M M^dag) - n| in its source
-    (the trace of the full C, over all sites, not of the block), and the
-    entanglement report of C_g, which has the spectrum of C, with
-    correlation eigenvalues within ``clamp_tol`` of 0 or 1 counted as
-    unentangled.
+    growth below 1e6.
+
+    The propagation loop only steps and orthonormalizes; at each output
+    time it keeps the partition block C_g of the orbitals' correlation
+    matrix and the trace residual |tr(M M^dag) - n| (the trace of the full
+    C, over all sites, not of the block).  One report pass after the loop
+    hands all blocks to ``build_report`` as one stack.  Each output record
+    carries the partition block of C = g_A C_g g_A*, with the trace
+    residual in its source, and the entanglement report of C_g, which has
+    the spectrum of C, with correlation eigenvalues within ``clamp_tol`` of
+    0 or 1 counted as unentangled.  An empty ``t_grid`` gives no records.
 
     Returns
     -------
@@ -181,6 +199,9 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
         If ``psi0`` has another number of modes than ``K_eff``.
     PartitionError
         If ``partition`` is of another system size than ``K_eff``.
+    UnsupportedError
+        If ``partition`` is a momentum partition: the orbitals are cut by
+        position rows only.
     ValueError
         If a time is not finite, ``t_grid`` is not strictly increasing, or
         it starts before ``psi0.time``.
@@ -191,6 +212,9 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
     if partition.n_total != n:
         raise PartitionError(
             f"partition of {partition.n_total} modes, K_eff has {n}")
+    if partition.space != "position":
+        raise UnsupportedError(
+            f"no-jump runs cut position partitions, not {partition.space}")
     t_grid = [float(t) for t in t_grid]
     if not all(map(math.isfinite, t_grid)):
         raise ValueError("t_grid must be finite")
@@ -221,7 +245,7 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
                 if spread > UNITARY_SPREAD_TOL else math.inf)
     now = psi0.time
     idx = np.asarray(partition.indices)
-    records = []
+    blocks, trace_residuals = [], []
     prop_cache: dict[float, np.ndarray] = {}
     for t_out in t_grid:
         dt = t_out - now
@@ -239,12 +263,14 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
                 M = _orthonormalize(U @ M, t_out)
         now = t_out
         # tr(M M^dag) = ||M||_F^2
-        trace_residual = abs(np.vdot(M, M).real - M.shape[1])
+        trace_residuals.append(abs(np.vdot(M, M).real - M.shape[1]))
         MA = M[idx]
-        CA = MA @ MA.conj().T
-        report = build_report(CorrelationMatrix(partition, CA),
-                              renyi_orders=renyi_orders, clamp_tol=clamp_tol)
-        C = CorrelationMatrix(partition, g[idx, None] * CA * g[idx].conj(),
-                              source=("no_jump", t_out, trace_residual))
-        records.append((t_out, C, report))
-    return records
+        blocks.append(MA @ MA.conj().T)
+
+    reports = build_report([CorrelationMatrix(partition, CA) for CA in blocks],
+                           renyi_orders=renyi_orders, clamp_tol=clamp_tol)
+    gA = g[idx]
+    return [(t, CorrelationMatrix(partition, gA[:, None] * CA * gA.conj(),
+                                  source=("no_jump", t, residual)), report)
+            for t, CA, residual, report in zip(t_grid, blocks,
+                                               trace_residuals, reports)]

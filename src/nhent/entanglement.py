@@ -13,6 +13,13 @@ are closed under eps -> eps* (or eps -> 1 - eps*) then yield real entropies,
 and any violation is surfaced as a realness residual instead of being hidden.
 Eigenvalues within the clamp tolerance of 0 or 1 contribute exactly zero
 (the x ln x limit) and are excluded from the xi list.
+
+Reports are built for a stack of correlation matrices at once
+(``build_report``; one matrix is a stack of one): one 2-D spectrum per
+matrix, then each elementwise step once over all spectra, and each
+matrix's sums over its own eigenvalues, so a report does not depend on the
+matrices stacked beside it.  The entropy functions of a single spectrum run
+the same kernels on a stack of one row.
 """
 
 from __future__ import annotations
@@ -52,50 +59,52 @@ def _clamped(eps: np.ndarray, tol: float) -> np.ndarray:
     return (np.abs(eps) <= tol) | (np.abs(eps - 1.0) <= tol)
 
 
-def _unclamped(eps) -> np.ndarray:
-    """The eigenvalues not clamped at 0 or 1, as a complex array."""
-    eps = np.asarray(eps, dtype=complex)
-    return eps[~_clamped(eps, CLAMP_TOL)]
+def _rows(eps: np.ndarray, tol: float):
+    """(mask, e, bounds) of a (T, n) stack of spectra: the clamp mask, and
+    the unclamped eigenvalues row after row in one flat array, row t's
+    being e[bounds[t]:bounds[t + 1]]."""
+    mask = _clamped(eps, tol)
+    keep = ~mask
+    return mask, eps[keep], [0, *keep.sum(axis=1).cumsum().tolist()]
 
 
-def _spectrum(C: CorrelationMatrix, clamp_tol: float):
-    """(eps, e, xi, clamped): all eigenvalues of C, the unclamped ones e,
-    their entanglement energies and the indices of the clamped ones."""
-    eps = eigenvalues(C.entries)
-    mask = _clamped(eps, clamp_tol)
-    e = eps[~mask]
-    return eps, e, np.log(1.0 / e - 1.0), np.nonzero(mask)[0]
+def _row(eps):
+    """(e, bounds) of one spectrum, as a stack of one row."""
+    return _rows(np.asarray(eps, dtype=complex).reshape(1, -1), CLAMP_TOL)[1:]
 
 
-# The entropy kernels take the unclamped eigenvalues e only: clamped ones
-# contribute exactly zero (the x ln x limit), so none left gives zero.
+# The entropy kernels take the unclamped eigenvalues e of a stack of spectra
+# (``_rows``) and return one entropy per row.  Each kernel is one elementwise
+# pass over all of e; each row's terms are then summed as a contiguous array
+# of their own, as a spectrum taken alone would be, so a row's entropy does
+# not depend on the rows beside it.  Clamped eigenvalues contribute exactly
+# zero (the x ln x limit), so a row with none left gives zero.
 
-def _vn(e: np.ndarray) -> complex:
-    if not len(e):
-        return 0j
-    return complex(-np.sum(e * np.log(e) + (1.0 - e) * np.log(1.0 - e)))
+def _row_sums(terms: np.ndarray, bounds: list, finish) -> list:
+    """finish(sum of each row's terms), 0j for a row without any."""
+    return [finish(terms[a:b].sum()) if b > a else 0j
+            for a, b in zip(bounds, bounds[1:])]
 
 
-def _renyi(e: np.ndarray, n) -> complex:
+def _vn(e: np.ndarray, bounds: list) -> list:
+    return _row_sums(e * np.log(e) + (1.0 - e) * np.log(1.0 - e), bounds,
+                     lambda s: complex(-s))
+
+
+def _renyi(e: np.ndarray, bounds: list, n) -> list:
     if int(n) != n or n < 2:
         raise ValueError(f"Renyi order must be an integer >= 2, got {n}")
-    if not len(e):
-        return 0j
     factors = e ** n + (1.0 - e) ** n
     if np.any(np.abs(factors) < RENYI_FACTOR_TOL):
         raise BranchError(f"Tr rho_A^{n} factor vanished; logarithm singular")
-    return complex(np.sum(np.log(factors)) / (1.0 - n))
+    return _row_sums(np.log(factors), bounds, lambda s: complex(s / (1.0 - n)))
 
 
-def _modified(e: np.ndarray) -> float:
-    if not len(e):
-        return 0.0
-    s = -np.sum(e * np.log(np.abs(e)) + (1.0 - e) * np.log(np.abs(1.0 - e)))
-    if abs(s.imag) > MODIFIED_IMAG_TOL:
-        raise ConsistencyError(
-            f"modified entropy imaginary residual {s.imag:.3e}; "
-            "eigenvalues are not conjugate-closed")
-    return float(s.real)
+def _modified(e: np.ndarray, bounds: list) -> list:
+    """Complex: an imaginary part means a spectrum not conjugate-closed."""
+    return _row_sums(e * np.log(np.abs(e))
+                     + (1.0 - e) * np.log(np.abs(1.0 - e)), bounds,
+                     lambda s: complex(-s))
 
 
 def entanglement_spectrum(C: CorrelationMatrix):
@@ -113,8 +122,9 @@ def entanglement_spectrum(C: CorrelationMatrix):
     clamped : np.ndarray
         Indices (into eps) of the clamped eigenvalues.
     """
-    eps, _, xi, clamped = _spectrum(C, CLAMP_TOL)
-    return eps, xi, clamped
+    report = build_report(C, renyi_orders=())
+    return (report.correlation_eigenvalues, report.single_particle_spectrum,
+            report.clamped_modes)
 
 
 def vn_entropy(eps) -> complex:
@@ -122,7 +132,7 @@ def vn_entropy(eps) -> complex:
 
     Terms with eps within ``CLAMP_TOL`` of 0 or 1 contribute 0.
     """
-    return _vn(_unclamped(eps))
+    return _vn(*_row(eps))[0]
 
 
 def renyi_entropy(eps, n: int) -> complex:
@@ -130,7 +140,7 @@ def renyi_entropy(eps, n: int) -> complex:
 
     The free-fermion factorization of Tr rho_A^n; n must be an integer >= 2.
     """
-    return _renyi(_unclamped(eps), n)
+    return _renyi(*_row(eps), n)[0]
 
 
 def modified_entropy(eps) -> float:
@@ -141,7 +151,12 @@ def modified_entropy(eps) -> float:
     above ``MODIFIED_IMAG_TOL`` means the input was not conjugate-closed and
     raises ConsistencyError; otherwise the real part is returned.
     """
-    return _modified(_unclamped(eps))
+    s = _modified(*_row(eps))[0]
+    if abs(s.imag) > MODIFIED_IMAG_TOL:
+        raise ConsistencyError(
+            f"modified entropy imaginary residual {s.imag:.3e}; "
+            "eigenvalues are not conjugate-closed")
+    return float(s.real)
 
 
 def entanglement_hamiltonian(C: CorrelationMatrix) -> np.ndarray:
@@ -182,10 +197,19 @@ class EntanglementReport:
         return len(self.midgap_modes)
 
 
-def build_report(C: CorrelationMatrix, renyi_orders=(2,),
-                 clamp_tol: float = CLAMP_TOL,
-                 midgap_tol: float = MIDGAP_TOL) -> EntanglementReport:
-    """Full entanglement report for a correlation matrix.
+def build_report(C, renyi_orders=(2,), clamp_tol: float = CLAMP_TOL,
+                 midgap_tol: float = MIDGAP_TOL):
+    """Full entanglement reports of a stack of correlation matrices.
+
+    ``C`` is one ``CorrelationMatrix``, which gets one report, or a
+    sequence of them with blocks of one size, such as the output times of a
+    no-jump run, which gets a list of reports; one matrix is built as a
+    stack of one.  Each block's spectrum is its own 2-D solve.  Each
+    elementwise step (clamp mask, xi, the entropy terms, mid-gap test) then
+    runs once over the (T, |A|) array of all spectra, and each block's
+    entropies are sums over its own unclamped eigenvalues, in the order its
+    spectrum lists them, so every report equals, bit for bit, the report of
+    its block alone.
 
     Mid-gap modes are those with |Re eps - 1/2| < midgap_tol, the visual
     criterion for topological entanglement crossings.  Spectra that are not
@@ -194,25 +218,29 @@ def build_report(C: CorrelationMatrix, renyi_orders=(2,),
     than failing, and callers needing a strict check use
     ``modified_entropy`` directly.
     """
-    eps, e, xi, clamped = _spectrum(C, clamp_tol)
-    s = _vn(e)
-    renyi = {int(n): _renyi(e, int(n)) for n in renyi_orders}
-    midgap = np.nonzero(np.abs(eps.real - 0.5) < midgap_tol)[0]
-    try:
-        s_mod = _modified(e)
-    except ConsistencyError:
-        s_mod = float("nan")
-    return EntanglementReport(
-        partition=C.partition,
-        correlation_eigenvalues=eps,
-        single_particle_spectrum=xi,
-        entropy_vn=s,
-        entropy_renyi=renyi,
-        entropy_modified=s_mod,
-        midgap_modes=midgap,
-        realness_residual=abs(s.imag),
-        clamped_modes=clamped,
-    )
+    blocks = [C] if isinstance(C, CorrelationMatrix) else list(C)
+    if not blocks:
+        return []
+    eps = np.array([eigenvalues(b.entries) for b in blocks])
+    mask, e, bounds = _rows(eps, clamp_tol)
+    xi = np.log(1.0 / e - 1.0)
+    s = _vn(e, bounds)
+    renyi = {int(n): _renyi(e, bounds, int(n)) for n in renyi_orders}
+    s_mod = [float("nan") if abs(x.imag) > MODIFIED_IMAG_TOL else float(x.real)
+             for x in _modified(e, bounds)]
+    midgap = np.abs(eps.real - 0.5) < midgap_tol
+    reports = [EntanglementReport(
+        partition=b.partition,
+        correlation_eigenvalues=eps[t],
+        single_particle_spectrum=xi[bounds[t]:bounds[t + 1]],
+        entropy_vn=s[t],
+        entropy_renyi={n: r[t] for n, r in renyi.items()},
+        entropy_modified=s_mod[t],
+        midgap_modes=np.flatnonzero(midgap[t]),
+        realness_residual=abs(s[t].imag),
+        clamped_modes=np.flatnonzero(mask[t]),
+    ) for t, b in enumerate(blocks)]
+    return reports[0] if isinstance(C, CorrelationMatrix) else reports
 
 
 def mutual_information(report_A: EntanglementReport,

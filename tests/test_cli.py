@@ -450,6 +450,17 @@ class TestCommands:
         assert len(lines) == 6
         assert float(lines[-1].split(",")[3]) < 1e-9
 
+    def test_dynamics_refuses_a_momentum_partition(self, tmp_path, capsys):
+        # no-jump runs cut position rows; the refusal comes before any
+        # output is written
+        cfg = write_config(tmp_path, {**DYNAMICS, "dynamics": {
+            "t_grid": [0.0, 1.0],
+            "partition": {"type": "half", "space": "momentum"}}})
+        out = tmp_path / "out"
+        assert main(["dynamics", "--config", cfg, "--out", str(out)]) != 0
+        assert "UnsupportedError" in capsys.readouterr().err
+        assert not (out / "dynamics.csv").exists()
+
     def test_dynamics_applies_configured_clamp(self, tmp_path):
         doc = {
             "model": {"family": "measurement_chain",

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 from nhent import (CollapseError, GaussianState, KernelMatrix, Partition,
-                   PartitionError, SizeError, build_measurement_heff,
+                   PartitionError, SizeError, UnsupportedError,
+                   build_measurement_heff, build_report,
                    build_uniform_chain, domain_wall_state, evolve_no_jump,
                    hermitian_ground_state, staggered_state)
 from nhent import dynamics
@@ -267,6 +268,69 @@ class TestEvolveNoJump:
         # the first half of 8 sites would be all 4 sites of the kernel
         with pytest.raises(PartitionError):
             evolve_no_jump(K, staggered_state(4), [0.0], Partition.half(8))
+
+    def test_momentum_partition_refused_before_propagating(self,
+                                                           monkeypatch):
+        # the orbitals are cut by position rows; a momentum partition would
+        # get the position block under its label
+        def step(M, time):
+            raise AssertionError("propagated before refusing the partition")
+
+        monkeypatch.setattr(dynamics, "_orthonormalize", step)
+        K = build_measurement_heff(8, 1.0, 0.5, "open")
+        with pytest.raises(UnsupportedError, match="momentum"):
+            evolve_no_jump(K, staggered_state(8), [0.0, 1.0],
+                           Partition.half(8, "momentum"))
+
+    @pytest.mark.parametrize("psi0", [staggered_state(8), GaussianState(
+        staggered_state(8).orbitals * np.exp(0.3j))], ids=["float64",
+                                                            "complex128"])
+    def test_empty_and_one_point_grids(self, psi0):
+        K = build_measurement_heff(8, 1.0, 0.5, "open")
+        part = Partition.half(8)
+        assert evolve_no_jump(K, psi0, [], part) == []
+        for grid in ([0.0, 1.5], [0.0, 0.75, 1.5]):
+            [one] = evolve_no_jump(K, psi0, grid[-1:], part)
+            last = evolve_no_jump(K, psi0, grid, part)[-1]
+            if len(grid) == 2:
+                # the same single interval, so the same record bit for bit
+                assert one[0] == last[0] == 1.5
+                assert np.array_equal(one[1].entries, last[1].entries)
+                assert one[1].source == last[1].source
+                assert one[2].entropy_vn == last[2].entropy_vn
+                assert one[2].entropy_renyi == last[2].entropy_renyi
+            else:
+                assert abs(one[2].entropy_vn - last[2].entropy_vn) < 1e-12
+        [start] = evolve_no_jump(K, psi0, [0.0], part)
+        assert start[2].entropy_vn == 0j  # a product state
+
+    def test_records_equal_reports_of_each_block_alone(self, monkeypatch):
+        # one report pass over all output times gives each record the report
+        # of its own block
+        stacks = []
+
+        def spy(C, **kwargs):
+            stacks.append(C)
+            return build_report(C, **kwargs)
+
+        monkeypatch.setattr(dynamics, "build_report", spy)
+        K = build_measurement_heff(16, 1.0, 0.5, "open")
+        part = Partition.contiguous(2, 9, 16)
+        records = evolve_no_jump(K, staggered_state(16),
+                                 np.linspace(0.0, 6.0, 13), part,
+                                 renyi_orders=(2, 3))
+        [stack] = stacks
+        assert len(stack) == len(records) == 13
+        assert {C.entries.dtype for C in stack} == {np.dtype(float)}
+        for (_, _, rep), C in zip(records, stack):
+            alone = build_report(C, renyi_orders=(2, 3))
+            for field in ("correlation_eigenvalues", "clamped_modes",
+                          "single_particle_spectrum", "midgap_modes"):
+                assert np.array_equal(getattr(rep, field),
+                                      getattr(alone, field))
+            assert rep.entropy_vn == alone.entropy_vn
+            assert rep.entropy_renyi == alone.entropy_renyi
+            assert rep.entropy_modified == alone.entropy_modified
 
     def test_time_grid_starts_at_state_time(self):
         K = build_measurement_heff(8, 1.0, 0.5, "open")

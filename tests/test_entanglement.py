@@ -244,6 +244,83 @@ class TestReportFields:
             build_report(C, renyi_orders=(2,))
 
 
+def _rotated(eigenvalues, seed):
+    """Q diag(eigenvalues) Q^T for a seeded real orthogonal Q (float64)."""
+    n = len(eigenvalues)
+    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+    return (Q * eigenvalues) @ Q.T
+
+
+def _stack_of(matrices):
+    part = Partition("position", tuple(range(len(matrices[0]))),
+                     len(matrices[0]) + 1)
+    return [CorrelationMatrix(part, A) for A in matrices]
+
+
+STACKS = {
+    # exact 0 and 1 eigenvalues, each kept out of every sum by the clamp
+    "hermitian_clamped": lambda: _stack_of([
+        _rotated([0.0, 0.02, 0.3, 0.5, 0.51, 0.8, 1.0], 4),
+        np.diag([0.0, 1.0, 0.25, 0.75, 0.0, 0.5, 1.0]),
+        _rotated([0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.9], 5),
+        np.diag([0.0, 1.0, 1e-13, 1.0 - 1e-13, 0.0, 1.0, 0.0])]),
+    "complex": lambda: _stack_of([
+        _similar([0.3 + 0.2j, 0.6, 0.48 - 0.1j, 0.05 + 0.3j, 0.7, 0.1,
+                  0.2j], seed) for seed in (6, 7, 8)]),
+    # only the second block is not conjugate-closed
+    "one_unpaired": lambda: _stack_of([
+        REPORT_BLOCKS["conjugate_closed"](),
+        REPORT_BLOCKS["not_conjugate_closed"](),
+        REPORT_BLOCKS["hermitian"]().astype(complex)]),
+}
+
+
+def _same_report(a, b) -> bool:
+    return (a.partition == b.partition
+            and a.entropy_renyi.keys() == b.entropy_renyi.keys()
+            and all(type(getattr(a, f)) is type(getattr(b, f))
+                    and _same_bits(getattr(a, f), getattr(b, f))
+                    for f in ("correlation_eigenvalues",
+                              "single_particle_spectrum", "entropy_vn",
+                              "entropy_modified", "midgap_modes",
+                              "realness_residual", "clamped_modes"))
+            and all(type(a.entropy_renyi[n]) is type(b.entropy_renyi[n])
+                    and _same_bits(a.entropy_renyi[n], b.entropy_renyi[n])
+                    for n in a.entropy_renyi))
+
+
+class TestStackedReports:
+    """One report pass over a stack equals a report of each block alone."""
+
+    @pytest.mark.parametrize("renyi_orders", [(2,), (2, 3)])
+    @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_each_report_equals_its_block_alone(self, name, renyi_orders):
+        stack = STACKS[name]()
+        reports = build_report(stack, renyi_orders=renyi_orders)
+        assert isinstance(reports, list) and len(reports) == len(stack)
+        for C, report in zip(stack, reports):
+            assert _same_report(report, build_report(
+                C, renyi_orders=renyi_orders))
+            assert sorted(report.entropy_renyi) == list(renyi_orders)
+
+    def test_clamped_at_zero_and_one(self):
+        reports = build_report(STACKS["hermitian_clamped"]())
+        eps = reports[1].correlation_eigenvalues
+        assert sorted(eps[reports[1].clamped_modes].real) == [0, 0, 1, 1]
+        assert len(reports[3].clamped_modes) == 7
+        assert reports[3].entropy_vn == 0j
+        assert len(reports[3].single_particle_spectrum) == 0
+        assert reports[2].clamped_modes.size == 0
+
+    def test_modified_entropy_nan_on_the_unpaired_block_only(self):
+        s_mod = [r.entropy_modified
+                 for r in build_report(STACKS["one_unpaired"]())]
+        assert [math.isnan(s) for s in s_mod] == [False, True, False]
+
+    def test_empty_stack_gives_no_reports(self):
+        assert build_report([]) == []
+
+
 class TestMutualInformation:
     def two_chain_system(self):
         # two decoupled 6-site rings in one kernel

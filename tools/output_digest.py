@@ -20,9 +20,12 @@ entropy series of the rings.  The ``route/`` outputs take their system from
 and add the type of system it returned.  The ``momentum/`` outputs cut the
 momentum half cut from the system of ``ground_state_system``: its
 correlation matrix, entanglement report and duality spectra.  The
-``dynamics/`` outputs are no-jump runs of ``evolve_no_jump``: the half-cut
-entropies, the last record's correlation matrix and the trace residuals,
-with starts and kernels that run in float64 and in complex128.
+``dynamics/`` outputs are no-jump runs of ``evolve_no_jump``, with starts
+and kernels that run in float64 and in complex128: the last record's
+correlation matrix, the trace residuals, and every field of every
+record's half-cut entanglement report (spectrum, entropies with Renyi
+orders 2 and 3, modified entropy, entanglement energies, clamped and
+mid-gap indices, realness residual).
 A call that raises is digested as its error type and message.
 """
 
@@ -137,9 +140,13 @@ def dynamics_cases(nhent):
 
 
 def digest(value) -> str:
-    a = np.ascontiguousarray(np.asarray(value))
-    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
-    h.update(a.tobytes())
+    """SHA-256 of the dtype, shape and bytes of an array; a tuple is
+    digested part after part, for arrays of unequal shapes."""
+    h = hashlib.sha256()
+    for part in value if isinstance(value, tuple) else (value,):
+        a = np.ascontiguousarray(np.asarray(part))
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
     return h.hexdigest()
 
 
@@ -191,10 +198,22 @@ def outputs(nhent):
 
     def dynamics(km, psi0):
         records = nhent.evolve_no_jump(km, psi0, np.linspace(0.0, 20.0, 21),
-                                       nhent.Partition.half(km.dim))
-        return {"entropies": [rep.entropy_vn for _, _, rep in records],
+                                       nhent.Partition.half(km.dim),
+                                       renyi_orders=(2, 3))
+        reps = [rep for _, _, rep in records]
+        return {"entropies": [rep.entropy_vn for rep in reps],
                 "last-correlation": records[-1][1].entries,
-                "trace-residuals": [C.source[2] for _, C, _ in records]}
+                "trace-residuals": [C.source[2] for _, C, _ in records],
+                "spectra": [rep.correlation_eigenvalues for rep in reps],
+                **{f"renyi-{n}": [rep.entropy_renyi[n] for rep in reps]
+                   for n in (2, 3)},
+                "modified": [rep.entropy_modified for rep in reps],
+                "realness-residuals": [rep.realness_residual for rep in reps],
+                **{name: tuple(getattr(rep, field) for rep in reps)
+                   for name, field in (
+                       ("xi", "single_particle_spectrum"),
+                       ("clamped", "clamped_modes"),
+                       ("midgap", "midgap_modes"))}}
 
     for name, (km, psi0) in dynamics_cases(nhent).items():
         yield f"dynamics/{name}", lambda km=km, psi0=psi0: dynamics(km, psi0)
