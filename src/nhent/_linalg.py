@@ -48,16 +48,14 @@ def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL):
 
     An infinite entry would make the bound infinite and pass any A.  On an
     (m, n, n) stack, a boolean array: the test of each matrix, against the
-    matching entry of ``tol`` when that is an array.
+    matching entry of ``tol`` when that is an array; on one matrix, a bool.
     """
-    if A.ndim == 2:
-        scale = max(1.0, float(np.abs(A).max()))
-        return (math.isfinite(scale)
-                and bool(np.abs(A - A.conj().T).max() <= tol * scale))
-    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    S = A if A.ndim == 3 else A[None]
+    scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
     with np.errstate(invalid="ignore"):  # inf - inf on a non-finite matrix
-        gap = np.abs(A - A.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    return np.isfinite(scale) & (gap <= tol * scale)
+        gap = np.abs(S - S.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    herm = np.isfinite(scale) & (gap <= tol * scale)
+    return herm if A.ndim == 3 else bool(herm[0])
 
 
 def _real_if_real_valued(A: np.ndarray) -> np.ndarray:

@@ -37,7 +37,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config, parse_partition
+from .config import (RunConfig, load_config, parse_partition,
+                     parse_partitions)
 from .correlations import check_duality
 from .dynamics import (domain_wall_state, evolve_no_jump,
                        hermitian_ground_state, staggered_state)
@@ -105,6 +106,7 @@ def _report_json(report, label) -> dict:
 def _entanglement_point(payload):
     """One sweep point: build, diagonalize once, report every partition.
 
+    The partitions are resolved on this point's own mode count.
     Module-level so process pools can pickle it.  Returns (rows, reports,
     status, warnings); rows are already formatted strings.
     """
@@ -114,13 +116,14 @@ def _entanglement_point(payload):
         params[config.sweep["parameter"]] = value
     spec = type(config.model)(config.model.family, params, config.model.bc)
     K = spec.build()
+    partitions = parse_partitions(config.raw["partitions"], K.dim)
     tol = config.tolerances
 
     rows, reports, warn_msgs = [], [], []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sys_k, sel_k = ground_state_system(K, config.filling, config.policy)
-        for part in config.partitions:
+        for part in partitions:
             report = report_for_partition(sys_k, sel_k, part,
                                           renyi_orders=config.renyi,
                                           clamp_tol=tol.clamp,

@@ -161,6 +161,14 @@ def parse_partition(d: dict, n_total: int, path: str):
         raise ConfigError(str(exc), path)
 
 
+def parse_partitions(specs, n_total: int) -> list:
+    """The ``config.partitions`` specs on ``n_total`` modes, in order, with
+    each size_scan expanded in place."""
+    got = [parse_partition(p, n_total, f"config.partitions[{i}]")
+           for i, p in enumerate(_expect(specs, list, "config.partitions"))]
+    return [part for g in got for part in (g if isinstance(g, list) else [g])]
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration shared by the CLI subcommands."""
@@ -251,6 +259,12 @@ def parse_config(doc: dict) -> RunConfig:
                               "config.fit.geometry")
         fit = dict(doc["fit"])
         fit["length"] = _parse_int(fit["length"], "config.fit.length")
+        if "window" in fit:
+            w = fit["window"]
+            if not isinstance(w, list) or len(w) != 2:
+                raise ConfigError(f"expected two integers, got {w!r}",
+                                  "config.fit.window")
+            fit["window"] = [_parse_int(x, "config.fit.window") for x in w]
 
     dynamics = None
     if "dynamics" in doc:
@@ -296,10 +310,7 @@ def parse_config(doc: dict) -> RunConfig:
     if "partitions" in doc:
         if model is None:
             raise ConfigError("partitions require a model", "config.partitions")
-        for i, p in enumerate(_expect(doc["partitions"], list,
-                                      "config.partitions")):
-            got = parse_partition(p, dim, f"config.partitions[{i}]")
-            partitions.extend(got if isinstance(got, list) else [got])
+        partitions = parse_partitions(doc["partitions"], dim)
 
     return RunConfig(model=model, filling=filling, policy=policy,
                      partitions=partitions, renyi=renyi, sweep=sweep,

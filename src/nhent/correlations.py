@@ -151,6 +151,9 @@ def correlation_matrices(sys: BiorthogonalSystem, sel: GroundStateSelection,
              @ sys.l_k.conj().transpose(0, 2, 1))
         c = np.fft.ifft(P, axis=0)
     for part in parts:
+        if part.n_total != sys.dim:
+            raise PartitionError(f"partition of {part.n_total} modes, the "
+                                 f"system has {sys.dim}")
         idx = np.asarray(part.indices)
         if bloch and part.space == "momentum":
             m, s = np.divmod(idx, P.shape[1])
@@ -178,7 +181,8 @@ def correlation_matrix(sys: BiorthogonalSystem, sel: GroundStateSelection,
     vectors (for a momentum partition, their FFT over the cells), taken in
     float64 when both factors are real-valued.  ``correlation_matrices``
     gives several partitions of one state for one FFT.  A momentum
-    partition of a system without ``cells`` raises ``UnsupportedError``.
+    partition of a system without ``cells`` raises ``UnsupportedError``, and
+    a partition of other than ``sys.dim`` modes ``PartitionError``.
     """
     return next(correlation_matrices(sys, sel, [part]))
 

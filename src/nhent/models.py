@@ -16,14 +16,19 @@ onsite blocks and the nearest-cell hopping blocks K(d=+1), K(d=-1).  Open
 chains carry the N - 1 bulk bonds; periodic chains add the wrap bond from
 cell N - 1 to cell 0, which for N = 2 lands on the bulk bond's entries and
 adds to them (for N = 1, on the onsite block).
+
+A model family is its builder: ``FAMILIES`` maps each family name to its
+parameter names, read from the builder's signature, and its builder.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -226,11 +231,14 @@ def build_quasicrystal(L: int, J_L: float, J_R: float, V: float, alpha,
     V_n = V exp(-2 pi i alpha n) for variant 'exp_phase' and
     V_n = V / (1 - a exp(i 2 pi alpha n)) for variant 'mobility_edge'.
 
-    alpha is a rational approximant p/q; under periodic bc q must equal L
-    so the potential is exactly commensurate with the ring.
+    alpha is a rational approximant p/q, given as anything ``Fraction``
+    takes (a "p/q" string, for one) or as a [p, q] pair; under periodic bc
+    q must equal L so the potential is exactly commensurate with the ring.
     """
     if L < 2:
         raise SizeError(f"quasicrystal chain needs L >= 2, got {L}")
+    if isinstance(alpha, (list, tuple)) and len(alpha) == 2:
+        alpha = Fraction(int(alpha[0]), int(alpha[1]))
     alpha = Fraction(alpha)
     if bc == "periodic" and alpha.denominator != L:
         raise SizeError(
@@ -448,9 +456,11 @@ def bloch_reduce(km: KernelMatrix, k) -> np.ndarray:
 class ModelSpec:
     """Family tag plus parameter map, deserializable from run configs.
 
-    Size parameters (``L``, ``N_cells``, ``n``, ``Lx``, ``Ly``) must be
-    integers or integral floats: a fractional size raises ``ValueError``
-    instead of being truncated.
+    ``params`` names exactly ``FAMILIES[family][0]``; ``build`` passes them
+    to the builder by keyword, and ``bc`` when the builder takes one (the
+    others build open kernels only).  Size parameters (``L``, ``N_cells``,
+    ``n``, ``Lx``, ``Ly``) must be integers or integral floats: a fractional
+    size raises ``ValueError`` instead of being truncated.
     """
 
     family: str
@@ -461,7 +471,7 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise ValueError(
                 f"unknown model family {self.family!r}; known: {sorted(FAMILIES)}")
-        required, _ = FAMILIES[self.family]
+        required, builder = FAMILIES[self.family]
         missing = [p for p in required if p not in self.params]
         if missing:
             raise ValueError(
@@ -477,72 +487,47 @@ class ModelSpec:
                     or isinstance(value, float) and value.is_integer()):
                 raise ValueError(f"family {self.family!r} parameter {name!r} "
                                  f"must be an integer, got {value!r}")
-        # the ribbon's open axis has no periodic form
-        bcs = ("open",) if self.family == "chern_ribbon" else ("open", "periodic")
+        bcs = ("open", "periodic") if _takes_bc(builder) else ("open",)
         if self.bc not in bcs:
             raise UnsupportedError(f"family {self.family!r} takes only bc "
                                    f"{' or '.join(map(repr, bcs))}, got {self.bc!r}")
 
     def build(self) -> KernelMatrix:
-        return FAMILIES[self.family][1](self)
+        builder = FAMILIES[self.family][1]
+        params = {name: int(value) if name in _SIZE_PARAMS else value
+                  for name, value in self.params.items()}
+        if _takes_bc(builder):
+            params["bc"] = self.bc
+        return builder(**params)
 
 
-# lattice sizes; the adapters below pass them through int()
+# lattice sizes; ModelSpec.build passes them through int()
 _SIZE_PARAMS = frozenset({"L", "N_cells", "n", "Lx", "Ly"})
 
 
-def _spec_alpha(value) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return Fraction(int(value[0]), int(value[1]))
-    return Fraction(value)
+def _takes_bc(builder) -> bool:
+    return "bc" in inspect.signature(builder).parameters
 
 
-# family name -> (required parameter names, builder adapter)
-FAMILIES = {
-    "hatano_nelson": (
-        ("L", "t", "alpha"),
-        lambda s: build_hatano_nelson(int(s.params["L"]), s.params["t"],
-                                      s.params["alpha"], s.bc)),
-    "uniform_chain": (
-        ("L", "t"),
-        lambda s: build_uniform_chain(int(s.params["L"]), s.params["t"], s.bc)),
-    "nh_ssh": (
-        ("N_cells", "omega", "upsilon", "u"),
-        lambda s: build_nh_ssh_real(int(s.params["N_cells"]), s.params["omega"],
-                                    s.params["upsilon"], s.params["u"], s.bc)),
-    "quasicrystal_exp": (
-        ("L", "J_L", "J_R", "V", "alpha"),
-        lambda s: build_quasicrystal(int(s.params["L"]), s.params["J_L"],
-                                     s.params["J_R"], s.params["V"],
-                                     _spec_alpha(s.params["alpha"]),
-                                     "exp_phase", 0.0, s.bc)),
-    "quasicrystal_mobility": (
-        ("L", "J_L", "J_R", "V", "alpha", "a"),
-        lambda s: build_quasicrystal(int(s.params["L"]), s.params["J_L"],
-                                     s.params["J_R"], s.params["V"],
-                                     _spec_alpha(s.params["alpha"]),
-                                     "mobility_edge", s.params["a"], s.bc)),
-    "guo_chain": (
-        ("L", "n", "t", "gamma"),
-        lambda s: build_guo_chain(int(s.params["L"]), int(s.params["n"]),
-                                  s.params["t"], s.params["gamma"], s.bc)),
-    "guo_2d": (
-        ("Lx", "Ly", "gamma"),
-        lambda s: build_guo_2d(int(s.params["Lx"]), int(s.params["Ly"]),
-                               s.params["gamma"], s.bc)),
-    "chern_ribbon": (
-        ("L", "k_perp", "t", "m", "gamma", "cut_axis"),
-        lambda s: build_chern_ribbon(int(s.params["L"]), s.params["k_perp"],
-                                     s.params["t"], s.params["m"],
-                                     s.params["gamma"], s.params["cut_axis"])),
-    "eb_ssh": (
-        ("L", "nu", "w", "gamma0"),
-        lambda s: build_eb_ssh(int(s.params["L"]), s.params["nu"],
-                               s.params["w"], s.params["gamma0"], s.bc)),
-    "measurement_chain": (
-        ("L", "t", "Gamma"),
-        lambda s: build_measurement_heff(int(s.params["L"]), s.params["t"],
-                                         s.params["Gamma"], s.bc)),
-}
+def _family(builder) -> tuple:
+    """(parameter names, builder): the names are the builder's parameters
+    other than ``bc`` and the keywords that a ``partial`` binds."""
+    bound = getattr(builder, "keywords", {})
+    return tuple(p for p in inspect.signature(builder).parameters
+                 if p != "bc" and p not in bound), builder
+
+
+# family name -> (parameter names, builder)
+FAMILIES = {name: _family(builder) for name, builder in {
+    "hatano_nelson": build_hatano_nelson,
+    "uniform_chain": build_uniform_chain,
+    "nh_ssh": build_nh_ssh_real,
+    "quasicrystal_exp": partial(build_quasicrystal, variant="exp_phase", a=0.0),
+    "quasicrystal_mobility": partial(build_quasicrystal,
+                                     variant="mobility_edge"),
+    "guo_chain": build_guo_chain,
+    "guo_2d": build_guo_2d,
+    "chern_ribbon": build_chern_ribbon,
+    "eb_ssh": build_eb_ssh,
+    "measurement_chain": build_measurement_heff,
+}.items()}

@@ -203,6 +203,32 @@ class TestCommands:
         assert (out1 / "entanglement.csv").read_bytes() == \
             (out2 / "entanglement.csv").read_bytes()
 
+    def test_size_sweep_cuts_each_point_on_its_own_modes(self, tmp_path):
+        doc = {"model": {"family": "uniform_chain",
+                         "params": {"L": 8, "t": 1.0}},
+               "partitions": [{"type": "half"}],
+               "sweep": {"parameter": "L", "values": [8, 12]}}
+        out = tmp_path / "out"
+        assert main(["entanglement", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        rows = (out / "entanglement.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [
+            ["8", "position[0:4]", "4"], ["12", "position[0:6]", "6"]]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_partition_out_of_range_at_a_sweep_point_exit_1(
+            self, tmp_path, capsys, workers):
+        # sites 6..10 exist on the 12-site base chain, not at L = 8
+        doc = {"model": {"family": "uniform_chain",
+                         "params": {"L": 12, "t": 1.0}},
+               "partitions": [{"type": "half"},
+                              {"type": "range", "start": 6, "stop": 11}],
+               "sweep": {"parameter": "L", "values": [12, 8]}}
+        assert main(["entanglement", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path), "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config.partitions[1]: ")
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {**BASE, "unknown_key": 1})
         assert main(["entanglement", "--config", cfg,
@@ -373,6 +399,9 @@ class TestCommands:
             "t_grid": [0.0, 1.0],
             "partition": {"type": "range", "start": 3, "stop": 3}}},
          "config.dynamics.partition"),
+        *[("fit", {"fit": {"geometry": "chord", "length": 64,
+                           "window": window}}, "config.fit.window")
+          for window in ("abc", [4], [4, "x"])],
     ], ids=["oracle_n_modes", "fit_length", "oracle_subsystem_range", "renyi",
             "renyi_not_list", "tolerances_not_object", "params_not_object",
             "family_not_string", "partitions_not_list", "chern_ribbon_periodic",
@@ -387,7 +416,8 @@ class TestCommands:
             "tolerance_defective",
             "partition_range_reversed", "partition_indices_out_of_range",
             "partition_unknown_space", "partition_size_scan_empty",
-            "dynamics_partition_empty"])
+            "dynamics_partition_empty", "fit_window_not_list",
+            "fit_window_one_entry", "fit_window_not_integer"])
     def test_malformed_config_values_exit_1(self, tmp_path, capsys, command,
                                             doc, path):
         cfg = write_config(tmp_path, doc)

@@ -13,7 +13,8 @@ from nhent import (BlochSystem, DegeneracyWarning, KernelMatrix, Partition,
                    build_report, build_uniform_chain, check_duality,
                    correlation_matrices, correlation_matrix,
                    entropy_series, ground_state_system, momentum_transform,
-                   projector, select_occupied, vn_entropy)
+                   projector, report_for_partition, select_occupied,
+                   vn_entropy)
 from nhent._linalg import match_spectra
 from nhent.correlations import sorted_by_re_im
 
@@ -126,6 +127,22 @@ class TestCorrelationMatrix:
         ev_a = np.sort(np.linalg.eigvalsh(ca))
         ev_b = np.sort(np.linalg.eigvalsh(cb))
         assert np.abs(ev_a - np.sort(1 - ev_b)).max() < 1e-10
+
+    @pytest.mark.parametrize("solve", [biorthogonal_eig, bloch_system],
+                             ids=["dense", "bloch"])
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_partition_of_another_size_is_refused(self, solve, space):
+        # the half cut of 4 modes would be read as the first two of 8
+        sys = solve(build_uniform_chain(8))
+        sel = select_occupied(sys, Fraction(1, 2))
+        part = Partition.half(4, space)
+        for call in (lambda: correlation_matrix(sys, sel, part),
+                     lambda: list(correlation_matrices(
+                         sys, sel, [Partition.half(8), part])),
+                     lambda: report_for_partition(sys, sel, part),
+                     lambda: check_duality(sys, sel, part)):
+            with pytest.raises(PartitionError, match="4 modes.* has 8"):
+                call()
 
 
 def sublattice_major(km):

@@ -25,7 +25,9 @@ and kernels that run in float64 and in complex128: the last record's
 correlation matrix, the trace residuals, and every field of every
 record's half-cut entanglement report (spectrum, entropies with Renyi
 orders 2 and 3, modified entropy, entanglement energies, clamped and
-mid-gap indices, realness residual).
+mid-gap indices, realness residual).  The ``models/<family>-<bc>`` outputs
+are the entries and site labels of ``ModelSpec(family, params, bc).build()``
+for every family and every boundary condition it supports.
 A call that raises is digested as its error type and message.
 """
 
@@ -139,6 +141,26 @@ def dynamics_cases(nhent):
     }
 
 
+def model_params():
+    """ModelSpec parameters of every family; the quasicrystals take their
+    approximant as a "p/q" string and as a [p, q] pair."""
+    return {
+        "hatano_nelson": {"L": 6, "t": 1.0, "alpha": 0.3},
+        "uniform_chain": {"L": 6, "t": 0.8},
+        "nh_ssh": {"N_cells": 4, "omega": 1.0, "upsilon": 0.4, "u": 0.3},
+        "quasicrystal_exp": {"L": 13, "J_L": 0.3, "J_R": 1.1, "V": 0.5,
+                             "alpha": "8/13"},
+        "quasicrystal_mobility": {"L": 13, "J_L": 1.0, "J_R": 0.6, "V": 0.5,
+                                  "alpha": [8, 13], "a": 0.4},
+        "guo_chain": {"L": 12, "n": 3, "t": 1.0, "gamma": 0.4},
+        "guo_2d": {"Lx": 4, "Ly": 6, "gamma": 0.4},
+        "chern_ribbon": {"L": 5, "k_perp": 0.7, "t": 1.0, "m": -1.0,
+                         "gamma": 0.5, "cut_axis": "y"},
+        "eb_ssh": {"L": 6, "nu": 1.0, "w": 0.5, "gamma0": 0.7},
+        "measurement_chain": {"L": 6, "t": 1.0, "Gamma": 0.5},
+    }
+
+
 def digest(value) -> str:
     """SHA-256 of the dtype, shape and bytes of an array; a tuple is
     digested part after part, for arrays of unequal shapes."""
@@ -215,6 +237,17 @@ def outputs(nhent):
                        ("clamped", "clamped_modes"),
                        ("midgap", "midgap_modes"))}}
 
+    def model(spec):
+        km = spec.build()
+        return {"entries": km.entries, "site-labels": np.array(km.site_labels)}
+
+    for family, params in model_params().items():
+        for bc in ("open", "periodic"):
+            try:
+                spec = nhent.ModelSpec(family, params, bc)
+            except nhent.UnsupportedError:  # a bc the family has no form for
+                continue
+            yield f"models/{family}-{bc}", lambda spec=spec: model(spec)
     for name, (km, psi0) in dynamics_cases(nhent).items():
         yield f"dynamics/{name}", lambda km=km, psi0=psi0: dynamics(km, psi0)
     for name, km in momentum_kernels(nhent).items():
