@@ -11,7 +11,8 @@ oracle        brute-force many-body cross-check suite
 
 Common flags: --config PATH (JSON), --out DIR, --workers N,
 --tolerance NAME=VALUE (repeatable).  Exit status: 0 success,
-1 configuration/validation error, 2 numerical failure.
+1 configuration/validation error (a lattice size that the model family
+cannot take among them), 2 numerical failure (a MemoryError among them).
 
 An entanglement sweep point solves its kernel once: position and momentum
 partitions are cut from that one ground state.
@@ -362,8 +363,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-    except (ToolkitError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=_sys.stderr)
+    except (ToolkitError, np.linalg.LinAlgError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; print the public name
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"numerical failure: {kind}: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

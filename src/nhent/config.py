@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .correlations import Partition
 from .entanglement import CLAMP_TOL, MIDGAP_TOL
-from .errors import ConfigError, PartitionError, ToolkitError, UnsupportedError
+from .errors import (ConfigError, PartitionError, SizeError, ToolkitError,
+                     UnsupportedError)
 from .models import FAMILIES, ModelSpec
 from .oracle import MAX_MODES, ORACLE_ENTROPY_TOL, oracle_equivalence_suite
 from .pipeline import dual_momentum_partition
@@ -107,18 +108,28 @@ def _parse_model(d: dict, path: str) -> tuple[ModelSpec, int]:
         raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}",
                           f"{path}.family")
     params = dict(_expect(d["params"], dict, f"{path}.params"))
-    # the kernel is built here, so that a parameter it cannot be built from
-    # (a plain ValueError or TypeError) is a configuration error; a
-    # numerical ToolkitError of the build passes through
+    return _built_spec(family, params, d.get("bc", "periodic"),
+                       f"{path}.params", f"{path}.bc")
+
+
+def _built_spec(family: str, params: dict, bc, path: str,
+                bc_path: str) -> tuple[ModelSpec, int]:
+    """The spec and the mode count of its kernel, which is built here: a
+    parameter or a size it cannot be built from (a ``SizeError``, or a
+    plain ValueError or TypeError) is a configuration error at ``path``,
+    a refused bc one at ``bc_path``; any other numerical ToolkitError of
+    the build passes through."""
     try:
-        spec = ModelSpec(family, params, d.get("bc", "periodic"))
+        spec = ModelSpec(family, params, bc)
         return spec, spec.build().dim
     except UnsupportedError as exc:
-        raise ConfigError(str(exc), f"{path}.bc")
+        raise ConfigError(str(exc), bc_path)
+    except SizeError as exc:
+        raise ConfigError(str(exc), path)
     except ToolkitError:
         raise
     except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc), f"{path}.params")
+        raise ConfigError(str(exc), path)
 
 
 _PARTITION_TYPES = ("half", "central_half", "range", "indices", "dual_half",
@@ -236,13 +247,12 @@ def parse_config(doc: dict) -> RunConfig:
                 raise ConfigError(
                     f"sweep parameter {param!r} not a parameter of family "
                     f"{model.family!r}", "config.sweep.parameter")
-            # each point must pass the spec's own checks, e.g. integral sizes
+            # each point's kernel must build, e.g. from a size its family
+            # takes; a periodic chain is built from its cell blocks
             for v in dedup:
-                try:
-                    ModelSpec(model.family, {**model.params, param: v},
-                              model.bc)
-                except ValueError as exc:
-                    raise ConfigError(str(exc), "config.sweep.values")
+                _built_spec(model.family, {**model.params, param: v},
+                            model.bc, "config.sweep.values",
+                            "config.sweep.values")
         sweep = {"parameter": param, "values": dedup}
 
     tolerances = Tolerances()

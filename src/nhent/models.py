@@ -1,8 +1,11 @@
 """Kernel-matrix builders for the lattice model zoo.
 
 Every model is a quadratic (particle-number conserving) fermion Hamiltonian
-H = sum_ij K[i, j] c^dag_i c_j, represented by its dense complex kernel K
-plus site metadata.  Momentum-space forms use the Fourier convention
+H = sum_ij K[i, j] c^dag_i c_j, given as a ``KernelMatrix``: the complex
+kernel K plus site metadata.  A kernel is held as its dense entries, or, for
+a periodic chain whose cells all carry one onsite block, as its three cell
+blocks, from which the dense entries are assembled only when read.
+Momentum-space forms use the Fourier convention
 
     c^dag_{x,s} = (1/sqrt(N)) sum_k exp(-i k x) c^dag_{k,s},
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -62,9 +65,17 @@ SINGULAR_DENOMINATOR_TOL = 1e-12
 PROJECTOR_NORM_TOL = 1e-10
 
 
-@dataclass
 class KernelMatrix:
-    """Dense single-particle kernel with site metadata.
+    """Single-particle kernel with site metadata.
+
+    A kernel is given by its dense ``entries``, or, for a periodic chain
+    whose cells all carry the same onsite block (built by ``_cell_chain``),
+    by its ``cell_blocks``.  Such a block kernel assembles ``entries`` on
+    first read, by the chain's wrap rule, and keeps that array read-only;
+    its translation test and its Bloch matrices read the blocks alone, so
+    a ring forms no dim x dim array unless a dense consumer asks for one.
+    The blocks serve those two only while the site labels are the ones it
+    was built with: relabelled modes send both to the dense entries.
 
     Attributes
     ----------
@@ -77,23 +88,55 @@ class KernelMatrix:
     site_labels : list[tuple[int, int]]
         (cell index, sublattice index) per mode.  After a Fourier transform
         the cell index becomes a momentum-grid index.
+    cell_blocks : tuple or None
+        (onsite, hop_plus, hop_minus), read-only (ns, ns) blocks of a block
+        kernel: K(d=0), K(d=+1) and K(d=-1); None for a dense one.
     """
 
-    dim: int
-    entries: np.ndarray
-    bc: str
-    site_labels: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.shape != (self.dim, self.dim):
-            raise SizeError(f"entries shape {self.entries.shape} != ({self.dim}, {self.dim})")
-        if not np.all(np.isfinite(self.entries)):
+    def __init__(self, dim: int, entries, bc: str, site_labels=None):
+        self.dim, self.bc, self.cell_blocks = dim, bc, None
+        self._entries = np.asarray(entries, dtype=complex)
+        if self._entries.shape != (dim, dim):
+            raise SizeError(f"entries shape {self._entries.shape} != ({dim}, {dim})")
+        if not np.all(np.isfinite(self._entries)):
             raise ValueError("kernel entries must be finite")
-        if self.bc not in ("open", "periodic"):
-            raise ValueError(f"unknown boundary condition {self.bc!r}")
-        if not self.site_labels:
-            self.site_labels = [(i, 0) for i in range(self.dim)]
+        if bc not in ("open", "periodic"):
+            raise ValueError(f"unknown boundary condition {bc!r}")
+        self.site_labels = site_labels or [(i, 0) for i in range(dim)]
+
+    @classmethod
+    def _ring(cls, onsite, hop_plus, hop_minus, site_labels) -> KernelMatrix:
+        """The periodic chain whose cells all carry the onsite block
+        ``onsite``, on the cell-major ``site_labels``, kept as its blocks."""
+        km = cls.__new__(cls)
+        km.dim, km.bc, km._entries = len(site_labels), "periodic", None
+        ns = len(onsite)
+        km.cell_blocks = tuple(np.array(np.broadcast_to(b, (ns, ns)),
+                                        dtype=complex)
+                               for b in (onsite, hop_plus, hop_minus))
+        for b in km.cell_blocks:
+            b.flags.writeable = False
+        # every entry of the ring is an entry of its column blocks
+        if not np.all(np.isfinite(km._column_blocks()[1])):
+            raise ValueError("kernel entries must be finite")
+        km.site_labels = site_labels
+        return km
+
+    def __repr__(self) -> str:
+        held = (f"entries={self._entries!r}" if self.cell_blocks is None
+                else f"cell_blocks={self.cell_blocks!r}")
+        return f"KernelMatrix(dim={self.dim}, {held}, bc={self.bc!r})"
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            onsite, hop_plus, hop_minus = self.cell_blocks
+            stack = np.broadcast_to(onsite, (self.dim // len(onsite),)
+                                    + onsite.shape)
+            self._entries = _chain_entries(stack, hop_plus, hop_minus,
+                                           "periodic")
+            self._entries.flags.writeable = False
+        return self._entries
 
     @property
     def cell_sites(self) -> np.ndarray:
@@ -118,22 +161,46 @@ class KernelMatrix:
     def is_translation_invariant(self) -> bool:
         """Whether K[(x, s), (y, s')] depends only on (x - y) mod N.
 
-        Every nonzero entry must equal, exactly, the entry at its pair
-        shifted by one cell, (x, s; y, s') -> (x + 1, s; y + 1, s') mod N.
-        The shift permutes the pairs, so the zeros then follow too.  Reads
-        the nonzero pattern only (no dim x dim temporary); False when the
-        site labels do not tile a cell grid.  The boundary condition is not
+        True for a block kernel on its own cell map.  Otherwise every
+        nonzero entry must equal, exactly, the entry at its pair shifted by
+        one cell, (x, s; y, s') -> (x + 1, s; y + 1, s') mod N.  The shift
+        permutes the pairs, so the zeros then follow too.  Reads the
+        nonzero pattern only (no dim x dim temporary); False when the site
+        labels do not tile a cell grid.  The boundary condition is not
         read: ``bloch_reduce`` needs a periodic kernel besides.
         """
         try:
             pos = self.cell_sites
         except SizeError:
             return False
+        if self._blocks_on(pos):
+            return True
         shift = np.empty(self.dim, dtype=int)
         shift[pos] = np.roll(pos, -1, axis=0)
         i, j = np.nonzero(self.entries)
         return np.array_equal(self.entries[shift[i], shift[j]],
                               self.entries[i, j])
+
+    def _blocks_on(self, pos) -> bool:
+        """Whether the cell blocks describe the kernel on the cell map
+        ``pos``: a block kernel whose site labels were not changed."""
+        return (self.cell_blocks is not None
+                and pos.shape[1] == len(self.cell_blocks[0])
+                and np.array_equal(pos.ravel(), np.arange(self.dim)))
+
+    def _column_blocks(self):
+        """(x, blocks) of a block kernel: the ascending cell offsets x among
+        {0, 1, N - 1} and blocks[i] = K[(x[i], s), (0, s')], each summed in
+        the order the wrap rule adds its bonds (one block at N = 1, and the
+        bulk plus the wrap bond at N = 2)."""
+        onsite, hop_plus, hop_minus = self.cell_blocks
+        nc = self.dim // len(onsite)
+        x = np.unique([0, 1 % nc, nc - 1])
+        blocks = np.zeros((x.size,) + onsite.shape, dtype=complex)
+        blocks[0] = onsite
+        blocks[x.searchsorted(1 % nc)] += hop_plus
+        blocks[-1] += hop_minus
+        return x, blocks
 
 
 def fibonacci_approximant(L: int) -> Fraction:
@@ -155,14 +222,28 @@ def fibonacci_approximant(L: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _cell_chain(onsite, hop_plus, hop_minus, bc: str) -> KernelMatrix:
-    """Chain kernel in the cell-major layout; the only home of the wrap rule.
+    """Chain kernel in the cell-major layout.
 
     ``onsite`` is an (n_cells, ns, ns) stack of diagonal blocks,
     ``hop_plus`` is K(d=+1) (hopping from cell x to x+1) and ``hop_minus``
     is K(d=-1): independent (ns, ns) blocks for non-Hermitian models, or
-    scalars when ns = 1.
+    scalars when ns = 1.  A periodic chain whose onsite blocks are all bit
+    for bit the first one keeps its cell blocks (``KernelMatrix._ring``);
+    every other chain is assembled dense here.
     """
     onsite = np.asarray(onsite, dtype=complex)
+    nc, ns, _ = onsite.shape
+    labels = [(c, s) for c in range(nc) for s in range(ns)]
+    # bits, not values: 0.0 == -0.0, but the assembled entries would differ
+    bits = np.ascontiguousarray(onsite).view(np.int64)
+    if bc == "periodic" and nc and (bits == bits[0]).all():
+        return KernelMatrix._ring(onsite[0], hop_plus, hop_minus, labels)
+    return KernelMatrix(nc * ns, _chain_entries(onsite, hop_plus, hop_minus, bc),
+                        bc, labels)
+
+
+def _chain_entries(onsite, hop_plus, hop_minus, bc: str) -> np.ndarray:
+    """The dense entries of a ``_cell_chain``; the only home of the wrap rule."""
     nc, ns, _ = onsite.shape
     K = np.zeros((nc, ns, nc, ns), dtype=complex)
     x = np.arange(nc)
@@ -172,8 +253,7 @@ def _cell_chain(onsite, hop_plus, hop_minus, bc: str) -> KernelMatrix:
     if bc == "periodic":
         K[0, :, -1, :] += hop_plus
         K[-1, :, 0, :] += hop_minus
-    labels = [(c, s) for c in range(nc) for s in range(ns)]
-    return KernelMatrix(nc * ns, K.reshape(nc * ns, nc * ns), bc, labels)
+    return K.reshape(nc * ns, nc * ns)
 
 
 def build_hatano_nelson(L: int, t: float, alpha: float, bc: str = "open") -> KernelMatrix:
@@ -370,8 +450,10 @@ def build_measurement_heff(L: int, t: float, Gamma: float, bc: str = "open") -> 
         raise SizeError(f"measurement chain needs L >= 2, got {L}")
     if Gamma < 0:
         raise ValueError(f"Gamma must be >= 0, got {Gamma}")
-    # the unit-hopping chain's row sums count each site's adjacent bonds
-    bonds = _cell_chain(np.zeros((L, 1, 1)), 1.0, 1.0, bc).entries.real.sum(axis=1)
+    # each site's adjacent bonds: two, or one at either end of an open chain
+    bonds = np.full(L, 2.0)
+    if bc == "open":
+        bonds[[0, -1]] = 1.0
     return _cell_chain((-0.25j * Gamma * bonds)[:, None, None],
                        -(t + Gamma) / 4.0, (-t + Gamma) / 4.0, bc)
 
@@ -424,7 +506,11 @@ def bloch_reduce(km: KernelMatrix, k) -> np.ndarray:
     The sum runs over the cell offsets x whose block is nonzero only (three
     on a nearest-neighbour chain), so its temporaries hold len(k) times that
     many blocks, not len(k) * N; an all-zero kernel gives zero blocks.
-    Exact on the discrete grid k = 2 pi m / N for any integer m.
+    Exact on the discrete grid k = 2 pi m / N for any integer m.  A block
+    kernel on its own labels (``KernelMatrix.cell_blocks``) gives its blocks
+    at the offsets 0, 1 and N - 1 directly, after an O(dim) label check;
+    any other kernel is tested for translation invariance and has its
+    blocks gathered from its entries, in O(dim^2).
 
     Raises
     ------
@@ -438,14 +524,17 @@ def bloch_reduce(km: KernelMatrix, k) -> np.ndarray:
     if km.bc != "periodic":
         raise UnsupportedError("Bloch reduction requires a periodic kernel")
     pos = km.cell_sites
-    if not km.is_translation_invariant():
+    if km._blocks_on(pos):
+        x, blocks = km._column_blocks()
+    elif not km.is_translation_invariant():
         raise UnsupportedError("Bloch reduction requires a kernel invariant "
                                "under a one-cell translation")
-    # blocks[x, s, s'] = K[(x, s), (0, s')]
-    blocks = km.entries[pos[:, :, None], pos[0]]
-    x = np.flatnonzero(blocks.any(axis=(1, 2)))
-    phase = np.exp((-1j * np.asarray(k))[..., None] * x)
-    return (blocks[x] * phase[..., None, None]).sum(axis=-3)
+    else:
+        # blocks[x, s, s'] = K[(x, s), (0, s')]
+        x, blocks = np.arange(len(pos)), km.entries[pos[:, :, None], pos[0]]
+    nonzero = blocks.any(axis=(1, 2))
+    phase = np.exp((-1j * np.asarray(k))[..., None] * x[nonzero])
+    return (blocks[nonzero] * phase[..., None, None]).sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------

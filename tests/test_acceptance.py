@@ -23,16 +23,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nhent import (Partition, ScalingSeries, biorthogonal_eig, bloch_system,
-                   build_eb_ssh, build_hatano_nelson, build_measurement_heff,
-                   build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
-                   build_uniform_chain, check_duality, correlation_matrix,
-                   count_fermi_points, domain_wall_state,
-                   dual_momentum_partition, entropy_series, evolve_no_jump,
-                   fit_central_charge, ground_state_system, lifshitz_scan,
-                   manybody_biortho_ground, modified_entropy, oracle_report,
-                   reduced_density, report_for_partition, select_occupied,
-                   self_dual_scan, staggered_state, vn_entropy)
+from nhent import (KernelMatrix, Partition, ScalingSeries, biorthogonal_eig,
+                   bloch_system, build_eb_ssh, build_hatano_nelson,
+                   build_measurement_heff, build_nh_ssh_bloch,
+                   build_nh_ssh_real, build_quasicrystal, build_uniform_chain,
+                   check_duality, correlation_matrix, count_fermi_points,
+                   domain_wall_state, dual_momentum_partition, entropy_series,
+                   evolve_no_jump, fit_central_charge, ground_state_system,
+                   lifshitz_scan, manybody_biortho_ground, modified_entropy,
+                   oracle_report, reduced_density, report_for_partition,
+                   select_occupied, self_dual_scan, staggered_state,
+                   vn_entropy)
 from nhent.oracle import oracle_equivalence_suite
 
 HALF = Fraction(1, 2)
@@ -71,9 +72,10 @@ def test_02_nh_ssh_negative_central_charge():
     def ring(n_cells):
         # periodic ring with a pi flux on the wrap bond, which keeps k = pi
         # (the exceptional point) off the momentum grid
-        K = build_nh_ssh_real(n_cells, omega, upsilon, u, "periodic")
-        w = K.dim - 1
-        K.entries[[0, w], [w, 0]] *= -1
+        ring = build_nh_ssh_real(n_cells, omega, upsilon, u, "periodic")
+        entries, w = ring.entries.copy(), ring.dim - 1
+        entries[[0, w], [w, 0]] *= -1
+        K = KernelMatrix(ring.dim, entries, ring.bc, ring.site_labels)
         sys_k, sel = ground_state_system(K, HALF)
         assert sys_k.condition_estimate < 1e4, \
             f"{K.dim}-site ring: condition {sys_k.condition_estimate:.1e}"

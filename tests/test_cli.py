@@ -29,6 +29,12 @@ BASE = {
 }
 
 
+# L = 13 sites do not fill 3-site cells
+GUO_12, GUO_13 = ({"family": "guo_chain",
+                   "params": {"L": L, "n": 3, "t": 1.0, "gamma": 0.4}}
+                  for L in (12, 13))
+
+
 DYNAMICS = {
     "model": {"family": "measurement_chain",
               "params": {"L": 8, "t": 1.0, "Gamma": 0.4}, "bc": "open"},
@@ -229,6 +235,34 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: config.partitions[1]: ")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_size_a_sweep_point_cannot_take_exit_1_before_computing(
+            self, tmp_path, capsys, workers):
+        doc = {**BASE, "model": GUO_12,
+               "sweep": {"parameter": "L", "values": [12, 13]}}
+        assert main(["entanglement", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path), "--workers", workers]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: config.sweep.values: "
+            "L=13 not divisible by cell size n=3\n")
+        assert not (tmp_path / "entanglement.csv").exists()
+
+    @pytest.mark.parametrize("target", ["nhent.models.ModelSpec.build",
+                                        "nhent.cli.ground_state_system"],
+                             ids=["build", "solve"])
+    def test_memory_error_is_a_numerical_failure(self, tmp_path, capsys,
+                                                 monkeypatch, target):
+        class ArrayMemoryError(MemoryError):  # as numpy raises it
+            pass
+
+        def out_of_memory(*_):
+            raise ArrayMemoryError("Unable to allocate 64.0 GiB")
+        monkeypatch.setattr(target, out_of_memory)
+        assert main(["entanglement", "--config", write_config(tmp_path, BASE),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: MemoryError: Unable to allocate 64.0 GiB\n")
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {**BASE, "unknown_key": 1})
         assert main(["entanglement", "--config", cfg,
@@ -360,6 +394,10 @@ class TestCommands:
                                                   "alpha": 0.5}},
             "sweep": {"parameter": "L", "values": [8, 8.9]}},
          "config.sweep.values"),
+        ("entanglement", {**BASE, "model": GUO_13}, "config.model.params"),
+        ("entanglement", {**BASE, "model": GUO_12,
+                          "sweep": {"parameter": "L", "values": [12, 13]}},
+         "config.sweep.values"),
         *[("entanglement", {**BASE, "partitions": [part]},
            f"config.partitions[0].{key}") for key, part in [
             ("start", {"type": "range", "start": "x", "stop": 4}),
@@ -407,6 +445,7 @@ class TestCommands:
             "family_not_string", "partitions_not_list", "chern_ribbon_periodic",
             "tolerance_json", "model_param_not_number", "model_bc_unknown",
             "model_size_not_integral", "sweep_size_not_integral",
+            "model_size_not_taken", "sweep_size_not_taken",
             "partition_start", "partition_stop",
             "partition_indices", "partition_indices_not_list", "partition_p",
             "partition_min",

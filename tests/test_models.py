@@ -14,6 +14,7 @@ from nhent import (FAMILIES, KernelMatrix, ModelSpec, NormalizationError,
                    build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
                    build_uniform_chain, bloch_system, fibonacci_approximant,
                    momentum_transform)
+from nhent import models
 from test_corr import sublattice_major
 
 PAULI = {
@@ -539,9 +540,9 @@ def pi_flux_ring(n_cells):
     """The A02 ring: the PT SSH ring at its PT boundary (omega - upsilon =
     u) with a pi flux on the wrap bond."""
     km = build_nh_ssh_real(n_cells, 1.0, 0.3, 0.7, "periodic")
-    w = km.dim - 1
-    km.entries[[0, w], [w, 0]] *= -1
-    return km
+    entries, w = km.entries.copy(), km.dim - 1
+    entries[[0, w], [w, 0]] *= -1
+    return KernelMatrix(km.dim, entries, km.bc, km.site_labels)
 
 
 # periodic kernels whose row-0 blocks do not describe the other rows
@@ -584,3 +585,79 @@ def test_translation_invariance_is_exact():
     cut = km.entries.copy()
     cut[3, 4] = 0.0
     assert not KernelMatrix(8, cut, "periodic").is_translation_invariant()
+
+
+# every chain family with a periodic form, at a given number of cells
+PERIODIC_CHAINS = {
+    "hatano_nelson": lambda nc: build_hatano_nelson(nc, 1.0, 0.7, "periodic"),
+    "uniform_chain": lambda nc: build_uniform_chain(nc, 0.9),
+    "nh_ssh": lambda nc: build_nh_ssh_real(nc, 1.0, 0.4, 0.3, "periodic"),
+    "quasicrystal_exp": lambda nc: build_quasicrystal(
+        nc, 0.3, 1.1, 0.5, Fraction(1, nc), "exp_phase"),
+    "quasicrystal_mobility": lambda nc: build_quasicrystal(
+        nc, 0.3, 1.1, 0.5, Fraction(1, nc), "mobility_edge", 0.4),
+    "guo_chain": lambda nc: build_guo_chain(3 * nc, 3, 1.0, 0.4),
+    "eb_ssh": lambda nc: build_eb_ssh(nc, 1.0, 0.5, 0.7),
+    "measurement_chain": lambda nc: build_measurement_heff(nc, 1.0, 0.5,
+                                                           "periodic"),
+}
+# the quasicrystals' site-dependent potential leaves no cell blocks to keep
+DENSE_PERIODIC_CHAINS = {"quasicrystal_exp", "quasicrystal_mobility"}
+
+
+def _dense_copy(km, labels=None):
+    """The kernel given by a copy of its entries, with its or other labels."""
+    return KernelMatrix(km.dim, km.entries.copy(), km.bc,
+                        list(labels or km.site_labels))
+
+
+def _bloch_reduce_or_refusal(km, k):
+    try:
+        h = bloch_reduce(km, k)
+    except UnsupportedError as exc:
+        return str(exc)
+    return h.dtype, h.shape, h.tobytes()
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 8])
+@pytest.mark.parametrize("family", sorted(PERIODIC_CHAINS))
+def test_block_kernel_bloch_reduce_is_bytewise_the_dense_one(family, n_cells):
+    # the blocks give H(k) without the dense scan and gather, with the wrap
+    # bonds summed onto the bulk ones at one and two cells as the entries do
+    km = PERIODIC_CHAINS[family](n_cells)
+    assert (km.cell_blocks is None) == (family in DENSE_PERIODIC_CHAINS)
+    k = np.concatenate([bloch_momenta(n_cells), [0.3, -2.0]])
+    assert (_bloch_reduce_or_refusal(km, k)
+            == _bloch_reduce_or_refusal(_dense_copy(km), k))
+    assert (_bloch_reduce_or_refusal(km, 0.7)
+            == _bloch_reduce_or_refusal(_dense_copy(km), 0.7))
+
+
+def test_block_kernel_entries_and_blocks_are_read_only():
+    km = build_nh_ssh_real(4, 1.0, 0.4, 0.3, "periodic")
+    for array in (km.entries, *km.cell_blocks):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 2.0
+
+
+def test_bloch_route_of_a_block_kernel_assembles_no_entries(monkeypatch):
+    def assemble(*_):
+        raise AssertionError("the dense entries were assembled")
+    monkeypatch.setattr(models, "_chain_entries", assemble)
+    km = build_guo_chain(48, 3, 1.0, 0.4)
+    assert km.is_translation_invariant()
+    assert repr(km).startswith("KernelMatrix(dim=48, cell_blocks=")
+    assert bloch_system(km).dim == 48
+
+
+def test_relabelled_block_kernel_leaves_the_block_route():
+    # each cell's two sublattices swapped: the blocks would give H(k) in the
+    # old sublattice order, so the labels send bloch_reduce to the entries
+    km = build_nh_ssh_real(6, 1.0, 0.4, 0.3, "periodic")
+    k = bloch_momenta(6)
+    h = bloch_reduce(km, k)
+    assert not np.array_equal(h, h[..., ::-1, ::-1])
+    km.site_labels[:] = [(c, 1 - s) for c, s in km.site_labels]
+    assert np.array_equal(bloch_reduce(km, k), h[..., ::-1, ::-1])
+    assert np.array_equal(bloch_reduce(km, k),
+                          bloch_reduce(_dense_copy(km), k))

@@ -224,3 +224,53 @@ class TestRoute:
         # nilpotent: the dense solve of the whole ring took it at s ~ 5e7
         with pytest.raises(DefectiveError, match="^block 0: "):
             ground_state_system(build_eb_ssh(24, 1.0, 0.5, 0.3), HALF)
+
+
+# Jin & Korepin, J. Stat. Phys. 116, 79 (2004): a half-filled uniform ring
+# of L sites has S(l) = (1/3) ln(2 l_c) + JK_UPSILON up to an l^-2
+# correction, with the chord length l_c = (L / pi) sin(pi l / L)
+JK_UPSILON = 0.4950179
+# the whole run of a large ring, build to series, in bytes: a dense kernel
+# of either ring below would be 64 GiB
+LARGE_RING_PEAK = 64 * 2 ** 20
+
+
+def _large_ring_series(build):
+    """S(l) at l = 16, 64, 256 of a ring by the library route, and the
+    tracemalloc peak of the build, the solve and the series."""
+    tracemalloc.start()
+    try:
+        sys, sel = ground_state_system(build(), HALF)
+        series = entropy_series(sys, sel, sizes=(16, 64, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(sys, BlochSystem)
+    return dict(series.points), peak
+
+
+class TestLargeRings:
+    def test_uniform_ring_meets_jin_korepin(self):
+        # L = 2 (mod 4): no Fermi-level tie at half filling
+        L = 65538
+        S, peak = _large_ring_series(lambda: build_uniform_chain(L))
+        assert peak <= LARGE_RING_PEAK
+        for la, s in S.items():
+            chord = L / np.pi * np.sin(np.pi * la / L)
+            assert s.imag == 0.0
+            assert abs(s.real - np.log(2 * chord) / 3 - JK_UPSILON) \
+                <= 0.03 / la ** 2
+
+    def test_nh_ssh_ring_matches_a_dense_solve_of_a_small_ring(self):
+        # gapped and PT-unbroken: a cut well inside a 128-cell ring, solved
+        # dense, has the entropy of the same cut of the large ring
+        S, peak = _large_ring_series(
+            lambda: build_nh_ssh_real(32769, 1.0, 0.4, 0.3, "periodic"))
+        assert peak <= LARGE_RING_PEAK
+        small = pipeline.biorthogonal_eig(
+            build_nh_ssh_real(128, 1.0, 0.4, 0.3, "periodic"))
+        ref = dict(entropy_series(small, select_occupied(small, HALF),
+                                  sizes=(16, 64)).points)
+        for la in (16, 64):
+            assert abs(S[la] - ref[la]) <= 1e-11
+        assert abs(S[256] - S[64]) <= 1e-11

@@ -328,8 +328,9 @@ class TestBalancing:
 def _pi_flux_ring(n_cells):
     # the A02 ring with a pi flux on its wrap bond
     km = build_nh_ssh_real(n_cells, 1.0, 0.3, 0.7, "periodic")
-    km.entries[[0, km.dim - 1], [km.dim - 1, 0]] *= -1
-    return km
+    entries, w = km.entries.copy(), km.dim - 1
+    entries[[0, w], [w, 0]] *= -1
+    return KernelMatrix(km.dim, entries, km.bc, km.site_labels)
 
 
 PT_KERNELS = {

@@ -27,7 +27,11 @@ record's half-cut entanglement report (spectrum, entropies with Renyi
 orders 2 and 3, modified entropy, entanglement energies, clamped and
 mid-gap indices, realness residual).  The ``models/<family>-<bc>`` outputs
 are the entries and site labels of ``ModelSpec(family, params, bc).build()``
-for every family and every boundary condition it supports.
+for every family and every boundary condition it supports.  The
+``bloch-reduce/<family>`` outputs are ``bloch_reduce`` of the periodic
+kernel of each family on its momentum grid, and of a kernel given by a copy
+of its entries and labels: the two agree exactly when the cell-block route
+of a periodic chain gives the Bloch matrices of its dense entries.
 A call that raises is digested as its error type and message.
 """
 
@@ -93,8 +97,10 @@ def bloch_kernels(nhent):
 
 def route_kernels(nhent):
     """Kernels on either side of the route of ``ground_state_system``."""
-    pi_flux = nhent.build_nh_ssh_real(32, 1.0, 0.3, 0.7, "periodic")
-    pi_flux.entries[[0, 63], [63, 0]] *= -1
+    ring = nhent.build_nh_ssh_real(32, 1.0, 0.3, 0.7, "periodic")
+    entries = ring.entries.copy()
+    entries[[0, 63], [63, 0]] *= -1
+    pi_flux = nhent.KernelMatrix(ring.dim, entries, ring.bc, ring.site_labels)
     return {
         "uniform-128": nhent.build_uniform_chain(128),
         "a02-ring-64": nhent.build_nh_ssh_real(32, 1.0, 0.3, 0.7, "periodic"),
@@ -241,6 +247,14 @@ def outputs(nhent):
         km = spec.build()
         return {"entries": km.entries, "site-labels": np.array(km.site_labels)}
 
+    def bloch(spec):
+        km = spec.build()
+        k = nhent.bloch_momenta(km.cell_sites.shape[0])
+        dense = nhent.KernelMatrix(km.dim, km.entries.copy(), km.bc,
+                                   list(km.site_labels))
+        return {"h-k": nhent.bloch_reduce(km, k),
+                "h-k-dense-copy": nhent.bloch_reduce(dense, k)}
+
     for family, params in model_params().items():
         for bc in ("open", "periodic"):
             try:
@@ -248,6 +262,8 @@ def outputs(nhent):
             except nhent.UnsupportedError:  # a bc the family has no form for
                 continue
             yield f"models/{family}-{bc}", lambda spec=spec: model(spec)
+            if bc == "periodic":
+                yield f"bloch-reduce/{family}", lambda spec=spec: bloch(spec)
     for name, (km, psi0) in dynamics_cases(nhent).items():
         yield f"dynamics/{name}", lambda km=km, psi0=psi0: dynamics(km, psi0)
     for name, km in momentum_kernels(nhent).items():
