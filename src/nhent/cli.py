@@ -34,6 +34,7 @@ import sys as _sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -104,20 +105,15 @@ def _report_json(report, label) -> dict:
     }
 
 
-def _entanglement_point(payload):
-    """One sweep point: build, diagonalize once, report every partition.
+def _entanglement_point(config: RunConfig):
+    """The one point of ``config.points``: build, diagonalize once, report
+    every partition.
 
-    The partitions are resolved on this point's own mode count.
     Module-level so process pools can pickle it.  Returns (rows, reports,
     status, warnings); rows are already formatted strings.
     """
-    config, value = payload
-    params = dict(config.model.params)
-    if value is not None:
-        params[config.sweep["parameter"]] = value
-    spec = type(config.model)(config.model.family, params, config.model.bc)
+    (value, spec, partitions), = config.points
     K = spec.build()
-    partitions = parse_partitions(config.raw["partitions"], K.dim)
     tol = config.tolerances
 
     rows, reports, warn_msgs = [], [], []
@@ -152,11 +148,11 @@ _ENT_HEADER = ["sweep_value", "partition", "L_A", "Re_S", "Im_S",
 def cmd_entanglement(config: RunConfig, out_dir: str, workers: int) -> int:
     if config.model is None:
         raise ConfigError("entanglement command requires a model", "config.model")
-    if not config.partitions:
+    if not any(partitions for _, _, partitions in config.points):
         raise ConfigError("entanglement command requires partitions",
                           "config.partitions")
-    values = config.sweep["values"] if config.sweep else [None]
-    payloads = [(config, v) for v in values]
+    # each payload carries its own point only
+    payloads = [replace(config, points=[point]) for point in config.points]
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_entanglement_point, payloads))
@@ -164,7 +160,8 @@ def cmd_entanglement(config: RunConfig, out_dir: str, workers: int) -> int:
         results = [_entanglement_point(p) for p in payloads]
 
     all_rows, all_reports, points = [], [], []
-    for v, (rows, reports, status, warns) in zip(values, results):
+    for (v, _, _), (rows, reports, status, warns) in zip(config.points,
+                                                         results):
         all_rows.extend(rows)
         all_reports.extend(reports)
         points.append({"value": v, "status": status, "warnings": warns})
@@ -255,12 +252,16 @@ def cmd_dynamics(config: RunConfig, out_dir: str) -> int:
 
 
 def cmd_duality(config: RunConfig, out_dir: str) -> int:
-    if config.model is None or not config.partitions:
+    if config.model is None:
         raise ConfigError("duality command requires model and partitions")
+    # a sweep is not run: the partitions are resolved on the model's kernel
     K = config.model.build()
+    partitions = parse_partitions(config.raw.get("partitions", []), K.dim)
+    if not partitions:
+        raise ConfigError("duality command requires model and partitions")
     sys_k, sel_k = ground_state_system(K, config.filling, config.policy)
     payload = []
-    for part in config.partitions:
+    for part in partitions:
         rep = check_duality(sys_k, sel_k, part)
         payload.append({
             "partition_size": part.size,

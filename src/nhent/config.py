@@ -182,12 +182,13 @@ def parse_partitions(specs, n_total: int) -> list:
 
 @dataclass
 class RunConfig:
-    """Validated run configuration shared by the CLI subcommands."""
+    """Validated run configuration shared by the CLI subcommands; each of
+    ``points`` is (sweep value or None, model spec, its own partitions)."""
 
     model: ModelSpec | None
     filling: Fraction
     policy: str
-    partitions: list = field(default_factory=list)
+    points: list = field(default_factory=list)
     renyi: tuple = (2,)
     sweep: dict | None = None
     tolerances: Tolerances = field(default_factory=Tolerances)
@@ -208,6 +209,8 @@ def parse_config(doc: dict) -> RunConfig:
     _require_keys(doc, (), _TOP_KEYS, "config")
     model, dim = (_parse_model(doc["model"], "config.model") if "model" in doc
                   else (None, None))
+    # (sweep value, spec, mode count) of each kernel to solve
+    points = [(None, model, dim)] if model is not None else []
 
     filling = _parse_fraction(doc.get("filling", "1/2"), "config.filling")
     if not 0 < filling <= 1:
@@ -249,10 +252,10 @@ def parse_config(doc: dict) -> RunConfig:
                     f"{model.family!r}", "config.sweep.parameter")
             # each point's kernel must build, e.g. from a size its family
             # takes; a periodic chain is built from its cell blocks
-            for v in dedup:
-                _built_spec(model.family, {**model.params, param: v},
-                            model.bc, "config.sweep.values",
-                            "config.sweep.values")
+            points = [(v, *_built_spec(model.family, {**model.params, param: v},
+                                       model.bc, "config.sweep.values",
+                                       "config.sweep.values"))
+                      for v in dedup]
         sweep = {"parameter": param, "values": dedup}
 
     tolerances = Tolerances()
@@ -316,14 +319,14 @@ def parse_config(doc: dict) -> RunConfig:
                 f"subsystem must be in [1, n_modes = {oracle['n_modes']}), "
                 f"got {oracle['subsystem']}", "config.oracle.subsystem")
 
-    partitions = []
-    if "partitions" in doc:
-        if model is None:
-            raise ConfigError("partitions require a model", "config.partitions")
-        partitions = parse_partitions(doc["partitions"], dim)
+    if "partitions" in doc and model is None:
+        raise ConfigError("partitions require a model", "config.partitions")
+    # every point's partitions are checked here, before any point is solved
+    points = [(v, spec, parse_partitions(doc.get("partitions", []), n))
+              for v, spec, n in points]
 
     return RunConfig(model=model, filling=filling, policy=policy,
-                     partitions=partitions, renyi=renyi, sweep=sweep,
+                     points=points, renyi=renyi, sweep=sweep,
                      tolerances=tolerances, fit=fit, dynamics=dynamics,
                      oracle=oracle, raw=doc)
 

@@ -13,10 +13,10 @@ mode m * ns + s is sublattice s at k_m, as in ``momentum_transform``.
 
 On a system solved momentum block by momentum block (a ``BlochSystem``), P
 is block-Toeplitz: its (x, s; y, s') entry depends on x - y mod N only, and
-one inverse FFT of the occupied Bloch projectors P(k) gives every entry,
-so no block is formed from the dense eigenvector matrices, and the blocks
-of many partitions of one state (``correlation_matrices``) share that one
-FFT.  In momentum space P is block-diagonal, delta_{m m'} P(k_m)[s, s'].
+one inverse FFT of the occupied Bloch projectors P(k) gives every entry
+with no eigenvector read; the partitions of one state share that FFT
+(``correlation_matrices``).  In momentum space P is block-diagonal,
+delta_{m m'} P(k_m)[s, s'].  Other reads use ``BiorthogonalSystem.vectors``.
 """
 
 from __future__ import annotations
@@ -130,11 +130,12 @@ def _occupied_rows(sys: BiorthogonalSystem, sel: GroundStateSelection,
     vectors in its space: C = R_A L_A^dag."""
     idx, occ = np.asarray(part.indices), sel.occupied
     if part.space == "position":
-        return sys.right[np.ix_(idx, occ)], sys.left[np.ix_(idx, occ)]
+        return sys.vectors(idx, occ)
     if sys.cells is None:
         raise UnsupportedError("momentum partitions need a periodic cell grid")
-    return tuple(np.fft.fft(v[:, occ][sys.cells], axis=0, norm="ortho")
-                 .reshape(sys.dim, -1)[idx] for v in (sys.right, sys.left))
+    return tuple(np.fft.fft(v.reshape(len(sys.cells), -1), axis=0,
+                            norm="ortho").reshape(sys.dim, -1)[idx]
+                 for v in sys.vectors(sys.cells.ravel(), occ))
 
 
 def correlation_matrices(sys: BiorthogonalSystem, sel: GroundStateSelection,

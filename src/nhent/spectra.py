@@ -27,9 +27,9 @@ refuses a grading too steep for float64, and raises ``DefectiveError``; it
 returns the fields of a ``BiorthogonalSystem``, and this module only packs
 its result.  A periodic, translation-invariant kernel can instead be solved
 momentum block by momentum block (``bloch_system``, one ``balanced_eig``
-call on the stack of all blocks); its ``BlochSystem`` keeps the
-per-momentum eigenvector blocks and assembles the dense dim x dim
-``right`` and ``left`` only on demand.  ``bloch_system`` refuses, with
+call on the stack of all blocks); its ``BlochSystem`` keeps only the
+per-momentum eigenvector blocks, and its ``vectors`` forms just the rows
+and states asked for.  ``bloch_system`` refuses, with
 ``UnsupportedError``, a kernel that is not periodic or not exactly
 invariant under a one-cell translation, whose blocks would describe
 another kernel; ``pipeline.ground_state_system`` sends exactly the kernels
@@ -41,7 +41,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +59,7 @@ __all__ = [
     "OCCUPATION_POLICIES",
 ]
 
-@dataclass
+@dataclass(eq=False)
 class BiorthogonalSystem:
     """Matched right/left eigenvector sets of a kernel matrix.
 
@@ -68,15 +67,16 @@ class BiorthogonalSystem:
     Columns of ``right`` are |R_a>, columns of ``left`` are |L_a>, normalized
     so that every |R_a> has unit 2-norm and left.conj().T @ right = identity;
     a Hermitian kernel gives ``left is right``.  A system solved momentum
-    block by momentum block is a ``BlochSystem``, which keeps the
-    per-momentum blocks and assembles ``right`` and ``left`` on first access.
+    block by momentum block is a ``BlochSystem``, which keeps only the
+    per-momentum blocks and has no ``right`` or ``left``: code outside this
+    module reads the vectors through ``vectors``.
 
     ``condition_estimate`` is the largest eigenvalue condition number
     s_a = ||R_a|| ||L_a|| in the solver's rebalanced frame (s_a^2 is the
     Petermann factor there), at least 1 and at most the 2-norm condition
     number that the defectiveness gate reads; exactly 1.0 for a Hermitian
-    or gauge-Hermitian kernel.  A Bloch-assembled system reports the
-    largest over its momentum blocks.  ``cells`` is the kernel's cell map
+    or gauge-Hermitian kernel.  A ``BlochSystem`` reports the largest
+    over its momentum blocks.  ``cells`` is the kernel's cell map
     (``KernelMatrix.cell_sites``), or None unless the kernel is periodic
     and its labels tile a cell grid: momentum partitions need it.
     """
@@ -91,9 +91,15 @@ class BiorthogonalSystem:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
+    def vectors(self, rows, cols) -> tuple:
+        """(R, L): rows ``rows`` of the right and left vectors of ``cols``."""
+        ix = np.ix_(rows, cols)
+        return self.right[ix], self.left[ix]
+
     def reconstruction(self) -> np.ndarray:
         """sum_a eps_a |R_a><L_a| (equals the kernel up to conditioning)."""
-        return (self.right * self.eigenvalues) @ self.left.conj().T
+        R, L = self.vectors(range(self.dim), range(self.dim))
+        return (R * self.eigenvalues) @ L.conj().T
 
 
 @dataclass
@@ -161,11 +167,11 @@ class BlochSystem(BiorthogonalSystem):
     each state's k_m.  ``u_k`` and ``l_k`` are (N, ns, ns) stacks: column b
     of u_k[m] and l_k[m] is that state's right and left Bloch vector, with
     l_k[m]^dag u_k[m] = identity.  ``cell_of`` and ``sublattice_of``
-    invert the (N, ns) ``cells`` per mode.  ``right`` and ``left`` hold
+    invert the (N, ns) ``cells`` per mode.  No dense eigenvector matrix is
+    kept: ``vectors`` forms the requested entries of
     R(cells[x, s], m ns + b) = exp(i k_m x) u_k[m, s, b] / sqrt(N), and
-    likewise from l_k; each dim x dim array is assembled on first access
-    only, and the correlation path never reads them (see
-    ``correlations.correlation_matrix``).
+    likewise from l_k, and the correlation path reads the blocks alone
+    (see ``correlations.correlation_matrix``).
     """
 
     def __init__(self, eigenvalues, u_k, l_k, cells, condition_estimate):
@@ -178,18 +184,23 @@ class BlochSystem(BiorthogonalSystem):
         self.sublattice_of = np.empty(self.dim, dtype=int)
         self.sublattice_of[cells] = np.arange(ns)
 
+    def __repr__(self) -> str:
+        return (f"BlochSystem(dim={self.dim}, u_k={self.u_k!r}, "
+                f"l_k={self.l_k!r})")
+
     @property
     def momenta(self) -> np.ndarray:
         nc, ns = self.cells.shape
         return np.repeat(bloch_momenta(nc), ns)
 
-    @cached_property
-    def right(self) -> np.ndarray:
-        return self._assemble(self.u_k)
-
-    @cached_property
-    def left(self) -> np.ndarray:
-        return self._assemble(self.l_k)
+    def vectors(self, rows, cols) -> tuple:
+        """(R, L) at modes ``rows`` and states ``cols``, from u_k and l_k."""
+        nc, ns = self.cells.shape
+        rows = np.asarray(rows)[:, None]
+        m, b = np.divmod(cols, ns)
+        x, s = self.cell_of[rows], self.sublattice_of[rows]
+        phase = np.exp(1j * bloch_momenta(nc)[m] * x) / np.sqrt(nc)
+        return phase * self.u_k[m, s, b], phase * self.l_k[m, s, b]
 
     def translation_key(self, indices) -> bytes:
         """The modes' (cell, sublattice) sequence, translated by whole cells
@@ -203,23 +214,6 @@ class BlochSystem(BiorthogonalSystem):
         cell = (self.cell_of[idx] - self.cell_of[idx[0]]) % len(self.cells)
         return cell.tobytes() + self.sublattice_of[idx].tobytes()
 
-    def _assemble(self, blocks: np.ndarray) -> np.ndarray:
-        """R(cells[x, s], m ns + b) = exp(i k_m x) blocks[m, s, b] / sqrt(N),
-        every entry in one product."""
-        nc, ns = self.cells.shape
-        x = np.arange(nc)
-        # phase[x, m] = exp(i k_m x) / sqrt(N)
-        phase = np.exp(1j * bloch_momenta(nc) * x[:, None]) / np.sqrt(nc)
-        out = np.empty((nc, ns, nc, ns), dtype=complex)
-        np.multiply(phase[:, None, :, None], blocks.transpose(1, 0, 2),
-                    out=out)
-        out = out.reshape(self.dim, self.dim)
-        # row (x, s) of the product belongs to mode cells[x, s]
-        pos = self.cells.ravel()
-        if np.array_equal(pos, np.arange(self.dim)):
-            return out
-        return out[np.argsort(pos)]
-
 
 def bloch_system(K: KernelMatrix) -> BlochSystem:
     """Momentum-resolved decomposition of a periodic, translation-invariant kernel.
@@ -227,8 +221,8 @@ def bloch_system(K: KernelMatrix) -> BlochSystem:
     Diagonalizes the Bloch matrices of all grid momenta in one stacked
     ``_linalg.balanced_eig`` call (a one-sublattice block is its own
     eigenvalue), whose LAPACK calls do not grow with the number of cells,
-    and keeps the per-momentum eigenvector blocks: no dim x dim array is
-    formed unless ``right`` or ``left`` is read.
+    and keeps only the per-momentum eigenvector blocks: no dim x dim array
+    is formed.
 
     Raises
     ------
@@ -330,9 +324,10 @@ def petermann_factor(sys: BiorthogonalSystem, m: int, n: int) -> float:
 
     0 for mutually orthogonal eigenstates, 1 for coalescent ones.
     """
-    if m == n:
-        raise ValueError("Petermann factor is defined for distinct states")
-    rm, rn = sys.right[:, m], sys.right[:, n]
+    if m == n or not (0 <= m < sys.dim and 0 <= n < sys.dim):
+        raise ValueError("Petermann factor is defined for distinct states "
+                         f"in [0, {sys.dim}), got {m} and {n}")
+    rm, rn = sys.vectors(range(sys.dim), [m, n])[0].T
     overlap = np.vdot(rm, rn)
     return float(abs(overlap) ** 2 /
                  (np.vdot(rm, rm).real * np.vdot(rn, rn).real))

@@ -35,6 +35,13 @@ GUO_12, GUO_13 = ({"family": "guo_chain",
                   for L in (12, 13))
 
 
+# the partition fits each point of the size sweep, not the base chain
+SIZE_SWEEP = {"model": {"family": "uniform_chain",
+                        "params": {"L": 8, "t": 1.0}},
+              "sweep": {"parameter": "L", "values": [64, 128]},
+              "partitions": [{"type": "range", "start": 10, "stop": 20}]}
+
+
 DYNAMICS = {
     "model": {"family": "measurement_chain",
               "params": {"L": 8, "t": 1.0, "Gamma": 0.4}, "bc": "open"},
@@ -81,14 +88,14 @@ class TestConfigValidation:
             {"type": "central_half"},
             {"type": "indices", "indices": [0, 2, 4]},
         ]}
-        config = parse_config(doc)
-        assert [p.size for p in config.partitions] == [4, 6, 3]
+        (_, _, partitions), = parse_config(doc).points
+        assert [p.size for p in partitions] == [4, 6, 3]
 
     def test_size_scan_expands(self):
         doc = {**BASE, "partitions": [
             {"type": "size_scan", "min": 2, "max": 6, "step": 2}]}
-        config = parse_config(doc)
-        assert [p.size for p in config.partitions] == [2, 4, 6]
+        (_, _, partitions), = parse_config(doc).points
+        assert [p.size for p in partitions] == [2, 4, 6]
 
 
 class TestCommands:
@@ -223,8 +230,12 @@ class TestCommands:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_partition_out_of_range_at_a_sweep_point_exit_1(
-            self, tmp_path, capsys, workers):
-        # sites 6..10 exist on the 12-site base chain, not at L = 8
+            self, tmp_path, capsys, monkeypatch, workers):
+        # sites 6..10 exist on the 12-site base chain, not at L = 8; the
+        # point L = 12 before it is not solved either
+        solves = []
+        monkeypatch.setattr(cli, "ground_state_system",
+                            lambda *args: solves.append(args))
         doc = {"model": {"family": "uniform_chain",
                          "params": {"L": 12, "t": 1.0}},
                "partitions": [{"type": "half"},
@@ -234,6 +245,61 @@ class TestCommands:
                      "--out", str(tmp_path), "--workers", workers]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: config.partitions[1]: ")
+        assert solves == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_partitions_are_checked_on_each_point_not_the_base(
+            self, tmp_path, workers):
+        # sites 10..19 exist at L = 64 and 128, not on the 8-site base chain
+        out = tmp_path / "out"
+        assert main(["entanglement", "--config",
+                     write_config(tmp_path, SIZE_SWEEP), "--out", str(out),
+                     "--workers", workers]) == 0
+        rows = (out / "entanglement.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [
+            ["64", "position[10:20]", "10"], ["128", "position[10:20]", "10"]]
+
+    def test_each_worker_payload_carries_its_own_point(self, tmp_path,
+                                                       monkeypatch):
+        payloads = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                payloads.extend(items)
+                return map(fn, items)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        assert main(["entanglement", "--config",
+                     write_config(tmp_path, SIZE_SWEEP),
+                     "--out", str(tmp_path), "--workers", "2"]) == 0
+        assert [[(v, spec.params["L"], [p.n_total for p in parts])
+                 for v, spec, parts in config.points]
+                for config in payloads] == [[(64, 64, [64])],
+                                            [(128, 128, [128])]]
+
+    def test_duality_resolves_partitions_on_the_model_it_solves(
+            self, tmp_path, capsys):
+        # duality does not run the sweep: it cuts the 8-site base chain,
+        # which has no sites 10..19
+        assert main(["duality", "--config", write_config(tmp_path, SIZE_SWEEP),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config.partitions[0]: ")
+        doc = {**SIZE_SWEEP, "model": {"family": "uniform_chain",
+                                       "params": {"L": 24, "t": 1.0}}}
+        assert main(["duality", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "duality.json").read_text())
+        assert [p["partition_size"] for p in payload] == [10]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_size_a_sweep_point_cannot_take_exit_1_before_computing(

@@ -15,7 +15,7 @@ from nhent import (BlochSystem, DegeneracyWarning, KernelMatrix, Partition,
                    entropy_series, ground_state_system, momentum_transform,
                    projector, report_for_partition, select_occupied,
                    vn_entropy)
-from nhent._linalg import match_spectra
+from nhent._linalg import balanced_eig, match_spectra
 from nhent.correlations import sorted_by_re_im
 
 
@@ -168,6 +168,28 @@ BLOCH_FAMILIES = {
 }
 
 
+def _dense_bloch_fill(km):
+    """Reference eigenvectors written block by block into dim x dim arrays:
+    R(x, s) = exp(i k x) u_k(s) / sqrt(N), one ``balanced_eig`` per
+    momentum, and L likewise from the left Bloch vectors."""
+    pos = km.cell_sites
+    nc, ns = pos.shape
+    right = np.zeros((km.dim, km.dim), dtype=complex)
+    left = np.zeros((km.dim, km.dim), dtype=complex)
+    cells = np.arange(nc)
+    ks = bloch_momenta(nc)
+    for m, (k, h) in enumerate(zip(ks, bloch_reduce(km, ks))):
+        if ns == 1:
+            ub = lb = np.array([[1.0 + 0j]])
+        else:
+            _, ub, lb, _ = balanced_eig(h, (np.arange(ns)[::-1],))
+        phase = np.exp(1j * k * cells)[:, None, None] / np.sqrt(nc)
+        cols = slice(m * ns, (m + 1) * ns)
+        right[pos.ravel(), cols] = (phase * ub).reshape(km.dim, ns)
+        left[pos.ravel(), cols] = (phase * lb).reshape(km.dim, ns)
+    return right, left
+
+
 def _partition_kinds(n):
     """Leading, offset, mid-cell, wrapping and non-contiguous mode sets."""
     rng = np.random.default_rng(5)
@@ -184,18 +206,19 @@ def _partition_kinds(n):
 class TestBlochCorrelations:
     @pytest.mark.parametrize("name", sorted(BLOCH_FAMILIES))
     def test_toeplitz_block_matches_assembled_vectors(self, name):
-        # the block-Toeplitz gather against R_A L_A^dag of the assembled
-        # eigenvectors, on every partition kind and on the full projector
+        # the block-Toeplitz gather against R_A L_A^dag of the partition's
+        # rows of the occupied vectors, on every partition kind, and the
+        # full projector against the dense fill of the eigenvectors
         km = BLOCH_FAMILIES[name]()
         sys = bloch_system(km)
         sel = select_occupied(sys, Fraction(1, 2))
-        R = sys.right[:, sel.occupied]
-        L = sys.left[:, sel.occupied]
         for indices in _partition_kinds(km.dim):
             part = Partition("position", indices, km.dim)
-            idx = np.asarray(part.indices)
+            R, L = sys.vectors(np.asarray(part.indices), sel.occupied)
             C = correlation_matrix(sys, sel, part).entries
-            assert np.abs(C - R[idx] @ L[idx].conj().T).max() < 1e-12, indices
+            assert np.abs(C - R @ L.conj().T).max() < 1e-12, indices
+        right, left = _dense_bloch_fill(km)
+        R, L = right[:, sel.occupied], left[:, sel.occupied]
         assert np.abs(projector(sys, sel) - R @ L.conj().T).max() < 1e-12
 
     @pytest.mark.parametrize("name", ["guo-n2", "guo-n3-sublattice-major",

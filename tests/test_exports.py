@@ -159,6 +159,15 @@ def test_no_module_calls_momentum_transform():
     assert callers == set()
 
 
+def test_only_spectra_reads_dense_eigenvector_fields():
+    # a BlochSystem keeps only its blocks and has no right or left: every
+    # other module reads eigenvectors through BiorthogonalSystem.vectors
+    readers = {
+        name for name, tree in _module_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("right", "left")}
+    assert readers == {"spectra.py"}
+
+
 def test_no_module_takes_qr_from_a_wrapper():
     # the orbital QR calls LAPACK's dgeqrf and dorgqr (real site frame) or
     # zgeqrf and zungqr directly; the numpy and scipy wrappers cost a third

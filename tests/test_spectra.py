@@ -21,7 +21,8 @@ from nhent._linalg import (HERMITIAN_TOL, balanced_eig, is_hermitian,
                            symmetrizing_diagonal)
 from nhent.oracle import manybody_biortho_ground
 from nhent.spectra import _group_within, policy_order
-from test_corr import BLOCH_FAMILIES, sublattice_major
+from test_corr import (BLOCH_FAMILIES, _dense_bloch_fill,
+                       sublattice_major)
 
 
 def diag_system(values):
@@ -817,27 +818,14 @@ class TestPetermann:
         with pytest.raises(ValueError):
             petermann_factor(sys, 1, 1)
 
-
-def _dense_bloch_fill(km):
-    """Reference eigenvectors written block by block into dim x dim arrays:
-    R(x, s) = exp(i k x) u_k(s) / sqrt(N), one ``balanced_eig`` per
-    momentum, and L likewise from the left Bloch vectors."""
-    pos = km.cell_sites
-    nc, ns = pos.shape
-    right = np.zeros((km.dim, km.dim), dtype=complex)
-    left = np.zeros((km.dim, km.dim), dtype=complex)
-    cells = np.arange(nc)
-    ks = bloch_momenta(nc)
-    for m, (k, h) in enumerate(zip(ks, bloch_reduce(km, ks))):
-        if ns == 1:
-            ub = lb = np.array([[1.0 + 0j]])
-        else:
-            _, ub, lb, _ = balanced_eig(h, (np.arange(ns)[::-1],))
-        phase = np.exp(1j * k * cells)[:, None, None] / np.sqrt(nc)
-        cols = slice(m * ns, (m + 1) * ns)
-        right[pos.ravel(), cols] = (phase * ub).reshape(km.dim, ns)
-        left[pos.ravel(), cols] = (phase * lb).reshape(km.dim, ns)
-    return right, left
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "bloch"])
+    def test_index_out_of_range_rejected(self, dense):
+        # -1 would name the last state a second time
+        km = build_nh_ssh_real(6, 1.0, 0.5, 0.3, "periodic")
+        sys = biorthogonal_eig(km) if dense else bloch_system(km)
+        for m, n in ((-1, sys.dim - 1), (0, sys.dim), (sys.dim, 0)):
+            with pytest.raises(ValueError, match="distinct states in"):
+                petermann_factor(sys, m, n)
 
 
 def _bloch_per_block(km):
@@ -880,20 +868,47 @@ class TestBlochSystem:
         sublattice_major(build_guo_chain(27, 3, 1.0, 0.8))],
         ids=["nh-ssh", "guo-n3", "uniform", "guo-n3-sublattice-major"])
     def test_vectors_are_assembled_on_first_access(self, km):
+        # the system keeps its blocks only; vectors gathers any rows and
+        # states of the dense fill, and of nothing else
         sys = bloch_system(km)
-        assert "right" not in vars(sys) and "left" not in vars(sys)
+        assert not hasattr(sys, "right") and not hasattr(sys, "left")
+        # systems compare by identity, with no array read
+        assert sys == sys and sys != bloch_system(km)
         right, left = _dense_bloch_fill(km)
-        assert np.array_equal(sys.right, right)
-        assert np.array_equal(sys.left, left)
-        assert sys.right is sys.right
+        everything = np.arange(km.dim)
+        R, L = sys.vectors(everything, everything)
+        assert np.array_equal(R, right)
+        assert np.array_equal(L, left)
+        rng = np.random.default_rng(km.dim)
+        rows, cols = rng.choice(km.dim, 5), rng.choice(km.dim, 7)
+        R, L = sys.vectors(rows, cols)
+        assert np.array_equal(R, right[np.ix_(rows, cols)])
+        assert np.array_equal(L, left[np.ix_(rows, cols)])
 
     def test_assembled_vectors_are_kernel_eigenvectors(self):
         km = build_nh_ssh_real(6, 1.0, 0.5, 0.3, "periodic")
         sys = bloch_system(km)
-        resid = km.entries @ sys.right - sys.right * sys.eigenvalues
+        R, L = sys.vectors(np.arange(km.dim), np.arange(km.dim))
+        resid = km.entries @ R - R * sys.eigenvalues
         assert np.abs(resid).max() < 1e-10
-        gram = sys.left.conj().T @ sys.right
+        gram = L.conj().T @ R
         assert np.abs(gram - np.eye(km.dim)).max() < 1e-10
+        assert np.abs(sys.reconstruction() - km.entries).max() < 1e-10
+
+    def test_repr_and_petermann_factor_form_no_dense_array(self):
+        # one dim x dim complex array at dim = 4098 is 256 MiB
+        sys = bloch_system(build_uniform_chain(4098))
+        tracemalloc.start()
+        try:
+            text = repr(sys)
+            factor = petermann_factor(sys, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert text.startswith("BlochSystem(dim=4098, u_k=")
+        # the plane waves k = 0 and 2 pi / N are orthogonal
+        assert factor == pytest.approx(0.0, abs=1e-12)
 
     def test_hermitian_ring_forms_no_dense_array(self):
         # one dim x dim complex array at dim = 2048 is 64 MiB; the solve of

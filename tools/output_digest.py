@@ -178,6 +178,15 @@ def digest(value) -> str:
     return h.hexdigest()
 
 
+def eigenvectors(sys_):
+    """The dim x dim right and left eigenvectors of a system: through
+    ``vectors`` on a tree that has it, else its ``right`` and ``left``."""
+    if not hasattr(sys_, "vectors"):
+        return sys_.right, sys_.left
+    everything = np.arange(sys_.dim)
+    return sys_.vectors(everything, everything)
+
+
 def outputs(nhent):
     """(name, thunk) of every digested output."""
 
@@ -200,7 +209,8 @@ def outputs(nhent):
         if kind == "route":
             out["system-type"] = type(sys_).__name__.encode()
         else:
-            out.update(right=sys_.right, left=sys_.left,
+            right, left = eigenvectors(sys_)
+            out.update(right=right, left=left,
                        projector=nhent.projector(sys_, sel))
         if kind == "bloch":
             out.update(u_k=sys_.u_k, l_k=sys_.l_k)
