@@ -2,25 +2,25 @@
 
 ``balanced_eig`` is the only solver that returns eigenvectors (unit-norm
 right columns and their biorthogonal left partners), the only Hermitian
-test of a kernel solve, and the only code that raises
-``DefectiveError``.  A Hermitian matrix goes to ``eigh`` as given.  Any
-other kernel is balanced once, by the diagonal ``symmetrizing_diagonal``
-reads off its entry ratios, and solved once: by ``eigh`` when that frame
-makes it Hermitian (a gauge-Hermitian kernel, such as the open
-Hatano-Nelson chain, with condition exactly 1.0), else by one ``eig`` and
-one inverse, in real arithmetic when its imaginary part is exactly zero.
-The defectiveness gate, kappa_2 of the eigenvector matrix against
-``DEFECTIVE_COND``, is certified from the Frobenius norms of that matrix
-and its inverse; only near or above the threshold is kappa_2 taken from an
-SVD.  This module is the only caller of ``np.linalg.cond`` and ``svd``.
-``balanced_eig`` also takes an (m, n, n) stack, such as the Bloch matrices
-of a ring: every gate runs per matrix, the matrices are grouped by path,
-and each group is one stacked LAPACK call, so the cost in Python calls does
-not grow with m, and each matrix's outputs are bit for bit those it gets
-alone.
+test of a kernel solve, the only code that raises ``DefectiveError`` and
+the only caller of ``np.linalg.cond`` and ``svd``.  A Hermitian matrix goes
+to ``eigh`` as given.  Any other kernel is balanced once, by the diagonal
+``symmetrizing_diagonal`` reads off its entry ratios, and solved once: by
+``eigh`` when that frame makes it Hermitian (a gauge-Hermitian kernel, such
+as the open Hatano-Nelson chain, with condition exactly 1.0), else by one
+``eig`` and one inverse, in real arithmetic when its imaginary part is
+exactly zero.  The defectiveness gate, kappa_2 of the eigenvector matrix
+against ``DEFECTIVE_COND``, is certified from the Frobenius norms of that
+matrix and its inverse; only near or above the threshold does an SVD run.
 
-Spectra and bands are paired by ``min_cost_matching``, a pure-Python
-min-cost assignment.
+A 2-D call runs each gate once on the matrix itself, and skips the stack
+bookkeeping: no stack axis, index arrays, path groups or lists of partial
+results.  An (m, n, n) stack, such as the Bloch matrices of a ring, runs
+each gate on every matrix through the same helpers; the matrices are
+grouped by path, one stacked LAPACK call per group, so the cost in Python
+calls does not grow with m, and each matrix's outputs are bit for bit
+those of its 2-D call.  Spectra and bands are paired by
+``min_cost_matching``, a pure-Python min-cost assignment.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ DEFECTIVE_COND = 1e12
 # eigenvalues closer than this, relative to the kernel's largest entry,
 # form one cluster in a refusal's report
 CLUSTER_TOL = 1e-6
+# symmetrizing_diagonal: sqrt(eps), the scale of its tie, and the clip of
+# ln d at half of the float64 exponent range
+_SQRT_EPS = np.sqrt(np.finfo(float).eps)
+_CLIP = 0.5 * np.log(np.finfo(float).max)
 
 
 def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL):
@@ -50,12 +54,11 @@ def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL):
     (m, n, n) stack, a boolean array: the test of each matrix, against the
     matching entry of ``tol`` when that is an array; on one matrix, a bool.
     """
-    S = A if A.ndim == 3 else A[None]
-    scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     with np.errstate(invalid="ignore"):  # inf - inf on a non-finite matrix
-        gap = np.abs(S - S.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        gap = np.abs(A - A.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
     herm = np.isfinite(scale) & (gap <= tol * scale)
-    return herm if A.ndim == 3 else bool(herm[0])
+    return herm if A.ndim == 3 else bool(herm)
 
 
 def _real_if_real_valued(A: np.ndarray) -> np.ndarray:
@@ -172,62 +175,72 @@ def symmetrizing_diagonal(A: np.ndarray) -> np.ndarray:
     finite; a kernel rescaled by a grading that steep may overflow, and
     ``balanced_eig`` refuses it.
 
-    An (m, n, n) stack gives an (m, n) array, each row bit for bit the d of
-    its matrix alone.  Matrices with one pattern of nonzero pairs share the
-    Laplacian and its factorization, and each takes its own two solves: one
-    solve of several right-hand sides rounds differently.
+    One matrix is solved as it is.  An (m, n, n) stack gives an (m, n)
+    array, each row bit for bit the d of its matrix alone: matrices with one
+    pattern of nonzero pairs share the Laplacian and its factorization, and
+    each takes its own two solves, as one solve of several right-hand sides
+    rounds differently.
     """
-    S = A.reshape(-1, *A.shape[-2:])
-    m, n = S.shape[:2]
-    nonzero = S != 0
-    pairs = nonzero & nonzero.transpose(0, 2, 1)
-    pairs[:, range(n), range(n)] = False
-    label = (np.unique(pairs.reshape(m, -1), axis=0, return_inverse=True)[1]
-             if m > 1 else np.zeros(m, dtype=int)).ravel()
-    d = np.ones((m, n))
-    lim = 0.5 * np.log(np.finfo(float).max)
-    for pattern in range(label.max(initial=-1) + 1):
-        blocks = np.flatnonzero(label == pattern)
-        i, j = np.nonzero(pairs[blocks[0]])
-        # each pair's ratio is antisymmetric in (i, j), so equal magnitudes
-        # give exactly 0 and a magnitude-symmetric A exactly np.ones
-        b = blocks[:, None]
-        ratio = np.log(np.abs(S[b, i, j])) - np.log(np.abs(S[b, j, i]))
-        rhs = 0.5 * _row_bincount(i, ratio, n)
-        live = rhs.any(axis=1)
-        if not live.any():
-            continue
-        blocks, rhs = blocks[live], rhs[live]
-        degree = np.bincount(i, minlength=n)
-        # tie weight: sqrt(eps)/4 of 4/n^2, a lower bound on the smallest
-        # nonzero Laplacian eigenvalue of any component (Mohar 1991); one
-        # refinement step squares the tie's relative bias to below eps.  The
-        # tie is the tied matrix's smallest eigenvalue, which on dense
-        # coupling graphs can fall below a Cholesky factorization's backward
-        # error, so the factorization is an LU.
-        tied = np.zeros((n, n), order="F")
-        tied[i, j] = -1.0
-        np.fill_diagonal(tied, degree + np.sqrt(np.finfo(float).eps) / n**2)
-        # factored once for every solve and refinement step; LAPACK is
-        # called directly because the lu_factor/lu_solve wrappers cost more
-        # than the solve itself on the 2 x 2 Bloch blocks
-        lu, piv, _ = dgetrf(tied, overwrite_a=True)
-        x = np.array([dgetrs(lu, piv, r)[0] for r in rhs])
-        # the Laplacian product (L x)_i = degree_i x_i - sum_j x_j over the
-        # pairs
-        lap_x = degree * x - _row_bincount(i, x[:, j], n)
-        x += np.array([dgetrs(lu, piv, r)[0] for r in rhs - lap_x])
-        x -= x.mean(axis=1, keepdims=True)
-        d[blocks] = np.exp(np.clip(x, -lim, lim))
-    return d.reshape(A.shape[:-1])
+    n = A.shape[-1]
+    nonzero = A != 0
+    pairs = nonzero & nonzero.swapaxes(-2, -1)
+    pairs.reshape(*A.shape[:-2], n * n)[..., ::n + 1] = False
+    if A.ndim == 2:
+        return _pattern_diagonal(A, pairs)
+    label = np.unique(pairs.reshape(len(A), n * n), axis=0,
+                      return_inverse=True)[1]
+    d = np.ones(A.shape[:-1])
+    for _, blocks in _parts(label.ravel()):
+        d[blocks] = _pattern_diagonal(A[blocks], pairs[blocks[0]])
+    return d
+
+
+def _pattern_diagonal(X: np.ndarray, pairs: np.ndarray):
+    """``symmetrizing_diagonal`` of one matrix X or of a (k, n, n) stack
+    whose matrices all have the nonzero pairs ``pairs`` (an n x n mask)."""
+    n = X.shape[-1]
+    i, j = np.nonzero(pairs)
+    # the stack axis, if any: indexing past an Ellipsis costs more
+    lead = (slice(None),) * (X.ndim - 2)
+    # each pair's ratio is antisymmetric in (i, j), so equal magnitudes give
+    # exactly 0 and a magnitude-symmetric X exactly np.ones
+    ratio = (np.log(np.abs(X[(*lead, i, j)]))
+             - np.log(np.abs(X[(*lead, j, i)])))
+    rhs = 0.5 * _row_bincount(i, ratio, n)
+    if not rhs.any():
+        return np.ones(X.shape[:-1])
+    degree = np.bincount(i, minlength=n)
+    # tie weight: sqrt(eps)/4 of 4/n^2, a lower bound on the smallest nonzero
+    # Laplacian eigenvalue of any component (Mohar 1991); one refinement step
+    # squares the tie's relative bias to below eps.  The tie is the tied
+    # matrix's smallest eigenvalue, which on dense coupling graphs can fall
+    # below a Cholesky factorization's backward error, so the factorization
+    # is an LU.  The tied matrix is symmetric, so its transpose is the
+    # Fortran-ordered matrix LAPACK factors in place.
+    tied = np.subtract(0.0, pairs, dtype=float)  # -1.0 on the pairs
+    tied.reshape(-1)[::n + 1] = degree + _SQRT_EPS / n**2
+    # factored once for every solve and refinement step; LAPACK is called
+    # directly because the lu_factor/lu_solve wrappers cost more than the
+    # solve itself on the 2 x 2 Bloch blocks
+    lu, piv, _ = dgetrf(tied.T, overwrite_a=True)
+
+    def solve(b):  # each row on its own
+        return (dgetrs(lu, piv, b)[0] if b.ndim == 1
+                else np.array([dgetrs(lu, piv, r)[0] for r in b]))
+    # a matrix whose ratios all cancel has rhs 0, which solves to x = 0 and
+    # d = 1 exactly
+    x = solve(rhs)
+    # the Laplacian product (L x)_i = degree_i x_i - sum_j x_j over the pairs
+    x += solve(rhs - (degree * x - _row_bincount(i, x[(*lead, j)], n)))
+    x -= x.sum(axis=-1, keepdims=True) / n
+    return np.exp(np.minimum(np.maximum(x, -_CLIP), _CLIP))
 
 
 def _row_bincount(i: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """``np.bincount(i, w, minlength=n)`` for each row w of a 2-D weights.
-
-    Each bin adds its weights in the order of one row's call, so every row
-    is bit for bit that call.
-    """
+    """``np.bincount(i, w, minlength=n)`` for weights w, or for each row w of
+    a 2-D weights, each bin summed in the order of that row's own call."""
+    if weights.ndim == 1:
+        return np.bincount(i, weights, minlength=n)
     rows = len(weights)
     bins = (np.arange(rows)[:, None] * n + i).ravel()
     return np.bincount(bins, weights.ravel(), minlength=rows * n).reshape(
@@ -235,20 +248,14 @@ def _row_bincount(i: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
 
 def _squared_norms(X: np.ndarray, axis: int) -> np.ndarray:
-    """Sums of |X_kij|^2 over ``axis`` (1: per column, 2: per row) of each
-    matrix of an (m, n, n) stack X.
-
-    A complex X is read as its float view, real and imaginary parts
-    interleaved along each row, so no stack-sized temporary is made.
-    """
-    cplx = np.iscomplexobj(X)
-    F = np.ascontiguousarray(X)
-    if cplx:
-        F = F.view(float)
-    if axis == 2:
-        return np.einsum("kij,kij->ki", F, F)
-    s = np.einsum("kij,kij->kj", F, F)
-    return s[:, 0::2] + s[:, 1::2] if cplx else s
+    """Sums of |X_ij|^2 over ``axis`` (-2: per column, -1: per row) of one
+    matrix X or of each of a stack; a complex X is read as its float view
+    (real and imaginary parts interleaved), so no X-sized temporary is made."""
+    F = np.ascontiguousarray(X).view(float)
+    if axis == -1:
+        return np.einsum("...ij,...ij->...i", F, F)
+    s = np.einsum("...ij,...ij->...j", F, F)
+    return s[..., 0::2] + s[..., 1::2] if np.iscomplexobj(X) else s
 
 
 def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
@@ -262,97 +269,100 @@ def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
     return [g for g in groups if len(g) > 1]
 
 
-def _rows(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """X[idx]; X itself when idx takes every row in order, so a single
-    matrix is never copied."""
-    return X if len(idx) == len(X) else X[idx]
-
-
 def _stacked(solver, X: np.ndarray):
-    """``solver`` (``np.linalg.eig``, ``eigh`` or ``inv``) on each matrix of
-    the (m, n, n) stack X, in one call; outputs stacked along axis 0.
+    """``solver`` (``np.linalg.eig``, ``eigh`` or ``inv``) on one matrix, or
+    on each of an (m, n, n) stack in one call, bit for bit the m calls.
 
-    numpy solves each matrix of a stack by the LAPACK call it makes for that
-    matrix alone, so the outputs are bit for bit those of m calls.  A stack
-    of one goes in as its matrix.  A longer one goes in as (1, 1, m, n, n):
-    a wrapper that reads its argument as one matrix and forms
-    ``a - a.conj().T`` (the benchmark's span tracer does) then broadcasts
-    instead of raising.
+    A stack goes in as (1, 1, m, n, n): a wrapper that reads its argument as
+    one matrix and forms ``a - a.conj().T`` (the benchmark's span tracer
+    does) then broadcasts instead of raising.
     """
-    if len(X) == 1:
-        out, take = solver(X[0]), (lambda o: o[None])
-    else:
-        out, take = solver(X[None, None]), (lambda o: o[0, 0])
-    return tuple(map(take, out)) if isinstance(out, tuple) else take(out)
+    if X.ndim == 2:
+        return solver(X)
+    out = solver(X[None, None])
+    return tuple(o[0, 0] for o in out) if isinstance(out, tuple) else out[0, 0]
 
 
-def _inverses(Vr: np.ndarray):
-    """(inverses, singular) of a stack: a singular matrix is flagged, and
-    its inverse left NaN."""
-    try:
-        return _stacked(np.linalg.inv, Vr), np.zeros(len(Vr), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    inv = np.full_like(Vr, np.nan)
-    singular = np.ones(len(Vr), dtype=bool)
-    if len(Vr) > 1:  # find which are
-        for b, V in enumerate(Vr):
-            try:
-                inv[b] = np.linalg.inv(V)
-            except np.linalg.LinAlgError:
-                continue
-            singular[b] = False
-    return inv, singular
-
-
-def _balanced_frames(R: np.ndarray, mirrors):
-    """The balanced kernels B = D^-1 M D of a stack R of non-Hermitian
-    kernels, [(rows of R, B, d, P)]: one stack of the real-valued kernels,
-    one of the PT-symmetric ones and one of the rest.
-
-    M is R in real arithmetic when its imaginary part is exactly zero,
-    Re R - (Im R) P on a PT kernel, whose P (a row of the (k, n) array,
-    None off the PT stack) is its first mirror with R* = P R P exactly,
-    and R itself otherwise.
-    """
-    k, n = R.shape[:2]
-    if not k:
-        return []
-    cplx = (R.imag.any(axis=(1, 2)) if np.iscomplexobj(R)
-            else np.zeros(k, dtype=bool))
-    mirror = np.full(k, -1)  # index into mirrors, -1 for none
+def _arithmetic(X: np.ndarray, mirrors):
+    """(cplx, mirror) of one non-Hermitian kernel X, or of each of a stack:
+    whether its imaginary part is nonzero, and the index in ``mirrors`` of
+    the first P with X* = P X P exactly (read on the real and imaginary
+    parts separately), -1 for none and for a real-valued X."""
+    cplx, mirror = X.imag.any(axis=(-2, -1)), -1
     for c, p in enumerate(mirrors):
-        # A* = P A P, read on the real and imaginary parts separately
-        free = np.flatnonzero(cplx & (mirror < 0))
-        C = _rows(R, free)
-        flip = C[:, p][:, :, p]
-        mirror[free[(C.real == flip.real).all(axis=(1, 2))
-                    & (-C.imag == flip.imag).all(axis=(1, 2))]] = c
-    d = symmetrizing_diagonal(R)
-    frames = []
-    for rows in map(np.flatnonzero, (~cplx, mirror >= 0,
-                                     cplx & (mirror < 0))):
-        if not rows.size:
-            continue
-        M, dr, perm = _rows(R, rows), d[rows], None
-        if not cplx[rows[0]]:
-            M = M.real
-        elif mirror[rows[0]] >= 0:
-            perm = np.array(mirrors)[mirror[rows]]
-            M = M.real - np.take_along_axis(M.imag, perm[:, None, :], axis=2)
-            # a mirror-symmetric diagonal, so that B inherits the symmetry
-            dr = np.sqrt(dr * np.take_along_axis(dr, perm, axis=1))
-        with np.errstate(over="ignore"):
-            B = (M / dr[:, :, None]) * dr[:, None, :]
-        frames.append((rows, B, dr, perm))
-    return frames
+        free = cplx & (mirror < 0)
+        if not free.any():
+            break
+        flip = X[..., p, :][..., p]
+        mirror = np.where(free & (X.real == flip.real).all(axis=(-2, -1))
+                          & (-X.imag == flip.imag).all(axis=(-2, -1)),
+                          c, mirror)
+    return cplx, mirror
+
+
+def _balance(X: np.ndarray, cplx, d: np.ndarray, perm):
+    """(B, d) of kernels X that share their arithmetic: B = D^-1 M D with
+    M = Re X - (Im X) P on PT kernels (P a row of ``perm``), X on other
+    complex ones and Re X on real ones; a PT kernel's d is made
+    mirror-symmetric first, d <- sqrt(d d[p]), so B inherits the symmetry."""
+    M = X if cplx and perm is None else X.real
+    if perm is not None:
+        M = M - np.take_along_axis(X.imag, perm[..., None, :], axis=-1)
+        d = np.sqrt(d * np.take_along_axis(d, perm, axis=-1))
+    with np.errstate(over="ignore"):
+        return (M / d[..., :, None]) * d[..., None, :], d
+
+
+def _gauge_solve(B: np.ndarray):
+    """(w, V_r, V_r^-1) of gauge-Hermitian balanced kernels: ``eigh`` of
+    the Hermitian part, so V_r is unitary and V_r^-1 = V_r^dag."""
+    w, Vr = _stacked(np.linalg.eigh, 0.5 * (B + B.conj().swapaxes(-2, -1)))
+    return w, Vr, Vr.conj().swapaxes(-2, -1)
+
+
+def _certified(Vr: np.ndarray):
+    """(V_r^-1, cond, suspect, singular) of eigenvector matrices V_r: one
+    inverse (NaN where V_r is singular), max_i s_i, and the kappa_F
+    certificate, which a suspect fails."""
+    singular = np.zeros(Vr.shape[:-2], dtype=bool)
+    try:
+        inv = _stacked(np.linalg.inv, Vr)
+    except np.linalg.LinAlgError:
+        if Vr.ndim == 3:  # one at a time, to find the singular ones
+            return tuple(map(np.array, zip(*map(_certified, Vr))))
+        inv, singular = np.full_like(Vr, np.nan), ~singular
+    r2, l2 = _squared_norms(Vr, -2), _squared_norms(inv, -1)
+    # kappa_2 <= kappa_F = ||V_r||_F ||V_r^-1||_F, so kappa_F at or below
+    # half the threshold proves that the kappa_2 gate accepts.  The factor 2
+    # absorbs the rounding of the computed inverse (relative error ~ n eps
+    # kappa_2, below 1/2 up to n ~ 2000 at 1e12).  Only above it, or for a
+    # singular V_r, does the SVD run (``_defect``), and it decides.
+    kappa_f = np.sqrt(r2.sum(axis=-1)) * np.sqrt(l2.sum(axis=-1))
+    suspect = singular | ~(kappa_f <= DEFECTIVE_COND / 2)
+    # Wilkinson's eigenvalue condition numbers s_i = ||r_i|| ||l_i||
+    return inv, np.sqrt((r2 * l2).max(axis=-1)), suspect, singular
+
+
+def _defect(Vr: np.ndarray, w: np.ndarray, singular: bool, scale: float):
+    """(reason, kappa_2, clusters) of a suspect V_r, from the SVD; None when
+    kappa_2 accepts it."""
+    kappa = float(np.linalg.cond(Vr))
+    over = not kappa <= DEFECTIVE_COND  # a NaN estimate is over too
+    # an infinite estimate, like a pivot inv finds zero, is singular
+    if over or np.isinf(kappa) or singular:
+        reason = (f"exceeds {DEFECTIVE_COND:.1e}" if over
+                  else "but the matrix is singular")
+        return (f"right-eigenvector matrix condition {kappa:.3e} {reason}; "
+                "matrix is (near-)defective", kappa,
+                _eigenvalue_clusters(w.astype(complex, copy=False), scale))
+    return None
 
 
 def _to_caller_frame(Vr, Vb_inv, d, perm):
-    """(V, V^-1) = (D T V_r, V_r^-1 T^dag D^-1) for a stack of balanced-frame
-    eigenvectors V_r and their inverses, each output in one complex array,
-    with T = (I + iP) / sqrt(2) on the PT stack (``perm`` holds each P) and
-    T = I otherwise.
+    """(V, V^-1) = (D T V_r, V_r^-1 T^dag D^-1) of balanced-frame
+    eigenvectors V_r and their inverse, one matrix or a stack, each output
+    in one complex array, with T = (I + iP) / sqrt(2) on a PT kernel
+    (``perm`` holds P) and T = I otherwise.
 
     T and D are applied in separate roundings, as folding 1 / sqrt(2) into d
     would move every PT result by an ulp.
@@ -360,87 +370,48 @@ def _to_caller_frame(Vr, Vb_inv, d, perm):
     V = np.empty(Vr.shape, dtype=complex)
     Vinv = np.empty(Vr.shape, dtype=complex)
     if perm is None:
-        np.multiply(Vr, d[:, :, None], out=V)
-        np.divide(Vb_inv, d[:, None, :], out=Vinv)
+        np.multiply(Vr, d[..., :, None], out=V)
+        np.divide(Vb_inv, d[..., None, :], out=Vinv)
         return V, Vinv
-    np.multiply(1j, np.take_along_axis(Vr, perm[:, :, None], axis=1), out=V)
+    np.multiply(1j, np.take_along_axis(Vr, perm[..., :, None], axis=-2),
+                out=V)
     V += Vr
     V /= np.sqrt(2.0)
-    V *= d[:, :, None]
-    np.multiply(-1j, np.take_along_axis(Vb_inv, perm[:, None, :], axis=2),
+    V *= d[..., :, None]
+    np.multiply(-1j, np.take_along_axis(Vb_inv, perm[..., None, :], axis=-1),
                 out=Vinv)
     Vinv += Vb_inv
     Vinv /= np.sqrt(2.0)
-    Vinv /= d[:, None, :]
+    Vinv /= d[..., None, :]
     return V, Vinv
 
 
-def _frame_rows(d, perm, idx):
-    """(d[idx], P[idx]) of a frame; P stays None off the PT stack."""
-    return d[idx], None if perm is None else perm[idx]
+def _unit_columns(V: np.ndarray, Vinv: np.ndarray):
+    """Scale the right columns to unit norm, in place; the rows of V^-1
+    absorb the rescaling, so V^-1 V = I stays exact up to inversion error.
+    Returns whether each V and V^-1 stayed finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # each column's 2-norm as np.linalg.norm forms it, bit for bit
+        vnorm = np.sqrt(np.add.reduce((V.conj() * V).real, axis=-2))
+        V /= vnorm[..., None, :]
+        Vinv *= vnorm[..., :, None]
+    return (np.isfinite(V).all(axis=(-2, -1))
+            & np.isfinite(Vinv).all(axis=(-2, -1)))
 
 
-def _solve_balanced(frames):
-    """Solve each frame of ``_balanced_frames`` by path: one ``eigh`` for its
-    gauge-Hermitian kernels, one ``eig`` and one inverse per arithmetic for
-    the rest.
-
-    Returns the solves [(rows, w, Vr, Vb^-1, d, P, cond)] and the suspects
-    [(row, Vr, w, singular)] whose kappa_F certificate fails.
-    """
-    solved, suspects = [], []
-    for rows, B, d, perm in frames:
-        log_spread = np.maximum(1.0, np.abs(np.log(d)).max(axis=1))
-        gauge = is_hermitian(B, HERMITIAN_TOL * log_spread)
-        g = np.flatnonzero(gauge)
-        if g.size:
-            Bg = _rows(B, g)
-            w, Vr = _stacked(np.linalg.eigh,
-                             0.5 * (Bg + Bg.conj().transpose(0, 2, 1)))
-            solved.append((rows[g], w, Vr, Vr.conj().transpose(0, 2, 1),
-                           *_frame_rows(d, perm, g), np.ones(len(g))))
-        e = np.flatnonzero(~gauge)
-        if not e.size:
-            continue
-        w, Vr = _stacked(np.linalg.eig, _rows(B, e))
-        # numpy's eig is real only if every spectrum of the stack is; a real
-        # matrix with a real spectrum takes real vectors, as it would alone
-        parts = [(e, w, Vr)]
-        if np.isrealobj(B) and np.iscomplexobj(w):
-            cplx = w.imag.any(axis=1)
-            real, cplx = np.flatnonzero(~cplx), np.flatnonzero(cplx)
-            parts = [(e[real], w[real].real, Vr[real].real),
-                     (e[cplx], _rows(w, cplx), _rows(Vr, cplx))]
-        for part, w, Vr in parts:
-            if not part.size:
-                continue
-            Vb_inv, singular = _inverses(Vr)
-            r2, l2 = _squared_norms(Vr, 1), _squared_norms(Vb_inv, 2)
-            # kappa_2 <= kappa_F = ||Vr||_F ||Vr^-1||_F, so kappa_F at or
-            # below half the threshold proves that the kappa_2 gate
-            # accepts.  The factor 2 absorbs the rounding of the computed
-            # inverse (relative error ~ n eps kappa_2, below 1/2 up to
-            # n ~ 2000 at 1e12).  Only above it, or for a singular Vr, does
-            # the SVD run, and it decides.
-            kappa_f = np.sqrt(r2.sum(axis=1)) * np.sqrt(l2.sum(axis=1))
-            suspect = singular | ~(kappa_f <= DEFECTIVE_COND / 2)
-            suspects += [(rows[part[b]], Vr[b], w[b], singular[b])
-                         for b in np.flatnonzero(suspect)]
-            # Wilkinson's eigenvalue condition numbers s_i = ||r_i|| ||l_i||
-            solved.append((rows[part], w, Vr, Vb_inv,
-                           *_frame_rows(d, perm, part),
-                           np.sqrt((r2 * l2).max(axis=1))))
-    return solved, suspects
+# refusal reasons before the solve (the first two) and after it
+_NON_FINITE = "kernel has a non-finite entry (inf or NaN)"
+_GRADING = "the kernel's diagonal grading exceeds the representable range"
+_B_OVERFLOW = f"balanced kernel overflows float64: {_GRADING}"
+_V_OVERFLOW = f"normalized eigenvectors overflow float64: {_GRADING}"
 
 
 def balanced_eig(A: np.ndarray, mirrors=()):
     """Eigendecomposition of a kernel; the one solver that returns vectors.
 
-    ``A`` is one n x n kernel or an (m, n, n) stack of them.  A stack is
-    solved matrix by matrix by the rules below, every gate applied to each
-    matrix, and each output is bit for bit that of the matrix solved alone;
-    the matrices are grouped by path, and each group costs one stacked
-    ``eigh``, or one ``eig`` and one inverse, however many it holds.
+    ``A`` is one n x n kernel or an (m, n, n) stack of them, each matrix
+    of which gets, bit for bit, the outputs of its own 2-D call; each path
+    of a stack costs one stacked ``eigh``, or one ``eig`` and one inverse.
 
     A Hermitian A (``is_hermitian``) goes to ``eigh`` exactly as given: no
     rescaling, no real cast, no symmetrization.  V is unitary, left is V
@@ -514,83 +485,123 @@ def balanced_eig(A: np.ndarray, mirrors=()):
         any matrix fails is reported, by its index, with what its own
         solve would carry.
     """
-    S = A if A.ndim == 3 else A[None]
-    m, n = S.shape[:2]
+    if A.ndim == 3:
+        return _balanced_stack(A, mirrors)
+    if is_hermitian(A):
+        w, V = np.linalg.eigh(A)
+        V = V.astype(complex)
+        return w.astype(complex), V, V, 1.0
+    if not np.isfinite(A).all():
+        raise DefectiveError(_NON_FINITE, condition_estimate=math.inf)
+    cplx, mirror = _arithmetic(A, mirrors)
+    perm = np.asarray(mirrors[mirror]) if mirror >= 0 else None
+    B, d = _balance(A, cplx, symmetrizing_diagonal(A), perm)
+    if not np.isfinite(B).all():
+        raise DefectiveError(_B_OVERFLOW, condition_estimate=math.inf)
+    cond = 1.0
+    if is_hermitian(B, HERMITIAN_TOL * max(1.0, np.abs(np.log(d)).max())):
+        w, Vr, Vb_inv = _gauge_solve(B)
+    else:
+        w, Vr = np.linalg.eig(B)
+        Vb_inv, cond, suspect, singular = _certified(Vr)
+        if suspect and (refusal := _defect(Vr, w, singular,
+                                           np.abs(A).max())):
+            raise DefectiveError(*refusal)
+    del B  # freed before the back-map's outputs
+    V, Vinv = _to_caller_frame(Vr, Vb_inv, d, perm)
+    del Vr, Vb_inv  # freed before the norm's temporaries
+    if not _unit_columns(V, Vinv):
+        raise DefectiveError(_V_OVERFLOW, condition_estimate=float(cond))
+    # the left vectors are the columns of V^-dag, conjugated in place
+    return (w.astype(complex, copy=False), V,
+            np.conjugate(Vinv, out=Vinv).T, float(cond))
 
+
+def _balanced_stack(S: np.ndarray, mirrors):
+    """``balanced_eig`` of an (m, n, n) stack: each gate of the one-matrix
+    path runs on every matrix before the next gate, and the solves are
+    grouped by path."""
     def refuse(block, reason, condition_estimate, clusters=None):
-        at = f"block {block}: " if A.ndim == 3 else ""
-        return DefectiveError(at + reason, clusters=clusters,
+        return DefectiveError(f"block {block}: {reason}", clusters=clusters,
                               condition_estimate=condition_estimate)
 
-    herm = np.atleast_1d(is_hermitian(A))
+    herm = is_hermitian(S)
     rest = np.flatnonzero(~herm)
-    R = _rows(S, rest)
-    bad = np.flatnonzero(~np.isfinite(R).all(axis=(1, 2)))
-    if bad.size:
-        raise refuse(rest[bad[0]], "kernel has a non-finite entry "
-                     "(inf or NaN)", condition_estimate=math.inf)
-    frames = _balanced_frames(R, mirrors)
+    R = S[rest]
+    finite = np.isfinite(R).all(axis=(1, 2))
+    if not finite.all():
+        raise refuse(rest[finite.argmin()], _NON_FINITE, math.inf)
+    cplx, mirror = _arithmetic(R, mirrors)
+    d = symmetrizing_diagonal(R)
+    frames = []  # (rows of R, B, d, P) of arithmetic 0 real, 1 PT, 2 complex
+    for k, rows in _parts(np.where(cplx, 2 - (mirror >= 0), 0)):
+        perm = np.array(mirrors)[mirror[rows]] if k == 1 else None
+        frames.append((rows, *_balance(R[rows], k, d[rows], perm), perm))
     bad = [r for rows, B, *_ in frames
            for r in rows[~np.isfinite(B).all(axis=(1, 2))]]
     if bad:
-        raise refuse(
-            rest[min(bad)], "balanced kernel overflows float64: the "
-            "kernel's diagonal grading exceeds the representable range",
-            condition_estimate=math.inf)
+        raise refuse(rest[min(bad)], _B_OVERFLOW, math.inf)
 
     units = []  # (blocks, eigenvalues, right, left, cond), one per path
     h = np.flatnonzero(herm)
     if h.size:
-        w, V = _stacked(np.linalg.eigh, _rows(S, h))
+        w, V = _stacked(np.linalg.eigh, S[h])
         V = V.astype(complex)
         units.append((h, w.astype(complex), V, V, np.ones(len(h))))
-    solved, suspects = _solve_balanced(frames)
+    solved, suspects = [], []  # (rows of R, w, V_r, V_r^-1, d, P, cond)
+    for rows, B, d, perm in frames:
+        log_spread = np.maximum(1.0, np.abs(np.log(d)).max(axis=1))
+        gauge = is_hermitian(B, HERMITIAN_TOL * log_spread)
+        for general, g in _parts(~gauge):
+            rows_g, B_g, d_g, perm_g = rows[g], B[g], d[g], _take(perm, g)
+            if not general:
+                solved.append((rows_g, *_gauge_solve(B_g), d_g, perm_g,
+                               np.ones(len(g))))
+                continue
+            w, Vr = _stacked(np.linalg.eig, B_g)
+            # numpy's eig is real only if every spectrum of the stack is; a
+            # real matrix with a real spectrum takes real vectors and a real
+            # inverse, as it would alone
+            split = np.isrealobj(B_g) and np.iscomplexobj(w)
+            for cplx, p in _parts(w.imag.any(axis=1) if split
+                                  else np.ones(len(g), dtype=bool)):
+                w_p, Vr_p = (w[p], Vr[p]) if cplx else (w[p].real, Vr[p].real)
+                Vb_inv, cond, suspect, singular = _certified(Vr_p)
+                suspects += [(rows_g[p[b]], Vr_p[b], w_p[b], singular[b])
+                             for b in np.flatnonzero(suspect)]
+                solved.append((rows_g[p], w_p, Vr_p, Vb_inv, d_g[p],
+                               _take(perm_g, p), cond))
     del frames
     for r, Vr, w, singular in sorted(suspects, key=lambda s: s[0]):
-        kappa = float(np.linalg.cond(Vr))
-        over = not kappa <= DEFECTIVE_COND  # a NaN estimate is over too
-        # an infinite estimate, like a pivot inv finds zero, is singular
-        if over or np.isinf(kappa) or singular:
-            reason = (f"exceeds {DEFECTIVE_COND:.1e}" if over
-                      else "but the matrix is singular")
-            raise refuse(
-                rest[r], f"right-eigenvector matrix condition {kappa:.3e} "
-                f"{reason}; matrix is (near-)defective",
-                condition_estimate=kappa, clusters=_eigenvalue_clusters(
-                    w.astype(complex, copy=False), float(np.abs(R[r]).max())))
-    del suspects
+        if refusal := _defect(Vr, w, singular, float(np.abs(R[r]).max())):
+            raise refuse(rest[r], *refusal)
     overflow = []
-    while solved:
-        rows, w, Vr, Vb_inv, d, perm, cond = solved.pop(0)
+    for rows, w, Vr, Vb_inv, d, perm, cond in solved:
         V, Vinv = _to_caller_frame(Vr, Vb_inv, d, perm)
-        del Vr, Vb_inv  # freed before the norm's temporaries
-        # right columns to unit norm; the rows of V^-1 absorb the
-        # rescaling, so V^-1 V = I stays exact up to inversion error
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vnorm = np.linalg.norm(V, axis=1)
-            V /= vnorm[:, None, :]
-            Vinv *= vnorm[:, :, None]
-        finite = (np.isfinite(V).all(axis=(1, 2))
-                  & np.isfinite(Vinv).all(axis=(1, 2)))
+        finite = _unit_columns(V, Vinv)
         overflow += [(r, c) for r, c in zip(rows[~finite], cond[~finite])]
-        # the left vectors are the columns of V^-dag, conjugated in place
         units.append((rest[rows], w.astype(complex, copy=False), V,
                       np.conjugate(Vinv, out=Vinv).transpose(0, 2, 1), cond))
     if overflow:
         r, cond = min(overflow)
-        raise refuse(rest[r], "normalized eigenvectors overflow float64: the "
-                     "kernel's diagonal grading exceeds the representable "
-                     "range", condition_estimate=float(cond))
+        raise refuse(rest[r], _V_OVERFLOW, float(cond))
     if len(units) == 1:
-        _, w, V, left, cond = units[0]
-    else:
-        w = np.empty((m, n), dtype=complex)
-        V = np.empty((m, n, n), dtype=complex)
-        left = np.empty((m, n, n), dtype=complex)
-        cond = np.empty(m)
-        for blocks, *fields in units:
-            w[blocks], V[blocks], left[blocks], cond[blocks] = fields
-    if A.ndim == 3:
-        return w, V, left, cond
-    right = V[0]
-    return w[0], right, right if left is V else left[0], float(cond[0])
+        return units[0][1:]
+    fields = (np.empty(S.shape[:2], dtype=complex),
+              np.empty(S.shape, dtype=complex),
+              np.empty(S.shape, dtype=complex), np.empty(len(S)))
+    for blocks, *unit in units:
+        for field, part in zip(fields, unit):
+            field[blocks] = part
+    return tuple(fields)
+
+
+def _parts(labels: np.ndarray) -> list:
+    """[(label, rows)]: each distinct label of a 1-D array, ascending, with
+    the rows that hold it."""
+    return [(v, np.flatnonzero(labels == v)) for v in np.unique(labels)]
+
+
+def _take(perm, idx):
+    """The mirrors ``perm[idx]`` of a PT frame; None off the PT frame."""
+    return None if perm is None else perm[idx]

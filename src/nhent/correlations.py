@@ -236,26 +236,31 @@ class DualityReport:
 
 def check_duality(sys: BiorthogonalSystem, sel: GroundStateSelection,
                   part: Partition) -> DualityReport:
-    """Compare Spec(R P R) with Spec(P R P) as multisets.
+    """Compare Spec(R P R) with Spec(P R P) as multisets, at the rank of the
+    cut.
 
-    R P R is evaluated on the partition block (size |A|), P R P on the
+    R P R is evaluated on the partition block C (size |A|), P R P on the
     occupied-state block B_ab = <L_a| R |R_b> (size n_occ), both in the
-    partition's space.  The shorter spectrum is padded with exact zeros,
-    which is the rank argument: both products share their nonzero
-    spectrum.  Pairing uses an optimal assignment rather than sorted-order
-    matching: clusters of eigenvalues with nearly equal real parts but
-    opposite imaginary parts would otherwise cross-pair and report a
-    spurious mismatch.
+    partition's space.  Both products share their nonzero spectrum, and
+    each has rank at most k = min(|A|, n_occ), which is the rank argument:
+    the k largest-modulus eigenvalues of each are paired, and every
+    eigenvalue left over (of the larger product) should be zero, so its
+    modulus is a residual too.  Pairing uses an optimal assignment rather
+    than sorted-order matching: clusters of eigenvalues with nearly equal
+    real parts but opposite imaginary parts would otherwise cross-pair and
+    report a spurious mismatch.  Both returned spectra have length k.
     """
     C = correlation_matrix(sys, sel, part).entries
     Ra, La = _occupied_rows(sys, sel, part)
     B = La.conj().T @ Ra
     ev_rpr = np.linalg.eigvals(C)
     ev_prp = np.linalg.eigvals(B)
-    n = max(len(ev_rpr), len(ev_prp))
-    pad_rpr = np.concatenate([ev_rpr, np.zeros(n - len(ev_rpr), dtype=complex)])
-    pad_prp = np.concatenate([ev_prp, np.zeros(n - len(ev_prp), dtype=complex)])
-    a = sorted_by_re_im(pad_rpr)
-    b = sorted_by_re_im(pad_prp)
+    k = min(len(ev_rpr), len(ev_prp))
+    kept, dropped = [], [0.0]
+    for ev in (ev_rpr, ev_prp):
+        by_modulus = np.argsort(-np.abs(ev), kind="stable")
+        kept.append(sorted_by_re_im(ev[by_modulus[:k]]))
+        dropped.extend(np.abs(ev[by_modulus[k:]]))
+    a, b = kept
     perm, residual = match_spectra(a, b)
-    return DualityReport(a, b[perm], residual)
+    return DualityReport(a, b[perm], float(max(residual, *dropped)))

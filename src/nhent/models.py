@@ -68,12 +68,14 @@ PROJECTOR_NORM_TOL = 1e-10
 class KernelMatrix:
     """Single-particle kernel with site metadata.
 
-    A kernel is given by its dense ``entries``, or, for a periodic chain
-    whose cells all carry the same onsite block (built by ``_cell_chain``),
-    by its ``cell_blocks``.  Such a block kernel assembles ``entries`` on
-    first read, by the chain's wrap rule, and keeps that array read-only;
-    its translation test and its Bloch matrices read the blocks alone, so
-    a ring forms no dim x dim array unless a dense consumer asks for one.
+    A kernel is given by its dense ``entries``, or, for a chain built by
+    ``_cell_chain`` that is open or whose cells all carry the same onsite
+    block, by its cell blocks: it assembles ``entries`` on first read, so
+    building a chain only to read its size forms no dim x dim array.  An
+    open chain's entries are then an ordinary array.  A periodic one (a
+    block kernel) keeps its ``cell_blocks`` and its entries read-only; its
+    translation test and its Bloch matrices read the blocks alone, so a
+    ring forms no dim x dim array unless a dense consumer asks for one.
     The blocks serve those two only while the site labels are the ones it
     was built with: relabelled modes send both to the dense entries.
 
@@ -105,37 +107,45 @@ class KernelMatrix:
         self.site_labels = site_labels or [(i, 0) for i in range(dim)]
 
     @classmethod
-    def _ring(cls, onsite, hop_plus, hop_minus, site_labels) -> KernelMatrix:
-        """The periodic chain whose cells all carry the onsite block
-        ``onsite``, on the cell-major ``site_labels``, kept as its blocks."""
+    def _chain(cls, onsite, hop_plus, hop_minus, site_labels,
+               bc: str) -> KernelMatrix:
+        """The ``_cell_chain`` kernel of the (n_cells, ns, ns) ``onsite``
+        stack on the cell-major ``site_labels``, kept as its blocks; a
+        periodic one has every cell carry onsite[0]."""
         km = cls.__new__(cls)
-        km.dim, km.bc, km._entries = len(site_labels), "periodic", None
-        ns = len(onsite)
-        km.cell_blocks = tuple(np.array(np.broadcast_to(b, (ns, ns)),
-                                        dtype=complex)
-                               for b in (onsite, hop_plus, hop_minus))
-        for b in km.cell_blocks:
-            b.flags.writeable = False
-        # every entry of the ring is an entry of its column blocks
-        if not np.all(np.isfinite(km._column_blocks()[1])):
+        km.dim, km.bc, km._entries = len(site_labels), bc, None
+        km.site_labels, km.cell_blocks = site_labels, None
+        km._parts = (onsite, hop_plus, hop_minus)
+        # an open chain's entries: its onsite blocks, and from two cells on
+        # its bonds
+        entries = km._parts if len(onsite) > 1 else (onsite,)
+        if bc == "periodic":
+            ns = onsite.shape[1]
+            km.cell_blocks = tuple(np.array(np.broadcast_to(b, (ns, ns)),
+                                            dtype=complex)
+                                   for b in (onsite[0], hop_plus, hop_minus))
+            for b in km.cell_blocks:
+                b.flags.writeable = False
+            km._parts = (np.broadcast_to(km.cell_blocks[0], onsite.shape),
+                         *km.cell_blocks[1:])
+            # every entry of the ring is an entry of its column blocks
+            entries = (km._column_blocks()[1],)
+        if not all(np.isfinite(b).all() for b in entries):
             raise ValueError("kernel entries must be finite")
-        km.site_labels = site_labels
         return km
 
     def __repr__(self) -> str:
-        held = (f"entries={self._entries!r}" if self.cell_blocks is None
+        held = (f"entries={self.entries!r}" if self.cell_blocks is None
                 else f"cell_blocks={self.cell_blocks!r}")
         return f"KernelMatrix(dim={self.dim}, {held}, bc={self.bc!r})"
 
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            onsite, hop_plus, hop_minus = self.cell_blocks
-            stack = np.broadcast_to(onsite, (self.dim // len(onsite),)
-                                    + onsite.shape)
-            self._entries = _chain_entries(stack, hop_plus, hop_minus,
-                                           "periodic")
-            self._entries.flags.writeable = False
+            self._entries = _chain_entries(*self._parts, self.bc)
+            del self._parts
+            # a ring's entries stay those of its cell blocks
+            self._entries.flags.writeable = self.cell_blocks is None
         return self._entries
 
     @property
@@ -227,17 +237,18 @@ def _cell_chain(onsite, hop_plus, hop_minus, bc: str) -> KernelMatrix:
     ``onsite`` is an (n_cells, ns, ns) stack of diagonal blocks,
     ``hop_plus`` is K(d=+1) (hopping from cell x to x+1) and ``hop_minus``
     is K(d=-1): independent (ns, ns) blocks for non-Hermitian models, or
-    scalars when ns = 1.  A periodic chain whose onsite blocks are all bit
-    for bit the first one keeps its cell blocks (``KernelMatrix._ring``);
-    every other chain is assembled dense here.
+    scalars when ns = 1.  An open chain, and a periodic chain whose onsite
+    blocks are all bit for bit the first one, keep their blocks until
+    ``entries`` is read (``KernelMatrix._chain``); every other chain is
+    assembled dense here.
     """
     onsite = np.asarray(onsite, dtype=complex)
     nc, ns, _ = onsite.shape
     labels = [(c, s) for c in range(nc) for s in range(ns)]
     # bits, not values: 0.0 == -0.0, but the assembled entries would differ
     bits = np.ascontiguousarray(onsite).view(np.int64)
-    if bc == "periodic" and nc and (bits == bits[0]).all():
-        return KernelMatrix._ring(onsite[0], hop_plus, hop_minus, labels)
+    if bc == "open" or bc == "periodic" and nc and (bits == bits[0]).all():
+        return KernelMatrix._chain(onsite, hop_plus, hop_minus, labels, bc)
     return KernelMatrix(nc * ns, _chain_entries(onsite, hop_plus, hop_minus, bc),
                         bc, labels)
 

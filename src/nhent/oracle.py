@@ -91,27 +91,31 @@ def fock_block(K: KernelMatrix, n_particles: int):
     Basis state s has mode i occupied iff bit i of s is set (mode 0 in the
     lowest bit), with the Jordan-Wigner string of mode i covering modes
     j < i.  Rows and columns follow ``states`` (see ``sector_states``).
+
+    Every hop i != j of a nonzero K_ij is gathered in one vectorized pass
+    over all (hop, state) pairs.  A hop c+_i c_j moves a state to the one
+    that differs from it in bits i and j only, so each off-diagonal entry
+    of the block comes from exactly one hop and is K_ij times its sign.
+    Each diagonal entry is sum_j K_jj n_j, added in mode order over the
+    nonzero K_jj.
     """
     N = K.dim
     states = sector_states(N, n_particles)
-    H = np.zeros((len(states), len(states)), dtype=complex)
-    pos = np.arange(len(states))
-    for i in range(N):
-        for j in range(N):
-            amp = K.entries[i, j]
-            if amp == 0:
-                continue
-            if i == j:
-                nj = (states >> j) & 1
-                H[pos, pos] += amp * nj
-                continue
-            mask = (((states >> j) & 1) == 1) & (((states >> i) & 1) == 0)
-            src = states[mask]
-            mid = src ^ (1 << j)
-            dst = mid ^ (1 << i)
-            sign = (-1.0) ** (_popcount(src & ((1 << j) - 1))
-                              + _popcount(mid & ((1 << i) - 1)))
-            H[np.searchsorted(states, dst), pos[mask]] += amp * sign
+    occupied = (states >> np.arange(N)[:, None]) & 1  # (mode, state)
+    diagonal = np.diagonal(K.entries)
+    energy = np.zeros(len(states), dtype=complex)
+    for j in np.flatnonzero(diagonal):
+        energy += diagonal[j] * occupied[j]
+    H = np.diag(energy)
+    i, j = np.nonzero(K.entries - np.diag(diagonal))
+    # (hop, state) pairs whose state has mode j occupied and mode i empty
+    hop, col = np.nonzero((occupied[j] == 1) & (occupied[i] == 0))
+    i, j, src = i[hop], j[hop], states[col]
+    mid = src ^ (1 << j)
+    dst = mid ^ (1 << i)
+    sign = (-1.0) ** (_popcount(src & ((1 << j) - 1))
+                      + _popcount(mid & ((1 << i) - 1)))
+    H[np.searchsorted(states, dst), col] += K.entries[i, j] * sign
     return H, states
 
 

@@ -7,7 +7,7 @@ import pytest
 from nhent import (Partition, bloch_system, build_nh_ssh_real,
                    ground_state_system, momentum_transform, pipeline,
                    report_for_partition)
-from nhent import cli
+from nhent import cli, models
 from nhent.cli import main
 from nhent.config import ConfigError, parse_config
 from test_pipeline import _dense_solves
@@ -186,6 +186,25 @@ class TestCommands:
                      "--out", str(out)]) == 0
         assert len(solves) == 2
         assert len((out / "entanglement.csv").read_text().splitlines()) == 7
+
+    def test_each_sweep_point_is_assembled_once(self, tmp_path, monkeypatch):
+        # parsing builds each point's open chain for its size and partitions,
+        # but forms no dense kernel; each point's solve assembles its own
+        assembled = []
+
+        def counted(onsite, *args, _assemble=models._chain_entries):
+            assembled.append(len(onsite))
+            return _assemble(onsite, *args)
+        monkeypatch.setattr(models, "_chain_entries", counted)
+        doc = {"model": {"family": "hatano_nelson", "bc": "open",
+                         "params": {"L": 64, "t": 1.0, "alpha": 0.2}},
+               "sweep": {"parameter": "L", "values": [32, 48, 64]},
+               "partitions": [{"type": "half"}]}
+        parse_config(doc)
+        assert assembled == []
+        assert main(["entanglement", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path)]) == 0
+        assert assembled == [32, 48, 64]
 
     def test_periodic_entanglement_takes_the_bloch_path(self, tmp_path,
                                                          monkeypatch):

@@ -435,6 +435,16 @@ class TestDuality:
         assert rep.max_mismatch < 1e-9
         assert match_spectra(ref.spectrum_rpr, rep.spectrum_rpr)[1] < 1e-9
 
+    def test_pairs_at_the_rank_of_a_small_cut_of_a_long_ring(self):
+        # 32 of 1026 sites: 32 eigenvalues of C against the 32 largest of
+        # the 513 x 513 B; the other 481 of B are zero, and their largest
+        # modulus is part of the mismatch
+        km = build_nh_ssh_real(513, 1.0, 0.4, 0.3, "periodic")
+        sys, sel = ground_state_system(km, Fraction(1, 2))
+        rep = check_duality(sys, sel, Partition.contiguous(0, 32, km.dim))
+        assert len(rep.spectrum_rpr) == len(rep.spectrum_prp) == 32
+        assert rep.max_mismatch < 1e-12
+
     def test_nonzero_counts_agree(self):
         km = build_quasicrystal(13, 0.4, 1.0, 0.7, Fraction(8, 13))
         sys = biorthogonal_eig(km)

@@ -650,6 +650,37 @@ def test_bloch_route_of_a_block_kernel_assembles_no_entries(monkeypatch):
     assert bloch_system(km).dim == 48
 
 
+def test_open_chain_assembles_its_entries_once_on_first_read(monkeypatch):
+    # build_eb_ssh keeps the blocks, so reading the size forms no dim x dim
+    # array; the first read assembles writable entries, and later reads
+    # return the same array
+    calls = []
+
+    def counted(*args, _assemble=models._chain_entries):
+        calls.append(args[-1])
+        return _assemble(*args)
+    monkeypatch.setattr(models, "_chain_entries", counted)
+    km = build_eb_ssh(64, 1.0, 0.5, 0.7, "open")
+    assert km.dim == 128 and calls == []
+    entries = km.entries
+    assert calls == ["open"] and km.entries is entries
+    entries[0, 0] = 2.0  # an open chain's entries are an ordinary array
+    assert km.entries[0, 0] == 2.0
+
+
+@pytest.mark.parametrize("n_cells, finite", [(1, True), (2, False)])
+def test_open_chain_refuses_a_non_finite_bond_that_it_holds(n_cells, finite):
+    # one cell has no bond, so an infinite bond is not an entry
+    def build():
+        with np.errstate(invalid="ignore"):  # 0.5j * inf in build_eb_ssh
+            return build_eb_ssh(n_cells, 1.0, 0.5, np.inf, "open")
+    if finite:
+        assert np.isfinite(build().entries).all()
+    else:
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+
 def test_relabelled_block_kernel_leaves_the_block_route():
     # each cell's two sublattices swapped: the blocks would give H(k) in the
     # old sublattice order, so the labels send bloch_reduce to the entries

@@ -107,15 +107,19 @@ class TestFockHamiltonian:
             assert np.array_equal(H, H_ref)
 
     def test_matches_jordan_wigner_operator_products(self):
-        K = random_kernel(5, 7)
-        H = jordan_wigner_hamiltonian(K)
-        for n in range(6):
-            Hb, states = fock_block(K, n)
-            assert np.array_equal(Hb, H[np.ix_(states, states)])
-            # number conservation: nothing couples the sector to the rest
-            rest = np.setdiff1d(np.arange(2 ** 5), states)
-            assert not H[np.ix_(states, rest)].any()
-            assert not H[np.ix_(rest, states)].any()
+        # complex diagonal entries; the second kernel also has a mode with
+        # no onsite term that no hop enters
+        empty_row = random_kernel(5, 7)
+        empty_row.entries[2] = 0
+        for K in (random_kernel(5, 7), empty_row):
+            H = jordan_wigner_hamiltonian(K)
+            for n in range(6):
+                Hb, states = fock_block(K, n)
+                assert np.array_equal(Hb, H[np.ix_(states, states)])
+                # number conservation: nothing couples the sector to the rest
+                rest = np.setdiff1d(np.arange(2 ** 5), states)
+                assert not H[np.ix_(states, rest)].any()
+                assert not H[np.ix_(rest, states)].any()
 
     def test_block_is_slice_of_full_matrix(self):
         K = random_kernel(6, 11)

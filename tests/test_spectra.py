@@ -969,11 +969,23 @@ def _per_block(stack, mirrors=()):
     return [np.array(f) for f in fields]
 
 
+def _refusal(A, mirrors=()):
+    with pytest.raises(DefectiveError) as err:
+        balanced_eig(A, mirrors)
+    return str(err.value), err.value.condition_estimate, err.value.clusters
+
+
 class TestStackedSolver:
     @pytest.mark.parametrize("n", [2, 4])
     def test_stack_equals_the_per_block_solves(self, monkeypatch, n):
         blocks = _mixed_blocks(n)
         mirrors = (np.arange(n)[::-1],)
+        # each path's 2-D call: a float condition, and left is right on the
+        # Hermitian path only
+        for name, block in blocks.items():
+            w, right, left, cond = balanced_eig(block, mirrors)
+            assert type(cond) is float
+            assert (left is right) == (name == "hermitian"), name
         calls = _solver_calls(monkeypatch)
         seen = []
         # every block twice, then three times, interleaved, so each path
@@ -987,13 +999,21 @@ class TestStackedSolver:
             for field, e, g in zip(("eigenvalues", "right", "left", "cond"),
                                    expected, got):
                 assert g.shape == e.shape and g.dtype == e.dtype, field
-                assert np.array_equal(g, e), field
+                assert g.tobytes() == e.tobytes(), field
         # however many blocks each group holds: eigh for the Hermitian ones;
         # per stack (real, PT, complex) eigh for its gauge-Hermitian blocks,
         # eig for the rest and an inverse per spectrum arithmetic
         assert seen[0] == seen[1] == [
             "eigh", "eigh", "eig", "inv", "inv", "eig", "inv", "inv", "eigh",
             "eig", "inv"]
+        # a refusal: a Jordan block among the paths is refused with the
+        # text, estimate and clusters of its own 2-D call
+        jordan = 0.5 * np.eye(n) + np.eye(n, k=1)
+        stack = np.array([*blocks.values(), jordan, *blocks.values()])
+        alone = _refusal(jordan, mirrors)
+        got = _refusal(stack, mirrors)
+        assert got == (f"block {len(blocks)}: {alone[0]}", *alone[1:])
+        assert alone[1] > _linalg.DEFECTIVE_COND and alone[2]
 
     def test_a_hermitian_stack_returns_right_as_left(self):
         blocks = _mixed_blocks(2)
