@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -259,19 +260,22 @@ def cmd_duality(config: RunConfig, out_dir: str) -> int:
     partitions = parse_partitions(config.raw.get("partitions", []), K.dim)
     if not partitions:
         raise ConfigError("duality command requires model and partitions")
-    sys_k, sel_k = ground_state_system(K, config.filling, config.policy)
     payload = []
-    for part in partitions:
-        rep = check_duality(sys_k, sel_k, part)
-        payload.append({
-            "partition_size": part.size,
-            "max_mismatch": rep.max_mismatch,
-            "spectrum_rpr": [_complex_json(z) for z in rep.spectrum_rpr],
-            "spectrum_prp": [_complex_json(z) for z in rep.spectrum_prp],
-        })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sys_k, sel_k = ground_state_system(K, config.filling, config.policy)
+        for part in partitions:
+            rep = check_duality(sys_k, sel_k, part)
+            payload.append({
+                "partition_size": part.size,
+                "max_mismatch": rep.max_mismatch,
+                "spectrum_rpr": [_complex_json(z) for z in rep.spectrum_rpr],
+                "spectrum_prp": [_complex_json(z) for z in rep.spectrum_prp],
+            })
     _write_json(f"{out_dir}/duality.json", payload)
     _write_json(f"{out_dir}/manifest.json", _manifest(config, [
-        {"value": None, "status": "ok", "warnings": []}]))
+        {"value": None, "status": "ok",
+         "warnings": sorted({str(w.message) for w in caught})}]))
     return EXIT_OK
 
 
@@ -285,7 +289,7 @@ def cmd_oracle(config: RunConfig, out_dir: str) -> int:
     })
     _write_json(f"{out_dir}/manifest.json", _manifest(config, [
         {"value": r["case"], "status": "ok" if r["passed"] else "failed",
-         "warnings": []} for r in results]))
+         "warnings": r["warnings"]} for r in results]))
     if not passed:
         print("oracle suite FAILED", file=_sys.stderr)
         return EXIT_NUMERICAL
@@ -326,8 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of ``main``; parsing leaves it unchanged (an
+    appended flag's list is a copy of its default)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "model-list":
         return cmd_model_list()

@@ -15,12 +15,15 @@ reversed), is unitarily similar to the real matrix Re K - (Im K) P through
 T = (I + iP) / sqrt(2); that matrix is diagonalized and its eigenvectors
 are mapped back by T, which leaves the condition estimate unchanged.
 Kernels that are PT-symmetric only to rounding, or whose labels do not
-tile a lattice, take the complex solver.  A gauge-Hermitian kernel, one
-that the entry-ratio diagonal makes Hermitian (the open Hatano-Nelson
-chain), is solved by ``eigh`` in that frame and reports a condition of
-exactly 1.0.  Any other kernel reports the largest eigenvalue condition
-number max_a ||R_a|| ||L_a|| of the rebalanced eigenvector matrix, which
-measures genuine (near-)defectiveness rather than grading.  The solver,
+tile a lattice, take the complex solver.  The Fock oracle hands its
+sector solve the sector images of these mirrors, so the many-body block
+of a PT-symmetric chain is solved in real arithmetic too.  A
+gauge-Hermitian kernel, one that the entry-ratio diagonal makes Hermitian
+(the open Hatano-Nelson chain), is solved by ``eigh`` in that frame and
+reports a condition of exactly 1.0.  Any other kernel reports the largest
+eigenvalue condition number max_a ||R_a|| ||L_a|| of the rebalanced
+eigenvector matrix, which measures genuine (near-)defectiveness rather
+than grading.  The solver,
 ``_linalg.balanced_eig``, alone tests whether a kernel is Hermitian,
 decides defectiveness (by the 2-norm condition number of that matrix),
 refuses a grading too steep for float64, and raises ``DefectiveError``; it

@@ -649,6 +649,52 @@ class TestCommands:
         payload = json.loads((tmp_path / "oracle.json").read_text())
         assert payload["passed"] is True
 
+    def test_oracle_records_each_case_warnings(self, tmp_path):
+        # the nh-ssh chain's edge pair +-0.3i ties at the Fermi level
+        cfg = write_config(tmp_path, {"oracle": {"n_cases": 1, "n_modes": 6,
+                                                 "subsystem": 3}})
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cases = json.loads((tmp_path / "oracle.json").read_text())["cases"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        warned = {c["case"]: c["warnings"] for c in cases}
+        assert warned["random-0"] == warned["hatano-nelson"] == []
+        assert len(warned["nh-ssh"]) == 1
+        assert warned["nh-ssh"][0].startswith(
+            "occupation boundary degenerate under policy 'real_part'")
+        assert {p["value"]: p["warnings"]
+                for p in manifest["points"]} == warned
+
+    def test_duality_records_warnings(self, tmp_path):
+        # the Fermi level of the 16-site ring ties k = +-pi/2
+        doc = {"model": {"family": "uniform_chain",
+                         "params": {"L": 16, "t": 1.0}, "bc": "periodic"},
+               "partitions": [{"type": "half"}]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["duality", "--config", cfg, "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert any("degenerate" in w
+                   for w in manifest["points"][0]["warnings"])
+
+    def test_parser_is_built_once_and_keeps_no_flags(self, tmp_path,
+                                                     monkeypatch):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        seen = []
+
+        def suite(**kwargs):
+            seen.append(kwargs["entropy_tol"])
+            return []
+        monkeypatch.setattr("nhent.cli.oracle_equivalence_suite", suite)
+        out = str(tmp_path)
+        for extra in (["--tolerance", "oracle=1e-3"], []):
+            assert main(["oracle", "--out", out, *extra]) == 0
+        assert built == [1]
+        # the appended flag of the first call is not a default of the next
+        assert seen == [1e-3, parse_config({}).tolerances.oracle]
+        cli._parser.cache_clear()
+
     def test_oracle_failure_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"oracle": {"n_cases": 2, "n_modes": 6,
                                                  "subsystem": 3}})

@@ -35,7 +35,11 @@ def jordan_wigner_hamiltonian(K):
     """sum_ij K_ij c+_i c_j on the 2^N Fock space from operator products.
 
     c_i = I x ... x sigma^- x Z x ... x Z with the Z string on modes j < i
-    (mode 0 is the last factor), independent of ``fock_block``.
+    (mode 0 is the last factor), independent of ``fock_block``.  Every hop
+    i != j is the operator product.  The diagonal sum_j K_jj n_j, with
+    n_j = diag(c+_j c_j) from the same products, is correctly rounded
+    (``math.fsum`` of the real and of the imaginary parts), as the
+    definition of the Fock block asks.
     """
     N = K.dim
     lower, Z = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0])
@@ -48,7 +52,13 @@ def jordan_wigner_hamiltonian(K):
     H = np.zeros((2 ** N, 2 ** N), dtype=complex)
     for i in range(N):
         for j in range(N):
-            H += K.entries[i, j] * (c[i].T @ c[j])
+            if i != j:
+                H += K.entries[i, j] * (c[i].T @ c[j])
+    n = np.array([np.diag(c[j].T @ c[j]) for j in range(N)])  # (mode, state)
+    onsite = np.diagonal(K.entries)
+    np.fill_diagonal(H, [complex(math.fsum(onsite.real * occ),
+                                 math.fsum(onsite.imag * occ))
+                         for occ in n.T])
     return H
 
 
@@ -81,6 +91,14 @@ class TestFockHamiltonian:
             cost = np.abs(wmb[:, None] - sums[None, :])
             rows, cols = linear_sum_assignment(cost)
             assert cost[rows, cols].max() < 1e-10
+
+    def test_diagonal_past_float64_is_refused(self):
+        # math.fsum raises on a running sum past float64; the block takes
+        # the plain sum there, and the solve refuses its infinite entry
+        K = KernelMatrix(2, np.diag([1e308, 1e308]), "open")
+        assert fock_block(K, 2)[0][0, 0] == np.inf
+        with pytest.raises(DefectiveError, match="non-finite"):
+            manybody_biortho_ground(K, 2)
 
     def test_size_guard(self):
         with pytest.raises(SizeError):
@@ -128,6 +146,25 @@ class TestFockHamiltonian:
             Hb, states = fock_block(K, n)
             assert np.array_equal(states, sector_states(6, n))
             assert np.array_equal(Hb, H[np.ix_(states, states)])
+
+
+    @pytest.mark.parametrize("cells", [5, 6])
+    def test_pt_chain_sectors_keep_the_reversal_exactly(self, cells):
+        # the diagonal is correctly rounded, so every sector of the
+        # PT-symmetric chain keeps the chain's reversal: H* = P H P, with
+        # P the Fock image of mode i -> N - 1 - i (a diagonal summed in
+        # mode order missed it by an ulp from four particles on)
+        K = build_nh_ssh_real(cells, 1.0, 0.4, 0.3, "open")
+        N = K.dim
+        reverse = np.arange(N)[::-1]
+        assert np.array_equal(K.entries.conj(),
+                              K.entries[np.ix_(reverse, reverse)])
+        for n in range(1, N):
+            H, states = fock_block(K, n)
+            image = sum(((states >> i) & 1) << (N - 1 - i) for i in range(N))
+            P = np.searchsorted(states, image)
+            assert np.array_equal(states[P], image)
+            assert np.array_equal(H.conj(), H[np.ix_(P, P)]), n
 
 
 class TestManybodyGround:

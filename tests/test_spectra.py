@@ -19,8 +19,8 @@ from nhent import _linalg
 from nhent._linalg import (HERMITIAN_TOL, balanced_eig, is_hermitian,
                            match_spectra, min_cost_matching,
                            symmetrizing_diagonal)
-from nhent.oracle import manybody_biortho_ground
-from nhent.spectra import _group_within, policy_order
+from nhent.oracle import manybody_biortho_ground, reduced_density
+from nhent.spectra import _group_within, _mirrors, policy_order
 from test_corr import (BLOCH_FAMILIES, _dense_bloch_fill,
                        sublattice_major)
 
@@ -54,6 +54,48 @@ class TestBiorthogonalEig:
         assert (sys.left is sys.right) is hermitian
         gram = sys.left.conj().T @ sys.right
         assert np.abs(gram - np.eye(8)).max() < 1e-12
+
+    def test_hermitian_test_equals_the_full_gap_test(self):
+        # is_hermitian refuses a matrix by its diagonal alone when it can;
+        # its answer must be that of max|A - A^dag| on every input
+        def full(A, tol=HERMITIAN_TOL):
+            scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+            with np.errstate(invalid="ignore"):
+                gap = np.abs(A - A.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+            return np.isfinite(scale) & (gap <= tol * scale)
+
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        H = X + X.conj().T
+        # an imaginary diagonal entry whose gap 2b is the bound exactly
+        b = 0.5 * (HERMITIAN_TOL * np.abs(H).max())
+        cases = {"hermitian": H, "random": X, "real": X.real,
+                 "real-symmetric": H.real}
+        for name, imag in (("edge", b), ("above", np.nextafter(b, 1.0)),
+                           ("below", np.nextafter(b, 0.0)),
+                           ("nan", np.nan), ("inf", np.inf),
+                           ("-inf", -np.inf)):
+            A = H.copy()
+            A[2, 2] = complex(A[2, 2].real, imag)
+            cases[name] = A
+        for name, entry in (("nan-hop", np.nan), ("inf-hop", np.inf),
+                            ("inf-onsite", complex(np.inf, 1.0))):
+            A = X.copy() if name == "inf-onsite" else H.copy()
+            A[0, 1] = entry
+            cases[name] = A
+        expected = {name: bool(full(A)) for name, A in cases.items()}
+        assert expected["edge"] and expected["below"]
+        assert not expected["above"] and not expected["nan"]
+        assert {name: is_hermitian(A) for name, A in cases.items()} == expected
+        stacks = {"mixed": list(cases), "refused-by-diagonal": ["random",
+                                                               "above"]}
+        for names in stacks.values():
+            S = np.array([cases[name].astype(complex) for name in names])
+            tol = np.full(len(S), HERMITIAN_TOL)
+            for t in (HERMITIAN_TOL, tol):
+                got = is_hermitian(S, t)
+                assert got.dtype == bool
+                assert np.array_equal(got, full(S, t))
 
     def test_two_level_closed_form(self):
         u, v = 0.3, 0.8
@@ -469,6 +511,35 @@ class TestGaugeHermitianPath:
         w0 = np.linalg.eigvalsh(build_hatano_nelson(10, 1.0, 0.0,
                                                     "open").entries)
         assert abs(energy - w0[:5].sum()) < 1e-10
+
+    def test_oracle_pt_sector_takes_real_eig(self, monkeypatch):
+        # the suite's PT-symmetric chain: its sector passes the exact test
+        # under the Fock image of the chain's reversal, so eig reads a real
+        # matrix.  Its edge pair +-0.3i makes the spectrum complex, and the
+        # real eig returns conjugate pairs of complex vectors to invert.
+        K = build_nh_ssh_real(5, 1.0, 0.4, 0.3, "open")
+        calls = _solver_calls(monkeypatch)
+        G_R, G_L, energy = manybody_biortho_ground(K, 5)
+        assert calls == [("eig", np.dtype(float)),
+                         ("inv", np.dtype(complex))]
+        monkeypatch.setattr("nhent.oracle._mirrors", lambda K: ())
+        del calls[:]
+        ref_R, ref_L, ref_energy = manybody_biortho_ground(K, 5)
+        assert calls == [("eig", np.dtype(complex)),
+                         ("inv", np.dtype(complex))]
+        assert abs(energy - ref_energy) < 1e-12
+        spectra = [np.linalg.eigvals(reduced_density(R, L, 10, 5))
+                   for R, L in ((G_R, G_L), (ref_R, ref_L))]
+        assert match_spectra(*spectra)[1] < 1e-12
+
+    def test_oracle_random_sector_takes_complex_eig(self, monkeypatch):
+        # a random kernel's labels tile a chain, but no mirror of it is exact
+        K = KernelMatrix(10, _random_complex(10, 4), "open")
+        assert len(_mirrors(K)) == 1
+        calls = _solver_calls(monkeypatch)
+        manybody_biortho_ground(K, 5)
+        assert calls == [("eig", np.dtype(complex)),
+                         ("inv", np.dtype(complex))]
 
 
 def _random_complex(n=40, seed=2):

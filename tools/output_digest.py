@@ -31,7 +31,11 @@ for every family and every boundary condition it supports.  The
 ``bloch-reduce/<family>`` outputs are ``bloch_reduce`` of the periodic
 kernel of each family on its momentum grid, and of a kernel given by a copy
 of its entries and labels: the two agree exactly when the cell-block route
-of a periodic chain gives the Bloch matrices of its dense entries.
+of a periodic chain gives the Bloch matrices of its dense entries.  The
+``oracle/<case>`` outputs are the Fock-space oracle's ground energy of the
+half-filled sector and the rho_A spectrum of the five leading modes, for
+each kernel of ``oracle_equivalence_suite`` at seed 1 with three random
+cases of 10 modes, as ``nhent oracle`` draws them.
 A call that raises is digested as its error type and message.
 """
 
@@ -147,6 +151,26 @@ def dynamics_cases(nhent):
     }
 
 
+def oracle_kernels(nhent, seed=1, n_cases=3, n_modes=10):
+    """The kernels of ``oracle_equivalence_suite(n_cases, n_modes,
+    seed=seed)``, drawn here as the suite draws them, so that the same
+    kernels are digested on a tree whose suite does not expose them."""
+    rng = np.random.default_rng(seed)
+    kernels = {}
+    for i in range(n_cases):
+        H0 = rng.normal(size=(n_modes, n_modes)) \
+            + 1j * rng.normal(size=(n_modes, n_modes))
+        G = rng.normal(size=(n_modes, n_modes)) \
+            + 1j * rng.normal(size=(n_modes, n_modes))
+        kernels[f"random-{i}"] = nhent.KernelMatrix(
+            n_modes, 0.5 * (H0 + H0.conj().T) + 0.35 * G, "open")
+    kernels["nh-ssh"] = nhent.build_nh_ssh_real(n_modes // 2, 1.0, 0.4, 0.3,
+                                                "open")
+    kernels["hatano-nelson"] = nhent.build_hatano_nelson(n_modes, 1.0, 0.5,
+                                                         "open")
+    return kernels
+
+
 def model_params():
     """ModelSpec parameters of every family; the quasicrystals take their
     approximant as a "p/q" string and as a [p, q] pair."""
@@ -253,6 +277,13 @@ def outputs(nhent):
                        ("clamped", "clamped_modes"),
                        ("midgap", "midgap_modes"))}}
 
+    def oracle(km):
+        n = km.dim
+        G_R, G_L, energy = nhent.manybody_biortho_ground(km, n // 2)
+        rho_A = nhent.reduced_density(G_R, G_L, n, n // 2)
+        return {"ground-energy": energy,
+                "rho-spectrum": nhent.oracle_report(rho_A).spectrum}
+
     def model(spec):
         km = spec.build()
         return {"entries": km.entries, "site-labels": np.array(km.site_labels)}
@@ -276,6 +307,8 @@ def outputs(nhent):
                 yield f"bloch-reduce/{family}", lambda spec=spec: bloch(spec)
     for name, (km, psi0) in dynamics_cases(nhent).items():
         yield f"dynamics/{name}", lambda km=km, psi0=psi0: dynamics(km, psi0)
+    for name, km in oracle_kernels(nhent).items():
+        yield f"oracle/{name}", lambda km=km: oracle(km)
     for name, km in momentum_kernels(nhent).items():
         yield f"momentum/{name}", lambda km=km: momentum(km)
     for kind, kernels in (("dense", dense_kernels(nhent)),

@@ -11,10 +11,13 @@ function calls (Python and built-in) that ``cProfile`` counts in one call:
   real, general complex, PT-symmetric (the open ``nh_ssh`` chain, with its
   lattice mirrors) and gauge-Hermitian (the open Hatano-Nelson chain);
 - ``balanced_eig`` on the 252 x 252 five-particle sector of a random
-  10-mode oracle kernel, and on the 496-site open ``eb_ssh`` ladder;
+  10-mode oracle kernel; on that sector of the open 5-cell ``nh_ssh``
+  chain, with the Fock images of the chain's mirrors (state s to
+  sum_i bit_i(s) << p(i)), as the oracle solves it; and on the 496-site
+  open ``eb_ssh`` ladder;
 - ``oracle.fock_block`` of that 10-mode kernel at five particles.
 
-The two large cases take at most 20 and 5 timed calls.  The record also
+The sector cases take at most 20 timed calls and the ladder 5.  The record also
 names the machine, the numpy and scipy versions and the BLAS thread count.
 OpenBLAS reads its thread count when numpy loads; it is pinned to one here
 unless ``OPENBLAS_NUM_THREADS`` is already set.  To compare two trees, run
@@ -32,7 +35,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the most timed calls of a large case
-_LARGE = {"balanced_eig/sector-252": 20, "balanced_eig/ladder-496": 5}
+_LARGE = {"balanced_eig/sector-252": 20, "balanced_eig/pt-sector-252": 20,
+          "balanced_eig/ladder-496": 5}
 
 
 def _best_us(call, repeat: int) -> float:
@@ -65,6 +69,11 @@ def cases(nhent, np):
                                        "open")
     sector = fock_block(oracle_kernel, 5)[0]
     pt = nhent.build_nh_ssh_real(5, 1.0, 0.4, 0.3, "open")
+    pt_sector, states = fock_block(pt, 5)
+    bits = (states >> np.arange(10)[:, None]) & 1
+    fock_mirrors = tuple(
+        np.searchsorted(states, (bits << p[:, None]).sum(axis=0))
+        for p in _mirrors(pt))
     gauge = nhent.build_hatano_nelson(10, 1.0, 0.5, "open")
     ladder = nhent.build_eb_ssh(248, 1.0, 0.5, 4.0, "open")
     solves = {
@@ -74,6 +83,7 @@ def cases(nhent, np):
         "pt-10": (pt.entries, _mirrors(pt)),
         "gauge-hermitian-10": (gauge.entries, _mirrors(gauge)),
         "sector-252": (sector, ()),
+        "pt-sector-252": (pt_sector, fock_mirrors),
         "ladder-496": (ladder.entries, _mirrors(ladder)),
     }
     out = {f"balanced_eig/{name}": (lambda A=A, m=m: balanced_eig(A, m))
@@ -110,7 +120,7 @@ def main(argv=None) -> int:
         "repeat": args.repeat, "cases": {},
     }
     for name, call in cases(nhent, np).items():
-        # the sector and ladder solves take 0.05-0.3 s, nearly all of it in
+        # the sector and ladder solves take 0.03-0.3 s, nearly all of it in
         # LAPACK: a few calls give a stable best
         repeat = min(args.repeat, _LARGE.get(name, args.repeat))
         record["cases"][name] = {"best_us": _best_us(call, repeat),
