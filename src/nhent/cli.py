@@ -106,40 +106,60 @@ def _report_json(report, label) -> dict:
     }
 
 
+def _failure_kind(exc: BaseException) -> str:
+    """The class name of a numerical failure as it is printed; numpy
+    raises a private MemoryError subclass, shown by the public name."""
+    return "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+
+
+_NUMERICAL_FAILURES = (ToolkitError, np.linalg.LinAlgError, MemoryError)
+
+
 def _entanglement_point(config: RunConfig):
     """The one point of ``config.points``: build, diagonalize once, report
     every partition.
 
     Module-level so process pools can pickle it.  Returns (rows, reports,
-    status, warnings); rows are already formatted strings.
+    status, warnings, message); rows are already formatted strings.  A
+    numerical failure of the point gives no rows or reports, the failure's
+    class as its status and its text as the message (None when the status
+    is "ok"); a ``ConfigError`` propagates.
     """
     (value, spec, partitions), = config.points
-    K = spec.build()
     tol = config.tolerances
 
-    rows, reports, warn_msgs = [], [], []
+    rows, reports = [], []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sys_k, sel_k = ground_state_system(K, config.filling, config.policy)
-        for part in partitions:
-            report = report_for_partition(sys_k, sel_k, part,
-                                          renyi_orders=config.renyi,
-                                          clamp_tol=tol.clamp,
-                                          midgap_tol=tol.midgap)
-            s = complex(report.entropy_vn)
-            s2 = complex(report.entropy_renyi.get(2, 0.0))
-            label = f"{part.space}[{part.indices[0]}:{part.indices[-1] + 1}]"
-            rows.append([
-                _fmt(value) if value is not None else "",
-                label, str(part.size),
-                _fmt(s.real), _fmt(s.imag),
-                _fmt(s2.real), _fmt(s2.imag),
-                _fmt(report.entropy_modified),
-                str(report.n_midgap),
-            ])
-            reports.append(_report_json(report, label))
+        try:
+            sys_k, sel_k = ground_state_system(spec.build(), config.filling,
+                                               config.policy)
+            for part in partitions:
+                report = report_for_partition(sys_k, sel_k, part,
+                                              renyi_orders=config.renyi,
+                                              clamp_tol=tol.clamp,
+                                              midgap_tol=tol.midgap)
+                s = complex(report.entropy_vn)
+                s2 = complex(report.entropy_renyi.get(2, 0.0))
+                label = (f"{part.space}"
+                         f"[{part.indices[0]}:{part.indices[-1] + 1}]")
+                rows.append([
+                    _fmt(value) if value is not None else "",
+                    label, str(part.size),
+                    _fmt(s.real), _fmt(s.imag),
+                    _fmt(s2.real), _fmt(s2.imag),
+                    _fmt(report.entropy_modified),
+                    str(report.n_midgap),
+                ])
+                reports.append(_report_json(report, label))
+            status, message = "ok", None
+        except ConfigError:
+            raise
+        except _NUMERICAL_FAILURES as exc:
+            rows, reports = [], []
+            status, message = _failure_kind(exc), str(exc)
         warn_msgs = sorted({str(w.message) for w in caught})
-    return rows, reports, "ok", warn_msgs
+    return rows, reports, status, warn_msgs, message
 
 
 _ENT_HEADER = ["sweep_value", "partition", "L_A", "Re_S", "Im_S",
@@ -160,17 +180,20 @@ def cmd_entanglement(config: RunConfig, out_dir: str, workers: int) -> int:
     else:
         results = [_entanglement_point(p) for p in payloads]
 
-    all_rows, all_reports, points = [], [], []
-    for (v, _, _), (rows, reports, status, warns) in zip(config.points,
-                                                         results):
+    all_rows, all_reports, points, failed = [], [], [], False
+    for (v, _, _), (rows, reports, status, warns, message) in zip(
+            config.points, results):
         all_rows.extend(rows)
         all_reports.extend(reports)
         points.append({"value": v, "status": status, "warnings": warns})
+        if message is not None:
+            print(f"numerical failure: {status}: {message}", file=_sys.stderr)
+            failed = True
 
     _write_csv(f"{out_dir}/entanglement.csv", _ENT_HEADER, all_rows)
     _write_json(f"{out_dir}/reports.json", all_reports)
     _write_json(f"{out_dir}/manifest.json", _manifest(config, points))
-    return EXIT_OK
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def cmd_fit(config: RunConfig, out_dir: str, series_path: str) -> int:
@@ -375,10 +398,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-    except (ToolkitError, np.linalg.LinAlgError, MemoryError) as exc:
-        # numpy raises a private MemoryError subclass; print the public name
-        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        print(f"numerical failure: {kind}: {exc}", file=_sys.stderr)
+    except _NUMERICAL_FAILURES as exc:
+        print(f"numerical failure: {_failure_kind(exc)}: {exc}",
+              file=_sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -21,7 +21,8 @@ delta_{m m'} P(k_m)[s, s'].  Other reads use ``BiorthogonalSystem.vectors``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -99,18 +100,39 @@ class Partition:
                          self.n_total)
 
 
-@dataclass
 class CorrelationMatrix:
     """Two-point function restricted to a partition.
 
     ``correlation_matrix`` stores ``entries`` as float64 when every entry
     has an imaginary part of exactly zero (a real kernel with a real
     spectrum, for instance), and as complex128 otherwise.
+
+    A no-jump record (``dynamics.evolve_no_jump``) holds instead the site
+    phases g_A and the block C_g of the frame its run took, and forms
+    ``entries`` = g_A C_g g_A* on first read; it then keeps the entries
+    and drops C_g.
     """
 
-    partition: Partition
-    entries: np.ndarray
-    source: tuple = field(default=(), repr=False)
+    def __init__(self, partition: Partition, entries: np.ndarray,
+                 source: tuple = ()):
+        self.partition, self.entries, self.source = partition, entries, source
+
+    @classmethod
+    def _framed(cls, partition: Partition, g_A: np.ndarray, C_g: np.ndarray,
+                source: tuple) -> "CorrelationMatrix":
+        C = cls.__new__(cls)
+        C.partition, C.source, C._frame = partition, source, (g_A, C_g)
+        return C
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        g_A, C_g = self._frame
+        del self._frame
+        return g_A[:, None] * C_g * g_A.conj()
+
+    def __repr__(self) -> str:
+        return (f"CorrelationMatrix(partition={self.partition!r}, "
+                f"entries={self.entries!r})")
 
     @property
     def size(self) -> int:

@@ -11,9 +11,10 @@ propagated in one site frame g by one dense exponential of its generator
 B = g* (-i K_eff) g, with substeps bounded by the log-norm of B; the frame
 is a diagonal of powers of i where that makes B and the start orbitals
 real-valued, so the run takes float64, and the identity otherwise (see
-``evolve_no_jump``).  The propagation keeps only each output time's
-partition block; the entanglement reports of all output times are built
-after it in one stacked pass (``entanglement.build_report``).
+``evolve_no_jump``).  Each output time takes the spectrum of its partition
+block on the spot and keeps only that block, in the frame of the run; the
+entanglement reports of all output times are built after the loop in one
+stacked pass over their spectra, the pass of ``entanglement.build_report``.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ import scipy.linalg
 from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dorgqr, zgeqrf,
                                  zgeqrf_lwork, zungqr)
 
-from ._linalg import balanced_eig
+from ._linalg import balanced_eig, eigenvalues
 from .errors import CollapseError, PartitionError, SizeError, UnsupportedError
 from .correlations import CorrelationMatrix, Partition
-from .entanglement import CLAMP_TOL, build_report
+from .entanglement import CLAMP_TOL, MIDGAP_TOL, _stack_reports
 from .models import KernelMatrix
 
 __all__ = [
@@ -179,15 +180,18 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
     the Hermitian part of B: this log-norm bound keeps the orbital condition
     growth below 1e6.
 
-    The propagation loop only steps and orthonormalizes; at each output
-    time it keeps the partition block C_g of the orbitals' correlation
-    matrix and the trace residual |tr(M M^dag) - n| (the trace of the full
-    C, over all sites, not of the block).  One report pass after the loop
-    hands all blocks to ``build_report`` as one stack.  Each output record
-    carries the partition block of C = g_A C_g g_A*, with the trace
-    residual in its source, and the entanglement report of C_g, which has
-    the spectrum of C, with correlation eigenvalues within ``clamp_tol`` of
-    0 or 1 counted as unentangled.  An empty ``t_grid`` gives no records.
+    At each output time the loop forms the partition block C_g = M_A M_A^dag
+    of the orbitals' correlation matrix once, takes its spectrum
+    (``_linalg.eigenvalues``, as ``build_report`` does) and the trace
+    residual |tr(M M^dag) - n| (the trace of the full C, over all sites,
+    not of the block), and keeps C_g in its record.  One report pass after
+    the loop runs the stacked kernels of ``build_report`` over the (T, |A|)
+    spectra.  Each output record carries the partition block of
+    C = g_A C_g g_A*, formed from C_g on its first read (a caller that reads
+    no ``entries`` holds only the C_g), with the trace residual in its
+    source, and the entanglement report of C_g, which has the spectrum of
+    C, with correlation eigenvalues within ``clamp_tol`` of 0 or 1 counted
+    as unentangled.  An empty ``t_grid`` gives no records.
 
     Returns
     -------
@@ -245,9 +249,11 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
                 if spread > UNITARY_SPREAD_TOL else math.inf)
     now = psi0.time
     idx = np.asarray(partition.indices)
-    blocks, trace_residuals = [], []
+    gA = g[idx]
+    eps = np.empty((len(t_grid), len(idx)), dtype=complex)
+    records = []
     prop_cache: dict[float, np.ndarray] = {}
-    for t_out in t_grid:
+    for i, t_out in enumerate(t_grid):
         dt = t_out - now
         if dt > 0:
             n_sub = max(1, math.ceil(dt / max_step))
@@ -262,15 +268,14 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
             for _ in range(n_sub):
                 M = _orthonormalize(U @ M, t_out)
         now = t_out
-        # tr(M M^dag) = ||M||_F^2
-        trace_residuals.append(abs(np.vdot(M, M).real - M.shape[1]))
         MA = M[idx]
-        blocks.append(MA @ MA.conj().T)
+        CA = MA @ MA.conj().T
+        eps[i] = eigenvalues(CA)
+        # tr(M M^dag) = ||M||_F^2
+        residual = abs(np.vdot(M, M).real - M.shape[1])
+        records.append(CorrelationMatrix._framed(
+            partition, gA, CA, ("no_jump", t_out, residual)))
 
-    reports = build_report([CorrelationMatrix(partition, CA) for CA in blocks],
-                           renyi_orders=renyi_orders, clamp_tol=clamp_tol)
-    gA = g[idx]
-    return [(t, CorrelationMatrix(partition, gA[:, None] * CA * gA.conj(),
-                                  source=("no_jump", t, residual)), report)
-            for t, CA, residual, report in zip(t_grid, blocks,
-                                               trace_residuals, reports)]
+    reports = _stack_reports([partition] * len(t_grid), eps, renyi_orders,
+                             clamp_tol, MIDGAP_TOL)
+    return list(zip(t_grid, records, reports))

@@ -221,7 +221,19 @@ def build_report(C, renyi_orders=(2,), clamp_tol: float = CLAMP_TOL,
     blocks = [C] if isinstance(C, CorrelationMatrix) else list(C)
     if not blocks:
         return []
-    eps = np.array([eigenvalues(b.entries) for b in blocks])
+    reports = _stack_reports([b.partition for b in blocks],
+                             np.array([eigenvalues(b.entries) for b in blocks]),
+                             renyi_orders, clamp_tol, midgap_tol)
+    return reports[0] if isinstance(C, CorrelationMatrix) else reports
+
+
+def _stack_reports(partitions, eps: np.ndarray, renyi_orders,
+                   clamp_tol: float, midgap_tol: float) -> list:
+    """The reports of a (T, |A|) stack of correlation spectra, row t being
+    that of ``partitions[t]``, as ``build_report`` makes them: each
+    elementwise step runs once over all rows, each row's sums over its own
+    unclamped eigenvalues.  ``evolve_no_jump`` hands it the spectra it took
+    during its run."""
     mask, e, bounds = _rows(eps, clamp_tol)
     xi = np.log(1.0 / e - 1.0)
     s = _vn(e, bounds)
@@ -229,8 +241,8 @@ def build_report(C, renyi_orders=(2,), clamp_tol: float = CLAMP_TOL,
     s_mod = [float("nan") if abs(x.imag) > MODIFIED_IMAG_TOL else float(x.real)
              for x in _modified(e, bounds)]
     midgap = np.abs(eps.real - 0.5) < midgap_tol
-    reports = [EntanglementReport(
-        partition=b.partition,
+    return [EntanglementReport(
+        partition=part,
         correlation_eigenvalues=eps[t],
         single_particle_spectrum=xi[bounds[t]:bounds[t + 1]],
         entropy_vn=s[t],
@@ -239,8 +251,7 @@ def build_report(C, renyi_orders=(2,), clamp_tol: float = CLAMP_TOL,
         midgap_modes=np.flatnonzero(midgap[t]),
         realness_residual=abs(s[t].imag),
         clamped_modes=np.flatnonzero(mask[t]),
-    ) for t, b in enumerate(blocks)]
-    return reports[0] if isinstance(C, CorrelationMatrix) else reports
+    ) for t, part in enumerate(partitions)]
 
 
 def mutual_information(report_A: EntanglementReport,

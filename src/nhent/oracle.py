@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import balanced_eig, match_spectra
+from ._linalg import _arithmetic, balanced_eig, match_spectra
 from .correlations import Partition, correlation_matrix
 from .entanglement import modified_entropy, vn_entropy
 from .errors import ConsistencyError, DegeneracyError, OrderingError, SizeError
@@ -149,21 +149,23 @@ def manybody_biortho_ground(K: KernelMatrix, n_particles: int,
     (DegeneracyError) rather than guessing a state; a (near-)defective
     block raises DefectiveError from the eigen-solve.
 
-    The solve gets the Fock image of each candidate mirror p of the
-    kernel (``spectra._mirrors``): the permutation of the sector that
-    sends state s to sum_i bit_i(s) << p(i).  Where the block passes the
-    solve's exact test X* = P X P under one of them, as the sector of a
-    PT-symmetric chain does under its reversal, it is solved in real
-    arithmetic.  A reversal of all modes reorders every state's creation
-    operators alike, so its one fermion sign, (-1)^(n(n-1)/2), drops out
-    of P X P; an image whose signs vary from state to state fails the
-    test, and the block takes the complex solve.
+    The solve gets the Fock image of each lattice mirror p of the kernel
+    (``spectra._mirrors``) under which the kernel itself passes the exact
+    test K* = P K P (none for a real kernel): the permutation of the
+    sector that sends state s to sum_i bit_i(s) << p(i).  Where the block
+    passes the solve's exact test X* = P X P under one of them, as the
+    sector of a PT-symmetric chain does under its reversal, it is solved
+    in real arithmetic.  A reversal of all modes reorders every state's
+    creation operators alike, so its one fermion sign, (-1)^(n(n-1)/2),
+    drops out of P X P; an image whose signs vary from state to state
+    fails the test, and the block takes the complex solve.
     """
     Hb, block_states = fock_block(K, n_particles)
     bits = (block_states >> np.arange(K.dim)[:, None]) & 1  # (mode, state)
+    mirrors = [p for p in _mirrors(K) if _arithmetic(K.entries, (p,))[1] == 0]
     images = tuple(np.searchsorted(block_states,
                                    (bits << p[:, None]).sum(axis=0))
-                   for p in _mirrors(K))
+                   for p in mirrors)
     w, V, left, _ = balanced_eig(Hb, images)
     order = policy_order(w, policy)
     idx = order[0]

@@ -235,6 +235,31 @@ class TestCommands:
         assert (out1 / "entanglement.csv").read_bytes() == \
             (out2 / "entanglement.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_keeps_its_good_points_past_a_numerical_failure(
+            self, tmp_path, capsys, workers):
+        # nu = w solves; at nu = 1.0 the k = 0 Bloch block is a Jordan block
+        model = {"family": "eb_ssh", "bc": "periodic",
+                 "params": {"L": 16, "nu": 0.5, "w": 0.5, "gamma0": 1.0}}
+        doc = {"model": model, "partitions": [{"type": "half"}],
+               "sweep": {"parameter": "nu", "values": [0.5, 1.0]}}
+        alone = tmp_path / "alone"
+        assert main(["entanglement", "--config",
+                     write_config(tmp_path, {**doc, "sweep": {
+                         "parameter": "nu", "values": [0.5]}}, "alone.json"),
+                     "--out", str(alone)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["entanglement", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--workers", workers]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure: DefectiveError: ")
+        for name in ("entanglement.csv", "reports.json"):
+            assert (out / name).read_bytes() == (alone / name).read_bytes()
+        points = json.loads((out / "manifest.json").read_text())["points"]
+        assert [(p["value"], p["status"]) for p in points] == [
+            (0.5, "ok"), (1.0, "DefectiveError")]
+
     def test_size_sweep_cuts_each_point_on_its_own_modes(self, tmp_path):
         doc = {"model": {"family": "uniform_chain",
                          "params": {"L": 8, "t": 1.0}},

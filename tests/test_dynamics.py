@@ -1,14 +1,19 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from nhent import (CollapseError, GaussianState, KernelMatrix, Partition,
-                   PartitionError, SizeError, UnsupportedError,
+from nhent import (CollapseError, CorrelationMatrix, GaussianState,
+                   KernelMatrix, Partition, PartitionError, SizeError,
+                   UnsupportedError,
                    build_measurement_heff, build_report,
                    build_uniform_chain, domain_wall_state, evolve_no_jump,
                    hermitian_ground_state, staggered_state)
 from nhent import dynamics
 from nhent.dynamics import _orthonormalize, _site_gauge
+from nhent.entanglement import _stack_reports
 
 
 def _expm_qr_entropies(K, M0, t_grid, n_A, substeps=10):
@@ -305,15 +310,15 @@ class TestEvolveNoJump:
         assert start[2].entropy_vn == 0j  # a product state
 
     def test_records_equal_reports_of_each_block_alone(self, monkeypatch):
-        # one report pass over all output times gives each record the report
-        # of its own block
+        # one report pass over the spectra of all output times gives each
+        # record the report of its own block
         stacks = []
 
-        def spy(C, **kwargs):
-            stacks.append(C)
-            return build_report(C, **kwargs)
+        def spy(partitions, eps, *args):
+            stacks.append(eps)
+            return _stack_reports(partitions, eps, *args)
 
-        monkeypatch.setattr(dynamics, "build_report", spy)
+        monkeypatch.setattr(dynamics, "_stack_reports", spy)
         K = build_measurement_heff(16, 1.0, 0.5, "open")
         part = Partition.contiguous(2, 9, 16)
         records = evolve_no_jump(K, staggered_state(16),
@@ -321,9 +326,11 @@ class TestEvolveNoJump:
                                  renyi_orders=(2, 3))
         [stack] = stacks
         assert len(stack) == len(records) == 13
-        assert {C.entries.dtype for C in stack} == {np.dtype(float)}
-        for (_, _, rep), C in zip(records, stack):
-            alone = build_report(C, renyi_orders=(2, 3))
+        blocks = [C._frame[1] for _, C, _ in records]
+        assert {C_g.dtype for C_g in blocks} == {np.dtype(float)}
+        for (_, _, rep), C_g in zip(records, blocks):
+            alone = build_report(CorrelationMatrix(part, C_g),
+                                 renyi_orders=(2, 3))
             for field in ("correlation_eigenvalues", "clamped_modes",
                           "single_particle_spectrum", "midgap_modes"):
                 assert np.array_equal(getattr(rep, field),
@@ -331,6 +338,40 @@ class TestEvolveNoJump:
             assert rep.entropy_vn == alone.entropy_vn
             assert rep.entropy_renyi == alone.entropy_renyi
             assert rep.entropy_modified == alone.entropy_modified
+
+    @pytest.mark.parametrize("psi0", [staggered_state(8), GaussianState(
+        staggered_state(8).orbitals * np.exp(0.3j))], ids=["float64",
+                                                            "complex128"])
+    def test_record_forms_its_entries_once_on_first_read(self, psi0):
+        K = build_measurement_heff(8, 1.0, 0.5, "open")
+        for _, C, _ in evolve_no_jump(K, psi0, [0.0, 1.0, 2.5],
+                                      Partition.contiguous(1, 6, 8)):
+            g_A, C_g = C._frame
+            expected = g_A[:, None] * C_g * g_A.conj()
+            block = weakref.ref(C_g)
+            del C_g
+            entries = C.entries
+            assert entries.dtype == expected.dtype
+            assert entries.tobytes() == expected.tobytes()
+            assert C.entries is entries
+            # the record no longer holds its frame block
+            assert block() is None
+
+    def test_long_run_holds_only_the_frame_blocks(self):
+        # the bench's L = 128 measurement chain over 81 output times; the
+        # 81 float64 64 x 64 blocks are 2.65 MB
+        K = build_measurement_heff(128, 1.0, 0.25, "open")
+        psi0, part = staggered_state(128), Partition.half(128)
+        evolve_no_jump(K, psi0, [0.0, 0.25], part)  # lazy imports, caches
+        tracemalloc.start()
+        try:
+            records = evolve_no_jump(K, psi0, np.linspace(0.0, 20.0, 81),
+                                     part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 81
+        assert peak < 4.5 * 2 ** 20
 
     def test_time_grid_starts_at_state_time(self):
         K = build_measurement_heff(8, 1.0, 0.5, "open")

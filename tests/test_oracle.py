@@ -16,6 +16,7 @@ from nhent import (ConsistencyError, CorrelationMatrix, DefectiveError,
                    modified_entropy, oracle_report, projector,
                    reduced_density, sector_states, select_occupied,
                    vn_entropy)
+from nhent._linalg import balanced_eig
 from nhent.oracle import oracle_equivalence_suite
 
 
@@ -174,6 +175,33 @@ class TestManybodyGround:
         overlap = abs(np.vdot(G_L, G_R)) / (np.linalg.norm(G_L)
                                             * np.linalg.norm(G_R))
         assert overlap == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("K, reversed_", [
+        (build_nh_ssh_real(5, 1.0, 0.4, 0.3, "open"), True),
+        (random_kernel(10, 3), False),
+        (build_hatano_nelson(10, 1.0, 0.5, "open"), False),
+    ], ids=["nh-ssh", "random", "hatano-nelson"])
+    def test_sector_solve_gets_only_mirrors_the_kernel_keeps(
+            self, monkeypatch, K, reversed_):
+        # nh-ssh fails its sublattice-keeping mirror (gain and loss sit on
+        # the sublattices) and keeps its reversal; a random kernel keeps
+        # none, and a real kernel needs none
+        received = []
+
+        def spy(A, mirrors):
+            received.append(mirrors)
+            return balanced_eig(A, mirrors)
+
+        monkeypatch.setattr(nhent.oracle, "balanced_eig", spy)
+        manybody_biortho_ground(K, 5)
+        [images] = received
+        if reversed_:
+            states = sector_states(10, 5)
+            image = sum(((states >> i) & 1) << (9 - i) for i in range(10))
+            [P] = images
+            assert np.array_equal(P, np.searchsorted(states, image))
+        else:
+            assert images == ()
 
     def test_skin_effect_non_orthogonality(self):
         K = build_hatano_nelson(6, 1.0, 0.5, "open")

@@ -1,23 +1,29 @@
-"""Per-call cost of the dense eigen-solve and of the Fock sector build.
+"""Per-call cost of the dense eigen-solve, the Fock sector build and a
+no-jump run.
 
     python tools/solve_timing.py [SRC] [--repeat N]
 
 Imports ``nhent`` from SRC (default: the ``src`` next to this script's
 directory) and prints one JSON line.  For each case it holds the best of N
-wall-clock timings of one call, in microseconds, and the number of
-function calls (Python and built-in) that ``cProfile`` counts in one call:
+wall-clock timings of one call, in microseconds, the number of function
+calls (Python and built-in) that ``cProfile`` counts in one call, and the
+peak of one call's allocations under ``tracemalloc``, in KiB:
 
 - ``balanced_eig`` on 10 x 10 kernels, one per solver path: Hermitian,
   real, general complex, PT-symmetric (the open ``nh_ssh`` chain, with its
   lattice mirrors) and gauge-Hermitian (the open Hatano-Nelson chain);
 - ``balanced_eig`` on the 252 x 252 five-particle sector of a random
   10-mode oracle kernel; on that sector of the open 5-cell ``nh_ssh``
-  chain, with the Fock images of the chain's mirrors (state s to
-  sum_i bit_i(s) << p(i)), as the oracle solves it; and on the 496-site
-  open ``eb_ssh`` ladder;
-- ``oracle.fock_block`` of that 10-mode kernel at five particles.
+  chain, with the Fock image (state s to sum_i bit_i(s) << p(i)) of each
+  mirror p the chain keeps exactly, as the oracle solves it; and on the
+  496-site open ``eb_ssh`` ladder;
+- ``oracle.fock_block`` of that 10-mode kernel at five particles;
+- ``evolve_no_jump`` of the open 128-site measurement chain at
+  Gamma = 0.25 from the staggered state, half cut, over the 81 output
+  times 0, 0.25, ..., 20 (the bench's ``NJ-L128-G0.25`` run).
 
-The sector cases take at most 20 timed calls and the ladder 5.  The record also
+The sector cases take at most 20 timed calls, the ladder and the no-jump
+run 5.  The record also
 names the machine, the numpy and scipy versions and the BLAS thread count.
 OpenBLAS reads its thread count when numpy loads; it is pinned to one here
 unless ``OPENBLAS_NUM_THREADS`` is already set.  To compare two trees, run
@@ -32,11 +38,12 @@ import platform
 import pstats
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the most timed calls of a large case
 _LARGE = {"balanced_eig/sector-252": 20, "balanced_eig/pt-sector-252": 20,
-          "balanced_eig/ladder-496": 5}
+          "balanced_eig/ladder-496": 5, "evolve_no_jump/measurement-128": 5}
 
 
 def _best_us(call, repeat: int) -> float:
@@ -49,6 +56,15 @@ def _best_us(call, repeat: int) -> float:
     return round(best * 1e6, 1)
 
 
+def _peak_kib(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+    finally:
+        tracemalloc.stop()
+
+
 def _calls(call) -> int:
     profile = cProfile.Profile()
     profile.runcall(call)
@@ -57,7 +73,7 @@ def _calls(call) -> int:
 
 def cases(nhent, np):
     """name -> zero-argument call, one per timed case."""
-    from nhent._linalg import balanced_eig
+    from nhent._linalg import _arithmetic, balanced_eig
     from nhent.oracle import fock_block
     from nhent.spectra import _mirrors
 
@@ -73,7 +89,7 @@ def cases(nhent, np):
     bits = (states >> np.arange(10)[:, None]) & 1
     fock_mirrors = tuple(
         np.searchsorted(states, (bits << p[:, None]).sum(axis=0))
-        for p in _mirrors(pt))
+        for p in _mirrors(pt) if _arithmetic(pt.entries, (p,))[1] == 0)
     gauge = nhent.build_hatano_nelson(10, 1.0, 0.5, "open")
     ladder = nhent.build_eb_ssh(248, 1.0, 0.5, 4.0, "open")
     solves = {
@@ -89,6 +105,10 @@ def cases(nhent, np):
     out = {f"balanced_eig/{name}": (lambda A=A, m=m: balanced_eig(A, m))
            for name, (A, m) in solves.items()}
     out["fock_block/10-modes"] = lambda: fock_block(oracle_kernel, 5)
+    chain = nhent.build_measurement_heff(128, 1.0, 0.25, "open")
+    out["evolve_no_jump/measurement-128"] = lambda: nhent.evolve_no_jump(
+        chain, nhent.staggered_state(128), np.linspace(0.0, 20.0, 81),
+        nhent.Partition.half(128))
     return out
 
 
@@ -120,11 +140,12 @@ def main(argv=None) -> int:
         "repeat": args.repeat, "cases": {},
     }
     for name, call in cases(nhent, np).items():
-        # the sector and ladder solves take 0.03-0.3 s, nearly all of it in
-        # LAPACK: a few calls give a stable best
+        # the sector, ladder and no-jump calls take 0.03-0.3 s, nearly all
+        # of it in LAPACK: a few calls give a stable best
         repeat = min(args.repeat, _LARGE.get(name, args.repeat))
         record["cases"][name] = {"best_us": _best_us(call, repeat),
-                                 "calls": _calls(call)}
+                                 "calls": _calls(call),
+                                 "peak_kib": _peak_kib(call)}
     print(json.dumps(record))
     return 0
 
