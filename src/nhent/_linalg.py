@@ -1,22 +1,33 @@
 """Shared dense linear-algebra helpers; the one home of the defectiveness rule.
 
-``balanced_eig`` is the only solver that returns eigenvectors (unit-norm
-right columns and their biorthogonal left partners), the only Hermitian
-test of a kernel solve, the only code that raises ``DefectiveError`` and
-the only caller of ``np.linalg.cond`` and ``svd``.  A Hermitian matrix goes
-to ``eigh`` as given.  Any other kernel is balanced once, by the diagonal
-``symmetrizing_diagonal`` reads off its entry ratios, and solved once: by
-``eigh`` when that frame makes it Hermitian (a gauge-Hermitian kernel, such
-as the open Hatano-Nelson chain, with condition exactly 1.0), else by one
-``eig`` and one inverse, in real arithmetic when its imaginary part is
-exactly zero.  The defectiveness gate, kappa_2 of the eigenvector matrix
-against ``DEFECTIVE_COND``, is certified from the Frobenius norms of that
-matrix and its inverse; only near or above the threshold does an SVD run.
+``eig_factors`` and ``balanced_eig`` are the only solvers that return
+eigenvectors (unit-norm right columns and their biorthogonal left
+partners), the only Hermitian test of a kernel solve, the only code that
+raises ``DefectiveError`` and the only callers of ``np.linalg.cond`` and
+``svd``.  A Hermitian matrix goes to ``eigh`` as given.  Any other kernel
+is balanced once, by the diagonal ``symmetrizing_diagonal`` reads off its
+entry ratios, and solved once: by ``eigh`` when that frame makes it
+Hermitian (a gauge-Hermitian kernel, such as the open Hatano-Nelson chain,
+with condition exactly 1.0), else by one ``eig`` and one inverse, in real
+arithmetic when its imaginary part is exactly zero.  The defectiveness
+gate, kappa_2 of the eigenvector matrix against ``DEFECTIVE_COND``, is
+certified from the Frobenius norms of that matrix and its inverse; only
+near or above the threshold does an SVD run.
 
-A 2-D call runs each gate once on the matrix itself, and skips the stack
-bookkeeping: no stack axis, index arrays, path groups or lists of partial
-results.  An (m, n, n) stack, such as the Bloch matrices of a ring, runs
-each gate on every matrix through the same helpers; the matrices are
+``eig_factors`` solves one matrix and keeps what the solve leaves in the
+balanced frame (``EigFactors``): the eigenvalues, V_r, its inverse (not
+stored where it is V_r^dag), the diagonal, the PT mirror, the column norms
+of the caller-frame vectors and the condition estimate.  The caller-frame
+entries D T V_r / ||.|| and their left partners are formed by one routine,
+for just the rows and states asked for, each entry bit for bit that of the
+whole matrix; ``balanced_eig`` of one matrix is that routine on all of
+them.  The refusal of overflowing normalized vectors is proved from the
+norms where it can, and read off the formed vectors only where the proof
+fails.  A 2-D call runs each gate once on the matrix itself, and skips
+the stack bookkeeping: no stack axis, index arrays, path groups or lists
+of partial results.  An (m, n, n) stack, such as the Bloch matrices of a
+ring, runs each gate on every matrix through the same helpers, and forms
+its vectors whole through the same routine; the matrices are
 grouped by path, one stacked LAPACK call per group, so the cost in Python
 calls does not grow with m, and each matrix's outputs are bit for bit
 those of its 2-D call.  Spectra and bands are paired by
@@ -26,6 +37,7 @@ those of its 2-D call.  Spectra and bands are paired by
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -34,7 +46,7 @@ from .errors import DefectiveError
 
 __all__ = ["HERMITIAN_TOL", "DEFECTIVE_COND", "is_hermitian", "eigenvalues",
            "min_cost_matching", "match_spectra", "symmetrizing_diagonal",
-           "balanced_eig"]
+           "EigFactors", "eig_factors", "balanced_eig"]
 
 HERMITIAN_TOL = 1e-14
 DEFECTIVE_COND = 1e12
@@ -323,10 +335,9 @@ def _balance(X: np.ndarray, cplx, d: np.ndarray, perm):
 
 
 def _gauge_solve(B: np.ndarray):
-    """(w, V_r, V_r^-1) of gauge-Hermitian balanced kernels: ``eigh`` of
-    the Hermitian part, so V_r is unitary and V_r^-1 = V_r^dag."""
-    w, Vr = _stacked(np.linalg.eigh, 0.5 * (B + B.conj().swapaxes(-2, -1)))
-    return w, Vr, Vr.conj().swapaxes(-2, -1)
+    """(w, V_r) of gauge-Hermitian balanced kernels: ``eigh`` of the
+    Hermitian part, so V_r is unitary and V_r^-1 = V_r^dag."""
+    return _stacked(np.linalg.eigh, 0.5 * (B + B.conj().swapaxes(-2, -1)))
 
 
 def _certified(Vr: np.ndarray):
@@ -367,45 +378,158 @@ def _defect(Vr: np.ndarray, w: np.ndarray, singular: bool, scale: float):
     return None
 
 
-def _to_caller_frame(Vr, Vb_inv, d, perm):
-    """(V, V^-1) = (D T V_r, V_r^-1 T^dag D^-1) of balanced-frame
-    eigenvectors V_r and their inverse, one matrix or a stack, each output
-    in one complex array, with T = (I + iP) / sqrt(2) on a PT kernel
-    (``perm`` holds P) and T = I otherwise.
+def _gather(X: np.ndarray, rows, cols) -> np.ndarray:
+    """The block X[..., rows, :][..., cols] of one matrix or of a stack,
+    for slices or index arrays; on one matrix, two index arrays take one
+    gather.  On a stack, ``rows`` may be a 2-D array of one row permutation
+    per matrix."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        X, rows = np.take_along_axis(X, rows[..., :, None], axis=-2), slice(None)
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return X[..., rows, :][..., cols]
+    return X[rows[:, None], cols]
+
+
+def _right_rows(Vr, d, mirror, rows, cols, dtype) -> np.ndarray:
+    """D T V_r at ``rows`` x ``cols`` before the unit-norm scaling, with
+    T = (I + iP) / sqrt(2) on a PT kernel (P the ``mirror``), else I.
 
     T and D are applied in separate roundings, as folding 1 / sqrt(2) into d
     would move every PT result by an ulp.
     """
-    V = np.empty(Vr.shape, dtype=complex)
-    Vinv = np.empty(Vr.shape, dtype=complex)
-    if perm is None:
-        np.multiply(Vr, d[..., :, None], out=V)
-        np.divide(Vb_inv, d[..., None, :], out=Vinv)
-        return V, Vinv
-    np.multiply(1j, np.take_along_axis(Vr, perm[..., :, None], axis=-2),
-                out=V)
-    V += Vr
+    X = _gather(Vr, rows, cols)
+    V = np.empty(X.shape, dtype=dtype)
+    if mirror is None:
+        return np.multiply(X, d[..., rows, None], out=V)
+    np.multiply(1j, _gather(Vr, mirror[..., rows], cols), out=V)
+    V += X
     V /= np.sqrt(2.0)
-    V *= d[..., :, None]
-    np.multiply(-1j, np.take_along_axis(Vb_inv, perm[..., None, :], axis=-1),
-                out=Vinv)
-    Vinv += Vb_inv
-    Vinv /= np.sqrt(2.0)
-    Vinv /= d[..., None, :]
-    return V, Vinv
+    V *= d[..., rows, None]
+    return V
 
 
-def _unit_columns(V: np.ndarray, Vinv: np.ndarray):
-    """Scale the right columns to unit norm, in place; the rows of V^-1
-    absorb the rescaling, so V^-1 V = I stays exact up to inversion error.
-    Returns whether each V and V^-1 stayed finite."""
+def _left_rows(Vr, Vinv, d, mirror, rows, cols, dtype) -> np.ndarray:
+    """(V_r^-1 T^dag D^-1)^T at ``rows`` x ``cols``, before the scaling by
+    the norms and the conjugation; ``Vinv`` None stands for V_r^dag."""
+    def inverse(r):  # V_r^-1 at states cols and sites r, transposed
+        return (_gather(Vr, r, cols).conj() if Vinv is None
+                else _gather(Vinv.swapaxes(-2, -1), r, cols))
+    Y = inverse(rows)
+    L = np.empty(Y.shape, dtype=dtype)
+    if mirror is None:
+        return np.divide(Y, d[..., rows, None], out=L)
+    np.multiply(-1j, inverse(mirror[..., rows]), out=L)
+    L += Y
+    L /= np.sqrt(2.0)
+    L /= d[..., rows, None]
+    return L
+
+
+def _formed(Vr, Vinv, d, mirror, norms, rows, cols, dtype) -> tuple:
+    """(R, L): the unit-norm right vectors V = D T V_r / ||.|| at ``rows``
+    x ``cols``, one matrix or a stack, and their left partners, the columns
+    of V^-dag, which absorb the column scaling.  Every entry is its own
+    rounding sequence, so a block is bit for bit that block of the whole."""
+    R = _right_rows(Vr, d, mirror, rows, cols, dtype)
+    L = _left_rows(Vr, Vinv, d, mirror, rows, cols, dtype)
+    norms = norms[..., None, cols]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # each column's 2-norm as np.linalg.norm forms it, bit for bit
-        vnorm = np.sqrt(np.add.reduce((V.conj() * V).real, axis=-2))
-        V /= vnorm[..., None, :]
-        Vinv *= vnorm[..., :, None]
-    return (np.isfinite(V).all(axis=(-2, -1))
-            & np.isfinite(Vinv).all(axis=(-2, -1)))
+        if R.dtype == complex:
+            R /= norms
+        else:  # x * (1 / norm) rounds as numpy's complex division does
+            R *= 1.0 / norms
+        L *= norms
+    return R, np.conjugate(L, out=L)
+
+
+# entries of D T V_r formed at a time for its column norms
+_SLAB = 2 ** 15
+
+
+def _column_norms(Vr, d, mirror) -> np.ndarray:
+    """Each column's 2-norm of D T V_r, one matrix or a stack, as
+    np.linalg.norm forms it, bit for bit; D T V_r is formed a slab of
+    columns at a time, real where V_r is and no T maps it back."""
+    dtype = Vr.dtype if mirror is None else np.dtype(complex)
+    n = Vr.shape[-1]
+    step = max(1, _SLAB * n // Vr.size)
+    norms = np.empty(Vr.shape[:-2] + (n,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, n, step):
+            V = _right_rows(Vr, d, mirror, slice(None), slice(j, j + step),
+                            dtype)
+            norms[..., j:j + step] = np.sqrt(
+                np.add.reduce((V.conj() * V).real, axis=-2))
+    return norms
+
+
+@dataclass(frozen=True, eq=False)
+class EigFactors:
+    """One kernel's eigendecomposition as ``eig_factors`` leaves it.
+
+    ``Vr`` holds the right eigenvectors of the balanced kernel, real in
+    real arithmetic and contiguous, ``Vinv`` their inverse, or None where
+    that is V_r^dag (the Hermitian and gauge-Hermitian paths), ``d`` the
+    balancing diagonal, ``mirror`` the PT mirror P of T = (I + iP) /
+    sqrt(2), and ``norms`` the 2-norms of the columns of D T V_r.  On the
+    Hermitian path, ``d`` and ``norms`` are None: V_r is the kernel's own
+    unitary eigenvector matrix, and left is right.  ``vectors`` forms just
+    the requested entries in the caller's frame.
+    """
+
+    eigenvalues: np.ndarray
+    Vr: np.ndarray
+    Vinv: np.ndarray | None
+    d: np.ndarray | None
+    mirror: np.ndarray | None
+    norms: np.ndarray | None
+    condition_estimate: float
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 where V_r is real and no T maps it back, else complex."""
+        return (np.dtype(complex) if self.mirror is not None
+                else self.Vr.dtype)
+
+    def vectors(self, rows=slice(None), cols=slice(None), dtype=None):
+        """(R, L): rows ``rows`` of the unit-norm right vectors of states
+        ``cols`` (slices or index arrays), and of their left partners, with
+        L^dag R = I over all states; L is R on the Hermitian path.  Each
+        entry is bit for bit that of the whole matrix, in ``dtype``
+        (default ``self.dtype``)."""
+        rows, cols = (i if isinstance(i, slice) else np.asarray(i, dtype=np.intp)
+                      for i in (rows, cols))
+        dtype = self.dtype if dtype is None else dtype
+        if self.d is None:
+            R = _gather(self.Vr, rows, cols).astype(dtype, copy=False)
+            return R, R
+        return _formed(self.Vr, self.Vinv, self.d, self.mirror, self.norms,
+                       rows, cols, dtype)
+
+
+# finite bounds below this leave room for the roundings they do not count
+_BIG = np.finfo(float).max / 4
+
+
+def _finite_vectors(f: EigFactors) -> bool:
+    """Whether every unit-norm right vector and left partner of ``f`` is
+    finite; the answer of reading all of them, mostly without forming them.
+
+    A sum of squares bounds each of its terms, so finite, invertible norms
+    prove every right entry finite (at most 1).  A left entry is at most
+    sqrt(2) ||row a of V_r^-1|| / min d, times norm_a; both bounds below
+    ``_BIG`` prove every left entry finite.  Only where the proof fails
+    are the vectors formed and read.
+    """
+    rows2 = (_squared_norms(f.Vr, -2) if f.Vinv is None
+             else _squared_norms(f.Vinv, -1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        left = np.sqrt(2.0 * rows2) / f.d.min()
+        if (np.isfinite(f.norms).all() and np.isfinite(1.0 / f.norms).all()
+                and (left < _BIG).all() and (left * f.norms < _BIG).all()):
+            return True
+        R, L = f.vectors()
+        return bool(np.isfinite(R).all() and np.isfinite(L).all())
 
 
 # refusal reasons before the solve (the first two) and after it
@@ -415,12 +539,8 @@ _B_OVERFLOW = f"balanced kernel overflows float64: {_GRADING}"
 _V_OVERFLOW = f"normalized eigenvectors overflow float64: {_GRADING}"
 
 
-def balanced_eig(A: np.ndarray, mirrors=()):
-    """Eigendecomposition of a kernel; the one solver that returns vectors.
-
-    ``A`` is one n x n kernel or an (m, n, n) stack of them, each matrix
-    of which gets, bit for bit, the outputs of its own 2-D call; each path
-    of a stack costs one stacked ``eigh``, or one ``eig`` and one inverse.
+def eig_factors(A: np.ndarray, mirrors=()) -> EigFactors:
+    """Eigendecomposition of one kernel, kept as its balanced-frame factors.
 
     A Hermitian A (``is_hermitian``) goes to ``eigh`` exactly as given: no
     rescaling, no real cast, no symmetrization.  V is unitary, left is V
@@ -445,39 +565,30 @@ def balanced_eig(A: np.ndarray, mirrors=()):
     is a unitary with T^dag B T = Re B - (Im B)[:, p] real.  That real
     matrix is solved, and its eigenvectors V_r and their inverse map back
     exactly: V_b = T V_r, V_b^-1 = V_r^-1 T^dag, with the same column and
-    row norms and condition numbers (T is unitary).  The back-map to the
-    caller's frame, V = D T V_r and V^-1 = V_r^-1 T^dag D^-1, fills each
-    output in one complex array, so the outputs are complex either way.
+    row norms and condition numbers (T is unitary).  The caller's frame,
+    V = D T V_r and V^-1 = V_r^-1 T^dag D^-1, is formed only by
+    ``EigFactors.vectors``, for the entries asked for.
 
     If B is Hermitian, to ``HERMITIAN_TOL`` scaled by max(1, max|ln d|)
     because each ratio d_j / d_i carries a rounding of about eps |ln d|,
     A is gauge-Hermitian and the Hermitian part of B is solved by ``eigh``:
     V_r = U is unitary, V_r^-1 = U^dag, cond = 1.0, and a Hermitian matrix
     is never defective.  No ``eig``, inverse or condition number is
-    computed.  Every other B costs one ``eig`` and one inverse.
+    computed.  Every other B costs one ``eig`` and one inverse; B is freed
+    before the inverse.
 
     Returns
     -------
-    The fields of ``spectra.BiorthogonalSystem``, in order, each stacked
-    along a leading axis of length m for a stack:
-    eigenvalues : np.ndarray
-        Computed in the balanced frame, where they are most accurate;
-        real-valued on the Hermitian and gauge-Hermitian paths.
-    right : np.ndarray
-        Right eigenvectors V as unit-norm columns, in the original frame
-        (balanced-frame vectors scaled back exactly by the diagonal).
-    left : np.ndarray
-        Left eigenvectors as the columns of V^-dag, which absorb the column
-        scaling, so left^dag right = I; ``right`` itself if A is Hermitian
-        (if every matrix of a stack is).
-    condition_estimate : float, or an (m,) array for a stack
-        max_i ||r_i|| ||l_i|| over the columns r_i of the balanced-frame
-        eigenvector matrix V_b and the rows l_i of V_b^-1: the largest of
-        Wilkinson's eigenvalue condition numbers s_i (s_i^2 is the
-        Petermann factor of mode i), read off V_b and V_b^-1 in O(n^2).
-        It measures genuine (near-)defectiveness rather than grading, and
-        1 <= cond <= kappa_2(V_b) <= n cond.  Exactly 1.0 on the Hermitian
-        and gauge-Hermitian paths.
+    EigFactors
+        Eigenvalues computed in the balanced frame, where they are most
+        accurate (real-valued on the Hermitian and gauge-Hermitian paths),
+        and the condition estimate: max_i ||r_i|| ||l_i|| over the columns
+        r_i of the balanced-frame eigenvector matrix V_b and the rows l_i
+        of V_b^-1, the largest of Wilkinson's eigenvalue condition numbers
+        s_i (s_i^2 is the Petermann factor of mode i), read off V_b and
+        V_b^-1 in O(n^2).  It measures genuine (near-)defectiveness rather
+        than grading, and 1 <= cond <= kappa_2(V_b) <= n cond.  Exactly 1.0
+        on the Hermitian and gauge-Hermitian paths.
 
     Raises
     ------
@@ -489,17 +600,12 @@ def balanced_eig(A: np.ndarray, mirrors=()):
         kappa_F exceeds ``DEFECTIVE_COND / 2`` or the inversion fails.
         Also raised before any solve, with an infinite estimate, if A has
         an infinite or NaN entry or the grading makes B overflow float64;
-        and, carrying ``cond``, if the unit-normalized V or V^-1 is not
-        finite.  On a stack, the first matrix that fails the first gate
-        any matrix fails is reported, by its index, with what its own
-        solve would carry.
+        and, carrying ``cond``, if an entry of the unit-normalized V or
+        V^-1 is not finite (``_finite_vectors``).
     """
-    if A.ndim == 3:
-        return _balanced_stack(A, mirrors)
     if is_hermitian(A):
         w, V = np.linalg.eigh(A)
-        V = V.astype(complex)
-        return w.astype(complex), V, V, 1.0
+        return EigFactors(w.astype(complex), V, None, None, None, None, 1.0)
     if not np.isfinite(A).all():
         raise DefectiveError(_NON_FINITE, condition_estimate=math.inf)
     cplx, mirror = _arithmetic(A, mirrors)
@@ -507,23 +613,54 @@ def balanced_eig(A: np.ndarray, mirrors=()):
     B, d = _balance(A, cplx, symmetrizing_diagonal(A), perm)
     if not np.isfinite(B).all():
         raise DefectiveError(_B_OVERFLOW, condition_estimate=math.inf)
-    cond = 1.0
+    Vinv, cond = None, 1.0
     if is_hermitian(B, HERMITIAN_TOL * max(1.0, np.abs(np.log(d)).max())):
-        w, Vr, Vb_inv = _gauge_solve(B)
+        w, Vr = _gauge_solve(B)
+        del B
     else:
         w, Vr = np.linalg.eig(B)
-        Vb_inv, cond, suspect, singular = _certified(Vr)
+        del B
+        # a real V_r is a view of eig's complex output, which a copy frees
+        Vr = np.ascontiguousarray(Vr)
+        Vinv, cond, suspect, singular = _certified(Vr)
         if suspect and (refusal := _defect(Vr, w, singular,
                                            np.abs(A).max())):
             raise DefectiveError(*refusal)
-    del B  # freed before the back-map's outputs
-    V, Vinv = _to_caller_frame(Vr, Vb_inv, d, perm)
-    del Vr, Vb_inv  # freed before the norm's temporaries
-    if not _unit_columns(V, Vinv):
+    f = EigFactors(w.astype(complex, copy=False), Vr, Vinv, d, perm,
+                   _column_norms(Vr, d, perm), float(cond))
+    if not _finite_vectors(f):
         raise DefectiveError(_V_OVERFLOW, condition_estimate=float(cond))
-    # the left vectors are the columns of V^-dag, conjugated in place
-    return (w.astype(complex, copy=False), V,
-            np.conjugate(Vinv, out=Vinv).T, float(cond))
+    return f
+
+
+def balanced_eig(A: np.ndarray, mirrors=()):
+    """Eigendecomposition of a kernel, or of a stack, with its vectors.
+
+    ``A`` is one n x n kernel, solved by ``eig_factors`` with its vectors
+    formed whole, or an (m, n, n) stack of them, each matrix of which gets,
+    bit for bit, the outputs of its own 2-D call; each path of a stack
+    costs one stacked ``eigh``, or one ``eig`` and one inverse, and each
+    gate of ``eig_factors`` runs on every matrix before the next gate.
+
+    Returns
+    -------
+    The eigenvalues, the unit-norm right vectors V, the left vectors (the
+    columns of V^-dag, so left^dag right = I) as complex arrays, and the
+    condition estimate of ``eig_factors``, each stacked along a leading
+    axis of length m for a stack.  ``left`` is ``right`` if A is Hermitian
+    (if every matrix of a stack is).
+
+    Raises
+    ------
+    DefectiveError
+        As ``eig_factors``.  On a stack, the first matrix that fails the
+        first gate any matrix fails is reported, by its index, with what
+        its own solve would carry.
+    """
+    if A.ndim == 3:
+        return _balanced_stack(A, mirrors)
+    f = eig_factors(A, mirrors)
+    return (f.eigenvalues, *f.vectors(dtype=complex), f.condition_estimate)
 
 
 def _balanced_stack(S: np.ndarray, mirrors):
@@ -557,15 +694,16 @@ def _balanced_stack(S: np.ndarray, mirrors):
         w, V = _stacked(np.linalg.eigh, S[h])
         V = V.astype(complex)
         units.append((h, w.astype(complex), V, V, np.ones(len(h))))
-    solved, suspects = [], []  # (rows of R, w, V_r, V_r^-1, d, P, cond)
+    # (rows of R, w, V_r, V_r^-1 or None for V_r^dag, d, P, cond)
+    solved, suspects = [], []
     for rows, B, d, perm in frames:
         log_spread = np.maximum(1.0, np.abs(np.log(d)).max(axis=1))
         gauge = is_hermitian(B, HERMITIAN_TOL * log_spread)
         for general, g in _parts(~gauge):
             rows_g, B_g, d_g, perm_g = rows[g], B[g], d[g], _take(perm, g)
             if not general:
-                solved.append((rows_g, *_gauge_solve(B_g), d_g, perm_g,
-                               np.ones(len(g))))
+                solved.append((rows_g, *_gauge_solve(B_g), None, d_g,
+                               perm_g, np.ones(len(g))))
                 continue
             w, Vr = _stacked(np.linalg.eig, B_g)
             # numpy's eig is real only if every spectrum of the stack is; a
@@ -585,12 +723,16 @@ def _balanced_stack(S: np.ndarray, mirrors):
         if refusal := _defect(Vr, w, singular, float(np.abs(R[r]).max())):
             raise refuse(rest[r], *refusal)
     overflow = []
-    for rows, w, Vr, Vb_inv, d, perm, cond in solved:
-        V, Vinv = _to_caller_frame(Vr, Vb_inv, d, perm)
-        finite = _unit_columns(V, Vinv)
+    for rows, w, Vr, Vinv, d, perm, cond in solved:
+        norms = _column_norms(Vr, d, perm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            V, left = _formed(Vr, Vinv, d, perm, norms, slice(None),
+                              slice(None), complex)
+            finite = (np.isfinite(V).all(axis=(1, 2))
+                      & np.isfinite(left).all(axis=(1, 2)))
         overflow += [(r, c) for r, c in zip(rows[~finite], cond[~finite])]
-        units.append((rest[rows], w.astype(complex, copy=False), V,
-                      np.conjugate(Vinv, out=Vinv).transpose(0, 2, 1), cond))
+        units.append((rest[rows], w.astype(complex, copy=False), V, left,
+                      cond))
     if overflow:
         r, cond = min(overflow)
         raise refuse(rest[r], _V_OVERFLOW, float(cond))

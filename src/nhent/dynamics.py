@@ -28,7 +28,7 @@ import scipy.linalg
 from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dorgqr, zgeqrf,
                                  zgeqrf_lwork, zungqr)
 
-from ._linalg import balanced_eig, eigenvalues
+from ._linalg import eig_factors
 from .errors import CollapseError, PartitionError, SizeError, UnsupportedError
 from .correlations import CorrelationMatrix, Partition
 from .entanglement import CLAMP_TOL, MIDGAP_TOL, _stack_reports
@@ -104,8 +104,8 @@ def staggered_state(n_modes: int) -> GaussianState:
 def hermitian_ground_state(K: KernelMatrix, n_particles: int) -> GaussianState:
     """Ground state of the Hermitian part (K + K^dag)/2 at fixed filling."""
     h = 0.5 * (K.entries + K.entries.conj().T)
-    V = balanced_eig(h)[1]
-    return GaussianState(V[:, :n_particles])
+    V = eig_factors(h).vectors(slice(None), range(n_particles))[0]
+    return GaussianState(V.astype(complex, copy=False))
 
 
 def _site_gauge(A: np.ndarray):
@@ -181,8 +181,9 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
     growth below 1e6.
 
     At each output time the loop forms the partition block C_g = M_A M_A^dag
-    of the orbitals' correlation matrix once, takes its spectrum
-    (``_linalg.eigenvalues``, as ``build_report`` does) and the trace
+    of the orbitals' correlation matrix once, takes its spectrum with
+    ``eigvalsh`` (the call ``_linalg.eigenvalues`` makes for a Hermitian
+    block, which C_g is, so ``build_report`` gives the same) and the trace
     residual |tr(M M^dag) - n| (the trace of the full C, over all sites,
     not of the block), and keeps C_g in its record.  One report pass after
     the loop runs the stacked kernels of ``build_report`` over the (T, |A|)
@@ -270,7 +271,7 @@ def evolve_no_jump(K_eff: KernelMatrix, psi0: GaussianState, t_grid,
         now = t_out
         MA = M[idx]
         CA = MA @ MA.conj().T
-        eps[i] = eigenvalues(CA)
+        eps[i] = np.linalg.eigvalsh(CA).astype(complex)
         # tr(M M^dag) = ||M||_F^2
         residual = abs(np.vdot(M, M).real - M.shape[1])
         records.append(CorrelationMatrix._framed(

@@ -14,8 +14,9 @@ without forming rho, and ``fock_correlation`` reads the two-point function
 off the same vectors.  No 2^N x 2^N matrix is built.
 
 Sector blocks and rho_A go through the fast path's eigen-solve
-(``_linalg.balanced_eig``), so both refuse a (near-)defective matrix by
-one rule, raising ``DefectiveError``.  A sector's diagonal is the
+(``_linalg.eig_factors``), so both refuse a (near-)defective matrix by
+one rule, raising ``DefectiveError``; of a sector's vectors only the
+ground column is formed, and of rho_A's none.  A sector's diagonal is the
 correctly rounded sum of its onsite energies, so the block keeps every
 exact mode-permutation symmetry of the kernel, and the solve gets the
 sector images of the kernel's lattice mirrors: the sector of a
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _arithmetic, balanced_eig, match_spectra
+from ._linalg import _arithmetic, eig_factors, match_spectra
 from .correlations import Partition, correlation_matrix
 from .entanglement import modified_entropy, vn_entropy
 from .errors import ConsistencyError, DegeneracyError, OrderingError, SizeError
@@ -166,7 +167,8 @@ def manybody_biortho_ground(K: KernelMatrix, n_particles: int,
     images = tuple(np.searchsorted(block_states,
                                    (bits << p[:, None]).sum(axis=0))
                    for p in mirrors)
-    w, V, left, _ = balanced_eig(Hb, images)
+    factors = eig_factors(Hb, images)
+    w = factors.eigenvalues
     order = policy_order(w, policy)
     idx = order[0]
     if len(order) > 1 and abs(w[order[0]] - w[order[1]]) < DEGENERACY_TOL:
@@ -175,8 +177,8 @@ def manybody_biortho_ground(K: KernelMatrix, n_particles: int,
     dim = 2 ** K.dim
     G_R = np.zeros(dim, dtype=complex)
     G_L = np.zeros(dim, dtype=complex)
-    G_R[block_states] = V[:, idx]
-    G_L[block_states] = left[:, idx]
+    R, L = factors.vectors(slice(None), [idx])  # the ground column alone
+    G_R[block_states], G_L[block_states] = R[:, 0], L[:, 0]
     return G_R, G_L, w[idx]
 
 
@@ -212,7 +214,7 @@ def oracle_report(rho_A: np.ndarray) -> OracleReport:
     within ``ORACLE_CLAMP_TOL`` of zero contribute nothing.  Raises
     DefectiveError (from the eigen-solve) when rho_A is (near-)defective.
     """
-    lam = balanced_eig(np.asarray(rho_A, dtype=complex))[0]
+    lam = eig_factors(np.asarray(rho_A, dtype=complex)).eigenvalues
     keep = np.abs(lam) > ORACLE_CLAMP_TOL
     lk = lam[keep]
     s_vn = complex(-np.sum(lk * np.log(lk)))

@@ -24,11 +24,12 @@ reports a condition of exactly 1.0.  Any other kernel reports the largest
 eigenvalue condition number max_a ||R_a|| ||L_a|| of the rebalanced
 eigenvector matrix, which measures genuine (near-)defectiveness rather
 than grading.  The solver,
-``_linalg.balanced_eig``, alone tests whether a kernel is Hermitian,
+``_linalg.eig_factors``, alone tests whether a kernel is Hermitian,
 decides defectiveness (by the 2-norm condition number of that matrix),
 refuses a grading too steep for float64, and raises ``DefectiveError``; it
-returns the fields of a ``BiorthogonalSystem``, and this module only packs
-its result.  A periodic, translation-invariant kernel can instead be solved
+returns the balanced-frame factors that a ``BiorthogonalSystem`` keeps, and
+whose ``vectors`` forms just the rows and states asked for.  A periodic,
+translation-invariant kernel can instead be solved
 momentum block by momentum block (``bloch_system``, one ``balanced_eig``
 call on the stack of all blocks); its ``BlochSystem`` keeps only the
 per-momentum eigenvector blocks, and its ``vectors`` forms just the rows
@@ -47,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import balanced_eig
+from ._linalg import EigFactors, balanced_eig, eig_factors
 from .errors import DegeneracyWarning, SizeError
 from .models import KernelMatrix, bloch_momenta, bloch_reduce
 
@@ -62,17 +63,19 @@ __all__ = [
     "OCCUPATION_POLICIES",
 ]
 
-@dataclass(eq=False)
 class BiorthogonalSystem:
     """Matched right/left eigenvector sets of a kernel matrix.
 
-    The fields are what ``_linalg.balanced_eig`` returns, in its order.
     Columns of ``right`` are |R_a>, columns of ``left`` are |L_a>, normalized
     so that every |R_a> has unit 2-norm and left.conj().T @ right = identity;
-    a Hermitian kernel gives ``left is right``.  A system solved momentum
-    block by momentum block is a ``BlochSystem``, which keeps only the
-    per-momentum blocks and has no ``right`` or ``left``: code outside this
-    module reads the vectors through ``vectors``.
+    a Hermitian kernel gives ``left is right``.  Both system kinds keep
+    factors and gather through ``vectors``, which forms just the rows and
+    states asked for: a dense system keeps the balanced-frame factors of
+    its one solve (``_linalg.EigFactors``), and forms ``right`` and ``left``
+    on their first read, complex and whole; a system solved momentum block
+    by momentum block is a ``BlochSystem``, which keeps only the
+    per-momentum blocks and has no ``right`` or ``left``.  Code outside
+    this module reads the vectors through ``vectors``.
 
     ``condition_estimate`` is the largest eigenvalue condition number
     s_a = ||R_a|| ||L_a|| in the solver's rebalanced frame (s_a^2 is the
@@ -84,20 +87,34 @@ class BiorthogonalSystem:
     and its labels tile a cell grid: momentum partitions need it.
     """
 
-    eigenvalues: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-    condition_estimate: float
-    cells: np.ndarray | None = None
+    def __init__(self, factors: EigFactors, cells: np.ndarray | None = None):
+        self.factors = factors
+        self.eigenvalues = factors.eigenvalues
+        self.condition_estimate = factors.condition_estimate
+        self.cells = cells
+
+    def __repr__(self) -> str:
+        return (f"BiorthogonalSystem(dim={self.dim}, "
+                f"condition_estimate={self.condition_estimate!r})")
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
 
+    def __getattr__(self, name: str):
+        # right and left are formed whole, complex and together, on the
+        # first read of either, and then kept; a BlochSystem has neither
+        if name in ("right", "left") and "factors" in vars(self):
+            self.right, self.left = self.factors.vectors(dtype=complex)
+            return vars(self)[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
     def vectors(self, rows, cols) -> tuple:
-        """(R, L): rows ``rows`` of the right and left vectors of ``cols``."""
-        ix = np.ix_(rows, cols)
-        return self.right[ix], self.left[ix]
+        """(R, L): rows ``rows`` of the right and left vectors of ``cols``,
+        float64 where the solve's eigenvectors are real and no PT map
+        takes them back (``EigFactors.dtype``), else complex."""
+        return self.factors.vectors(rows, cols)
 
     def reconstruction(self) -> np.ndarray:
         """sum_a eps_a |R_a><L_a| (equals the kernel up to conditioning)."""
@@ -151,7 +168,7 @@ def biorthogonal_eig(K: KernelMatrix) -> BiorthogonalSystem:
     Raises
     ------
     DefectiveError
-        From the solver (``_linalg.balanced_eig``) if the rebalanced
+        From the solver (``_linalg.eig_factors``) if the rebalanced
         right-eigenvector matrix is (near-)defective; the error carries the
         clustered eigenvalues so the caller can retry with a parameter
         nudge.  Also raised when the unit-normalized right or left vectors
@@ -159,7 +176,7 @@ def biorthogonal_eig(K: KernelMatrix) -> BiorthogonalSystem:
     """
     mirrors = _mirrors(K)  # none when the labels tile no cell grid
     cells = K.cell_sites if mirrors and K.bc == "periodic" else None
-    return BiorthogonalSystem(*balanced_eig(K.entries, mirrors=mirrors), cells)
+    return BiorthogonalSystem(eig_factors(K.entries, mirrors), cells)
 
 
 class BlochSystem(BiorthogonalSystem):

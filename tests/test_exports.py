@@ -105,7 +105,7 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 def test_only_the_solver_raises_defective_error():
-    # one defectiveness rule: _linalg.balanced_eig is its only home
+    # one defectiveness rule: the solvers of _linalg are its only home
     raisers = {
         name for name, tree in _module_trees() for node in ast.walk(tree)
         if isinstance(node, ast.Call)
@@ -115,10 +115,10 @@ def test_only_the_solver_raises_defective_error():
 
 
 def test_only_the_solver_returns_eigenvectors():
-    # _linalg.balanced_eig is the one solver that returns eigenvectors, so
-    # only _linalg names eig or eigh, whether it calls them or hands them to
-    # its stacked solve; eigenvalue-only solves (eigvals, eigvalsh) may run
-    # anywhere
+    # _linalg's eig_factors and balanced_eig are the solvers that return
+    # eigenvectors, so only _linalg names eig or eigh, whether it calls
+    # them or hands them to its stacked solve; eigenvalue-only solves
+    # (eigvals, eigvalsh) may run anywhere
     users = {
         name for name, tree in _module_trees() for node in ast.walk(tree)
         if {"eig", "eigh"} & {getattr(node, "id", None),
@@ -139,8 +139,8 @@ def test_only_the_solver_takes_an_svd():
 
 
 def test_no_module_tests_a_kernel_for_hermiticity():
-    # the solver's routing test in _linalg.balanced_eig is the one
-    # Hermitian test of a solve; KernelMatrix.is_hermitian is for callers
+    # the solver's routing test in _linalg is the one Hermitian test of a
+    # solve; KernelMatrix.is_hermitian is for callers
     callers = {
         name for name, tree in _module_trees() for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)

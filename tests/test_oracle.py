@@ -16,7 +16,7 @@ from nhent import (ConsistencyError, CorrelationMatrix, DefectiveError,
                    modified_entropy, oracle_report, projector,
                    reduced_density, sector_states, select_occupied,
                    vn_entropy)
-from nhent._linalg import balanced_eig
+from nhent._linalg import eig_factors
 from nhent.oracle import oracle_equivalence_suite
 
 
@@ -190,9 +190,9 @@ class TestManybodyGround:
 
         def spy(A, mirrors):
             received.append(mirrors)
-            return balanced_eig(A, mirrors)
+            return eig_factors(A, mirrors)
 
-        monkeypatch.setattr(nhent.oracle, "balanced_eig", spy)
+        monkeypatch.setattr(nhent.oracle, "eig_factors", spy)
         manybody_biortho_ground(K, 5)
         [images] = received
         if reversed_:

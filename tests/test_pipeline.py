@@ -274,3 +274,27 @@ class TestLargeRings:
         for la in (16, 64):
             assert abs(S[la] - ref[la]) <= 1e-11
         assert abs(S[256] - S[64]) <= 1e-11
+
+
+# the open 248-cell eb_ssh ladder (496 sites, the A06 bench size): one
+# dim x dim complex array is 3.75 MiB; a system that keeps the complex
+# right and left matrices holds two of them, and one that keeps its
+# balanced-frame factors (real on this PT-symmetric kernel) holds half that
+LADDER_PEAK = 12 * 2 ** 20
+LADDER_HELD = 7 * 2 ** 20
+
+
+def test_dense_half_cut_holds_only_the_solver_factors():
+    K = build_eb_ssh(248, 1.0, 0.5, 4.0, "open")
+    K.entries  # assembled outside the trace
+    tracemalloc.start()
+    try:
+        sys, sel = ground_state_system(K, HALF)
+        C = correlation_matrix(sys, sel, Partition.half(K.dim))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(sys, BlochSystem)
+    assert C.entries.shape == (248, 248)
+    assert peak < LADDER_PEAK
+    assert held < LADDER_HELD

@@ -12,17 +12,30 @@ from nhent import (BiorthogonalSystem, DefectiveError, DegeneracyWarning,
                    bloch_reduce, bloch_system, build_eb_ssh,
                    build_guo_chain, build_hatano_nelson,
                    build_measurement_heff, build_nh_ssh_real,
-                   build_quasicrystal, build_uniform_chain, ground_state_system,
+                   build_quasicrystal, build_uniform_chain,
+                   correlation_matrix, ground_state_system,
                    momentum_transform, Partition, petermann_factor,
                    report_for_partition, select_occupied)
 from nhent import _linalg
-from nhent._linalg import (HERMITIAN_TOL, balanced_eig, is_hermitian,
+from nhent._linalg import (HERMITIAN_TOL, EigFactors, balanced_eig,
+                           eig_factors, is_hermitian,
                            match_spectra, min_cost_matching,
                            symmetrizing_diagonal)
-from nhent.oracle import manybody_biortho_ground, reduced_density
+from nhent.dynamics import hermitian_ground_state
+from nhent.oracle import (manybody_biortho_ground, oracle_report,
+                          reduced_density)
 from nhent.spectra import _group_within, _mirrors, policy_order
 from test_corr import (BLOCH_FAMILIES, _dense_bloch_fill,
                        sublattice_major)
+
+
+def _system_of(eigenvalues, right, left, condition_estimate):
+    """A dense system with the given right and left vectors: factors with
+    V_r = right, V_r^-1 = left^dag and unit d and norms, which form them
+    exactly."""
+    ones = np.ones(len(eigenvalues))
+    return BiorthogonalSystem(EigFactors(eigenvalues, right, left.conj().T,
+                                         ones, None, ones, condition_estimate))
 
 
 def diag_system(values):
@@ -398,7 +411,7 @@ class TestPTSymmetricRealPath:
         # reference: the complex solve, without a mirror
         w, V, left, cond = balanced_eig(km.entries)
         vnorm = np.linalg.norm(V, axis=0)
-        ref = BiorthogonalSystem(w, V / vnorm, left * vnorm, cond)
+        ref = _system_of(w, V / vnorm, left * vnorm, cond)
         seen = _counting_eig(monkeypatch)
         sys = biorthogonal_eig(km)
         assert seen == [np.dtype(float)]
@@ -868,9 +881,7 @@ class TestPolicyOrder:
 class TestPetermann:
     def make(self, vectors):
         v = np.array(vectors, dtype=complex).T
-        n = v.shape[0]
-        return BiorthogonalSystem(np.zeros(v.shape[1], dtype=complex), v,
-                                  v, 1.0)
+        return _system_of(np.zeros(v.shape[1], dtype=complex), v, v, 1.0)
 
     def test_orthogonal_vectors(self):
         sys = self.make([[1, 0], [0, 1]])
@@ -1006,6 +1017,117 @@ class TestBlochSystem:
         for a in range(8):
             assert sys.eigenvalues[a] == pytest.approx(
                 -2 * np.cos(sys.momenta[a]), abs=1e-12)
+
+
+# one dense kernel per solver path, with the fields that mark the path
+DENSE_PATHS = {
+    "hermitian": lambda: build_nh_ssh_real(6, 1.0, 0.5, 0.0, "open"),
+    "gauge-hermitian": lambda: build_hatano_nelson(12, 1.0, 0.5, "open"),
+    "real": lambda: build_eb_ssh(6, 1.0, 0.5, 0.0, "open"),
+    "pt": lambda: build_nh_ssh_real(6, 1.0, 0.4, 0.3, "open"),
+    "complex": lambda: KernelMatrix(12, _random_complex(12, 5), "open"),
+}
+
+
+def _path_of(f):
+    """The solver path that left the factors f."""
+    if f.d is None:
+        return "hermitian"
+    if f.Vinv is None:
+        return "gauge-hermitian"
+    if f.mirror is not None:
+        return "pt"
+    return "real" if f.Vr.dtype == float else "complex"
+
+
+def _index_sets(n):
+    """(rows, cols) pairs: random, empty, repeated and unsorted."""
+    rng = np.random.default_rng(n)
+    return [(rng.choice(n, 5), rng.choice(n, 7)),
+            ([], rng.choice(n, 3)), (rng.choice(n, 4), []), ([], []),
+            ([3, 3, 0, 3], [1, 1, 1]), (np.arange(n)[::-1], [5, 0, 2]),
+            (range(n), range(n))]
+
+
+class TestDenseFactors:
+    @pytest.mark.parametrize("path", sorted(DENSE_PATHS))
+    def test_a_gather_is_the_full_formation(self, path):
+        km = DENSE_PATHS[path]()
+        sys = biorthogonal_eig(km)
+        assert _path_of(sys.factors) == path
+        # float64 exactly where V_r is real and no T maps it back; the
+        # Hermitian kernel's entries are complex, and go to eigh as given
+        real = path in ("gauge-hermitian", "real")
+        assert sys.factors.dtype == (float if real else complex)
+        everything = np.arange(km.dim)
+        R_all, L_all = sys.vectors(everything, everything)
+        assert R_all.dtype == L_all.dtype == sys.factors.dtype
+        # right and left are formed on first read, complex, and kept
+        assert not {"right", "left"} & set(vars(sys))
+        right, left = sys.right, sys.left
+        assert right.dtype == left.dtype == np.dtype(complex)
+        assert sys.right is right and sys.left is left
+        assert (sys.left is sys.right) is (path == "hermitian")
+        for rows, cols in _index_sets(km.dim):
+            R, L = sys.vectors(rows, cols)
+            ix = np.ix_(np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))
+            assert R.shape == L.shape == (len(rows), len(cols))
+            assert R.dtype == L.dtype == sys.factors.dtype
+            assert R.tobytes() == R_all[ix].tobytes()
+            assert L.tobytes() == L_all[ix].tobytes()
+            # the complex whole holds the same numbers, bit for bit where
+            # the gather is complex too
+            assert np.array_equal(R, right[ix])
+            assert np.array_equal(L, left[ix])
+            if not real:
+                assert R.tobytes() == right[ix].tobytes()
+                assert L.tobytes() == left[ix].tobytes()
+
+    @pytest.mark.parametrize("path", sorted(DENSE_PATHS))
+    def test_system_arrays_are_the_solvers(self, path):
+        km = DENSE_PATHS[path]()
+        sys = biorthogonal_eig(km)
+        w, right, left, cond = balanced_eig(km.entries, _mirrors(km))
+        assert sys.eigenvalues.tobytes() == w.tobytes()
+        assert sys.condition_estimate == cond
+        for got, want in ((sys.right, right), (sys.left, left)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert (left is right) is (sys.left is sys.right)
+
+    def test_real_factors_give_a_float64_cut(self):
+        # real V_r rows give float64 R_A and L_A, and so a float64 C_A
+        km = DENSE_PATHS["real"]()
+        sys, sel = ground_state_system(km, Fraction(1, 2))
+        C = correlation_matrix(sys, sel, Partition.half(km.dim))
+        assert C.entries.dtype == np.dtype(float)
+        R, L = sys.right[:km.dim // 2, sel.occupied], sys.left[
+            :km.dim // 2, sel.occupied]
+        assert np.abs(C.entries - R @ L.conj().T).max() < 1e-13
+
+    def test_oracle_and_dynamics_form_only_their_columns(self, monkeypatch):
+        # the ground column, the occupied columns, and no vectors at all
+        widths = []
+        vectors = _linalg.EigFactors.vectors
+
+        def spy(self, rows=slice(None), cols=slice(None), dtype=None):
+            R, L = vectors(self, rows, cols, dtype)
+            widths.append(R.shape)
+            return R, L
+        monkeypatch.setattr(_linalg.EigFactors, "vectors", spy)
+        K = build_nh_ssh_real(5, 1.0, 0.4, 0.3, "open")
+        manybody_biortho_ground(K, 5)
+        assert widths == [(252, 1)]
+        widths.clear()
+        hermitian_ground_state(K, 4)
+        assert widths == [(10, 4)]
+        widths.clear()
+        G_R, G_L, _ = manybody_biortho_ground(build_hatano_nelson(6, 1.0,
+                                                                  0.5, "open"),
+                                              3)
+        widths.clear()
+        oracle_report(reduced_density(G_R, G_L, 6, 3))
+        assert widths == []
 
 
 def _mixed_blocks(n, seed=7):

@@ -1,5 +1,5 @@
-"""Per-call cost of the dense eigen-solve, the Fock sector build and a
-no-jump run.
+"""Per-call cost of the dense eigen-solve, the route from kernel to half
+cut, the Fock sector build and a no-jump run.
 
     python tools/solve_timing.py [SRC] [--repeat N]
 
@@ -17,13 +17,15 @@ peak of one call's allocations under ``tracemalloc``, in KiB:
   chain, with the Fock image (state s to sum_i bit_i(s) << p(i)) of each
   mirror p the chain keeps exactly, as the oracle solves it; and on the
   496-site open ``eb_ssh`` ladder;
+- ``ground_state_system`` and the half-cut ``correlation_matrix`` of that
+  ladder, the route from kernel to cut that the A06 runs take;
 - ``oracle.fock_block`` of that 10-mode kernel at five particles;
 - ``evolve_no_jump`` of the open 128-site measurement chain at
   Gamma = 0.25 from the staggered state, half cut, over the 81 output
   times 0, 0.25, ..., 20 (the bench's ``NJ-L128-G0.25`` run).
 
-The sector cases take at most 20 timed calls, the ladder and the no-jump
-run 5.  The record also
+The sector cases take at most 20 timed calls, the two ladder cases and the
+no-jump run 5.  The record also
 names the machine, the numpy and scipy versions and the BLAS thread count.
 OpenBLAS reads its thread count when numpy loads; it is pinned to one here
 unless ``OPENBLAS_NUM_THREADS`` is already set.  To compare two trees, run
@@ -43,7 +45,9 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the most timed calls of a large case
 _LARGE = {"balanced_eig/sector-252": 20, "balanced_eig/pt-sector-252": 20,
-          "balanced_eig/ladder-496": 5, "evolve_no_jump/measurement-128": 5}
+          "balanced_eig/ladder-496": 5,
+          "biorthogonal_eig+half-cut/ladder-496": 5,
+          "evolve_no_jump/measurement-128": 5}
 
 
 def _best_us(call, repeat: int) -> float:
@@ -104,6 +108,12 @@ def cases(nhent, np):
     }
     out = {f"balanced_eig/{name}": (lambda A=A, m=m: balanced_eig(A, m))
            for name, (A, m) in solves.items()}
+    half = nhent.Partition.half(ladder.dim)
+
+    def ladder_cut():
+        sys_, sel = nhent.ground_state_system(ladder, 0.5)
+        return nhent.correlation_matrix(sys_, sel, half).entries
+    out["biorthogonal_eig+half-cut/ladder-496"] = ladder_cut
     out["fock_block/10-modes"] = lambda: fock_block(oracle_kernel, 5)
     chain = nhent.build_measurement_heff(128, 1.0, 0.25, "open")
     out["evolve_no_jump/measurement-128"] = lambda: nhent.evolve_no_jump(
