@@ -25,7 +25,7 @@ from .spectra import (BiorthogonalSystem, BlochSystem, GroundStateSelection,
                       select_occupied)
 from .correlations import (CorrelationMatrix, DualityReport, Partition,
                            check_duality, correlation_matrices,
-                           correlation_matrix, momentum_transform, projector)
+                           correlation_matrix, projector)
 from .entanglement import (EntanglementReport, build_report,
                            entanglement_hamiltonian, entanglement_spectrum,
                            modified_entropy, mutual_information, renyi_entropy,

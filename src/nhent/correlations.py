@@ -9,7 +9,7 @@ parts, which is the position-momentum duality check.
 A partition is cut in its own space from the one system of a kernel.  A
 momentum partition indexes the modes of F P F^dag, with F[m, x] =
 exp(-2 pi i m x / N) / sqrt(N) on the cell index of a periodic kernel:
-mode m * ns + s is sublattice s at k_m, as in ``momentum_transform``.
+mode m * ns + s is sublattice s at k_m.
 
 On a system solved momentum block by momentum block (a ``BlochSystem``), P
 is block-Toeplitz: its (x, s; y, s') entry depends on x - y mod N only, and
@@ -25,11 +25,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import _real_if_real_valued, match_spectra
 from .errors import PartitionError, UnsupportedError
-from .models import KernelMatrix
 from .spectra import BiorthogonalSystem, BlochSystem, GroundStateSelection
 
 __all__ = [
@@ -39,7 +37,6 @@ __all__ = [
     "correlation_matrix",
     "correlation_matrices",
     "projector",
-    "momentum_transform",
     "check_duality",
     "sorted_by_re_im",
 ]
@@ -139,10 +136,10 @@ class CorrelationMatrix:
         return self.partition.size
 
 
-def _bloch_block(sys: BlochSystem, c: np.ndarray,
-                 idx: np.ndarray) -> np.ndarray:
-    """C[i, j] = c[(x_i - x_j) mod N, s_i, s_j] for modes i, j in idx."""
-    x, s = sys.cell_of[idx], sys.sublattice_of[idx]
+def _bloch_block(c: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """C[i, j] = c[(x_i - x_j) mod N, s_i, s_j] for the cell-major modes
+    i, j in idx, (x, s) = divmod(i, ns)."""
+    x, s = np.divmod(idx, c.shape[1])
     return c[(x[:, None] - x) % len(c), s[:, None], s]
 
 
@@ -182,7 +179,7 @@ def correlation_matrices(sys: BiorthogonalSystem, sel: GroundStateSelection,
             m, s = np.divmod(idx, P.shape[1])
             C = P[m[:, None], s[:, None], s] * (m[:, None] == m)
         elif bloch:
-            C = _bloch_block(sys, c, idx)
+            C = _bloch_block(c, idx)
         else:
             R, L = map(_real_if_real_valued, _occupied_rows(sys, sel, part))
             C = R @ L.conj().T
@@ -215,29 +212,6 @@ def projector(sys: BiorthogonalSystem, sel: GroundStateSelection) -> np.ndarray:
     correlation matrix of the partition of all modes, with its dtype rule."""
     everything = Partition("position", range(sys.dim), sys.dim)
     return correlation_matrix(sys, sel, everything).entries
-
-
-def momentum_transform(K: KernelMatrix) -> KernelMatrix:
-    """Kernel conjugated by the unitary discrete Fourier matrix.
-
-    Acts on the cell index with F[m, x] = exp(-2 pi i m x / N) / sqrt(N),
-    leaving sublattice structure untouched; site labels become momentum
-    labels.  Applying it twice returns the original kernel up to inversion
-    of the cell labels.
-    """
-    if K.bc != "periodic":
-        raise UnsupportedError("momentum transform requires periodic bc")
-    pos = K.cell_sites
-    nc, ns = pos.shape
-    F = scipy.linalg.dft(nc) / np.sqrt(nc)
-    # permute to (cell, sub) blocks, transform cells, permute back
-    perm = pos.reshape(-1)
-    A = K.entries[np.ix_(perm, perm)]
-    A = A.reshape(nc, ns, nc, ns)
-    A = np.einsum("mx,xayb,ny->manb", F, A, F.conj(), optimize=True)
-    out = A.reshape(nc * ns, nc * ns)
-    labels = [(m, s) for m in range(nc) for s in range(ns)]
-    return KernelMatrix(K.dim, out, "periodic", labels)
 
 
 def sorted_by_re_im(values: np.ndarray) -> np.ndarray:

@@ -73,11 +73,12 @@ class KernelMatrix:
     block, by its cell blocks: it assembles ``entries`` on first read, so
     building a chain only to read its size forms no dim x dim array.  An
     open chain's entries are then an ordinary array.  A periodic one (a
-    block kernel) keeps its ``cell_blocks`` and its entries read-only; its
-    translation test and its Bloch matrices read the blocks alone, so a
-    ring forms no dim x dim array unless a dense consumer asks for one.
-    The blocks serve those two only while the site labels are the ones it
-    was built with: relabelled modes send both to the dense entries.
+    block kernel) keeps its ``cell_blocks`` and its entries read-only, and
+    its Bloch matrices (``bloch_reduce``) read the blocks alone, so a ring
+    forms no dim x dim array unless a dense consumer asks for one.  The
+    blocks serve only while the site labels are the ones it was built
+    with: a relabelled block kernel, like any kernel given by its entries,
+    has no Bloch reduction and is solved dense.
 
     Attributes
     ----------
@@ -167,29 +168,6 @@ class KernelMatrix:
 
     def is_hermitian(self) -> bool:
         return is_hermitian(self.entries)
-
-    def is_translation_invariant(self) -> bool:
-        """Whether K[(x, s), (y, s')] depends only on (x - y) mod N.
-
-        True for a block kernel on its own cell map.  Otherwise every
-        nonzero entry must equal, exactly, the entry at its pair shifted by
-        one cell, (x, s; y, s') -> (x + 1, s; y + 1, s') mod N.  The shift
-        permutes the pairs, so the zeros then follow too.  Reads the
-        nonzero pattern only (no dim x dim temporary); False when the site
-        labels do not tile a cell grid.  The boundary condition is not
-        read: ``bloch_reduce`` needs a periodic kernel besides.
-        """
-        try:
-            pos = self.cell_sites
-        except SizeError:
-            return False
-        if self._blocks_on(pos):
-            return True
-        shift = np.empty(self.dim, dtype=int)
-        shift[pos] = np.roll(pos, -1, axis=0)
-        i, j = np.nonzero(self.entries)
-        return np.array_equal(self.entries[shift[i], shift[j]],
-                              self.entries[i, j])
 
     def _blocks_on(self, pos) -> bool:
         """Whether the cell blocks describe the kernel on the cell map
@@ -510,39 +488,30 @@ def bloch_momenta(n_cells: int) -> np.ndarray:
 
 def bloch_reduce(km: KernelMatrix, k) -> np.ndarray:
     """Bloch matrix H(k)_{ss'} = sum_x K[(x,s),(0,s')] exp(-i k x) of a
-    periodic, cell-translation-invariant kernel.
+    periodic block kernel on its own site labels.
 
     ``k`` is one momentum or an array of them; the result has shape
-    ``np.shape(k) + (ns, ns)``, and the blocks are gathered once for all k.
-    The sum runs over the cell offsets x whose block is nonzero only (three
-    on a nearest-neighbour chain), so its temporaries hold len(k) times that
-    many blocks, not len(k) * N; an all-zero kernel gives zero blocks.
-    Exact on the discrete grid k = 2 pi m / N for any integer m.  A block
-    kernel on its own labels (``KernelMatrix.cell_blocks``) gives its blocks
-    at the offsets 0, 1 and N - 1 directly, after an O(dim) label check;
-    any other kernel is tested for translation invariance and has its
-    blocks gathered from its entries, in O(dim^2).
+    ``np.shape(k) + (ns, ns)``.  The sum runs over the kernel's cell blocks
+    at the offsets 0, 1 and N - 1 whose block is nonzero only
+    (``KernelMatrix._column_blocks``), so it reads no entry and its
+    temporaries hold len(k) times at most three blocks.  Exact on the
+    discrete grid k = 2 pi m / N for any integer m.
 
     Raises
     ------
     UnsupportedError
-        If the kernel is not periodic, or not invariant under a one-cell
-        translation (``KernelMatrix.is_translation_invariant``): the row-0
-        blocks would then not describe the other rows.
+        If the kernel is not periodic, or not a block kernel on the labels
+        it was built with (one given by its dense entries, a relabelled
+        ring); ``pipeline.ground_state_system`` solves such a kernel dense.
     SizeError
         If the site labels do not tile a cell grid.
     """
     if km.bc != "periodic":
         raise UnsupportedError("Bloch reduction requires a periodic kernel")
-    pos = km.cell_sites
-    if km._blocks_on(pos):
-        x, blocks = km._column_blocks()
-    elif not km.is_translation_invariant():
-        raise UnsupportedError("Bloch reduction requires a kernel invariant "
-                               "under a one-cell translation")
-    else:
-        # blocks[x, s, s'] = K[(x, s), (0, s')]
-        x, blocks = np.arange(len(pos)), km.entries[pos[:, :, None], pos[0]]
+    if not km._blocks_on(km.cell_sites):
+        raise UnsupportedError("Bloch reduction requires a ring kept as its "
+                               "cell blocks, on the labels it was built with")
+    x, blocks = km._column_blocks()
     nonzero = blocks.any(axis=(1, 2))
     phase = np.exp((-1j * np.asarray(k))[..., None] * x[nonzero])
     return (blocks[nonzero] * phase[..., None, None]).sum(axis=-3)

@@ -36,18 +36,17 @@ __all__ = [
 def ground_state_system(K: KernelMatrix, filling, policy: str = "real_part"):
     """Diagonalize a kernel and select the occupied set.
 
-    The kernel alone picks the solver.  A periodic kernel that is invariant
-    under a one-cell translation (``KernelMatrix.is_translation_invariant``)
-    is solved momentum block by momentum block and gives a ``BlochSystem``
-    (``bloch_system``); every other kernel (open, a ring with a flux or a
-    site-dependent potential, labels that do not tile a cell grid) is
-    solved dense by ``biorthogonal_eig``.
+    The kernel's construction picks the solver.  A ring kept as its cell
+    blocks, on the labels it was built with, is solved momentum block by
+    momentum block and gives a ``BlochSystem`` (``bloch_system``); every
+    other kernel (open, given by its dense entries, relabelled, or with
+    labels that tile no cell grid) is solved dense by ``biorthogonal_eig``.
     """
     try:
         sys = bloch_system(K)
     except (UnsupportedError, SizeError):
-        # not a translation-invariant ring (bloch_reduce's refusal, the one
-        # translation test per solve), or labels that tile no cell grid
+        # not a block kernel on its own labels (bloch_reduce's refusal), or
+        # labels that tile no cell grid
         sys = biorthogonal_eig(K)
     sel = select_occupied(sys, filling, policy)
     return sys, sel

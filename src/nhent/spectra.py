@@ -28,16 +28,16 @@ than grading.  The solver,
 decides defectiveness (by the 2-norm condition number of that matrix),
 refuses a grading too steep for float64, and raises ``DefectiveError``; it
 returns the balanced-frame factors that a ``BiorthogonalSystem`` keeps, and
-whose ``vectors`` forms just the rows and states asked for.  A periodic,
-translation-invariant kernel can instead be solved
-momentum block by momentum block (``bloch_system``, one ``balanced_eig``
-call on the stack of all blocks); its ``BlochSystem`` keeps only the
-per-momentum eigenvector blocks, and its ``vectors`` forms just the rows
-and states asked for.  ``bloch_system`` refuses, with
-``UnsupportedError``, a kernel that is not periodic or not exactly
-invariant under a one-cell translation, whose blocks would describe
-another kernel; ``pipeline.ground_state_system`` sends exactly the kernels
-it accepts there, and every other one to ``biorthogonal_eig``.
+whose ``vectors`` forms just the rows and states asked for.  A ring that
+``models`` keeps as its cell blocks, on the labels it was built with, can
+instead be solved momentum block by momentum block (``bloch_system``, one
+``balanced_eig`` call on the stack of all blocks); its ``BlochSystem``
+keeps only the per-momentum eigenvector blocks, and its ``vectors``
+forms just the rows and states asked for.  ``bloch_system`` refuses
+every other kernel with ``UnsupportedError`` (a ring given by its dense
+entries or relabelled too: the route follows the construction), and
+``pipeline.ground_state_system`` sends exactly the kernels it accepts
+there, and every other one to ``biorthogonal_eig``.
 """
 
 from __future__ import annotations
@@ -180,16 +180,18 @@ def biorthogonal_eig(K: KernelMatrix) -> BiorthogonalSystem:
 
 
 class BlochSystem(BiorthogonalSystem):
-    """Biorthogonal system of a periodic kernel, kept momentum block by block.
+    """Biorthogonal system of a periodic block kernel, kept momentum block
+    by block.
 
-    State m * ns + b is band b at momentum k_m = 2 pi m / N, so states
+    The kernel's modes are cell-major, as ``models`` builds a ring: mode
+    i is sublattice s of cell x with (x, s) = divmod(i, ns).  State
+    m * ns + b is band b at momentum k_m = 2 pi m / N, so states
     m * ns .. m * ns + ns - 1 are the bands at k_m, and ``momenta`` gives
     each state's k_m.  ``u_k`` and ``l_k`` are (N, ns, ns) stacks: column b
     of u_k[m] and l_k[m] is that state's right and left Bloch vector, with
-    l_k[m]^dag u_k[m] = identity.  ``cell_of`` and ``sublattice_of``
-    invert the (N, ns) ``cells`` per mode.  No dense eigenvector matrix is
-    kept: ``vectors`` forms the requested entries of
-    R(cells[x, s], m ns + b) = exp(i k_m x) u_k[m, s, b] / sqrt(N), and
+    l_k[m]^dag u_k[m] = identity.  No dense eigenvector matrix is kept:
+    ``vectors`` forms the requested entries of
+    R(x ns + s, m ns + b) = exp(i k_m x) u_k[m, s, b] / sqrt(N), and
     likewise from l_k, and the correlation path reads the blocks alone
     (see ``correlations.correlation_matrix``).
     """
@@ -198,11 +200,6 @@ class BlochSystem(BiorthogonalSystem):
         self.eigenvalues = eigenvalues
         self.u_k, self.l_k, self.cells = u_k, l_k, cells
         self.condition_estimate = condition_estimate
-        nc, ns = cells.shape
-        self.cell_of = np.empty(self.dim, dtype=int)
-        self.cell_of[cells] = np.arange(nc)[:, None]
-        self.sublattice_of = np.empty(self.dim, dtype=int)
-        self.sublattice_of[cells] = np.arange(ns)
 
     def __repr__(self) -> str:
         return (f"BlochSystem(dim={self.dim}, u_k={self.u_k!r}, "
@@ -214,11 +211,12 @@ class BlochSystem(BiorthogonalSystem):
         return np.repeat(bloch_momenta(nc), ns)
 
     def vectors(self, rows, cols) -> tuple:
-        """(R, L) at modes ``rows`` and states ``cols``, from u_k and l_k."""
+        """(R, L) at modes ``rows`` and states ``cols`` (slices or index
+        arrays), from u_k and l_k."""
         nc, ns = self.cells.shape
-        rows = np.asarray(rows)[:, None]
-        m, b = np.divmod(cols, ns)
-        x, s = self.cell_of[rows], self.sublattice_of[rows]
+        modes = np.arange(self.dim)
+        x, s = np.divmod(modes[rows][:, None], ns)
+        m, b = np.divmod(modes[cols], ns)
         phase = np.exp(1j * bloch_momenta(nc)[m] * x) / np.sqrt(nc)
         return phase * self.u_k[m, s, b], phase * self.l_k[m, s, b]
 
@@ -230,13 +228,13 @@ class BlochSystem(BiorthogonalSystem):
         block-Toeplitz correlation matrix (``correlations.correlation_matrix``
         reads only cell differences mod N and sublattices).
         """
-        idx = np.asarray(indices)
-        cell = (self.cell_of[idx] - self.cell_of[idx[0]]) % len(self.cells)
-        return cell.tobytes() + self.sublattice_of[idx].tobytes()
+        nc, ns = self.cells.shape
+        cell, sub = np.divmod(np.asarray(indices), ns)
+        return ((cell - cell[0]) % nc).tobytes() + sub.tobytes()
 
 
 def bloch_system(K: KernelMatrix) -> BlochSystem:
-    """Momentum-resolved decomposition of a periodic, translation-invariant kernel.
+    """Momentum-resolved decomposition of a periodic block kernel.
 
     Diagonalizes the Bloch matrices of all grid momenta in one stacked
     ``_linalg.balanced_eig`` call (a one-sublattice block is its own
@@ -247,9 +245,9 @@ def bloch_system(K: KernelMatrix) -> BlochSystem:
     Raises
     ------
     UnsupportedError
-        From ``bloch_reduce``, if the kernel is not periodic or not
-        invariant under a one-cell translation
-        (``KernelMatrix.is_translation_invariant``).
+        From ``bloch_reduce``, if the kernel is not periodic, or not a ring
+        kept as its cell blocks on the labels it was built with (a kernel
+        given by its dense entries, a relabelled ring).
     """
     cells = K.cell_sites
     nc, ns = cells.shape

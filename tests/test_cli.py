@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from nhent import (Partition, bloch_system, build_nh_ssh_real,
-                   ground_state_system, momentum_transform, pipeline,
+                   ground_state_system, pipeline,
                    report_for_partition)
 from nhent import cli, models
 from nhent.cli import main
 from nhent.config import ConfigError, parse_config
+from fourier import momentum_transform
 from test_pipeline import _dense_solves
 
 

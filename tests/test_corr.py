@@ -12,11 +12,13 @@ from nhent import (BlochSystem, DegeneracyWarning, KernelMatrix, Partition,
                    build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
                    build_report, build_uniform_chain, check_duality,
                    correlation_matrices, correlation_matrix,
-                   entropy_series, ground_state_system, momentum_transform,
+                   entropy_series, ground_state_system,
                    projector, report_for_partition, select_occupied,
                    vn_entropy)
+from nhent import models
 from nhent._linalg import balanced_eig, match_spectra
 from nhent.correlations import sorted_by_re_im
+from fourier import momentum_transform
 
 
 class TestPartition:
@@ -157,8 +159,6 @@ def sublattice_major(km):
 BLOCH_FAMILIES = {
     "guo-n2": lambda: build_guo_chain(24, 2, 1.0, 3.5),
     "guo-n3": lambda: build_guo_chain(27, 3, 1.0, 0.8),
-    "guo-n3-sublattice-major": lambda: sublattice_major(
-        build_guo_chain(27, 3, 1.0, 0.8)),
     "nh-ssh": lambda: build_nh_ssh_real(10, 1.0, 0.4, 0.3, "periodic"),
     "uniform-16": lambda: build_uniform_chain(16),
     "uniform-33": lambda: build_uniform_chain(33),
@@ -221,8 +221,7 @@ class TestBlochCorrelations:
         R, L = right[:, sel.occupied], left[:, sel.occupied]
         assert np.abs(projector(sys, sel) - R @ L.conj().T).max() < 1e-12
 
-    @pytest.mark.parametrize("name", ["guo-n2", "guo-n3-sublattice-major",
-                                      "uniform-33"])
+    @pytest.mark.parametrize("name", ["guo-n2", "guo-n3", "uniform-33"])
     def test_partitions_of_one_state_share_one_fft(self, monkeypatch, name):
         km = BLOCH_FAMILIES[name]()
         sys = bloch_system(km)
@@ -261,12 +260,15 @@ class TestBlochCorrelations:
 # (the uniform-16 half cut reads 0 here and 0.540 on the referee).
 MOMENTUM_FAMILIES = {
     **{name: BLOCH_FAMILIES[name] for name in (
-        "guo-n3", "guo-n3-sublattice-major", "measurement-ring", "nh-ssh",
-        "uniform-33")},
+        "guo-n3", "measurement-ring", "nh-ssh", "uniform-33")},
+    # relabelled, so given by its dense entries: solved dense
+    "guo-n3-sublattice-major": lambda: sublattice_major(
+        build_guo_chain(27, 3, 1.0, 0.8)),
     # periodic, but its potential breaks translation: solved dense
     "quasicrystal-34": lambda: build_quasicrystal(34, 0.5, 1.0, 0.5,
                                                   Fraction(21, 34)),
 }
+SOLVED_DENSE = {"guo-n3-sublattice-major", "quasicrystal-34"}
 
 
 def _tie_free(solve, km):
@@ -293,7 +295,7 @@ class TestMomentumPartitions:
             k, Fraction(1, 2)), "dense": _dense}[route]
         sys, sel = _tie_free(solve, km)
         assert isinstance(sys, BlochSystem) == (
-            route == "ground-state" and name != "quasicrystal-34")
+            route == "ground-state" and name not in SOLVED_DENSE)
         ref = _tie_free(solve, momentum_transform(km))
         for indices in _partition_kinds(km.dim):
             C = correlation_matrix(
@@ -395,8 +397,12 @@ class TestMomentumTransform:
     def test_blocks_are_bloch_matrices(self, km):
         nc, ns = km.cell_sites.shape
         blocks = momentum_transform(km).entries.reshape(nc, ns, nc, ns)
+        # the V = 0 quasicrystal is kept dense by its potential's signed
+        # zeros: its Bloch matrices are those of the ring of its two hops
+        ring = km if km.cell_blocks is not None else models._cell_chain(
+            np.zeros((nc, 1, 1)), 1.0, 0.3, "periodic")
         for m, k in enumerate(bloch_momenta(nc)):
-            assert np.abs(blocks[m, :, m, :] - bloch_reduce(km, k)).max() < 1e-12
+            assert np.abs(blocks[m, :, m, :] - bloch_reduce(ring, k)).max() < 1e-12
             blocks[m, :, m, :] = 0.0
         assert np.abs(blocks).max() < 1e-12
 

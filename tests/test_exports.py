@@ -148,15 +148,19 @@ def test_no_module_tests_a_kernel_for_hermiticity():
     assert callers == set()
 
 
-def test_no_module_calls_momentum_transform():
+def test_no_module_defines_or_exports_momentum_transform():
     # one state per kernel: momentum partitions are cut from the position
-    # ground state, and the Fourier kernel is left to the tests' referee
-    callers = {
+    # ground state, and the Fourier kernel is the tests' referee
+    # (tests/fourier.py), not a name of the package
+    homes = {
         name for name, tree in _module_trees() for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and "momentum_transform" in (getattr(node.func, "id", None),
-                                     getattr(node.func, "attr", None))}
-    assert callers == set()
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "momentum_transform"}
+    exports = {info.name for info in pkgutil.iter_modules(nhent.__path__)
+               if "momentum_transform" in getattr(importlib.import_module(
+                   f"nhent.{info.name}"), "__all__", ())}
+    assert homes == set() and exports == set()
+    assert not hasattr(nhent, "momentum_transform")
 
 
 def test_only_spectra_reads_dense_eigenvector_fields():

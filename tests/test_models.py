@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from nhent import (FAMILIES, KernelMatrix, ModelSpec, NormalizationError,
+from nhent import (FAMILIES, BiorthogonalSystem, KernelMatrix, ModelSpec,
+                   NormalizationError,
                    SizeError, UnsupportedError,
                    SingularPotentialError, bloch_momenta, bloch_reduce,
                    build_chern_ribbon, build_eb_ssh, build_guo_2d,
@@ -13,8 +15,9 @@ from nhent import (FAMILIES, KernelMatrix, ModelSpec, NormalizationError,
                    build_heff_from_jumps, build_measurement_heff,
                    build_nh_ssh_bloch, build_nh_ssh_real, build_quasicrystal,
                    build_uniform_chain, bloch_system, fibonacci_approximant,
-                   momentum_transform)
+                   ground_state_system)
 from nhent import models
+from fourier import momentum_transform
 from test_corr import sublattice_major
 
 PAULI = {
@@ -367,23 +370,75 @@ def test_bloch_real_space_spectral_consistency(name):
     assert cost[rows, cols].max() < tol
 
 
-@pytest.mark.parametrize("km", [
-    *(build() for _, build in sorted(PERIODIC_MODELS.items())),
-    build_guo_chain(24, 2, 1.0, 3.5), build_uniform_chain(33),
-    sublattice_major(build_guo_chain(27, 3, 1.0, 0.8)),
-    KernelMatrix(6, np.zeros((6, 6)), "periodic",
-                 [(c, s) for c in range(3) for s in range(2)])],
-    ids=[*sorted(PERIODIC_MODELS), "guo_n2", "uniform",
-         "guo_n3_sublattice_major", "zero"])
-def test_bloch_reduction_sums_only_nonzero_offsets(km):
-    # the same sum as over every cell offset, bytes and all: the offsets
-    # whose block is zero add nothing
+# every chain family with a periodic form, at a given number of cells
+PERIODIC_CHAINS = {
+    "hatano_nelson": lambda nc: build_hatano_nelson(nc, 1.0, 0.7, "periodic"),
+    "uniform_chain": lambda nc: build_uniform_chain(nc, 0.9),
+    "nh_ssh": lambda nc: build_nh_ssh_real(nc, 1.0, 0.4, 0.3, "periodic"),
+    "quasicrystal_exp": lambda nc: build_quasicrystal(
+        nc, 0.3, 1.1, 0.5, Fraction(1, nc), "exp_phase"),
+    "quasicrystal_mobility": lambda nc: build_quasicrystal(
+        nc, 0.3, 1.1, 0.5, Fraction(1, nc), "mobility_edge", 0.4),
+    "guo_chain": lambda nc: build_guo_chain(3 * nc, 3, 1.0, 0.4),
+    "eb_ssh": lambda nc: build_eb_ssh(nc, 1.0, 0.5, 0.7),
+    "measurement_chain": lambda nc: build_measurement_heff(nc, 1.0, 0.5,
+                                                           "periodic"),
+}
+# the quasicrystals' site-dependent potential leaves no cell blocks to keep
+DENSE_PERIODIC_CHAINS = {"quasicrystal_exp", "quasicrystal_mobility"}
+
+
+def _dense_copy(km):
+    """The kernel given by a copy of its entries and labels."""
+    return KernelMatrix(km.dim, km.entries.copy(), km.bc, list(km.site_labels))
+
+
+# block kernels: the PERIODIC_MODELS rings, and each block family of
+# PERIODIC_CHAINS at 2, 3 and 8 cells
+BLOCH_REDUCTIONS = {
+    **PERIODIC_MODELS,
+    "guo_n2": lambda: build_guo_chain(24, 2, 1.0, 3.5),
+    "uniform": lambda: build_uniform_chain(33),
+    **{f"{family}-{nc}": partial(build, nc)
+       for family, build in PERIODIC_CHAINS.items() for nc in (2, 3, 8)
+       if family not in DENSE_PERIODIC_CHAINS},
+}
+# periodic kernels that are not block kernels on their own labels
+REFUSED_REDUCTIONS = {
+    **{f"{name}-dense-copy": (lambda build=build: _dense_copy(build()))
+       for name, build in BLOCH_REDUCTIONS.items()},
+    **{f"{family}-{nc}": partial(PERIODIC_CHAINS[family], nc)
+       for family in DENSE_PERIODIC_CHAINS for nc in (2, 3, 8)},
+    "guo_n3_sublattice_major": lambda: sublattice_major(
+        build_guo_chain(27, 3, 1.0, 0.8)),
+    "zero": lambda: KernelMatrix(6, np.zeros((6, 6)), "periodic",
+                                 [(c, s) for c in range(3) for s in range(2)]),
+    # V = 0 leaves signed zeros in the potential, whose bits then differ
+    # from cell to cell, so the ring is kept dense
+    "quasicrystal_V0": lambda: build_quasicrystal(13, 0.3, 1.1, 0.0, "8/13"),
+}
+
+
+@pytest.mark.parametrize("name", sorted({**BLOCH_REDUCTIONS,
+                                         **REFUSED_REDUCTIONS}))
+def test_bloch_reduction_sums_only_nonzero_offsets(name):
+    # the same sum as over every cell offset of the entries, bytes and all,
+    # on the grid and off it: the offsets whose block is zero add nothing,
+    # and the wrap bonds are summed onto the bulk ones at two cells as the
+    # entries sum them.  Any other kernel is refused.
+    if name in REFUSED_REDUCTIONS:
+        km = REFUSED_REDUCTIONS[name]()
+        assert km.bc == "periodic"
+        with pytest.raises(UnsupportedError, match="cell blocks"):
+            bloch_reduce(km, 0.0)
+        return
+    km = BLOCH_REDUCTIONS[name]()
     pos = km.cell_sites
-    ks = bloch_momenta(len(pos))
     blocks = km.entries[pos[:, :, None], pos[0]]
-    phase = np.exp((-1j * ks)[:, None] * np.arange(len(pos)))
-    every_offset = (blocks * phase[..., None, None]).sum(axis=-3)
-    assert bloch_reduce(km, ks).tobytes() == every_offset.tobytes()
+    for k in (np.concatenate([bloch_momenta(len(pos)), [0.3, -2.0]]), 0.7):
+        phase = np.exp((-1j * np.asarray(k))[..., None] * np.arange(len(pos)))
+        every_offset = (blocks * phase[..., None, None]).sum(axis=-3)
+        assert bloch_reduce(km, k).tobytes() == every_offset.tobytes()
 
 
 # family -> (ModelSpec params, direct builder call for a boundary condition)
@@ -529,7 +584,6 @@ def test_labels_that_do_not_tile_the_cell_grid_raise(last_label):
     km = build_nh_ssh_real(3, 1.0, 0.4, 0.3, "periodic")
     assert np.array_equal(km.cell_sites, np.arange(6).reshape(3, 2))
     km.site_labels[-1] = last_label
-    assert not km.is_translation_invariant()
     for call in (lambda: bloch_reduce(km, 0.0), lambda: bloch_system(km),
                  lambda: momentum_transform(km)):
         with pytest.raises(SizeError, match="do not tile"):
@@ -559,11 +613,12 @@ NOT_TRANSLATION_INVARIANT = {
 
 @pytest.mark.parametrize("name", sorted(NOT_TRANSLATION_INVARIANT))
 def test_a_ring_that_is_not_translation_invariant_is_refused(name):
-    # the Bloch blocks of these rings would reconstruct another kernel
+    # their row-0 blocks would reconstruct another kernel; they are given by
+    # their dense entries, so they have no cell blocks to reduce either
     km = NOT_TRANSLATION_INVARIANT[name]()
-    assert km.bc == "periodic" and not km.is_translation_invariant()
+    assert km.bc == "periodic" and km.cell_blocks is None
     for call in (lambda: bloch_reduce(km, 0.0), lambda: bloch_system(km)):
-        with pytest.raises(UnsupportedError, match="one-cell translation"):
+        with pytest.raises(UnsupportedError, match="cell blocks"):
             call()
 
 
@@ -574,65 +629,6 @@ def test_an_open_kernel_has_no_bloch_reduction():
             call()
 
 
-def test_translation_invariance_is_exact():
-    # one entry a unit in the last place off breaks it, and so does an
-    # entry that is zero where its translate is not
-    km = build_hatano_nelson(8, 1.0, 0.5, "periodic")
-    assert km.is_translation_invariant()
-    nudged = km.entries.copy()
-    nudged[3, 4] = np.nextafter(nudged[3, 4].real, 0.0)
-    assert not KernelMatrix(8, nudged, "periodic").is_translation_invariant()
-    cut = km.entries.copy()
-    cut[3, 4] = 0.0
-    assert not KernelMatrix(8, cut, "periodic").is_translation_invariant()
-
-
-# every chain family with a periodic form, at a given number of cells
-PERIODIC_CHAINS = {
-    "hatano_nelson": lambda nc: build_hatano_nelson(nc, 1.0, 0.7, "periodic"),
-    "uniform_chain": lambda nc: build_uniform_chain(nc, 0.9),
-    "nh_ssh": lambda nc: build_nh_ssh_real(nc, 1.0, 0.4, 0.3, "periodic"),
-    "quasicrystal_exp": lambda nc: build_quasicrystal(
-        nc, 0.3, 1.1, 0.5, Fraction(1, nc), "exp_phase"),
-    "quasicrystal_mobility": lambda nc: build_quasicrystal(
-        nc, 0.3, 1.1, 0.5, Fraction(1, nc), "mobility_edge", 0.4),
-    "guo_chain": lambda nc: build_guo_chain(3 * nc, 3, 1.0, 0.4),
-    "eb_ssh": lambda nc: build_eb_ssh(nc, 1.0, 0.5, 0.7),
-    "measurement_chain": lambda nc: build_measurement_heff(nc, 1.0, 0.5,
-                                                           "periodic"),
-}
-# the quasicrystals' site-dependent potential leaves no cell blocks to keep
-DENSE_PERIODIC_CHAINS = {"quasicrystal_exp", "quasicrystal_mobility"}
-
-
-def _dense_copy(km, labels=None):
-    """The kernel given by a copy of its entries, with its or other labels."""
-    return KernelMatrix(km.dim, km.entries.copy(), km.bc,
-                        list(labels or km.site_labels))
-
-
-def _bloch_reduce_or_refusal(km, k):
-    try:
-        h = bloch_reduce(km, k)
-    except UnsupportedError as exc:
-        return str(exc)
-    return h.dtype, h.shape, h.tobytes()
-
-
-@pytest.mark.parametrize("n_cells", [2, 3, 8])
-@pytest.mark.parametrize("family", sorted(PERIODIC_CHAINS))
-def test_block_kernel_bloch_reduce_is_bytewise_the_dense_one(family, n_cells):
-    # the blocks give H(k) without the dense scan and gather, with the wrap
-    # bonds summed onto the bulk ones at one and two cells as the entries do
-    km = PERIODIC_CHAINS[family](n_cells)
-    assert (km.cell_blocks is None) == (family in DENSE_PERIODIC_CHAINS)
-    k = np.concatenate([bloch_momenta(n_cells), [0.3, -2.0]])
-    assert (_bloch_reduce_or_refusal(km, k)
-            == _bloch_reduce_or_refusal(_dense_copy(km), k))
-    assert (_bloch_reduce_or_refusal(km, 0.7)
-            == _bloch_reduce_or_refusal(_dense_copy(km), 0.7))
-
-
 def test_block_kernel_entries_and_blocks_are_read_only():
     km = build_nh_ssh_real(4, 1.0, 0.4, 0.3, "periodic")
     for array in (km.entries, *km.cell_blocks):
@@ -640,12 +636,13 @@ def test_block_kernel_entries_and_blocks_are_read_only():
             array[0, 0] = 2.0
 
 
+def _no_assembly(*_):
+    raise AssertionError("the dense entries were assembled")
+
+
 def test_bloch_route_of_a_block_kernel_assembles_no_entries(monkeypatch):
-    def assemble(*_):
-        raise AssertionError("the dense entries were assembled")
-    monkeypatch.setattr(models, "_chain_entries", assemble)
+    monkeypatch.setattr(models, "_chain_entries", _no_assembly)
     km = build_guo_chain(48, 3, 1.0, 0.4)
-    assert km.is_translation_invariant()
     assert repr(km).startswith("KernelMatrix(dim=48, cell_blocks=")
     assert bloch_system(km).dim == 48
 
@@ -681,14 +678,15 @@ def test_open_chain_refuses_a_non_finite_bond_that_it_holds(n_cells, finite):
             build()
 
 
-def test_relabelled_block_kernel_leaves_the_block_route():
+def test_relabelled_block_kernel_leaves_the_block_route(monkeypatch):
     # each cell's two sublattices swapped: the blocks would give H(k) in the
-    # old sublattice order, so the labels send bloch_reduce to the entries
+    # old sublattice order, so bloch_reduce refuses the ring before it
+    # reads an entry, and the route solves it dense
     km = build_nh_ssh_real(6, 1.0, 0.4, 0.3, "periodic")
-    k = bloch_momenta(6)
-    h = bloch_reduce(km, k)
-    assert not np.array_equal(h, h[..., ::-1, ::-1])
     km.site_labels[:] = [(c, 1 - s) for c, s in km.site_labels]
-    assert np.array_equal(bloch_reduce(km, k), h[..., ::-1, ::-1])
-    assert np.array_equal(bloch_reduce(km, k),
-                          bloch_reduce(_dense_copy(km), k))
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "_chain_entries", _no_assembly)
+        with pytest.raises(UnsupportedError, match="cell blocks"):
+            bloch_reduce(km, bloch_momenta(6))
+    sys, _ = ground_state_system(km, Fraction(1, 2))
+    assert type(sys) is BiorthogonalSystem

@@ -1,18 +1,24 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nhent import (BlochSystem, DefectiveError, KernelMatrix, Partition,
+from nhent import (BiorthogonalSystem, BlochSystem, DefectiveError,
+                   DegeneracyWarning, KernelMatrix, Partition,
                    PartitionError, bloch_system, build_eb_ssh,
                    build_guo_chain, build_hatano_nelson, build_nh_ssh_real,
+                   build_quasicrystal,
                    build_uniform_chain, correlation_matrix, entropy_series,
-                   ground_state_system, momentum_transform,
+                   ground_state_system,
                    report_for_partition, select_occupied, vn_entropy)
-from nhent import pipeline
+from nhent import models, pipeline
 from nhent._linalg import eigenvalues
-from test_models import NOT_TRANSLATION_INVARIANT
+from fourier import momentum_transform
+from test_corr import sublattice_major
+from test_models import (DENSE_PERIODIC_CHAINS, NOT_TRANSLATION_INVARIANT,
+                         PERIODIC_CHAINS, _dense_copy)
 
 HALF = Fraction(1, 2)
 
@@ -182,6 +188,25 @@ ROUTED_DENSE = {
 }
 
 
+# (kernel given by its dense entries, the block ring it equals, a filling
+# with no Fermi-level tie): a copy and the sublattice-major relabelling of
+# each block ring of PERIODIC_CHAINS at six cells, and the V = 0
+# quasicrystal, whose potential's signed zeros keep it dense.  The eb_ssh
+# ring is left out: it sits on its exceptional point at k = 0.
+DENSE_TWINS = {
+    **{f"{family}-{kind}": (lambda build=build, relabel=relabel:
+                            (relabel(build(6)), build(6), HALF))
+       for family, build in PERIODIC_CHAINS.items()
+       if family not in DENSE_PERIODIC_CHAINS | {"eb_ssh"}
+       for kind, relabel in (("dense-copy", _dense_copy),
+                             ("sublattice-major", sublattice_major))},
+    "quasicrystal-V0": lambda: (
+        build_quasicrystal(13, 0.3, 1.1, 0.0, "8/13"),
+        models._cell_chain(np.zeros((13, 1, 1)), 1.1, 0.3, "periodic"),
+        Fraction(6, 13)),
+}
+
+
 class TestRoute:
     @pytest.mark.parametrize("name", sorted(ROUTED_TO_BLOCH))
     def test_a_translation_invariant_ring_is_solved_by_blocks(
@@ -218,6 +243,25 @@ class TestRoute:
         s_bloch = report_for_partition(
             *ground_state_system(km, HALF), half).entropy_vn
         assert abs(s_bloch - s_dense) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(DENSE_TWINS))
+    def test_a_ring_given_densely_is_solved_dense_at_the_block_entropy(
+            self, name):
+        dense, ring, filling = DENSE_TWINS[name]()
+        # the dense kernel's mode at each cell-major site of the block ring
+        modes = dense.cell_sites.ravel()
+        assert np.array_equal(dense.entries[np.ix_(modes, modes)],
+                              ring.entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegeneracyWarning)
+            sys, sel = ground_state_system(dense, filling)
+            ref = ground_state_system(ring, filling)
+        assert type(sys) is BiorthogonalSystem
+        assert isinstance(ref[0], BlochSystem)
+        half = Partition.half(ring.dim)
+        cut = Partition("position", modes[list(half.indices)], dense.dim)
+        s = report_for_partition(sys, sel, cut).entropy_vn
+        assert abs(s - report_for_partition(*ref, half).entropy_vn) < 1e-12
 
     def test_an_exceptional_ring_is_refused(self):
         # for nu != w the k = 0 block of the eb_ssh ring is an exact

@@ -14,7 +14,7 @@ from nhent import (BiorthogonalSystem, DefectiveError, DegeneracyWarning,
                    build_measurement_heff, build_nh_ssh_real,
                    build_quasicrystal, build_uniform_chain,
                    correlation_matrix, ground_state_system,
-                   momentum_transform, Partition, petermann_factor,
+                   Partition, petermann_factor,
                    report_for_partition, select_occupied)
 from nhent import _linalg
 from nhent._linalg import (HERMITIAN_TOL, EigFactors, balanced_eig,
@@ -25,8 +25,8 @@ from nhent.dynamics import hermitian_ground_state
 from nhent.oracle import (manybody_biortho_ground, oracle_report,
                           reduced_density)
 from nhent.spectra import _group_within, _mirrors, policy_order
-from test_corr import (BLOCH_FAMILIES, _dense_bloch_fill,
-                       sublattice_major)
+from fourier import momentum_transform
+from test_corr import BLOCH_FAMILIES, _dense_bloch_fill
 
 
 def _system_of(eigenvalues, right, left, condition_estimate):
@@ -946,9 +946,8 @@ class TestBlochSystem:
 
     @pytest.mark.parametrize("km", [
         build_nh_ssh_real(6, 1.0, 0.5, 0.3, "periodic"),
-        build_guo_chain(27, 3, 1.0, 0.8), build_uniform_chain(9),
-        sublattice_major(build_guo_chain(27, 3, 1.0, 0.8))],
-        ids=["nh-ssh", "guo-n3", "uniform", "guo-n3-sublattice-major"])
+        build_guo_chain(27, 3, 1.0, 0.8), build_uniform_chain(9)],
+        ids=["nh-ssh", "guo-n3", "uniform"])
     def test_vectors_are_assembled_on_first_access(self, km):
         # the system keeps its blocks only; vectors gathers any rows and
         # states of the dense fill, and of nothing else
@@ -966,6 +965,19 @@ class TestBlochSystem:
         R, L = sys.vectors(rows, cols)
         assert np.array_equal(R, right[np.ix_(rows, cols)])
         assert np.array_equal(L, left[np.ix_(rows, cols)])
+
+    def test_vectors_take_slices_on_both_system_kinds(self):
+        # a slice selects what the index array of its positions selects,
+        # on the Bloch and the dense system of one ring
+        km = build_nh_ssh_real(6, 1.0, 0.4, 0.3, "periodic")
+        modes = np.arange(km.dim)
+        for sys in (bloch_system(km), biorthogonal_eig(km)):
+            assert sys.vectors(slice(None), [0, 1])[0].shape == (12, 2)
+            for rows, cols in ((slice(None), [0, 1]), (modes, slice(2, 9, 3)),
+                               (slice(1, None, 2), slice(None, 4))):
+                R, L = sys.vectors(rows, cols)
+                R0, L0 = sys.vectors(modes[rows], modes[cols])
+                assert np.array_equal(R, R0) and np.array_equal(L, L0)
 
     def test_assembled_vectors_are_kernel_eigenvectors(self):
         km = build_nh_ssh_real(6, 1.0, 0.5, 0.3, "periodic")
@@ -995,7 +1007,7 @@ class TestBlochSystem:
     def test_hermitian_ring_forms_no_dense_array(self):
         # one dim x dim complex array at dim = 2048 is 64 MiB; the solve of
         # a Hermitian ring stays below an eighth of one, also through the
-        # route of ground_state_system and its translation test
+        # route of ground_state_system
         km = build_uniform_chain(2048)
         for solve in (lambda: bloch_system(km),
                       lambda: ground_state_system(km, Fraction(1, 2))):

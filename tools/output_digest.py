@@ -30,13 +30,16 @@ are the entries and site labels of ``ModelSpec(family, params, bc).build()``
 for every family and every boundary condition it supports.  The
 ``bloch-reduce/<family>`` outputs are ``bloch_reduce`` of the periodic
 kernel of each family on its momentum grid, and of a kernel given by a copy
-of its entries and labels: the two agree exactly when the cell-block route
-of a periodic chain gives the Bloch matrices of its dense entries.  The
+of its entries and labels, which a tree whose Bloch route follows the
+construction refuses.  The
 ``oracle/<case>`` outputs are the Fock-space oracle's ground energy of the
 half-filled sector and the rho_A spectrum of the five leading modes, for
 each kernel of ``oracle_equivalence_suite`` at seed 1 with three random
 cases of 10 modes, as ``nhent oracle`` draws them.
-A call that raises is digested as its error type and message.
+A call that raises is digested as its error type and message, in place of
+the output, or of the one field, that it would give.  ``momentum-ring`` is
+the uniform ring conjugated by the unitary DFT over its cells
+(``fourier_kernel``).
 """
 
 import hashlib
@@ -46,9 +49,21 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HALF = Fraction(1, 2)
+
+
+def fourier_kernel(nhent, K):
+    """K conjugated by F[m, x] = exp(-2 pi i m x / N) / sqrt(N) on the cell
+    index of its cell-major modes: mode m * ns + s is sublattice s at k_m."""
+    nc, ns = K.cell_sites.shape
+    F = scipy.linalg.dft(nc) / np.sqrt(nc)
+    A = np.einsum("mx,xayb,ny->manb", F, K.entries.reshape(nc, ns, nc, ns),
+                  F.conj(), optimize=True)
+    return nhent.KernelMatrix(K.dim, A.reshape(K.dim, K.dim), "periodic",
+                              [(m, s) for m in range(nc) for s in range(ns)])
 
 
 def dense_kernels(nhent):
@@ -58,8 +73,7 @@ def dense_kernels(nhent):
     return {
         "hermitian-ssh": nhent.build_nh_ssh_real(12, 1.0, 0.5, 0.0, "open"),
         # Hermitian only to rounding
-        "momentum-ring": nhent.momentum_transform(
-            nhent.build_uniform_chain(64)),
+        "momentum-ring": fourier_kernel(nhent, nhent.build_uniform_chain(64)),
         "gauge-hatano-nelson": nhent.build_hatano_nelson(64, 1.0, 0.5, "open"),
         "gauge-hatano-nelson-512": nhent.build_hatano_nelson(
             512, 1.0, 0.5, "open"),
@@ -211,6 +225,15 @@ def eigenvectors(sys_):
     return sys_.vectors(everything, everything)
 
 
+def attempt(thunk):
+    """thunk(), or its error type and message if it raises: a refusal is
+    an output too."""
+    try:
+        return thunk()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+
+
 def outputs(nhent):
     """(name, thunk) of every digested output."""
 
@@ -293,8 +316,8 @@ def outputs(nhent):
         k = nhent.bloch_momenta(km.cell_sites.shape[0])
         dense = nhent.KernelMatrix(km.dim, km.entries.copy(), km.bc,
                                    list(km.site_labels))
-        return {"h-k": nhent.bloch_reduce(km, k),
-                "h-k-dense-copy": nhent.bloch_reduce(dense, k)}
+        return {"h-k": attempt(lambda: nhent.bloch_reduce(km, k)),
+                "h-k-dense-copy": attempt(lambda: nhent.bloch_reduce(dense, k))}
 
     for family, params in model_params().items():
         for bc in ("open", "periodic"):
@@ -331,10 +354,9 @@ def main(argv) -> int:
     warnings.simplefilter("ignore")
     lines = []
     for prefix, thunk in outputs(nhent):
-        try:
-            fields = thunk()
-        except Exception as exc:  # a refusal is an output too
-            fields = {"error": f"{type(exc).__name__}: {exc}".encode()}
+        fields = attempt(thunk)
+        if isinstance(fields, bytes):
+            fields = {"error": fields}
         lines += [f"{prefix}/{field} {digest(value)}"
                   for field, value in fields.items()]
     print("\n".join(sorted(lines)))
