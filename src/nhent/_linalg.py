@@ -14,24 +14,23 @@ gate, kappa_2 of the eigenvector matrix against ``DEFECTIVE_COND``, is
 certified from the Frobenius norms of that matrix and its inverse; only
 near or above the threshold does an SVD run.
 
-``eig_factors`` solves one matrix and keeps what the solve leaves in the
-balanced frame (``EigFactors``): the eigenvalues, V_r, its inverse (not
-stored where it is V_r^dag), the diagonal, the PT mirror, the column norms
-of the caller-frame vectors and the condition estimate.  The caller-frame
-entries D T V_r / ||.|| and their left partners are formed by one routine,
-for just the rows and states asked for, each entry bit for bit that of the
-whole matrix; ``balanced_eig`` of one matrix is that routine on all of
-them.  The refusal of overflowing normalized vectors is proved from the
+The gate sequence is one solve of an (m, n, n) stack, one kernel being a
+stack of one: each gate runs on every matrix before the next, one stacked
+LAPACK call per solver path (a path of one matrix gets that matrix), so
+the cost in Python calls does not grow with m, and each path's group is
+one ``EigFactors`` record, each block bit for bit its own solve.
+``eig_factors`` keeps the record of its one kernel, what the solve leaves
+in the balanced frame: the eigenvalues, V_r, its inverse (not stored
+where it is V_r^dag), the diagonal, the PT mirror, the column norms of
+the caller-frame vectors and the condition estimate.  The caller-frame
+entries D T V_r / ||.|| and their left partners are formed by one
+routine, for just the rows and states asked for, each entry bit for bit
+that of the whole matrix; ``balanced_eig``, of one kernel or of a stack
+such as the Bloch matrices of a ring, forms each group whole and scatters
+it.  The refusal of overflowing normalized vectors is proved from the
 norms where it can, and read off the formed vectors only where the proof
-fails.  A 2-D call runs each gate once on the matrix itself, and skips
-the stack bookkeeping: no stack axis, index arrays, path groups or lists
-of partial results.  An (m, n, n) stack, such as the Bloch matrices of a
-ring, runs each gate on every matrix through the same helpers, and forms
-its vectors whole through the same routine; the matrices are
-grouped by path, one stacked LAPACK call per group, so the cost in Python
-calls does not grow with m, and each matrix's outputs are bit for bit
-those of its 2-D call.  Spectra and bands are paired by
-``min_cost_matching``, a pure-Python min-cost assignment.
+fails.  Spectra and bands are paired by ``min_cost_matching``, a
+pure-Python min-cost assignment.
 """
 
 from __future__ import annotations
@@ -77,7 +76,8 @@ def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL):
             > bound).all():
         return np.zeros(A.shape[:-2], dtype=bool) if A.ndim == 3 else False
     with np.errstate(invalid="ignore"):  # inf - inf on a non-finite matrix
-        gap = np.abs(A - A.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+        gap = np.conjugate(A).swapaxes(-2, -1)  # A^dag, overwritten by the gap
+        gap = np.abs(np.subtract(A, gap, out=gap)).max(axis=(-2, -1))
     herm = np.isfinite(scale) & (gap <= bound)
     return herm if A.ndim == 3 else bool(herm)
 
@@ -196,38 +196,43 @@ def symmetrizing_diagonal(A: np.ndarray) -> np.ndarray:
     finite; a kernel rescaled by a grading that steep may overflow, and
     ``balanced_eig`` refuses it.
 
-    One matrix is solved as it is.  An (m, n, n) stack gives an (m, n)
-    array, each row bit for bit the d of its matrix alone: matrices with one
-    pattern of nonzero pairs share the Laplacian and its factorization, and
-    each takes its own two solves, as one solve of several right-hand sides
-    rounds differently.
+    One matrix is solved as a stack of one.  An (m, n, n) stack gives an
+    (m, n) array, each row bit for bit the d of its matrix alone: matrices
+    with one pattern of nonzero pairs share the Laplacian and its
+    factorization, and each takes its own two solves, as one solve of
+    several right-hand sides rounds differently.
     """
+    S = A if A.ndim == 3 else A[None]
     n = A.shape[-1]
-    nonzero = A != 0
-    pairs = nonzero & nonzero.swapaxes(-2, -1)
-    pairs.reshape(*A.shape[:-2], n * n)[..., ::n + 1] = False
-    if A.ndim == 2:
-        return _pattern_diagonal(A, pairs)
-    label = np.unique(pairs.reshape(len(A), n * n), axis=0,
-                      return_inverse=True)[1]
-    d = np.ones(A.shape[:-1])
-    for _, blocks in _parts(label.ravel()):
-        d[blocks] = _pattern_diagonal(A[blocks], pairs[blocks[0]])
-    return d
+    nonzero = S != 0
+    pairs = nonzero & nonzero.swapaxes(1, 2)
+    pairs.reshape(len(S), n * n)[:, ::n + 1] = False
+    # a pattern's label: the packed bytes of its mask, read as one field
+    key = np.packbits(pairs.reshape(len(S), n * n), axis=1)
+    d = np.ones(S.shape[:-1])
+    for _, blocks in _parts(key.view(np.dtype((np.void, key.shape[1])))[:, 0]):
+        d[blocks] = _pattern_diagonal(_pick(S, blocks), pairs[blocks[0]])
+    return d if A.ndim == 3 else d[0]
 
 
 def _pattern_diagonal(X: np.ndarray, pairs: np.ndarray):
-    """``symmetrizing_diagonal`` of one matrix X or of a (k, n, n) stack
-    whose matrices all have the nonzero pairs ``pairs`` (an n x n mask)."""
+    """``symmetrizing_diagonal`` of a (k, n, n) stack whose matrices all
+    have the nonzero pairs ``pairs`` (an n x n mask)."""
     n = X.shape[-1]
-    i, j = np.nonzero(pairs)
-    # the stack axis, if any: indexing past an Ellipsis costs more
-    lead = (slice(None),) * (X.ndim - 2)
+    # the pairs in row-major order, as np.nonzero gives them, at a third of
+    # its cost on an n x n mask
+    i, j = np.divmod(np.flatnonzero(pairs), n)
     # each pair's ratio is antisymmetric in (i, j), so equal magnitudes give
     # exactly 0 and a magnitude-symmetric X exactly np.ones
-    ratio = (np.log(np.abs(X[(*lead, i, j)]))
-             - np.log(np.abs(X[(*lead, j, i)])))
-    rhs = 0.5 * _row_bincount(i, ratio, n)
+    ratio = np.log(np.abs(X[:, i, j])) - np.log(np.abs(X[:, j, i]))
+    # one bincount over k n bins, each bin summed in the order of its own
+    # matrix's np.bincount(i, w, minlength=n)
+    k = len(X)
+    bins = (np.arange(k)[:, None] * n + i).ravel()
+
+    def row_sums(w):  # sum over the pairs (i, j) of w, per row i
+        return np.bincount(bins, w.ravel(), minlength=k * n).reshape(k, n)
+    rhs = 0.5 * row_sums(ratio)
     if not rhs.any():
         return np.ones(X.shape[:-1])
     degree = np.bincount(i, minlength=n)
@@ -246,26 +251,14 @@ def _pattern_diagonal(X: np.ndarray, pairs: np.ndarray):
     lu, piv, _ = dgetrf(tied.T, overwrite_a=True)
 
     def solve(b):  # each row on its own
-        return (dgetrs(lu, piv, b)[0] if b.ndim == 1
-                else np.array([dgetrs(lu, piv, r)[0] for r in b]))
+        return np.array([dgetrs(lu, piv, r)[0] for r in b])
     # a matrix whose ratios all cancel has rhs 0, which solves to x = 0 and
     # d = 1 exactly
     x = solve(rhs)
     # the Laplacian product (L x)_i = degree_i x_i - sum_j x_j over the pairs
-    x += solve(rhs - (degree * x - _row_bincount(i, x[(*lead, j)], n)))
+    x += solve(rhs - (degree * x - row_sums(x[:, j])))
     x -= x.sum(axis=-1, keepdims=True) / n
     return np.exp(np.minimum(np.maximum(x, -_CLIP), _CLIP))
-
-
-def _row_bincount(i: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """``np.bincount(i, w, minlength=n)`` for weights w, or for each row w of
-    a 2-D weights, each bin summed in the order of that row's own call."""
-    if weights.ndim == 1:
-        return np.bincount(i, weights, minlength=n)
-    rows = len(weights)
-    bins = (np.arange(rows)[:, None] * n + i).ravel()
-    return np.bincount(bins, weights.ravel(), minlength=rows * n).reshape(
-        rows, n)
 
 
 def _squared_norms(X: np.ndarray, axis: int) -> np.ndarray:
@@ -291,17 +284,15 @@ def _eigenvalue_clusters(eigenvalues: np.ndarray, scale: float) -> list:
 
 
 def _stacked(solver, X: np.ndarray):
-    """``solver`` (``np.linalg.eig``, ``eigh`` or ``inv``) on one matrix, or
-    on each of an (m, n, n) stack in one call, bit for bit the m calls.
-
-    A stack goes in as (1, 1, m, n, n): a wrapper that reads its argument as
-    one matrix and forms ``a - a.conj().T`` (the benchmark's span tracer
-    does) then broadcasts instead of raising.
-    """
-    if X.ndim == 2:
-        return solver(X)
-    out = solver(X[None, None])
-    return tuple(o[0, 0] for o in out) if isinstance(out, tuple) else out[0, 0]
+    """``solver`` (``np.linalg.eig``, ``eigh`` or ``inv``) on each matrix of
+    an (m, n, n) stack, bit for bit the m calls: a stack of one as its
+    matrix, a larger one as (1, 1, m, n, n), so that a wrapper that reads
+    its argument as one matrix and forms ``a - a.conj().T`` (the
+    benchmark's span tracer does) broadcasts instead of raising."""
+    one = len(X) == 1
+    out = solver(X[0] if one else X[None, None])
+    key = None if one else (0, 0)
+    return tuple(o[key] for o in out) if isinstance(out, tuple) else out[key]
 
 
 def _arithmetic(X: np.ndarray, mirrors):
@@ -314,7 +305,7 @@ def _arithmetic(X: np.ndarray, mirrors):
         free = cplx & (mirror < 0)
         if not free.any():
             break
-        flip = X[..., p, :][..., p]
+        flip = X[..., p[:, None], p]
         mirror = np.where(free & (X.real == flip.real).all(axis=(-2, -1))
                           & (-X.imag == flip.imag).all(axis=(-2, -1)),
                           c, mirror)
@@ -322,34 +313,29 @@ def _arithmetic(X: np.ndarray, mirrors):
 
 
 def _balance(X: np.ndarray, cplx, d: np.ndarray, perm):
-    """(B, d) of kernels X that share their arithmetic: B = D^-1 M D with
-    M = Re X - (Im X) P on PT kernels (P a row of ``perm``), X on other
-    complex ones and Re X on real ones; a PT kernel's d is made
-    mirror-symmetric first, d <- sqrt(d d[p]), so B inherits the symmetry."""
+    """B = D^-1 M D of kernels X that share their arithmetic: M = Re X -
+    (Im X) P on PT kernels (P the mirror ``perm``), X on other complex ones
+    and Re X on real ones; a PT kernel's d is first made mirror-symmetric
+    in place, d <- sqrt(d d[p]), so B inherits the symmetry."""
     M = X if cplx and perm is None else X.real
     if perm is not None:
-        M = M - np.take_along_axis(X.imag, perm[..., None, :], axis=-1)
-        d = np.sqrt(d * np.take_along_axis(d, perm, axis=-1))
+        M = M - X.imag[..., perm]
+        d[...] = np.sqrt(d * d[..., perm])
     with np.errstate(over="ignore"):
-        return (M / d[..., :, None]) * d[..., None, :], d
-
-
-def _gauge_solve(B: np.ndarray):
-    """(w, V_r) of gauge-Hermitian balanced kernels: ``eigh`` of the
-    Hermitian part, so V_r is unitary and V_r^-1 = V_r^dag."""
-    return _stacked(np.linalg.eigh, 0.5 * (B + B.conj().swapaxes(-2, -1)))
+        return (M / d[..., :, None]) * d[..., None, :]
 
 
 def _certified(Vr: np.ndarray):
-    """(V_r^-1, cond, suspect, singular) of eigenvector matrices V_r: one
-    inverse (NaN where V_r is singular), max_i s_i, and the kappa_F
+    """(V_r^-1, cond, suspect, singular) of a stack of eigenvector matrices
+    V_r: one inverse (NaN where V_r is singular), max_i s_i, and the kappa_F
     certificate, which a suspect fails."""
-    singular = np.zeros(Vr.shape[:-2], dtype=bool)
+    singular = np.zeros(len(Vr), dtype=bool)
     try:
         inv = _stacked(np.linalg.inv, Vr)
     except np.linalg.LinAlgError:
-        if Vr.ndim == 3:  # one at a time, to find the singular ones
-            return tuple(map(np.array, zip(*map(_certified, Vr))))
+        if len(Vr) > 1:  # one at a time, to find the singular ones
+            return tuple(map(np.concatenate,
+                             zip(*(_certified(V[None]) for V in Vr))))
         inv, singular = np.full_like(Vr, np.nan), ~singular
     r2, l2 = _squared_norms(Vr, -2), _squared_norms(inv, -1)
     # kappa_2 <= kappa_F = ||V_r||_F ||V_r^-1||_F, so kappa_F at or below
@@ -380,13 +366,12 @@ def _defect(Vr: np.ndarray, w: np.ndarray, singular: bool, scale: float):
 
 def _gather(X: np.ndarray, rows, cols) -> np.ndarray:
     """The block X[..., rows, :][..., cols] of one matrix or of a stack,
-    for slices or index arrays; on one matrix, two index arrays take one
-    gather.  On a stack, ``rows`` may be a 2-D array of one row permutation
-    per matrix."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        X, rows = np.take_along_axis(X, rows[..., :, None], axis=-2), slice(None)
-    if isinstance(rows, slice) or isinstance(cols, slice):
+    for slices or index arrays; a slice is taken first, so only the block
+    is copied, and on one matrix two index arrays take one gather."""
+    if isinstance(rows, slice):
         return X[..., rows, :][..., cols]
+    if isinstance(cols, slice):
+        return X[..., cols][..., rows, :]
     return X[rows[:, None], cols]
 
 
@@ -398,10 +383,12 @@ def _right_rows(Vr, d, mirror, rows, cols, dtype) -> np.ndarray:
     would move every PT result by an ulp.
     """
     X = _gather(Vr, rows, cols)
-    V = np.empty(X.shape, dtype=dtype)
     if mirror is None:
-        return np.multiply(X, d[..., rows, None], out=V)
-    np.multiply(1j, _gather(Vr, mirror[..., rows], cols), out=V)
+        return np.multiply(X, d[..., rows, None],
+                           out=np.empty(X.shape, dtype=dtype))
+    # the gather of P V_r is a copy, so the products are taken in it
+    V = _gather(Vr, mirror[..., rows], cols).astype(dtype, copy=False)
+    V *= 1j
     V += X
     V /= np.sqrt(2.0)
     V *= d[..., rows, None]
@@ -415,10 +402,14 @@ def _left_rows(Vr, Vinv, d, mirror, rows, cols, dtype) -> np.ndarray:
         return (_gather(Vr, r, cols).conj() if Vinv is None
                 else _gather(Vinv.swapaxes(-2, -1), r, cols))
     Y = inverse(rows)
-    L = np.empty(Y.shape, dtype=dtype)
     if mirror is None:
-        return np.divide(Y, d[..., rows, None], out=L)
-    np.multiply(-1j, inverse(mirror[..., rows]), out=L)
+        # divided in place in a copy where no cast intervenes: a divide
+        # that reads the transposed Y takes two ufunc buffers
+        L = Y.copy() if Y.dtype == dtype else np.empty(Y.shape, dtype=dtype)
+        return np.divide(L if L.dtype == Y.dtype else Y, d[..., rows, None],
+                         out=L)
+    L = inverse(mirror[..., rows]).astype(dtype, copy=False)
+    L *= -1j
     L += Y
     L /= np.sqrt(2.0)
     L /= d[..., rows, None]
@@ -475,6 +466,9 @@ class EigFactors:
     Hermitian path, ``d`` and ``norms`` are None: V_r is the kernel's own
     unitary eigenvector matrix, and left is right.  ``vectors`` forms just
     the requested entries in the caller's frame.
+
+    The record of a group of kernels on one path carries a leading block
+    axis on every field but the shared ``mirror``, and takes slices only.
     """
 
     eigenvalues: np.ndarray
@@ -507,13 +501,23 @@ class EigFactors:
                        rows, cols, dtype)
 
 
+def _unstacked(f: EigFactors) -> EigFactors:
+    """The one-kernel record of a group that holds one block."""
+    eigenvalues, Vr, Vinv, d, norms = (
+        None if x is None else x[0]
+        for x in (f.eigenvalues, f.Vr, f.Vinv, f.d, f.norms))
+    return EigFactors(eigenvalues, Vr, Vinv, d, f.mirror, norms,
+                      float(f.condition_estimate[0]))
+
+
 # finite bounds below this leave room for the roundings they do not count
 _BIG = np.finfo(float).max / 4
 
 
-def _finite_vectors(f: EigFactors) -> bool:
-    """Whether every unit-norm right vector and left partner of ``f`` is
-    finite; the answer of reading all of them, mostly without forming them.
+def _finite_vectors(f: EigFactors) -> np.ndarray:
+    """Per block of a group ``f``, whether every unit-norm right vector and
+    left partner is finite; the answer of reading all of them, mostly
+    without forming them.
 
     A sum of squares bounds each of its terms, so finite, invertible norms
     prove every right entry finite (at most 1).  A left entry is at most
@@ -524,12 +528,14 @@ def _finite_vectors(f: EigFactors) -> bool:
     rows2 = (_squared_norms(f.Vr, -2) if f.Vinv is None
              else _squared_norms(f.Vinv, -1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        left = np.sqrt(2.0 * rows2) / f.d.min()
-        if (np.isfinite(f.norms).all() and np.isfinite(1.0 / f.norms).all()
-                and (left < _BIG).all() and (left * f.norms < _BIG).all()):
-            return True
+        left = np.sqrt(2.0 * rows2) / f.d.min(axis=-1, keepdims=True)
+        proved = (np.isfinite(f.norms) & np.isfinite(1.0 / f.norms)
+                  & (left < _BIG) & (left * f.norms < _BIG)).all(axis=-1)
+        if proved.all():
+            return proved
         R, L = f.vectors()
-        return bool(np.isfinite(R).all() and np.isfinite(L).all())
+        return np.isfinite(R).all(axis=(-2, -1)) & np.isfinite(L).all(
+            axis=(-2, -1))
 
 
 # refusal reasons before the solve (the first two) and after it
@@ -539,8 +545,96 @@ _B_OVERFLOW = f"balanced kernel overflows float64: {_GRADING}"
 _V_OVERFLOW = f"normalized eigenvectors overflow float64: {_GRADING}"
 
 
+def _solve(A: np.ndarray, mirrors) -> list:
+    """[(blocks, EigFactors)] of one kernel A or of an (m, n, n) stack: one
+    record per solver path, its fields stacked over the path's blocks (their
+    indices in the stack).  Refusals are those ``balanced_eig`` documents,
+    prefixed ``block i: `` on a stack."""
+    S = A if A.ndim == 3 else A[None]
+
+    def refuse(block, reason, condition_estimate, clusters=None):
+        where = f"block {block}: " if A.ndim == 3 else ""
+        return DefectiveError(where + reason, clusters=clusters,
+                              condition_estimate=condition_estimate)
+
+    herm = is_hermitian(S)
+    h, rest = np.flatnonzero(herm), np.flatnonzero(~herm)
+    R = _pick(S, rest)
+    groups = []  # (general, rows of R, B, d, P); this list alone holds B
+    if rest.size:
+        finite = np.isfinite(R).all(axis=(1, 2))
+        if not finite.all():
+            raise refuse(rest[finite.argmin()], _NON_FINITE, math.inf)
+        cplx, mirror = _arithmetic(R, mirrors)
+        d = symmetrizing_diagonal(R)
+        # real (-1), PT under mirror k, complex (k = len(mirrors)); each
+        # split into gauge-Hermitian and general
+        kinds = np.where(cplx, np.where(mirror >= 0, mirror, len(mirrors)), -1)
+        for k, rows in _parts(kinds):
+            perm = np.asarray(mirrors[k]) if 0 <= k < len(mirrors) else None
+            d_k = _pick(d, rows)
+            B = _balance(_pick(R, rows), k >= 0, d_k, perm)
+            gauge = is_hermitian(B, HERMITIAN_TOL * np.maximum(
+                1.0, np.abs(np.log(d_k)).max(axis=1)))
+            groups += [(general, rows[g], _pick(B, g), _pick(d_k, g), perm)
+                       for general, g in _parts(~gauge)]
+            del B
+        bad = [r for _, rows, B, *_ in groups
+               for r in rows[~np.isfinite(B).all(axis=(1, 2))]]
+        if bad:
+            raise refuse(rest[min(bad)], _B_OVERFLOW, math.inf)
+    records = []
+    if h.size:
+        w, V = _stacked(np.linalg.eigh, _pick(S, h))
+        records.append((h, EigFactors(w.astype(complex), V, None, None, None,
+                                      None, np.ones(h.size))))
+    solved, suspects = [], []  # (rows of R, w, V_r, V_r^-1 or None, d, P, cond)
+    while groups:
+        general, rows, B, d, perm = groups.pop(0)
+        if not general:  # eigh of the Hermitian part: V_r^-1 = V_r^dag
+            w, Vr = _stacked(np.linalg.eigh,
+                             0.5 * (B + B.conj().swapaxes(-2, -1)))
+            del B
+            solved.append((rows, w, Vr, None, d, perm, np.ones(len(rows))))
+            continue
+        w, Vr = _stacked(np.linalg.eig, B)
+        # numpy's eig is real only if every spectrum of the stack is; a real
+        # matrix with a real spectrum takes real vectors and a real inverse,
+        # as it would alone
+        real = np.isrealobj(B) & ~w.imag.any(axis=1)
+        del B  # freed before the inverse
+        parts = []
+        for r, p in _parts(real):
+            w_p, Vr_p = (x.real if r else x for x in (_pick(w, p), _pick(Vr, p)))
+            # a real V_r is a view of eig's complex output, which a copy frees
+            parts.append((p, w_p, np.ascontiguousarray(Vr_p)))
+        del w, Vr, w_p, Vr_p
+        for p, w, Vr in parts:
+            Vinv, cond, suspect, singular = _certified(Vr)
+            suspects += [(rows[p[b]], Vr[b], w[b], singular[b])
+                         for b in np.flatnonzero(suspect)]
+            solved.append((rows[p], w, Vr, Vinv, _pick(d, p), perm, cond))
+    for r, Vr, w, singular in sorted(suspects, key=lambda s: s[0]):
+        if refusal := _defect(Vr, w, singular, np.abs(R[r]).max()):
+            raise refuse(rest[r], *refusal)
+    overflow = []
+    for rows, w, Vr, Vinv, d, perm, cond in solved:
+        f = EigFactors(w.astype(complex, copy=False), Vr, Vinv, d, perm,
+                       _column_norms(Vr, d, perm), cond)
+        finite = _finite_vectors(f)
+        overflow += list(zip(rows[~finite], cond[~finite]))
+        records.append((rest[rows], f))
+    if overflow:
+        r, cond = min(overflow)
+        raise refuse(rest[r], _V_OVERFLOW, float(cond))
+    return records
+
+
 def eig_factors(A: np.ndarray, mirrors=()) -> EigFactors:
     """Eigendecomposition of one kernel, kept as its balanced-frame factors.
+
+    A is solved as a stack of one: the factors are the record of its one
+    block, the path's group with its leading block axis dropped.
 
     A Hermitian A (``is_hermitian``) goes to ``eigh`` exactly as given: no
     rescaling, no real cast, no symmetrization.  V is unitary, left is V
@@ -603,44 +697,20 @@ def eig_factors(A: np.ndarray, mirrors=()) -> EigFactors:
         and, carrying ``cond``, if an entry of the unit-normalized V or
         V^-1 is not finite (``_finite_vectors``).
     """
-    if is_hermitian(A):
-        w, V = np.linalg.eigh(A)
-        return EigFactors(w.astype(complex), V, None, None, None, None, 1.0)
-    if not np.isfinite(A).all():
-        raise DefectiveError(_NON_FINITE, condition_estimate=math.inf)
-    cplx, mirror = _arithmetic(A, mirrors)
-    perm = np.asarray(mirrors[mirror]) if mirror >= 0 else None
-    B, d = _balance(A, cplx, symmetrizing_diagonal(A), perm)
-    if not np.isfinite(B).all():
-        raise DefectiveError(_B_OVERFLOW, condition_estimate=math.inf)
-    Vinv, cond = None, 1.0
-    if is_hermitian(B, HERMITIAN_TOL * max(1.0, np.abs(np.log(d)).max())):
-        w, Vr = _gauge_solve(B)
-        del B
-    else:
-        w, Vr = np.linalg.eig(B)
-        del B
-        # a real V_r is a view of eig's complex output, which a copy frees
-        Vr = np.ascontiguousarray(Vr)
-        Vinv, cond, suspect, singular = _certified(Vr)
-        if suspect and (refusal := _defect(Vr, w, singular,
-                                           np.abs(A).max())):
-            raise DefectiveError(*refusal)
-    f = EigFactors(w.astype(complex, copy=False), Vr, Vinv, d, perm,
-                   _column_norms(Vr, d, perm), float(cond))
-    if not _finite_vectors(f):
-        raise DefectiveError(_V_OVERFLOW, condition_estimate=float(cond))
-    return f
+    (_, f), = _solve(A, mirrors)
+    return _unstacked(f)
 
 
 def balanced_eig(A: np.ndarray, mirrors=()):
     """Eigendecomposition of a kernel, or of a stack, with its vectors.
 
-    ``A`` is one n x n kernel, solved by ``eig_factors`` with its vectors
-    formed whole, or an (m, n, n) stack of them, each matrix of which gets,
-    bit for bit, the outputs of its own 2-D call; each path of a stack
-    costs one stacked ``eigh``, or one ``eig`` and one inverse, and each
-    gate of ``eig_factors`` runs on every matrix before the next gate.
+    ``A`` is one n x n kernel or an (m, n, n) stack of them, solved as
+    ``eig_factors`` solves one: each gate runs on every matrix before the
+    next gate, and each path costs one stacked ``eigh``, or one ``eig``
+    and one inverse.  The group of each path, its fields stacked along a
+    leading block axis, has its vectors formed whole and scattered to its
+    blocks, so each matrix gets, bit for bit, the outputs of its own 2-D
+    call.
 
     Returns
     -------
@@ -657,102 +727,35 @@ def balanced_eig(A: np.ndarray, mirrors=()):
         first gate any matrix fails is reported, by its index, with what
         its own solve would carry.
     """
-    if A.ndim == 3:
-        return _balanced_stack(A, mirrors)
-    f = eig_factors(A, mirrors)
-    return (f.eigenvalues, *f.vectors(dtype=complex), f.condition_estimate)
-
-
-def _balanced_stack(S: np.ndarray, mirrors):
-    """``balanced_eig`` of an (m, n, n) stack: each gate of the one-matrix
-    path runs on every matrix before the next gate, and the solves are
-    grouped by path."""
-    def refuse(block, reason, condition_estimate, clusters=None):
-        return DefectiveError(f"block {block}: {reason}", clusters=clusters,
-                              condition_estimate=condition_estimate)
-
-    herm = is_hermitian(S)
-    rest = np.flatnonzero(~herm)
-    R = S[rest]
-    finite = np.isfinite(R).all(axis=(1, 2))
-    if not finite.all():
-        raise refuse(rest[finite.argmin()], _NON_FINITE, math.inf)
-    cplx, mirror = _arithmetic(R, mirrors)
-    d = symmetrizing_diagonal(R)
-    frames = []  # (rows of R, B, d, P) of arithmetic 0 real, 1 PT, 2 complex
-    for k, rows in _parts(np.where(cplx, 2 - (mirror >= 0), 0)):
-        perm = np.array(mirrors)[mirror[rows]] if k == 1 else None
-        frames.append((rows, *_balance(R[rows], k, d[rows], perm), perm))
-    bad = [r for rows, B, *_ in frames
-           for r in rows[~np.isfinite(B).all(axis=(1, 2))]]
-    if bad:
-        raise refuse(rest[min(bad)], _B_OVERFLOW, math.inf)
-
-    units = []  # (blocks, eigenvalues, right, left, cond), one per path
-    h = np.flatnonzero(herm)
-    if h.size:
-        w, V = _stacked(np.linalg.eigh, S[h])
-        V = V.astype(complex)
-        units.append((h, w.astype(complex), V, V, np.ones(len(h))))
-    # (rows of R, w, V_r, V_r^-1 or None for V_r^dag, d, P, cond)
-    solved, suspects = [], []
-    for rows, B, d, perm in frames:
-        log_spread = np.maximum(1.0, np.abs(np.log(d)).max(axis=1))
-        gauge = is_hermitian(B, HERMITIAN_TOL * log_spread)
-        for general, g in _parts(~gauge):
-            rows_g, B_g, d_g, perm_g = rows[g], B[g], d[g], _take(perm, g)
-            if not general:
-                solved.append((rows_g, *_gauge_solve(B_g), None, d_g,
-                               perm_g, np.ones(len(g))))
-                continue
-            w, Vr = _stacked(np.linalg.eig, B_g)
-            # numpy's eig is real only if every spectrum of the stack is; a
-            # real matrix with a real spectrum takes real vectors and a real
-            # inverse, as it would alone
-            split = np.isrealobj(B_g) and np.iscomplexobj(w)
-            for cplx, p in _parts(w.imag.any(axis=1) if split
-                                  else np.ones(len(g), dtype=bool)):
-                w_p, Vr_p = (w[p], Vr[p]) if cplx else (w[p].real, Vr[p].real)
-                Vb_inv, cond, suspect, singular = _certified(Vr_p)
-                suspects += [(rows_g[p[b]], Vr_p[b], w_p[b], singular[b])
-                             for b in np.flatnonzero(suspect)]
-                solved.append((rows_g[p], w_p, Vr_p, Vb_inv, d_g[p],
-                               _take(perm_g, p), cond))
-    del frames
-    for r, Vr, w, singular in sorted(suspects, key=lambda s: s[0]):
-        if refusal := _defect(Vr, w, singular, float(np.abs(R[r]).max())):
-            raise refuse(rest[r], *refusal)
-    overflow = []
-    for rows, w, Vr, Vinv, d, perm, cond in solved:
-        norms = _column_norms(Vr, d, perm)
-        with np.errstate(over="ignore", invalid="ignore"):
-            V, left = _formed(Vr, Vinv, d, perm, norms, slice(None),
-                              slice(None), complex)
-            finite = (np.isfinite(V).all(axis=(1, 2))
-                      & np.isfinite(left).all(axis=(1, 2)))
-        overflow += [(r, c) for r, c in zip(rows[~finite], cond[~finite])]
-        units.append((rest[rows], w.astype(complex, copy=False), V, left,
-                      cond))
-    if overflow:
-        r, cond = min(overflow)
-        raise refuse(rest[r], _V_OVERFLOW, float(cond))
-    if len(units) == 1:
-        return units[0][1:]
-    fields = (np.empty(S.shape[:2], dtype=complex),
-              np.empty(S.shape, dtype=complex),
-              np.empty(S.shape, dtype=complex), np.empty(len(S)))
-    for blocks, *unit in units:
-        for field, part in zip(fields, unit):
+    records = _solve(A, mirrors)
+    if A.ndim == 2:  # its one group, as the record of its one block
+        records = [(None, _unstacked(records[0][1]))]
+    if len(records) == 1:
+        return _whole(records[0][1])
+    fields = (np.empty(A.shape[:-1], dtype=complex),
+              np.empty(A.shape, dtype=complex),
+              np.empty(A.shape, dtype=complex), np.empty(len(A)))
+    for blocks, f in records:
+        for field, part in zip(fields, _whole(f)):
             field[blocks] = part
-    return tuple(fields)
+    return fields
+
+
+def _whole(f: EigFactors) -> tuple:
+    """(eigenvalues, right, left, condition) of a record, vectors complex
+    and whole."""
+    return (f.eigenvalues, *f.vectors(dtype=complex), f.condition_estimate)
 
 
 def _parts(labels: np.ndarray) -> list:
     """[(label, rows)]: each distinct label of a 1-D array, ascending, with
     the rows that hold it."""
+    if labels.size and (labels == labels[0]).all():  # one label: no sort
+        return [(labels[0], np.arange(len(labels)))]
     return [(v, np.flatnonzero(labels == v)) for v in np.unique(labels)]
 
 
-def _take(perm, idx):
-    """The mirrors ``perm[idx]`` of a PT frame; None off the PT frame."""
-    return None if perm is None else perm[idx]
+def _pick(X, idx):
+    """X[idx] for the sorted distinct indices ``idx`` of leading rows: X
+    itself when they are all of them, None for None."""
+    return X if X is None or len(idx) == len(X) else X[idx]

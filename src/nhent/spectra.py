@@ -24,16 +24,18 @@ reports a condition of exactly 1.0.  Any other kernel reports the largest
 eigenvalue condition number max_a ||R_a|| ||L_a|| of the rebalanced
 eigenvector matrix, which measures genuine (near-)defectiveness rather
 than grading.  The solver,
-``_linalg.eig_factors``, alone tests whether a kernel is Hermitian,
-decides defectiveness (by the 2-norm condition number of that matrix),
-refuses a grading too steep for float64, and raises ``DefectiveError``; it
-returns the balanced-frame factors that a ``BiorthogonalSystem`` keeps, and
-whose ``vectors`` forms just the rows and states asked for.  A ring that
+one solve in ``_linalg`` behind both ``eig_factors`` and ``balanced_eig``,
+alone tests whether a kernel is Hermitian, decides defectiveness (by the
+2-norm condition number of that matrix), refuses a grading too steep for
+float64, and raises ``DefectiveError``.  ``eig_factors`` returns the
+balanced-frame factors that a ``BiorthogonalSystem`` keeps, and whose
+``vectors`` forms just the rows and states asked for.  A ring that
 ``models`` keeps as its cell blocks, on the labels it was built with, can
 instead be solved momentum block by momentum block (``bloch_system``, one
-``balanced_eig`` call on the stack of all blocks); its ``BlochSystem``
-keeps only the per-momentum eigenvector blocks, and its ``vectors``
-forms just the rows and states asked for.  ``bloch_system`` refuses
+``balanced_eig`` call on the stack of all blocks, each block bit for bit
+its own 2-D solve); its ``BlochSystem`` keeps only the per-momentum
+eigenvector blocks, and its ``vectors`` forms just the rows and states
+asked for.  ``bloch_system`` refuses
 every other kernel with ``UnsupportedError`` (a ring given by its dense
 entries or relabelled too: the route follows the construction), and
 ``pipeline.ground_state_system`` sends exactly the kernels it accepts
@@ -66,16 +68,14 @@ __all__ = [
 class BiorthogonalSystem:
     """Matched right/left eigenvector sets of a kernel matrix.
 
-    Columns of ``right`` are |R_a>, columns of ``left`` are |L_a>, normalized
-    so that every |R_a> has unit 2-norm and left.conj().T @ right = identity;
-    a Hermitian kernel gives ``left is right``.  Both system kinds keep
-    factors and gather through ``vectors``, which forms just the rows and
-    states asked for: a dense system keeps the balanced-frame factors of
-    its one solve (``_linalg.EigFactors``), and forms ``right`` and ``left``
-    on their first read, complex and whole; a system solved momentum block
-    by momentum block is a ``BlochSystem``, which keeps only the
-    per-momentum blocks and has no ``right`` or ``left``.  Code outside
-    this module reads the vectors through ``vectors``.
+    ``vectors(rows, cols)`` gives (R, L): columns of R are |R_a>, columns
+    of L are |L_a>, normalized so that every |R_a> has unit 2-norm and
+    L.conj().T @ R = identity over all states; on a Hermitian kernel, L is
+    R.  It forms just the rows and states asked for, and no system keeps a
+    dense eigenvector matrix: a dense system keeps the balanced-frame
+    factors of its one solve (``_linalg.EigFactors``); a system solved
+    momentum block by momentum block is a ``BlochSystem``, which keeps
+    only the per-momentum blocks.
 
     ``condition_estimate`` is the largest eigenvalue condition number
     s_a = ||R_a|| ||L_a|| in the solver's rebalanced frame (s_a^2 is the
@@ -100,15 +100,6 @@ class BiorthogonalSystem:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
-
-    def __getattr__(self, name: str):
-        # right and left are formed whole, complex and together, on the
-        # first read of either, and then kept; a BlochSystem has neither
-        if name in ("right", "left") and "factors" in vars(self):
-            self.right, self.left = self.factors.vectors(dtype=complex)
-            return vars(self)[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def vectors(self, rows, cols) -> tuple:
         """(R, L): rows ``rows`` of the right and left vectors of ``cols``,

@@ -163,13 +163,13 @@ def test_no_module_defines_or_exports_momentum_transform():
     assert not hasattr(nhent, "momentum_transform")
 
 
-def test_only_spectra_reads_dense_eigenvector_fields():
-    # a BlochSystem keeps only its blocks and has no right or left: every
-    # other module reads eigenvectors through BiorthogonalSystem.vectors
+def test_no_module_reads_dense_eigenvector_fields():
+    # no system has a dense right or left: every module reads eigenvectors
+    # through BiorthogonalSystem.vectors
     readers = {
         name for name, tree in _module_trees() for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in ("right", "left")}
-    assert readers == {"spectra.py"}
+    assert readers == set()
 
 
 def test_no_module_takes_qr_from_a_wrapper():

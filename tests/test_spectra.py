@@ -48,10 +48,11 @@ class TestBiorthogonalEig:
     def test_hermitian_input_unitary_path(self):
         km = build_nh_ssh_real(4, 1.0, 0.5, 0.0, "open")
         sys = biorthogonal_eig(km)
-        assert sys.left is sys.right
+        right, left = sys.vectors(slice(None), slice(None))
+        assert left is right
         assert sys.condition_estimate == 1.0
         assert np.abs(sys.eigenvalues.imag).max() < 1e-12
-        assert np.abs(sys.left - sys.right).max() < 1e-10
+        assert np.abs(left - right).max() < 1e-10
 
     @pytest.mark.parametrize("factor, hermitian", [(0.5, True), (2.0, False)])
     def test_hermitian_test_boundary(self, factor, hermitian):
@@ -63,9 +64,9 @@ class TestBiorthogonalEig:
         assert np.abs(A - A.conj().T).max() == factor * HERMITIAN_TOL * scale
         km = KernelMatrix(8, A, "open")
         assert km.is_hermitian() is is_hermitian(A) is hermitian
-        sys = biorthogonal_eig(km)
-        assert (sys.left is sys.right) is hermitian
-        gram = sys.left.conj().T @ sys.right
+        right, left = biorthogonal_eig(km).vectors(slice(None), slice(None))
+        assert (left is right) is hermitian
+        gram = left.conj().T @ right
         assert np.abs(gram - np.eye(8)).max() < 1e-12
 
     def test_hermitian_test_equals_the_full_gap_test(self):
@@ -117,7 +118,8 @@ class TestBiorthogonalEig:
         expected = math.sqrt(v ** 2 - u ** 2)
         assert sorted(np.round(sys.eigenvalues.real, 10)) == pytest.approx(
             [-expected, expected])
-        gram = sys.left.conj().T @ sys.right
+        right, left = sys.vectors(slice(None), slice(None))
+        gram = left.conj().T @ right
         assert np.abs(gram - np.eye(2)).max() < 1e-12
 
     def test_hatano_nelson_real_spectrum_and_skin(self):
@@ -129,15 +131,16 @@ class TestBiorthogonalEig:
         assert np.allclose(np.sort(sys.eigenvalues.real), w0, atol=1e-12)
         # right eigenvectors accumulate toward the site-0 edge: each carries
         # the envelope exp(-alpha x) on top of the Hermitian standing wave
-        v = np.abs(sys.right[:, 0])
+        v = np.abs(sys.vectors(slice(None), slice(None))[0][:, 0])
         assert v[0] > v[3]
 
     def test_biorthonormality_and_completeness(self):
         km = build_quasicrystal(13, 0.3, 1.0, 0.8, Fraction(8, 13))
         sys = biorthogonal_eig(km)
-        gram = sys.left.conj().T @ sys.right
+        right, left = sys.vectors(slice(None), slice(None))
+        gram = left.conj().T @ right
         assert np.abs(gram - np.eye(13)).max() < 1e-10
-        complete = sys.right @ sys.left.conj().T
+        complete = right @ left.conj().T
         assert np.abs(complete - np.eye(13)).max() < 1e-8
 
     def test_defective_kernel_raises_with_clusters(self):
@@ -176,16 +179,17 @@ class TestBiorthogonalEig:
     def test_one_hermitian_test_of_a_non_hermitian_kernel(
             self, monkeypatch, name, km, hermitian):
         # the solver's routing test is the only test of the kernel; the
-        # test of the balanced kernel is not counted
+        # test of the balanced kernel is not counted.  The solve may read
+        # the kernel through a view, so the kernel is known by its memory
         seen = []
 
         def spied(A, *args):
-            seen.append(A is km.entries)
+            seen.append(np.shares_memory(A, km.entries))
             return is_hermitian(A, *args)
         monkeypatch.setattr(_linalg, "is_hermitian", spied)
         monkeypatch.setattr("nhent.models.is_hermitian", spied)
-        sys = biorthogonal_eig(km)
-        assert (sys.left is sys.right) is hermitian
+        right, left = biorthogonal_eig(km).vectors(slice(None), slice(None))
+        assert (left is right) is hermitian
         assert sum(seen) == 1
 
 
@@ -241,7 +245,8 @@ class TestBalancing:
         sys = biorthogonal_eig(build_hatano_nelson(384, 1.0, 0.5, "open"))
         assert calls == [("eigh", np.dtype(float))]
         assert sys.condition_estimate == 1.0
-        gram = sys.left.conj().T @ sys.right
+        right, left = sys.vectors(slice(None), slice(None))
+        gram = left.conj().T @ right
         assert np.abs(gram - np.eye(384)).max() <= 1e-10
 
     @pytest.mark.parametrize("n, alpha", [(384, 0.5), (200, 2.5), (100, 4.0)])
@@ -415,7 +420,8 @@ class TestPTSymmetricRealPath:
         seen = _counting_eig(monkeypatch)
         sys = biorthogonal_eig(km)
         assert seen == [np.dtype(float)]
-        gram = sys.left.conj().T @ sys.right
+        right, left = sys.vectors(slice(None), slice(None))
+        gram = left.conj().T @ right
         assert np.abs(gram - np.eye(km.dim)).max() <= 1e-10
         assert abs(_half_entropy(sys, km.dim)
                    - _half_entropy(ref, km.dim)) <= 1e-10
@@ -642,8 +648,9 @@ class TestHermitianInput:
         assert K.is_hermitian() and not np.array_equal(K.entries,
                                                        K.entries.conj().T)
         sys, sel = ground_state_system(K, Fraction(1, 2))
-        assert sys.left is sys.right
-        gram = sys.right.conj().T @ sys.right
+        right, left = sys.vectors(slice(None), slice(None))
+        assert left is right
+        gram = right.conj().T @ right
         assert np.abs(gram - np.eye(64)).max() <= 1e-12
         entropy = report_for_partition(sys, sel, Partition.half(64)).entropy_vn
         # reference: the 32 lowest eigh vectors, in eigh's order
@@ -1074,12 +1081,9 @@ class TestDenseFactors:
         everything = np.arange(km.dim)
         R_all, L_all = sys.vectors(everything, everything)
         assert R_all.dtype == L_all.dtype == sys.factors.dtype
-        # right and left are formed on first read, complex, and kept
-        assert not {"right", "left"} & set(vars(sys))
-        right, left = sys.right, sys.left
+        right, left = sys.factors.vectors(dtype=complex)
         assert right.dtype == left.dtype == np.dtype(complex)
-        assert sys.right is right and sys.left is left
-        assert (sys.left is sys.right) is (path == "hermitian")
+        assert (left is right) is (path == "hermitian")
         for rows, cols in _index_sets(km.dim):
             R, L = sys.vectors(rows, cols)
             ix = np.ix_(np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))
@@ -1102,10 +1106,11 @@ class TestDenseFactors:
         w, right, left, cond = balanced_eig(km.entries, _mirrors(km))
         assert sys.eigenvalues.tobytes() == w.tobytes()
         assert sys.condition_estimate == cond
-        for got, want in ((sys.right, right), (sys.left, left)):
+        R, L = sys.factors.vectors(dtype=complex)
+        for got, want in ((R, right), (L, left)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        assert (left is right) is (sys.left is sys.right)
+        assert (left is right) is (L is R)
 
     def test_real_factors_give_a_float64_cut(self):
         # real V_r rows give float64 R_A and L_A, and so a float64 C_A
@@ -1113,8 +1118,8 @@ class TestDenseFactors:
         sys, sel = ground_state_system(km, Fraction(1, 2))
         C = correlation_matrix(sys, sel, Partition.half(km.dim))
         assert C.entries.dtype == np.dtype(float)
-        R, L = sys.right[:km.dim // 2, sel.occupied], sys.left[
-            :km.dim // 2, sel.occupied]
+        R, L = (X[:km.dim // 2, sel.occupied]
+                for X in sys.vectors(slice(None), slice(None)))
         assert np.abs(C.entries - R @ L.conj().T).max() < 1e-13
 
     def test_oracle_and_dynamics_form_only_their_columns(self, monkeypatch):
@@ -1219,6 +1224,46 @@ class TestStackedSolver:
         got = _refusal(stack, mirrors)
         assert got == (f"block {len(blocks)}: {alone[0]}", *alone[1:])
         assert alone[1] > _linalg.DEFECTIVE_COND and alone[2]
+        # the balancing diagonal: each row of a stack's d is its matrix's
+        # own, bit for bit, across distinct patterns and on 1 x 1 blocks
+        rng = np.random.default_rng(n)
+        masks = np.array([np.ones((64, 64)), np.eye(64, k=1) + np.eye(64, k=-1),
+                          rng.random((64, 64)) < 0.3])
+        for stack in (masks * np.exp(rng.normal(size=(3, 64, 64))),
+                      np.arange(1.0, 5.0).reshape(4, 1, 1)):
+            d = symmetrizing_diagonal(stack)
+            assert d.shape == stack.shape[:-1]
+            for row, block in zip(d, stack):
+                assert row.tobytes() == symmetrizing_diagonal(block).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_one_block_stack_is_its_kernel_solve(self, monkeypatch, n):
+        # the same fields, bit for bit, from the same LAPACK calls: a
+        # kernel is a stack of one, and a stack of one is handed to LAPACK
+        # as its matrix
+        mirrors = (np.arange(n)[::-1],)
+        calls = _solver_calls(monkeypatch)
+        for name, block in _mixed_blocks(n).items():
+            calls.clear()
+            alone = balanced_eig(block, mirrors)
+            alone_calls = calls[:]
+            calls.clear()
+            got = balanced_eig(block[None], mirrors)
+            assert calls == alone_calls, name
+            assert type(alone[3]) is float
+            for field, e, g in zip(("eigenvalues", "right", "left", "cond"),
+                                   alone, got):
+                e = np.asarray(e)
+                assert g.shape == (1, *e.shape) and g.dtype == e.dtype, field
+                assert g.tobytes() == e.tobytes(), field
+            assert (got[2] is got[1]) == (name == "hermitian"), name
+        bad = _mixed_blocks(n)["general"].copy()
+        bad[0, 1] = np.inf
+        for A in (0.5 * np.eye(n) + np.eye(n, k=1), bad):
+            text, cond, clusters = _refusal(A, mirrors)
+            assert not text.startswith("block")
+            assert _refusal(A[None], mirrors) == (f"block 0: {text}", cond,
+                                                  clusters)
 
     def test_a_hermitian_stack_returns_right_as_left(self):
         blocks = _mixed_blocks(2)

@@ -217,10 +217,8 @@ def digest(value) -> str:
 
 
 def eigenvectors(sys_):
-    """The dim x dim right and left eigenvectors of a system: through
-    ``vectors`` on a tree that has it, else its ``right`` and ``left``."""
-    if not hasattr(sys_, "vectors"):
-        return sys_.right, sys_.left
+    """The dim x dim right and left eigenvectors of a system, through
+    ``vectors``."""
     everything = np.arange(sys_.dim)
     return sys_.vectors(everything, everything)
 

@@ -17,6 +17,11 @@ peak of one call's allocations under ``tracemalloc``, in KiB:
   chain, with the Fock image (state s to sum_i bit_i(s) << p(i)) of each
   mirror p the chain keeps exactly, as the oracle solves it; and on the
   496-site open ``eb_ssh`` ladder;
+- ``balanced_eig`` on two stacks: the 128 Bloch blocks of the periodic
+  256-site ``guo_chain`` at gamma = 3.5 (the A05 ring), with the
+  sublattice reversal that ``bloch_system`` hands it, and the ladder as a
+  one-block stack, whose cost shows how a stack's nonzero patterns are
+  keyed;
 - ``ground_state_system`` and the half-cut ``correlation_matrix`` of that
   ladder, the route from kernel to cut that the A06 runs take;
 - ``oracle.fock_block`` of that 10-mode kernel at five particles;
@@ -24,8 +29,8 @@ peak of one call's allocations under ``tracemalloc``, in KiB:
   Gamma = 0.25 from the staggered state, half cut, over the 81 output
   times 0, 0.25, ..., 20 (the bench's ``NJ-L128-G0.25`` run).
 
-The sector cases take at most 20 timed calls, the two ladder cases and the
-no-jump run 5.  The record also
+The sector cases take at most 20 timed calls, the three ladder cases and
+the no-jump run 5.  The record also
 names the machine, the numpy and scipy versions and the BLAS thread count.
 OpenBLAS reads its thread count when numpy loads; it is pinned to one here
 unless ``OPENBLAS_NUM_THREADS`` is already set.  To compare two trees, run
@@ -46,6 +51,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the most timed calls of a large case
 _LARGE = {"balanced_eig/sector-252": 20, "balanced_eig/pt-sector-252": 20,
           "balanced_eig/ladder-496": 5,
+          "balanced_eig/ladder-496-stack": 5,
           "biorthogonal_eig+half-cut/ladder-496": 5,
           "evolve_no_jump/measurement-128": 5}
 
@@ -106,6 +112,11 @@ def cases(nhent, np):
         "pt-sector-252": (pt_sector, fock_mirrors),
         "ladder-496": (ladder.entries, _mirrors(ladder)),
     }
+    ring = nhent.build_guo_chain(256, 2, 1.0, 3.5, "periodic")
+    solves["bloch-128x2x2"] = (
+        nhent.bloch_reduce(ring, nhent.bloch_momenta(128)),
+        (np.arange(2)[::-1],))
+    solves["ladder-496-stack"] = (ladder.entries[None], _mirrors(ladder))
     out = {f"balanced_eig/{name}": (lambda A=A, m=m: balanced_eig(A, m))
            for name, (A, m) in solves.items()}
     half = nhent.Partition.half(ladder.dim)
